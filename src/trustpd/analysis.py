@@ -17,7 +17,7 @@ import numpy as np
 from .common_eq import closed_form_common_uniform
 from .core import GameParams, InvariantViolation, ParameterError, validate_params
 from .diverse_eq import AlphaBeta, closed_form_diverse_uniform, solve_alpha_beta
-from .numerics import adaptive_simpson, bisect_root
+from .numerics import adaptive_simpson, bracket_roots
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
                     scan_points: int = 500) -> float:
     """Unique belief where the dispersed threshold overtakes the shared one.
 
-    Scans the difference of the two closed-form thresholds across the open
-    interval (beta, upper kink), demands exactly one sign change, and refines
-    it by bisection. Anything other than one sign change contradicts the
-    single-crossing property and raises.
+    Sweeps the difference of the two closed-form thresholds across the open
+    interval (beta, upper kink) with `bracket_roots`, demands exactly one sign
+    change, and returns its bisected root. Anything other than one sign
+    change contradicts the single-crossing property and raises.
     """
     lo, hi = ab.beta, _upper_kink(params, ab)
 
@@ -60,16 +60,13 @@ def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
         return closed_form_common_uniform(pi, params) - closed_form_diverse_uniform(pi, params, ab)
 
     grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
-    vals = np.array([diff(x) for x in grid])
-    signs = np.sign(vals)
-    changes = int(np.sum(signs[:-1] * signs[1:] < 0))
-    if changes != 1:
+    roots = bracket_roots(diff, grid, zero_tol=0.0, ftol=tol).roots
+    if len(roots) != 1:
         raise InvariantViolation(
             f"expected exactly one sign change of the threshold gap on ({lo}, {hi}), "
-            f"found {changes}"
+            f"found {len(roots)}"
         )
-    i = int(np.nonzero(signs[:-1] * signs[1:] < 0)[0][0])
-    return bisect_root(diff, float(grid[i]), float(grid[i + 1]), ftol=tol)
+    return roots[0]
 
 
 def ex_ante_p_common(params: GameParams, method: str = "closed_form") -> float:

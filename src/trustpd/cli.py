@@ -349,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=50.0)
     p.add_argument("--ell-bar", type=float, default=8.0)
     p.add_argument("--pi1", type=float, required=True)
-    p.add_argument("--pi2", type=float)
-    p.add_argument("--sweep-pi2", nargs=3, metavar=("LO", "HI", "N"))
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pi2", type=float)
+    group.add_argument("--sweep-pi2", nargs=3, metavar=("LO", "HI", "N"))
     p.add_argument("--out", required=True)
 
     p = add("group", cmd_group, "group-game thresholds against n possibly-honest others")

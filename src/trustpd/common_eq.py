@@ -13,7 +13,6 @@ corner alone beyond it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,14 @@ from .core import (
     LossDistribution,
     ParameterError,
     RegimeError,
+    all_within,
+    any_of,
+    float_or_array,
+    select,
 )
-from .numerics import bisect_root, scan_sign_changes
+from .numerics import bisect_root, bracket_roots
 
-# Sign-change scan resolution for the fixed-point search, and the minimum
+# Scan-grid resolution of bracket_roots in the fixed-point search, and the minimum
 # separation below which two interior brackets are treated as one merged
 # (near-tangency) root.
 SCAN_CELLS = 2000
@@ -43,14 +46,18 @@ def _clamp_belief(pi: float) -> float:
     return min(pi, 1.0 - BELIEF_EPS)
 
 
-def psi(ell: float, pi: float, params: GameParams, dist: LossDistribution) -> float:
-    """Reduced-form best-response threshold to a partner playing threshold ell."""
-    if not 0.0 <= ell < dist.ell_bar:
+def psi(ell, pi: float, params: GameParams, dist: LossDistribution):
+    """Reduced-form best-response threshold to a partner playing threshold ell.
+
+    ell may be a scalar (returns a float) or an array of thresholds (returns
+    an array); every element must lie in [0, ell_bar).
+    """
+    if not all_within(ell, 0.0, dist.ell_bar, include_hi=False):
         raise ParameterError(
             f"psi is defined on [0, ell_bar); got l={ell}, ell_bar={dist.ell_bar}"
         )
     pi = _clamp_belief(pi)
-    big_f = float(dist.cdf(ell))
+    big_f = float_or_array(dist.cdf(ell))
     ratio = pi / (1.0 - pi)
     return (params.coop_premium * ratio - (params.b - 1.0) * big_f) / (1.0 - big_f)
 
@@ -81,27 +88,35 @@ def chi_bound(pi: float, params: GameParams, dist: LossDistribution) -> float:
 
 
 def best_response_threshold(
-    pi: float, opponent_threshold: float, params: GameParams, dist: LossDistribution
-) -> float:
+    pi: float, opponent_threshold, params: GameParams, dist: LossDistribution
+):
     """Optimal own threshold against a partner using `opponent_threshold`.
 
     Handles the analytic corner cases (certain-honest partner, fully
-    cooperative partner, full-defection bound) before clamping psi.
+    cooperative partner, full-defection bound) before clamping psi. The
+    opponent threshold may be a scalar (returns a float) or an array.
     """
     if not 0.0 <= pi <= 1.0:
         raise ParameterError(f"belief must lie in [0, 1], got {pi}")
     big_l = dist.ell_bar
-    if not 0.0 <= opponent_threshold <= big_l:
+    opp = float_or_array(opponent_threshold)
+    if not all_within(opp, 0.0, big_l):
         raise ParameterError(
             f"opponent threshold {opponent_threshold} outside [0, {big_l}]"
         )
     if pi >= 1.0:
-        return big_l
-    if opponent_threshold >= big_l:
-        return 0.0 if pi < params.pi_low else big_l
-    if pi < params.pi_low and opponent_threshold > chi_bound(pi, params, dist):
-        return 0.0
-    return min(max(psi(opponent_threshold, pi, params, dist), 0.0), big_l)
+        return float_or_array(np.full(np.shape(opp), big_l))
+    # Corners: against a fully cooperative partner (threshold ell_bar) the
+    # best response is 0 below (b-1)/m and ell_bar above; below (b-1)/m a
+    # partner beyond the full-defection bound chi is met with 0 as well.
+    corner = 0.0 if pi < params.pi_low else big_l
+    use_psi = opp < big_l
+    if pi < params.pi_low and any_of(use_psi):
+        use_psi = use_psi & (opp <= chi_bound(pi, params, dist))
+    best = psi(select(use_psi, opp, 0.0), pi, params, dist)
+    best = select(0.0 > best, 0.0, best)
+    best = select(big_l < best, big_l, best)
+    return select(use_psi, best, corner)
 
 
 @dataclass(frozen=True)
@@ -159,25 +174,21 @@ def solve_common_equilibria(
 ) -> EquilibriumSet:
     """All symmetric equilibria at one belief, classified, with a regime label.
 
-    Interior roots come from a sign-change scan of psi(l; pi) - l refined by
-    bisection to the residual tolerance; the full-cooperation corner is
-    included exactly when pi >= (b-1)/m, where the clamped best response maps
-    ell_bar to itself. Root structure is authoritative for the regime label;
-    at the measure-zero boundary beliefs a lone interior root alongside the
-    corner is reported under the `unique-corner` label.
+    Interior roots come from `bracket_roots` on psi(l; pi) - l over a grid of
+    SCAN_CELLS cells, refined by bisection to the residual tolerance; the
+    full-cooperation corner is included exactly when pi >= (b-1)/m, where the
+    clamped best response maps ell_bar to itself. Root structure is
+    authoritative for the regime label; at the measure-zero boundary beliefs
+    a lone interior root alongside the corner is reported under the
+    `unique-corner` label.
     """
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
     big_l = dist.ell_bar
 
     grid = np.linspace(0.0, big_l * (1.0 - 1e-9), SCAN_CELLS + 1)
-    resid = np.array([psi(x, pi, params, dist) - x for x in grid])
-    zeros, brackets = scan_sign_changes(resid, grid, zero_tol=tol)
-
-    roots = list(zeros)
-    for a, b_ in brackets:
-        roots.append(bisect_root(lambda x: psi(x, pi, params, dist) - x, a, b_, ftol=tol))
-    roots.sort()
+    scan = bracket_roots(lambda x: psi(x, pi, params, dist) - x, grid, zero_tol=tol, ftol=tol)
+    roots = sorted(scan.zeros + scan.roots)
 
     # Merge near-tangency pairs closer than the separation filter.
     merged: list[float] = []
@@ -213,21 +224,24 @@ def solve_common_equilibria(
     return EquilibriumSet(pi=pi, roots=tuple(classified), regime=regime)
 
 
-def closed_form_common_uniform(pi: float, params: GameParams) -> float:
+def closed_form_common_uniform(pi, params: GameParams):
     """Threshold for losses uniform on [0, 1] and b >= 2 (unique equilibrium):
 
         b/2 - sqrt(b^2/4 - (1+m-b) pi/(1-pi))   for pi < (b-1)/m, else 1.
+
+    pi may be a scalar (returns a float) or an array of beliefs.
     """
     if params.b < 2.0:
         raise ParameterError(f"closed form requires b >= 2, got b={params.b}")
-    if not 0.0 <= pi < 1.0:
+    if not all_within(pi, 0.0, 1.0, include_hi=False):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
-    pi = _clamp_belief(pi)
-    if pi >= params.pi_low:
-        return 1.0
+    pi = select(1.0 - BELIEF_EPS < pi, 1.0 - BELIEF_EPS, float_or_array(pi))
+    below = pi < params.pi_low
     disc = params.b ** 2 / 4.0 - params.coop_premium * pi / (1.0 - pi)
-    if disc < 0.0:
+    negative = below & (disc < 0.0)
+    if any_of(negative):
         raise ParameterError(
-            f"negative discriminant {disc} below (b-1)/m: parameters violate b >= 2"
+            f"negative discriminant {np.min(disc, where=negative, initial=0.0)} "
+            "below (b-1)/m: parameters violate b >= 2"
         )
-    return params.b / 2.0 - math.sqrt(disc)
+    return float_or_array(select(below, params.b / 2.0 - np.sqrt(select(below, disc, 0.0)), 1.0))

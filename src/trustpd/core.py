@@ -185,24 +185,59 @@ def hazard(dist: LossDistribution, ell: float) -> float:
     return float(dist.pdf(ell)) / (1.0 - float(dist.cdf(ell)))
 
 
+# Scalar helpers for the kernels that accept a scalar or an array. The root
+# solvers call those kernels with scalars at every bisection step, so a scalar
+# stays a Python float throughout instead of passing through 0-d arrays.
+
+
+def _is_array(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def float_or_array(x):
+    """x as a Python float when it is a scalar or 0-d array, else unchanged."""
+    return x if _is_array(x) else float(x)
+
+
+def select(cond, a, b):
+    """np.where(cond, a, b), or plain `a if cond else b` for a scalar cond."""
+    if _is_array(cond):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def any_of(cond) -> bool:
+    """Whether a scalar condition holds, or any element of an array one does."""
+    return bool(cond.any()) if _is_array(cond) else bool(cond)
+
+
+def all_within(x, lo: float, hi: float, *, include_hi: bool = True) -> bool:
+    """Whether x, a scalar or every element of an array, lies in [lo, hi]
+    ([lo, hi) when include_hi is false). NaN never does."""
+    if not _is_array(x):
+        return lo <= x <= hi if include_hi else lo <= x < hi
+    return bool(np.all((lo <= x) & ((x <= hi) if include_hi else (x < hi))))
+
+
 def _check_unit(name, x):
-    if not 0.0 <= x <= 1.0:
+    if not all_within(x, 0.0, 1.0):
         raise ParameterError(f"{name} must lie in [0, 1], got {x}")
 
 
-def payoff_cooperate(ell: float, pi: float, p: float, params: GameParams | None = None) -> float:
+def payoff_cooperate(ell, pi, p, params: GameParams | None = None):
     """Expected payoff from cooperating given belief pi and the partner's
     conditional cooperation probability p: pi + (1-pi)p - (1-pi)(1-p)l.
 
-    Independent of (b, m); the params argument exists for interface symmetry.
+    Arguments may be scalars or broadcastable arrays. Independent of (b, m);
+    the params argument exists for interface symmetry.
     """
     _check_unit("pi", pi)
     _check_unit("p", p)
     return pi + (1.0 - pi) * p - (1.0 - pi) * (1.0 - p) * ell
 
 
-def payoff_defect(pi: float, p: float, params: GameParams) -> float:
-    """Expected payoff from defecting: pi(b - m) + (1-pi)pb."""
+def payoff_defect(pi, p, params: GameParams):
+    """Expected payoff from defecting: pi(b - m) + (1-pi)pb, elementwise for arrays."""
     _check_unit("pi", pi)
     _check_unit("p", p)
     return pi * (params.b - params.m) + (1.0 - pi) * p * params.b

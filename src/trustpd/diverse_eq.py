@@ -29,7 +29,10 @@ from .core import (
     LossDistribution,
     ParameterError,
     ThresholdCurve,
+    all_within,
     constant_curve,
+    float_or_array,
+    select,
 )
 from .numerics import bisect_root, composite_simpson
 
@@ -198,18 +201,19 @@ def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
     return AlphaBeta(alpha=alpha, beta=beta, mode="exact")
 
 
-def closed_form_diverse_uniform(pi: float, params: GameParams, ab: AlphaBeta) -> float:
+def closed_form_diverse_uniform(pi, params: GameParams, ab: AlphaBeta):
     """Loss threshold implied by the uniform-case cutoff, inverted at belief pi.
 
     Zero below beta, one above 1 - (1+m-b)/(alpha+beta), and the middle branch
-    ((1+m-b)/(1-pi) - alpha)/beta in between.
+    ((1+m-b)/(1-pi) - alpha)/beta in between. pi may be a scalar (returns a
+    float) or an array of beliefs.
     """
-    if not 0.0 <= pi < 1.0:
+    if not all_within(pi, 0.0, 1.0, include_hi=False):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
+    pi = float_or_array(pi)
     a = params.coop_premium
     upper = 1.0 - a / (ab.alpha + ab.beta)
-    if pi < ab.beta:
-        return 0.0
-    if pi >= upper:
-        return 1.0
-    return min(max((a / (1.0 - pi) - ab.alpha) / ab.beta, 0.0), 1.0)
+    middle = (a / (1.0 - pi) - ab.alpha) / ab.beta
+    middle = select(0.0 > middle, 0.0, middle)
+    middle = select(1.0 < middle, 1.0, middle)
+    return select(pi < ab.beta, 0.0, select(pi >= upper, 1.0, middle))

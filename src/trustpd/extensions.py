@@ -31,8 +31,9 @@ from .core import (
     ParameterError,
     RegimeError,
     ThresholdCurve,
+    float_or_array,
 )
-from .numerics import adaptive_simpson, bisect_root, scan_sign_changes
+from .numerics import adaptive_simpson, bracket_roots
 
 VARIANTS = ("consistent", "as_printed")
 
@@ -52,7 +53,7 @@ def solve_asymmetric(
     """Solve the two-threshold system through the composed best response.
 
     l1 is a fixed point of BR1(BR2(.)), a continuous map of [0, ell_bar] into
-    itself, so a sign-change scan plus bisection always lands on a solution;
+    itself, so `bracket_roots` on a 2001-point grid always lands on a solution;
     this avoids the cobweb divergence plain alternation suffers when the
     partner's reaction curve is steep. Uniqueness holds (and is flagged) for
     pi1 < (b-1)/m; outside that range the lowest intersection is returned
@@ -69,10 +70,8 @@ def solve_asymmetric(
     def gap(l1):
         return br1(br2(l1)) - l1
 
-    grid = np.linspace(0.0, big_l, 2001)
-    vals = np.array([gap(x) for x in grid])
-    zeros, brackets = scan_sign_changes(vals, grid, zero_tol=tol)
-    roots = list(zeros) + [bisect_root(gap, a, b, ftol=tol) for a, b in brackets]
+    scan = bracket_roots(gap, np.linspace(0.0, big_l, 2001), zero_tol=tol, ftol=tol)
+    roots = scan.zeros + scan.roots
     if not roots:
         raise ConvergenceError("no intersection of the reaction curves found")
     ell1 = min(roots)
@@ -134,25 +133,32 @@ class GroupRoot(NamedTuple):
     residual: float
 
 
+def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
+    """Cooperation-minus-defection payoff at loss threshold t against n others,
+    each strategic other cooperating with probability coop_prob.
+
+    Elementwise over arrays of pi, t or coop_prob, and a float for scalars.
+    float_power keeps the scalar pow of pi**n, so a belief gives the same gap
+    alone or as an array element.
+    """
+    s = binomial_mixture(n, pi, (1.0 - pi) * coop_prob)
+    moral = params.m * np.float_power(pi, n)
+    if variant == "consistent":
+        return float_or_array((1.0 + t - params.b) * s - t + moral)
+    return float_or_array((1.0 - t) * s - t - params.b + moral)
+
+
 def _group_gap(n: int, pi: float, params: GameParams, variant: str,
                coop_prob_of: Callable) -> Callable:
-    """Cooperation-minus-defection payoff gap at candidate threshold t.
+    """The payoff gap at a shared belief pi as a function of the threshold t.
 
     coop_prob_of(t) supplies the per-other-player strategic cooperation
     probability (F(t) in the common case, the population constant in the
-    diverse case).
+    diverse case). t may be a scalar (the gap is a float) or an array.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    moral = params.m * pi ** n
-
-    def gap(t):
-        s = binomial_mixture(n, pi, (1.0 - pi) * coop_prob_of(t))
-        if variant == "consistent":
-            return (1.0 + t - params.b) * s - t + moral
-        return (1.0 - t) * s - t - params.b + moral
-
-    return gap
+    return lambda t: _payoff_gap(n, pi, t, coop_prob_of(t), params, variant)
 
 
 def solve_group_common(
@@ -165,24 +171,23 @@ def solve_group_common(
 ) -> GroupRoot:
     """Threshold of one player facing n others under a shared belief.
 
-    Scans the payoff gap for its first sign change and bisects; with no
-    interior crossing the threshold is the corner the gap's sign dictates
+    Takes the first sign change `bracket_roots` finds in the payoff gap; with
+    no interior crossing the threshold is the corner the gap's sign dictates
     (cooperate for all losses when positive throughout).
     """
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
-    gap = _group_gap(n, pi, params, variant, lambda t: float(F.cdf(t)))
+    gap = _group_gap(n, pi, params, variant, F.cdf)
     big_l = F.ell_bar
-    grid = np.linspace(0.0, big_l, 1001)
-    vals = np.array([gap(x) for x in grid])
-    zeros, brackets = scan_sign_changes(vals, grid, zero_tol=tol)
-    if brackets:
-        root = bisect_root(gap, *brackets[0], ftol=tol)
+    scan = bracket_roots(gap, np.linspace(0.0, big_l, 1001), zero_tol=tol, ftol=tol)
+    if scan.roots:
+        root = scan.roots[0]
         return GroupRoot(value=root, corner=False, residual=abs(gap(root)))
-    if zeros:
-        return GroupRoot(value=zeros[0], corner=False, residual=abs(gap(zeros[0])))
+    if scan.zeros:
+        return GroupRoot(value=scan.zeros[0], corner=False, residual=abs(gap(scan.zeros[0])))
+    vals = scan.values
     corner = big_l if vals[vals != 0].mean() > 0 else 0.0
     return GroupRoot(value=corner, corner=True, residual=abs(gap(corner)))
 
@@ -216,25 +221,14 @@ def _clamp_kinks(n, q, params, variant, big_l):
     so their roots mark the integrand kinks.
     """
     def h0(pi):
-        s = binomial_mixture(n, pi, (1.0 - pi) * q)
-        moral = params.m * pi ** n
-        if variant == "consistent":
-            return (1.0 - params.b) * s + moral
-        return s - params.b + moral
+        return _payoff_gap(n, pi, 0.0, q, params, variant)
 
     def h_top(pi):
-        s = binomial_mixture(n, pi, (1.0 - pi) * q)
-        moral = params.m * pi ** n
-        if variant == "consistent":
-            return (1.0 + big_l - params.b) * s - big_l + moral
-        return (1.0 - big_l) * s - big_l - params.b + moral
+        return _payoff_gap(n, pi, big_l, q, params, variant)
 
-    kinks = []
     grid = np.linspace(0.0, 1.0, 513)
-    for fn in (h0, h_top):
-        vals = np.array([fn(x) for x in grid])
-        _, brackets = scan_sign_changes(vals, grid, zero_tol=0.0)
-        kinks.extend(bisect_root(fn, a, b, ftol=1e-14) for a, b in brackets)
+    kinks = [k for fn in (h0, h_top)
+             for k in bracket_roots(fn, grid, zero_tol=0.0, ftol=1e-14).roots]
     return sorted(k for k in kinks if 0.0 < k < 1.0)
 
 

@@ -235,13 +235,10 @@ def deviation_check(
         strategy, _ = _resolve_strategy(config, params, F, G)
 
     def one_sided(pi, p, threshold, losses):
-        worst = 0.0
-        for ell in losses:
-            uc = payoff_cooperate(float(ell), pi, p)
-            ud = payoff_defect(pi, p, params)
-            gain = (ud - uc) if ell <= threshold else (uc - ud)
-            worst = max(worst, gain)
-        return worst
+        uc = payoff_cooperate(losses, pi, p)
+        ud = payoff_defect(pi, p, params)
+        gain = np.where(losses <= threshold, ud - uc, uc - ud)
+        return max(0.0, float(gain.max()))
 
     losses = np.linspace(0.0, F.ell_bar, grid)
     if config.scenario == "common":
@@ -253,16 +250,12 @@ def deviation_check(
         g1 = one_sided(config.pi1, float(F.cdf(t2)), t1, losses)
         g2 = one_sided(config.pi2, float(F.cdf(t1)), t2, losses)
         return max(g1, g2)
-    # diverse: sweep the (loss, belief) grid against the cutoff curve
+    # diverse: the (loss, belief) mesh against the cutoff curve, losses down rows
     curve = strategy
     p = cooperation_prob_given_strategy(curve, F, G)
     beliefs = np.linspace(0.0, 1.0 - 1e-9, grid)
-    worst = 0.0
-    for ell in losses:
-        cutoff = float(curve(float(ell)))
-        for pi in beliefs:
-            uc = payoff_cooperate(float(ell), float(pi), p)
-            ud = payoff_defect(float(pi), p, params)
-            gain = (ud - uc) if pi >= cutoff else (uc - ud)
-            worst = max(worst, gain)
-    return worst
+    cutoffs = curve(losses)[:, None]
+    uc = payoff_cooperate(losses[:, None], beliefs, p)
+    ud = payoff_defect(beliefs, p, params)
+    gain = np.where(beliefs >= cutoffs, ud - uc, uc - ud)
+    return max(0.0, float(gain.max()))

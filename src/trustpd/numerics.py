@@ -1,11 +1,19 @@
 """Small numerical kernels used across the solvers: bracketed bisection,
-sign-change scanning, and composite/adaptive Simpson quadrature.
+sign-change scanning, grid root bracketing, and composite/adaptive Simpson
+quadrature.
+
+Every solver that sweeps a function for its roots goes through
+`bracket_roots`: the function is evaluated once on the whole scan grid as a
+numpy array, `scan_sign_changes` splits the samples into exact zeros and
+sign-change brackets, and each bracket is refined by scalar `bisect_root`.
 
 Quadrature and curve interpolation deliberately share grids elsewhere in the
 package, so the composite rule here works directly on a supplied knot vector.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,17 +59,37 @@ def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float):
     """Split a sampled function into exact zeros and sign-change brackets.
 
     Returns (zeros, brackets): grid points where |value| <= zero_tol, and
-    (a, b) interval pairs with strictly opposite signs at the ends.
+    (a, b) interval pairs with strictly opposite signs at the ends. A cell
+    with a zero at either end is never a bracket.
     """
-    zeros = [float(x) for x, v in zip(grid, values) if abs(v) <= zero_tol]
-    brackets = []
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if abs(v0) <= zero_tol or abs(v1) <= zero_tol:
-            continue
-        if v0 * v1 < 0:
-            brackets.append((float(grid[i]), float(grid[i + 1])))
-    return zeros, brackets
+    values = np.asarray(values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    zero = np.abs(values) <= zero_tol
+    signs = np.sign(values)
+    cells = np.flatnonzero((signs[:-1] * signs[1:] < 0) & ~zero[:-1] & ~zero[1:])
+    brackets = list(zip(grid[cells].tolist(), grid[cells + 1].tolist()))
+    return grid[zero].tolist(), brackets
+
+
+class RootScan(NamedTuple):
+    """Outcome of `bracket_roots`, in grid order."""
+
+    values: np.ndarray  # f on the scan grid
+    zeros: list  # grid points with |f| <= zero_tol
+    roots: list  # one bisected root per sign-change bracket
+
+
+def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> RootScan:
+    """All roots of f visible on a grid.
+
+    f must accept the whole grid as one array and return its values, and a
+    scalar and return a float. It is evaluated once on the grid; each
+    sign-change bracket is then refined by `bisect_root` to |f| <= ftol.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(f(grid), dtype=float)
+    zeros, brackets = scan_sign_changes(values, grid, zero_tol)
+    return RootScan(values, zeros, [bisect_root(f, a, b, ftol=ftol) for a, b in brackets])
 
 
 def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:

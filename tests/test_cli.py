@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trustpd
 from trustpd.cli import main
 
 
@@ -172,6 +176,24 @@ class TestExitCodes:
         code = main(["common", "--b", "0.5", "--m", "10", "--pi", "0.05",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("beliefs", [
+        [],
+        ["--pi2", "0.08", "--sweep-pi2", "0.05", "0.1", "3"],
+    ])
+    def test_asymmetric_needs_exactly_one_pi2_flag(self, tmp_path, beliefs):
+        # run as a program so an uncaught exception would show as a traceback
+        src = Path(trustpd.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trustpd.cli", "asymmetric", "--pi1", "0.03",
+             *beliefs, "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--pi2" in proc.stderr and "--sweep-pi2" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_io_failure(self, tmp_path):
         code = main(["common", "--b", "3", "--m", "50", "--pi", "0.05",

@@ -123,3 +123,62 @@ class TestDeviationCheck:
         cfg = tp.SimConfig(n_samples=1, seed=0, scenario="asymmetric", pi1=0.03, pi2=0.08)
         gain = tp.deviation_check(cfg, None, fig_params, fig_dist)
         assert gain <= 1e-6
+
+
+def deviation_gain_reference(config, strategy, params, F, G=None, grid=200):
+    """Point-by-point loops over losses (and beliefs): the definition of the
+    maximum deviation gain that deviation_check evaluates on arrays."""
+
+    def one_sided(pi, p, threshold, losses):
+        worst = 0.0
+        for ell in losses:
+            uc = tp.payoff_cooperate(float(ell), pi, p)
+            ud = tp.payoff_defect(pi, p, params)
+            gain = (ud - uc) if ell <= threshold else (uc - ud)
+            worst = max(worst, gain)
+        return worst
+
+    losses = np.linspace(0.0, F.ell_bar, grid)
+    if config.scenario == "common":
+        return one_sided(config.pi, float(F.cdf(strategy)), strategy, losses)
+    if config.scenario == "asymmetric":
+        t1, t2 = strategy
+        return max(one_sided(config.pi1, float(F.cdf(t2)), t1, losses),
+                   one_sided(config.pi2, float(F.cdf(t1)), t2, losses))
+    p = tp.cooperation_prob_given_strategy(strategy, F, G)
+    worst = 0.0
+    for ell in losses:
+        cutoff = float(strategy(float(ell)))
+        for pi in np.linspace(0.0, 1.0 - 1e-9, grid):
+            uc = tp.payoff_cooperate(float(ell), float(pi), p)
+            ud = tp.payoff_defect(float(pi), p, params)
+            gain = (ud - uc) if pi >= cutoff else (uc - ud)
+            worst = max(worst, gain)
+    return worst
+
+
+class TestDeviationCheckMatchesLoops:
+    @pytest.mark.parametrize("pi, shift", [(0.02, 0.0), (0.05, 0.0), (0.03, 0.5)])
+    def test_common(self, pi, shift, fig_params, fig_dist):
+        cfg = tp.SimConfig(n_samples=1, seed=0, scenario="common", pi=pi)
+        thr = tp.solve_common_equilibria(pi, fig_params, fig_dist).lowest + shift
+        assert tp.deviation_check(cfg, thr, fig_params, fig_dist) == deviation_gain_reference(
+            cfg, thr, fig_params, fig_dist
+        )
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_asymmetric(self, shift, fig_params, fig_dist):
+        cfg = tp.SimConfig(n_samples=1, seed=0, scenario="asymmetric", pi1=0.03, pi2=0.08)
+        sol = tp.solve_asymmetric(0.03, 0.08, fig_params, fig_dist)
+        pair = (sol.ell1_hat + shift, sol.ell2_hat)
+        assert tp.deviation_check(cfg, pair, fig_params, fig_dist) == deviation_gain_reference(
+            cfg, pair, fig_params, fig_dist
+        )
+
+    @pytest.mark.parametrize("shift", [0.0, 0.1])
+    def test_diverse(self, shift, p28, unit_loss, unit_belief, diverse_28):
+        s = diverse_28.threshold
+        curve = tp.ThresholdCurve(s.knots, np.clip(s.values + shift, 0, 1), monotone=True)
+        cfg = tp.SimConfig(n_samples=1, seed=0, scenario="diverse")
+        got = tp.deviation_check(cfg, curve, p28, unit_loss, unit_belief)
+        assert got == deviation_gain_reference(cfg, curve, p28, unit_loss, unit_belief)
