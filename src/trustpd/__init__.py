@@ -60,7 +60,6 @@ from .extensions import (
     AsymmetricEquilibrium,
     GroupRoot,
     asymmetric_sensitivity,
-    binomial_mixture,
     solve_asymmetric,
     solve_group_common,
     solve_group_diverse,

@@ -5,10 +5,19 @@ The workhorse is the reduced-form best response
     psi(l; pi) = (1 + m - b)/(1 - F(l)) * pi/(1 - pi) - (b - 1) F(l)/(1 - F(l)),
 
 the optimal own loss threshold against a partner using threshold l. Symmetric
-equilibria are its fixed points, clamped to [0, ell_bar]. Three belief ranges
-arise: a unique interior threshold below (b-1)/m, coexistence of two interior
-thresholds with the full-cooperation corner up to a tangency belief, and the
-corner alone beyond it.
+equilibria are its fixed points, clamped to [0, ell_bar]. Multiplying
+psi(l) - l by 1 - F(l) removes the pole at ell_bar: the interior fixed points
+are the roots of
+
+    g(l) = K - phi(l),  K = (1 + m - b) pi/(1 - pi),  phi(l) = (b - 1) F(l) + l (1 - F(l)),
+
+and psi(l) - l = g(l)/(1 - F(l)). Under a nondecreasing hazard, phi rises from
+phi(0) = 0 to its maximum at the tangency loss l' and falls back to
+phi(ell_bar) = b - 1, while K rises with pi and equals b - 1 at (b-1)/m. Three
+belief ranges follow: below (b-1)/m a unique interior threshold; from there up
+to the tangency belief pi', where K = phi(l'), two interior thresholds, one
+each side of l', coexisting with the full-cooperation corner; beyond pi' the
+corner alone.
 """
 
 from __future__ import annotations
@@ -29,15 +38,14 @@ from .core import (
     all_within,
     any_of,
     float_or_array,
+    hazard,
     select,
 )
-from .numerics import bisect_root, bracket_roots
+from .numerics import bisect_root, scan_sign_changes
 
-# Scan-grid resolution of bracket_roots in the fixed-point search, and the minimum
-# separation below which two interior brackets are treated as one merged
-# (near-tangency) root.
+# Scan-grid resolution of the fixed-point search, and of each re-grid around
+# the peak of phi.
 SCAN_CELLS = 2000
-MIN_ROOT_SEPARATION = 1e-4
 
 
 def _clamp_belief(pi: float) -> float:
@@ -62,13 +70,9 @@ def psi(ell, pi: float, params: GameParams, dist: LossDistribution):
     return (params.coop_premium * ratio - (params.b - 1.0) * big_f) / (1.0 - big_f)
 
 
-def psi_dl(ell: float, pi: float, params: GameParams, dist: LossDistribution,
-           step: float | None = None) -> float:
-    """Central-difference slope of psi in ell (one-sided at the support ends)."""
-    h = step if step is not None else 1e-6 * dist.ell_bar
-    lo = max(ell - h, 0.0)
-    hi = min(ell + h, dist.ell_bar * (1.0 - 1e-12))
-    return (psi(hi, pi, params, dist) - psi(lo, pi, params, dist)) / (hi - lo)
+def psi_dl(ell: float, pi: float, params: GameParams, dist: LossDistribution) -> float:
+    """Slope of psi in ell: h(l) (psi(l) - (b - 1)), with h the hazard rate."""
+    return hazard(dist, ell) * (psi(ell, pi, params, dist) - (params.b - 1.0))
 
 
 def chi_bound(pi: float, params: GameParams, dist: LossDistribution) -> float:
@@ -162,65 +166,73 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
     return CommonCriticals(pi_low=params.pi_low, ell_prime=ell_prime, pi_prime=pi_prime)
 
 
-def _classify(root: float, pi: float, params: GameParams, dist: LossDistribution) -> EquilibriumRoot:
-    if root <= 1e-12 * dist.ell_bar:
-        return EquilibriumRoot(0.0, "corner-zero")
-    slope = psi_dl(root, pi, params, dist) - 1.0
-    return EquilibriumRoot(root, "interior-low" if slope < 0 else "interior-high")
-
-
 def solve_common_equilibria(
     pi: float, params: GameParams, dist: LossDistribution, tol: float = 1e-10
 ) -> EquilibriumSet:
     """All symmetric equilibria at one belief, classified, with a regime label.
 
-    Interior roots come from `bracket_roots` on psi(l; pi) - l over a grid of
-    SCAN_CELLS cells, refined by bisection to the residual tolerance; the
-    full-cooperation corner is included exactly when pi >= (b-1)/m, where the
-    clamped best response maps ell_bar to itself. Root structure is
-    authoritative for the regime label; at the measure-zero boundary beliefs
-    a lone interior root alongside the corner is reported under the
-    `unique-corner` label.
+    Interior equilibria are the roots of g = K - phi on [0, ell_bar) (module
+    docstring), computed as (K - l)(1 - F) + (K - (b-1)) F with
+    K - (b-1) = m (pi - (b-1)/m)/(1 - pi), so that g(0) = K and g(ell_bar)
+    has the sign of pi - (b-1)/m exactly. g is evaluated as one array on
+    SCAN_CELLS cells ending at ell_bar; its left root is `interior-low`
+    (`corner-zero` at 0), its right one `interior-high`. From (b-1)/m on, a
+    grid with no sign change is re-gridded over the two cells around its
+    peak of phi, at most twice (the cell is then below rounding), as a
+    near-tangency pair can hide inside one cell. Each bracket is bisected to
+    |g| <= tol (1 - F(hi)), hi its upper end, so |psi(l) - l| <= tol; in the
+    last cell that bound is 0 and the bracket is refined to one ulp.
+
+    The corner ell_bar is an equilibrium exactly when pi >= (b-1)/m. The
+    regime is `unique-interior` below (b-1)/m, `triple` when two interior
+    roots join the corner, and `unique-corner` otherwise. At pi = (b-1)/m
+    exactly, g(ell_bar) = 0: the high root coincides with ell_bar and is
+    reported once, as `corner-upper`, beside the low root l = b - 1 if
+    ell_bar > b - 1, under `unique-corner`.
+
+    Requires a nondecreasing hazard rate (`dist.monotone_hazard`).
     """
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
-    big_l = dist.ell_bar
-
-    grid = np.linspace(0.0, big_l * (1.0 - 1e-9), SCAN_CELLS + 1)
-    scan = bracket_roots(lambda x: psi(x, pi, params, dist) - x, grid, zero_tol=tol, ftol=tol)
-    roots = sorted(scan.zeros + scan.roots)
-
-    # Merge near-tangency pairs closer than the separation filter.
-    merged: list[float] = []
-    for r in roots:
-        if merged and r - merged[-1] < MIN_ROOT_SEPARATION * big_l:
-            merged[-1] = 0.5 * (merged[-1] + r)
-        else:
-            merged.append(r)
-
-    classified = [_classify(r, pi, params, dist) for r in merged]
-    has_corner = pi >= params.pi_low
-    if has_corner:
-        classified.append(EquilibriumRoot(big_l, "corner-upper"))
-
-    n_interior = len(merged)
-    if n_interior > 2:
-        raise ConvergenceError(
-            f"{n_interior} interior fixed points at pi={pi}: inconsistent with an "
-            "increasing hazard rate"
+    if not dist.monotone_hazard:
+        raise ParameterError(
+            "shared-belief equilibria need a nondecreasing hazard rate; "
+            "the loss distribution is not flagged monotone_hazard"
         )
-    if not has_corner:
-        if n_interior != 1:
-            raise ConvergenceError(
-                f"expected a unique interior fixed point at pi={pi} < (b-1)/m, "
-                f"found {n_interior}"
-            )
-        regime = "unique-interior"
-    elif n_interior == 2:
-        regime = "triple"
-    else:
-        regime = "unique-corner"
+    big_l = dist.ell_bar
+    clamped = _clamp_belief(pi)
+    k = params.coop_premium * clamped / (1.0 - clamped)
+    k_excess = params.m * (clamped - params.pi_low) / (1.0 - clamped)
 
+    def g(ell):
+        big_f = float_or_array(dist.cdf(ell))
+        return (k - ell) * (1.0 - big_f) + k_excess * big_f
+
+    grid = np.linspace(0.0, big_l, SCAN_CELLS + 1)
+    values = g(grid)
+    for _ in range(2):
+        i = int(np.argmin(values))
+        if k_excess < 0.0 or values[i] <= 0.0:
+            break
+        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, SCAN_CELLS)], SCAN_CELLS + 1)
+        values = g(grid)
+    zeros, brackets = scan_sign_changes(values, grid, zero_tol=0.0)
+
+    roots = sorted([z for z in zeros if z < big_l] + [
+        bisect_root(g, lo, hi, ftol=tol * (1.0 - float(dist.cdf(hi)))) for lo, hi in brackets
+    ])
+    # Rounding can flip the sign of g between the outer two roots when pi is
+    # within a few ulps of pi'; those extra sign changes are noise.
+    interior = roots[:1] + roots[1:][-1:]
+    classified = [
+        EquilibriumRoot(0.0, "corner-zero") if r <= 1e-12 * big_l else EquilibriumRoot(r, kind)
+        for r, kind in zip(interior, ("interior-low", "interior-high"))
+    ]
+    if pi < params.pi_low:
+        regime = "unique-interior"
+    else:
+        classified.append(EquilibriumRoot(big_l, "corner-upper"))
+        regime = "triple" if len(interior) == 2 else "unique-corner"
     return EquilibriumSet(pi=pi, roots=tuple(classified), regime=regime)
 
 

@@ -156,16 +156,15 @@ def _tabulated(knots, cdf_values, lo, hi, what):
 def tabulated_loss(knots, cdf_values) -> LossDistribution:
     """Loss distribution from a tabulated, strictly increasing cdf.
 
-    The density is the piecewise-constant derivative of the interpolated cdf;
-    the monotone-hazard flag is set only when the implied hazard is
-    nondecreasing across segments.
+    The density is the piecewise-constant derivative of the interpolated cdf.
+    Within a segment the hazard f/(1-F) rises with F; across a knot it moves
+    with the density, so the monotone-hazard flag is set exactly when the
+    density is nondecreasing (a convex cdf).
     """
     cdf, pdf, ppf, k, slopes = _tabulated(knots, cdf_values, 0.0, None, "tabulated loss")
-    mids = 0.5 * (k[:-1] + k[1:])
-    haz = pdf(mids) / (1.0 - cdf(mids))
     return LossDistribution(
         cdf=cdf, pdf=pdf, ppf=ppf, ell_bar=float(k[-1]),
-        monotone_hazard=bool(np.all(np.diff(haz) >= -1e-12)),
+        monotone_hazard=bool(np.all(np.diff(slopes) >= -1e-12 * slopes[1:])),
     )
 
 
@@ -224,12 +223,11 @@ def _check_unit(name, x):
         raise ParameterError(f"{name} must lie in [0, 1], got {x}")
 
 
-def payoff_cooperate(ell, pi, p, params: GameParams | None = None):
+def payoff_cooperate(ell, pi, p):
     """Expected payoff from cooperating given belief pi and the partner's
     conditional cooperation probability p: pi + (1-pi)p - (1-pi)(1-p)l.
 
-    Arguments may be scalars or broadcastable arrays. Independent of (b, m);
-    the params argument exists for interface symmetry.
+    Arguments may be scalars or broadcastable arrays. Independent of (b, m).
     """
     _check_unit("pi", pi)
     _check_unit("p", p)

@@ -16,7 +16,6 @@ cooperation probability, so n = 1 reproduces the two-player game exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -112,21 +111,6 @@ def asymmetric_sensitivity(
     return (solutions[2].ell1_hat - solutions[0].ell1_hat) / (2.0 * step)
 
 
-def binomial_mixture(n: int, pi, q) -> np.ndarray | float:
-    """Sum over k of C(n,k) pi^k q^(n-k), with exact integer coefficients.
-
-    Equals (pi + q)^n; kept as an explicit sum so the group equations read
-    like their definitions. Python integers never overflow, so no log-space
-    branch is needed at large n.
-    """
-    pi = np.asarray(pi, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = np.zeros(np.broadcast(pi, q).shape)
-    for k in range(n + 1):
-        out = out + math.comb(n, k) * pi ** k * q ** (n - k)
-    return float(out) if out.ndim == 0 else out
-
-
 class GroupRoot(NamedTuple):
     value: float
     corner: bool
@@ -138,10 +122,11 @@ def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
     each strategic other cooperating with probability coop_prob.
 
     Elementwise over arrays of pi, t or coop_prob, and a float for scalars.
-    float_power keeps the scalar pow of pi**n, so a belief gives the same gap
-    alone or as an array element.
+    The probability that all n others cooperate is (pi + (1-pi) coop_prob)^n.
+    float_power keeps the scalar pow in both powers, so a belief gives the
+    same gap alone or as an array element.
     """
-    s = binomial_mixture(n, pi, (1.0 - pi) * coop_prob)
+    s = np.float_power(pi + (1.0 - pi) * coop_prob, n)
     moral = params.m * np.float_power(pi, n)
     if variant == "consistent":
         return float_or_array((1.0 + t - params.b) * s - t + moral)
@@ -198,7 +183,7 @@ def _group_threshold_given_q(n, pis, q, params, variant, big_l):
     With q fixed the payoff gap is linear in t, so the root is closed-form
     and only needs clamping to [0, ell_bar].
     """
-    s = binomial_mixture(n, pis, (1.0 - pis) * q)
+    s = np.float_power(pis + (1.0 - pis) * q, n)
     moral = params.m * pis ** n
     if variant == "consistent":
         den = 1.0 - s

@@ -2,10 +2,11 @@
 sign-change scanning, grid root bracketing, and composite/adaptive Simpson
 quadrature.
 
-Every solver that sweeps a function for its roots goes through
-`bracket_roots`: the function is evaluated once on the whole scan grid as a
-numpy array, `scan_sign_changes` splits the samples into exact zeros and
-sign-change brackets, and each bracket is refined by scalar `bisect_root`.
+A solver that sweeps a function for its roots evaluates it once on the
+whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
+exact zeros and sign-change brackets, and each bracket is refined by scalar
+`bisect_root`. `bracket_roots` bundles the three steps for one tolerance;
+the shared-belief solver runs them itself, as its tolerance varies by bracket.
 
 Quadrature and curve interpolation deliberately share grids elsewhere in the
 package, so the composite rule here works directly on a supplied knot vector.
@@ -21,11 +22,15 @@ from .core import ConvergenceError
 
 
 def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) -> float:
-    """Bisection on a sign-change bracket, run until |f(mid)| <= ftol.
+    """Bisection on a sign-change bracket lo < hi, run until |f(mid)| <= ftol.
 
+    f must be continuous on [lo, hi], so that the bracket always holds a root.
     The residual criterion (not the interval width) is the contract the
     equilibrium solvers expose, so iteration continues past the usual width
-    stop while the residual is still large.
+    stop while the residual is still large. A bracket that shrinks to two
+    adjacent floats first is returned as its lower end, within one ulp of
+    the root. Raises ConvergenceError when f has no sign change on [lo, hi],
+    or when max_iter halvings do not get that far.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -34,9 +39,10 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) ->
         return hi
     if flo * fhi > 0:
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    mid = 0.5 * (lo + hi)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
         fmid = f(mid)
         if abs(fmid) <= ftol:
             return mid
@@ -44,14 +50,8 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) ->
             hi = mid
         else:
             lo, flo = mid, fmid
-        if hi - lo <= np.finfo(float).eps * max(1.0, abs(lo), abs(hi)):
-            if abs(fmid) <= ftol:
-                return mid
-            break
-    if abs(f(mid)) <= ftol:
-        return mid
     raise ConvergenceError(
-        f"bisection stalled at x={mid} with residual {f(mid):.3e} > ftol={ftol:.1e}"
+        f"bisection still at [{lo}, {hi}] after {max_iter} halvings, ftol={ftol:.1e}"
     )
 
 

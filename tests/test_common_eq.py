@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_vectorized import games, make_game
 
 import trustpd as tp
 from trustpd.common_eq import psi, psi_dl
@@ -56,7 +57,7 @@ class TestPsi:
         dist = tp.uniform_loss(8.0)
         if abs(pi - params.pi_low) < 1e-3:
             return
-        slope = psi_dl(ell, pi, params, dist, step=1e-7 * 8)
+        slope = psi_dl(ell, pi, params, dist)
         if pi < params.pi_low:
             assert slope < 0
         else:
@@ -103,7 +104,7 @@ class TestBestResponse:
     def test_corner_sustains_itself_above_pi_low(self, fig_params, fig_dist):
         # oracle: payoff comparison at the marginal loss with p = F(8) = 1
         assert tp.best_response_threshold(0.05, 8.0, fig_params, fig_dist) == 8.0
-        uc = tp.payoff_cooperate(8.0, 0.05, 1.0, fig_params)
+        uc = tp.payoff_cooperate(8.0, 0.05, 1.0)
         ud = tp.payoff_defect(0.05, 1.0, fig_params)
         assert uc > ud
 
@@ -184,14 +185,106 @@ class TestSolveCommonEquilibria:
                     continue
                 p = float(fig_dist.cdf(root))
                 eps = 1e-6
-                below = tp.payoff_cooperate(root - eps, pi, p, fig_params) - tp.payoff_defect(pi, p, fig_params)
-                above = tp.payoff_cooperate(root + eps, pi, p, fig_params) - tp.payoff_defect(pi, p, fig_params)
+                below = tp.payoff_cooperate(root - eps, pi, p) - tp.payoff_defect(pi, p, fig_params)
+                above = tp.payoff_cooperate(root + eps, pi, p) - tp.payoff_defect(pi, p, fig_params)
                 assert below >= -1e-12
                 assert above <= 1e-12
 
     def test_rejects_belief_one(self, fig_params, fig_dist):
         with pytest.raises(tp.ParameterError):
             tp.solve_common_equilibria(1.0, fig_params, fig_dist)
+
+
+    def test_exactly_at_pi_low_with_tangency(self, fig_params, fig_dist):
+        # g(ell_bar) = 0: the high root is the corner, reported once; the low
+        # root solves (l - (b-1))(1 - F(l)) = 0, so l = b - 1
+        eqs = tp.solve_common_equilibria(fig_params.pi_low, fig_params, fig_dist)
+        assert eqs.regime == "unique-corner"
+        assert [r.kind for r in eqs.roots] == ["interior-low", "corner-upper"]
+        assert eqs.ell_low == pytest.approx(2.0, abs=1e-12)
+        assert eqs.ell_corner == 8.0
+
+    def test_exactly_at_pi_low_without_tangency(self, p28, unit_loss):
+        # ell_bar = b - 1: phi rises to b - 1 = K only at ell_bar
+        eqs = tp.solve_common_equilibria(p28.pi_low, p28, unit_loss)
+        assert p28.pi_low == 0.125
+        assert eqs.regime == "unique-corner"
+        assert [r.kind for r in eqs.roots] == ["corner-upper"]
+        assert eqs.ell_corner == 1.0
+
+    def test_high_root_next_to_upper_support(self, fig_params, fig_dist):
+        # just above (b-1)/m the high root sits within one grid cell of ell_bar
+        pi = fig_params.pi_low + 1e-9
+        eqs = tp.solve_common_equilibria(pi, fig_params, fig_dist)
+        assert eqs.regime == "triple"
+        low, high = uniform_fixed_points(3, 50, 8, pi)
+        assert eqs.ell_high == pytest.approx(high, abs=1e-9)
+        assert 8.0 - 8.0 / 2000 < eqs.ell_high < 8.0
+
+    def test_pair_inside_one_cell_below_pi_prime(self, fig_params, fig_dist):
+        # the two interior roots are about 4e-5 apart, inside one scan cell
+        crit = tp.critical_pair(fig_params, fig_dist)
+        pi = crit.pi_prime - 1e-12
+        eqs = tp.solve_common_equilibria(pi, fig_params, fig_dist)
+        assert eqs.regime == "triple"
+        assert eqs.ell_low < crit.ell_prime < eqs.ell_high
+        assert eqs.ell_high - eqs.ell_low < 8.0 / 2000
+
+    def test_rejects_non_monotone_hazard(self, fig_params):
+        # density 0.5, 0.05, 0.45 on three unit segments: the hazard dips on
+        # the middle one
+        dist = tp.tabulated_loss([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.55, 1.0])
+        assert not dist.monotone_hazard
+        with pytest.raises(tp.ParameterError, match="hazard"):
+            tp.solve_common_equilibria(0.03, fig_params, dist)
+
+
+def g_oracle(ell, pi, params, dist):
+    """K - phi(l), the pole-free fixed-point residual, written out directly."""
+    big_f = float(dist.cdf(ell))
+    k = params.coop_premium * pi / (1.0 - pi)
+    return k - ((params.b - 1.0) * big_f + ell * (1.0 - big_f))
+
+
+# a belief anywhere, or at an offset of 1e-12..1e-3 on either side of a
+# regime edge
+near_edge = st.tuples(
+    st.sampled_from(["pi_low", "pi_prime"]), st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -3.0)
+)
+
+
+@given(game=games, belief=st.one_of(st.floats(0.0, 0.999), near_edge))
+@settings(max_examples=300, deadline=None)
+def test_solver_agrees_with_critical_beliefs(game, belief):
+    params, dist = make_game(*game)
+    try:
+        pi_prime = tp.critical_pair(params, dist).pi_prime
+    except tp.RegimeError:
+        pi_prime = params.pi_low  # ell_bar <= b - 1: no multiple-equilibrium range
+    except tp.ConvergenceError:
+        # critical_pair brackets l' on [0, ell_bar (1 - 1e-12)]; a tangency
+        # closer to ell_bar puts pi' within about 1e-24 of (b-1)/m
+        assert dist.ell_bar - (params.b - 1.0) <= 1e-11 * dist.ell_bar
+        pi_prime = params.pi_low
+    if isinstance(belief, tuple):
+        edge, side, exponent = belief
+        pi = (params.pi_low if edge == "pi_low" else pi_prime) + side * 10.0**exponent
+    else:
+        pi = belief
+    assume(0.0 <= pi < 1.0)
+    eqs = tp.solve_common_equilibria(pi, params, dist)
+    for root in eqs.interior():
+        assert abs(g_oracle(root, pi, params, dist)) <= 1e-10
+    if abs(pi - pi_prime) <= 1e-14 or pi == params.pi_low:
+        return
+    if pi < params.pi_low:
+        want, n_interior = "unique-interior", 1
+    elif pi < pi_prime:
+        want, n_interior = "triple", 2
+    else:
+        want, n_interior = "unique-corner", 0
+    assert eqs.regime == want
+    assert sum(r.kind != "corner-upper" for r in eqs.roots) == n_interior
 
 
 class TestCriticalPair:

@@ -60,6 +60,16 @@ class TestHazard:
             assert np.all(np.diff(haz) >= -1e-9)
 
 
+    def test_falling_tabulated_density_is_not_monotone(self):
+        # cdf 1 - (1 - x)^3: the hazard rises inside each segment and at the
+        # segment midpoints, but drops at every knot with the density
+        knots = np.linspace(0.0, 1.0, 41)
+        dist = tp.tabulated_loss(knots, 1.0 - (1.0 - knots) ** 3)
+        assert not dist.monotone_hazard
+        knot = float(knots[20])
+        assert tp.hazard(dist, knot + 1e-9) < tp.hazard(dist, knot - 1e-9)
+
+
 def _convex_tabulated_loss():
     # cdf x^2 on [0, 1], sampled: increasing density, increasing hazard
     knots = np.linspace(0.0, 1.0, 201)
@@ -106,12 +116,12 @@ class TestPayoffs:
         # cooperation pays 1, defection b - m, for any loss
         params = tp.validate_params(3, 50)
         for ell in (0.0, 1.0, 7.5):
-            assert tp.payoff_cooperate(ell, 1.0, 0.3, params) == pytest.approx(1.0)
+            assert tp.payoff_cooperate(ell, 1.0, 0.3) == pytest.approx(1.0)
         assert tp.payoff_defect(1.0, 0.3, params) == pytest.approx(3 - 50)
 
     def test_classic_dilemma_cell(self):
         params = tp.validate_params(2, 8)
-        assert tp.payoff_cooperate(0.0, 0.0, 1.0, params) == pytest.approx(1.0)
+        assert tp.payoff_cooperate(0.0, 0.0, 1.0) == pytest.approx(1.0)
         assert tp.payoff_defect(0.0, 1.0, params) == pytest.approx(2.0)
 
     def test_formula_matches_outcome_enumeration(self):
@@ -120,7 +130,7 @@ class TestPayoffs:
         ell, pi, p = 0.5, 0.2, 0.4
         coop = pi * 1.0 + (1 - pi) * p * 1.0 + (1 - pi) * (1 - p) * (-ell)
         defect = pi * (params.b - params.m) + (1 - pi) * (p * params.b + (1 - p) * 0.0)
-        assert tp.payoff_cooperate(ell, pi, p, params) == pytest.approx(coop)
+        assert tp.payoff_cooperate(ell, pi, p) == pytest.approx(coop)
         assert tp.payoff_defect(pi, p, params) == pytest.approx(defect)
 
     @given(
@@ -130,11 +140,10 @@ class TestPayoffs:
     )
     @settings(max_examples=60, deadline=None)
     def test_cooperate_affine_decreasing_defect_constant(self, ell, pi, p):
-        params = tp.validate_params(3, 50)
         h = 1e-4
-        up = tp.payoff_cooperate(ell + h, pi, p, params)
-        down = tp.payoff_cooperate(ell - h, pi, p, params)
-        mid = tp.payoff_cooperate(ell, pi, p, params)
+        up = tp.payoff_cooperate(ell + h, pi, p)
+        down = tp.payoff_cooperate(ell - h, pi, p)
+        mid = tp.payoff_cooperate(ell, pi, p)
         slope = (up - down) / (2 * h)
         assert slope < 0
         # affine: second difference vanishes
@@ -144,7 +153,7 @@ class TestPayoffs:
     def test_range_checks(self):
         params = tp.validate_params(2, 8)
         with pytest.raises(tp.ParameterError):
-            tp.payoff_cooperate(1.0, 1.5, 0.5, params)
+            tp.payoff_cooperate(1.0, 1.5, 0.5)
         with pytest.raises(tp.ParameterError):
             tp.payoff_defect(0.5, -0.1, params)
 

@@ -84,20 +84,6 @@ class TestAsymmetricSensitivity:
         assert measured == pytest.approx(expected, rel=0.05)
 
 
-class TestBinomialMixture:
-    def test_collapses_to_power(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 3, 17, 80):
-            pi = float(rng.uniform(0, 1))
-            q = float(rng.uniform(0, 1 - pi))
-            assert tp.binomial_mixture(n, pi, q) == pytest.approx((pi + q) ** n, rel=1e-12)
-
-    def test_vectorized(self):
-        q = np.array([0.1, 0.2, 0.3])
-        out = tp.binomial_mixture(2, 0.5, q)
-        assert np.allclose(out, (0.5 + q) ** 2)
-
-
 class TestGroupCommon:
     def test_n1_consistent_matches_two_player(self, fig_params, fig_dist):
         for pi in (0.03, 0.05, 0.08):
@@ -120,7 +106,7 @@ class TestGroupCommon:
         assert root.corner
         # one-sided inequality at the cooperation corner: gap >= 0 everywhere
         for t in np.linspace(0, 1, 50):
-            s = tp.binomial_mixture(1, 0.9, 0.1 * float(unit_loss.cdf(t)))
+            s = 0.9 + 0.1 * float(unit_loss.cdf(t))
             gap = (1 + t - params.b) * s - t + params.m * 0.9
             assert gap >= 0
 
@@ -130,7 +116,7 @@ class TestGroupCommon:
             assert not root.corner
             assert root.residual <= 1e-8
             # oracle: plug the root back into the printed equation
-            s = tp.binomial_mixture(n, pi, (1 - pi) * float(unit_loss.cdf(root.value)))
+            s = (pi + (1 - pi) * float(unit_loss.cdf(root.value))) ** n
             lhs = (1 - root.value) * s - root.value
             rhs = p28.b - p28.m * pi**n
             assert lhs == pytest.approx(rhs, abs=1e-8)

@@ -115,7 +115,7 @@ class TestDeviationCheck:
     def test_certain_honest_partner_row(self, fig_params):
         # at pi = 1 cooperation dominates whatever the strategy prescribes
         gain_from_defect = (tp.payoff_defect(1.0, 0.5, fig_params)
-                            - tp.payoff_cooperate(3.0, 1.0, 0.5, fig_params))
+                            - tp.payoff_cooperate(3.0, 1.0, 0.5))
         assert gain_from_defect == pytest.approx(fig_params.b - fig_params.m - 1)
         assert gain_from_defect < 0
 

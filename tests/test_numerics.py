@@ -91,16 +91,16 @@ class TestBracketRoots:
 
 
 # float.hex of solve_common_equilibria at the worked example (b, m, ell_bar) =
-# (3, 50, 8), two beliefs per regime, recorded when the scan grid was still
-# evaluated one point at a time: any change in the solver's bits shows here.
+# (3, 50, 8), two beliefs per regime, recorded from the pole-free solver of
+# g = K - phi: any change in the solver's bits shows here.
 PINNED_COMMON = {
-    0.01: ("unique-interior", [("0x1.9deb534d0609ep-2", "interior-low")]),
-    0.03: ("unique-interior", [("0x1.6098f07b1bbfep+0", "interior-low")]),
-    0.05: ("triple", [("0x1.67dfaba2690adp+1", "interior-low"),
-                      ("0x1.cc102a2ebed41p+2", "interior-high"),
+    0.01: ("unique-interior", [("0x1.9deb534dd2f1ap-2", "interior-low")]),
+    0.03: ("unique-interior", [("0x1.6098f07b645a1p+0", "interior-low")]),
+    0.05: ("triple", [("0x1.67dfaba24dd30p+1", "interior-low"),
+                      ("0x1.cc102a2eb851ep+2", "interior-high"),
                       ("0x1.0000000000000p+3", "corner-upper")]),
-    0.055: ("triple", [("0x1.af9992cfcc884p+1", "interior-low"),
-                       ("0x1.a83336981d778p+2", "interior-high"),
+    0.055: ("triple", [("0x1.af9992cfdf3b6p+1", "interior-low"),
+                       ("0x1.a833369820c4bp+2", "interior-high"),
                        ("0x1.0000000000000p+3", "corner-upper")]),
     0.07: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),
     0.1: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),

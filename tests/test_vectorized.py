@@ -16,7 +16,8 @@ from trustpd.extensions import VARIANTS, _group_gap, _payoff_gap
 
 
 def power_loss(ell_bar, k):
-    """Tabulated F(l) = 1 - (1 - l/ell_bar)^k, whose hazard increases in l."""
+    """Tabulated F(l) = 1 - (1 - l/ell_bar)^k. For k <= 1 the density rises
+    from knot to knot, so the tabulated hazard increases in l."""
     knots = np.linspace(0.0, ell_bar, 41)
     dist = tp.tabulated_loss(knots, 1.0 - (1.0 - knots / ell_bar) ** k)
     assert dist.monotone_hazard
@@ -33,7 +34,7 @@ games = st.tuples(
     st.floats(1.05, 6.0),  # b
     st.floats(0.05, 80.0),  # m - (b - 1)
     st.floats(0.2, 12.0),  # ell_bar
-    st.sampled_from(["uniform", 1.5, 3.0]),  # uniform or tabulated power-law losses
+    st.sampled_from(["uniform", 0.5, 0.8]),  # uniform or tabulated power-law losses
 )
 beliefs = st.floats(0.0, 0.999)
 
@@ -130,7 +131,7 @@ class TestDomainErrors:
     @pytest.mark.parametrize("bad", [np.array([0.2, 1.5]), np.array([-0.5, 0.2])])
     def test_payoffs(self, bad, fig_params):
         with pytest.raises(tp.ParameterError):
-            tp.payoff_cooperate(1.0, bad, 0.5, fig_params)
+            tp.payoff_cooperate(1.0, bad, 0.5)
         with pytest.raises(tp.ParameterError):
             tp.payoff_defect(0.5, bad, fig_params)
 
