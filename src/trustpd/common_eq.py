@@ -141,7 +141,9 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
     """Solve l - 1/h(l) = b - 1 for the tangency loss, then back out pi_prime.
 
     Requires ell_bar > b - 1; below that the best response never becomes
-    tangent to the identity and the corner takes over directly.
+    tangent to the identity and the corner takes over directly. The root is
+    bracketed on [0, ell_bar]: at ell_bar, 1 - F = 0 and the gap is
+    ell_bar - (b - 1) > 0, however close the tangency lies to ell_bar.
     """
     big_l = dist.ell_bar
     if big_l <= params.b - 1.0:
@@ -154,7 +156,7 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
         f = float(dist.pdf(ell))
         return ell - (1.0 - float(dist.cdf(ell))) / f - (params.b - 1.0)
 
-    lo, hi = 0.0, big_l * (1.0 - 1e-12)
+    lo, hi = 0.0, big_l
     if gap(lo) >= 0 or gap(hi) <= 0:
         raise ConvergenceError(
             "tangency equation does not bracket a root; hazard is not increasing"

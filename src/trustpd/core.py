@@ -79,7 +79,10 @@ class LossDistribution:
 
     All three callables accept scalars or numpy arrays. `monotone_hazard`
     declares that f/(1-F) is nondecreasing on the interior, the regularity
-    condition the common-beliefs equilibrium structure relies on.
+    condition the common-beliefs equilibrium structure relies on. `knots`
+    are the losses where the density may jump, increasing from 0 to
+    ell_bar; the density is smooth between them. They default to the
+    support ends, and quadrature splits its range there.
     """
 
     cdf: Callable
@@ -87,19 +90,37 @@ class LossDistribution:
     ppf: Callable
     ell_bar: float
     monotone_hazard: bool = False
+    knots: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not np.isfinite(self.ell_bar) or self.ell_bar <= 0:
             raise ParameterError(f"upper support must be positive, got {self.ell_bar}")
+        _set_knots(self, 0.0, self.ell_bar)
 
 
 @dataclass(frozen=True)
 class BeliefDistribution:
-    """Belief distribution G on [0, 1] with positive interior density."""
+    """Belief distribution G on [0, 1] with positive interior density.
+
+    `knots` are the beliefs where the density may jump, increasing from 0
+    to 1, as for `LossDistribution`; they default to (0, 1).
+    """
 
     cdf: Callable
     pdf: Callable
     ppf: Callable
+    knots: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        _set_knots(self, 0.0, 1.0)
+
+
+def _set_knots(dist, lo: float, hi: float) -> None:
+    """Store dist.knots as a tuple of floats, (lo, hi) when none are given."""
+    knots = tuple(float(k) for k in dist.knots) or (float(lo), float(hi))
+    if knots[0] != lo or knots[-1] != hi or any(a >= b for a, b in zip(knots, knots[1:])):
+        raise ParameterError(f"density knots must increase strictly from {lo} to {hi}, got {knots}")
+    object.__setattr__(dist, "knots", knots)
 
 
 def uniform_loss(ell_bar: float) -> LossDistribution:
@@ -134,6 +155,9 @@ def _tabulated(knots, cdf_values, lo, hi, what):
         raise ParameterError(f"{what}: knots must increase strictly and span the support")
     if abs(vals[0]) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
         raise ParameterError(f"{what}: cdf must run from 0 to 1")
+    # pinned, so that the cdf is exactly 0 and 1 at the support ends
+    vals = vals.copy()
+    vals[0], vals[-1] = 0.0, 1.0
     if not np.all(np.diff(vals) > 0):
         raise ParameterError(f"{what}: cdf must be strictly increasing (density > 0)")
 
@@ -156,22 +180,25 @@ def _tabulated(knots, cdf_values, lo, hi, what):
 def tabulated_loss(knots, cdf_values) -> LossDistribution:
     """Loss distribution from a tabulated, strictly increasing cdf.
 
-    The density is the piecewise-constant derivative of the interpolated cdf.
-    Within a segment the hazard f/(1-F) rises with F; across a knot it moves
-    with the density, so the monotone-hazard flag is set exactly when the
-    density is nondecreasing (a convex cdf).
+    The density is the piecewise-constant derivative of the interpolated cdf,
+    so the table knots are the distribution's `knots`. Within a segment the
+    hazard f/(1-F) rises with F; across a knot it moves with the density, so
+    the monotone-hazard flag is set exactly when the density is nondecreasing
+    (a convex cdf).
     """
     cdf, pdf, ppf, k, slopes = _tabulated(knots, cdf_values, 0.0, None, "tabulated loss")
     return LossDistribution(
         cdf=cdf, pdf=pdf, ppf=ppf, ell_bar=float(k[-1]),
         monotone_hazard=bool(np.all(np.diff(slopes) >= -1e-12 * slopes[1:])),
+        knots=tuple(k.tolist()),
     )
 
 
 def tabulated_belief(knots, cdf_values) -> BeliefDistribution:
-    """Belief distribution on [0, 1] from a tabulated, strictly increasing cdf."""
-    cdf, pdf, ppf, _, _ = _tabulated(knots, cdf_values, 0.0, 1.0, "tabulated belief")
-    return BeliefDistribution(cdf=cdf, pdf=pdf, ppf=ppf)
+    """Belief distribution on [0, 1] from a tabulated, strictly increasing cdf;
+    its density is piecewise constant between the table knots."""
+    cdf, pdf, ppf, k, _ = _tabulated(knots, cdf_values, 0.0, 1.0, "tabulated belief")
+    return BeliefDistribution(cdf=cdf, pdf=pdf, ppf=ppf, knots=tuple(k.tolist()))
 
 
 def hazard(dist: LossDistribution, ell: float) -> float:

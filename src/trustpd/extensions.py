@@ -12,10 +12,17 @@ others cooperate and defection worth b - m pi^n outright; `consistent`
 carries the two-player payoff algebra over, with cooperation worth
 (1+l) P^n - l and defection worth b P^n - m pi^n for P the per-player
 cooperation probability, so n = 1 reproduces the two-player game exactly.
+
+With beliefs private, each threshold depends on the others only through the
+population cooperation probability q = integral of F(t(pi)) dG(pi), which
+`solve_group_diverse` iterates to a fixed point. Each update integrates
+with a fixed Gauss-Legendre rule on every piece between the beliefs where
+the integrand is not smooth, evaluated as one array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -32,7 +39,7 @@ from .core import (
     ThresholdCurve,
     float_or_array,
 )
-from .numerics import adaptive_simpson, bracket_roots
+from .numerics import bracket_roots
 
 VARIANTS = ("consistent", "as_printed")
 
@@ -181,10 +188,11 @@ def _group_threshold_given_q(n, pis, q, params, variant, big_l):
     """Per-belief thresholds with the population cooperation probability fixed.
 
     With q fixed the payoff gap is linear in t, so the root is closed-form
-    and only needs clamping to [0, ell_bar].
+    and only needs clamping to [0, ell_bar]. Both powers use float_power, as
+    `_payoff_gap` does, so a threshold is the root of that gap.
     """
     s = np.float_power(pis + (1.0 - pis) * q, n)
-    moral = params.m * pis ** n
+    moral = params.m * np.float_power(pis, n)
     if variant == "consistent":
         den = 1.0 - s
         num = moral - (params.b - 1.0) * s
@@ -197,24 +205,57 @@ def _group_threshold_given_q(n, pis, q, params, variant, big_l):
     return np.clip(t, 0.0, big_l)
 
 
-def _clamp_kinks(n, q, params, variant, big_l):
-    """Beliefs where the threshold enters/leaves its clamped corners.
+def _kink_beliefs(n, q, params, variant, F: LossDistribution, G: BeliefDistribution):
+    """Beliefs that split [0, 1] into pieces where F(t(pi)) g(pi) is smooth.
 
-    The payoff gap is decreasing in t, so the threshold sits at 0 exactly
-    when the gap at t=0 is nonpositive and at ell_bar when the gap at
-    t=ell_bar is nonnegative; both gap-at-corner functions are smooth in pi,
-    so their roots mark the integrand kinks.
+    F(t(pi)) is smooth except where t(pi) crosses a knot k of F: a jump of
+    F's density, or a support end, where t is clamped. The payoff gap is
+    decreasing in t, so t(pi) crosses k exactly where the gap at t = k
+    changes sign; that gap is polynomial in pi, and its roots on a 513-point
+    grid, exact grid zeros included, mark those beliefs. G's knots add the
+    jumps of its density, and 0 and 1. Returns the sorted split points.
     """
-    def h0(pi):
-        return _payoff_gap(n, pi, 0.0, q, params, variant)
-
-    def h_top(pi):
-        return _payoff_gap(n, pi, big_l, q, params, variant)
-
     grid = np.linspace(0.0, 1.0, 513)
-    kinks = [k for fn in (h0, h_top)
-             for k in bracket_roots(fn, grid, zero_tol=0.0, ftol=1e-14).roots]
-    return sorted(k for k in kinks if 0.0 < k < 1.0)
+    splits = list(G.knots)
+    for k in F.knots:
+        scan = bracket_roots(lambda pi, k=k: _payoff_gap(n, pi, k, q, params, variant),
+                             grid, zero_tol=0.0, ftol=1e-14)
+        splits += scan.zeros + scan.roots
+    return np.unique(splits)
+
+
+# Gauss-Legendre nodes per smooth piece of the q_update integrand.
+GAUSS_NODES = 32
+
+
+@functools.cache
+def _gauss_legendre():
+    """GAUSS_NODES-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Imported on first use: numpy.polynomial takes about 4 ms and 1.6 MB to
+    load, and only the group solver needs it.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(GAUSS_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _q_update(n, q, params, variant, F: LossDistribution, G: BeliefDistribution) -> float:
+    """The population cooperation probability the thresholds given q imply:
+    the integral of F(t(pi)) dG(pi) over [0, 1].
+
+    A fixed Gauss-Legendre rule on each piece between the kink beliefs; the
+    integrand is evaluated once on the nodes of every piece together.
+    """
+    nodes, weights = _gauss_legendre()
+    splits = _kink_beliefs(n, q, params, variant, F, G)
+    half = 0.5 * np.diff(splits)[:, None]
+    pis = (0.5 * (splits[1:] + splits[:-1])[:, None] + half * nodes).ravel()
+    t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)
+    return float(np.dot(F.cdf(t) * G.pdf(pis), (half * weights).ravel()))
 
 
 def solve_group_diverse(
@@ -231,9 +272,10 @@ def solve_group_diverse(
 
     Outer fixed point on the scalar population cooperation probability
     q = integral of F(threshold(pi)) dG(pi): given q the per-belief threshold
-    is explicit, and q is re-integrated until stationary. The integrand has
-    derivative kinks where the threshold hits its corners, so the integral is
-    assembled piecewise between the kink beliefs with adaptive Simpson.
+    is explicit, and q is re-integrated until stationary. The integrand is
+    smooth between the kink beliefs (where the threshold hits its corners or
+    a density knot of F, and G's density knots), so each update applies a
+    fixed Gauss-Legendre rule on every piece between them.
     """
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
@@ -242,22 +284,10 @@ def solve_group_diverse(
     pis = np.linspace(0.0, 1.0, n_knots)
     big_l = F.ell_bar
 
-    def q_update(q):
-        def integrand(pi):
-            t = _group_threshold_given_q(n, np.asarray([pi]), q, params, variant, big_l)
-            return float(F.cdf(t[0])) * float(G.pdf(pi))
-
-        splits = [0.0] + _clamp_kinks(n, q, params, variant, big_l) + [1.0]
-        return sum(
-            adaptive_simpson(integrand, a, b, tol=1e-13)
-            for a, b in zip(splits[:-1], splits[1:])
-            if b > a
-        )
-
     q = 0.0  # start from all-defect
     history = []
     for _ in range(max_iter):
-        q_next = q_update(q)
+        q_next = _q_update(n, q, params, variant, F, G)
         history.append(abs(q_next - q))
         converged = history[-1] <= tol
         q = q_next

@@ -261,11 +261,6 @@ def test_solver_agrees_with_critical_beliefs(game, belief):
         pi_prime = tp.critical_pair(params, dist).pi_prime
     except tp.RegimeError:
         pi_prime = params.pi_low  # ell_bar <= b - 1: no multiple-equilibrium range
-    except tp.ConvergenceError:
-        # critical_pair brackets l' on [0, ell_bar (1 - 1e-12)]; a tangency
-        # closer to ell_bar puts pi' within about 1e-24 of (b-1)/m
-        assert dist.ell_bar - (params.b - 1.0) <= 1e-11 * dist.ell_bar
-        pi_prime = params.pi_low
     if isinstance(belief, tuple):
         edge, side, exponent = belief
         pi = (params.pi_low if edge == "pi_low" else pi_prime) + side * 10.0**exponent
@@ -288,6 +283,14 @@ def test_solver_agrees_with_critical_beliefs(game, belief):
 
 
 class TestCriticalPair:
+    def test_tangency_next_to_support_end(self):
+        # b - 1 rounds to just below ell_bar = 0.2: the tangency (ell_bar +
+        # b - 1)/2 lies within 3e-17 of ell_bar
+        params, dist = tp.validate_params(1.2, 1.2), tp.uniform_loss(0.2)
+        crit = tp.critical_pair(params, dist)
+        assert crit.ell_prime == pytest.approx(0.2, abs=1e-12)
+        assert crit.pi_prime == pytest.approx(params.pi_low, abs=1e-15)
+
     def test_uniform_tangency_closed_form(self, fig_params, fig_dist):
         # uniform hazard 1/(L-l) turns l - 1/h = b-1 into l = (L+b-1)/2
         crit = tp.critical_pair(fig_params, fig_dist)

@@ -104,6 +104,26 @@ class TestDistributions:
         with pytest.raises(tp.ParameterError):
             tp.tabulated_loss([0.0, 1.0], [0.1, 1.0])
 
+    def test_density_knots(self):
+        assert tp.uniform_loss(3.0).knots == (0.0, 3.0)
+        assert tp.uniform_belief().knots == (0.0, 1.0)
+        assert tp.tabulated_loss([0.0, 0.5, 2.0], [0.0, 0.5, 1.0]).knots == (0.0, 0.5, 2.0)
+        assert tp.tabulated_belief([0.0, 0.4, 1.0], [0.0, 0.5, 1.0]).knots == (0.0, 0.4, 1.0)
+
+    def test_knots_must_span_the_support(self):
+        f = tp.uniform_loss(1.0)
+        for knots in ((0.0, 0.5), (0.1, 1.0), (0.0, 0.6, 0.6, 1.0)):
+            with pytest.raises(tp.ParameterError, match="knots"):
+                tp.LossDistribution(f.cdf, f.pdf, f.ppf, 1.0, knots=knots)
+        g = tp.uniform_belief()
+        with pytest.raises(tp.ParameterError, match="knots"):
+            tp.BeliefDistribution(g.cdf, g.pdf, g.ppf, knots=(0.0, 2.0))
+
+    def test_tabulated_cdf_ends_are_exact(self):
+        dist = tp.tabulated_loss([0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13])
+        assert float(dist.cdf(0.0)) == 0.0
+        assert float(dist.cdf(2.0)) == 1.0
+
     def test_belief_distribution_bounds(self):
         g = tp.uniform_belief()
         assert float(g.cdf(0.0)) == 0.0

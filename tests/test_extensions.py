@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trustpd as tp
+from trustpd import extensions
 from trustpd.common_eq import psi
+from trustpd.extensions import _group_threshold_given_q, _kink_beliefs, _payoff_gap
+from trustpd.numerics import adaptive_simpson, bracket_roots
 
 
 def clamp_br(pi, opp, params, dist):
@@ -146,8 +153,6 @@ class TestGroupDiverse:
         assert max(errs) <= 1e-6
 
     def test_first_iterate_from_all_defect_is_monotone(self, p28):
-        from trustpd.extensions import _group_threshold_given_q
-
         pis = np.linspace(0, 1, 400)
         for variant in ("consistent", "as_printed"):
             t = _group_threshold_given_q(2, pis, 0.0, p28, variant, 1.0)
@@ -170,3 +175,121 @@ class TestGroupDiverse:
             tp.solve_group_common(n, 0.5, p28, unit_loss).value for n in (1, 2, 5, 10)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_threshold_matches_scalar_pow(self, p28):
+        # oracle: the closed-form root with Python float arithmetic, whose
+        # pow is the one float_power and the kink gaps use
+        pis = np.linspace(0.0, 1.0, 1001)
+        q = 0.3
+        for n in (2, 3, 5, 7):
+            for variant in ("consistent", "as_printed"):
+                t = _group_threshold_given_q(n, pis, q, p28, variant, 1.0)
+                for pi, got in zip(pis.tolist(), t.tolist()):
+                    s = (pi + (1.0 - pi) * q) ** n
+                    moral = p28.m * pi ** n
+                    if variant == "as_printed":
+                        want = (s - p28.b + moral) / (s + 1.0)
+                    elif 1.0 - s > 1e-14:
+                        want = (moral - (p28.b - 1.0) * s) / (1.0 - s)
+                    else:
+                        want = math.inf if 1.0 - p28.b + moral > 0 else -math.inf
+                    assert got == min(max(want, 0.0), 1.0)
+
+    def test_kinks_keep_exact_grid_zeros(self, p28, unit_loss, unit_belief):
+        # n = 1 consistent: the gap at t = ell_bar = 1 is 8 pi - 1 for every
+        # q, which vanishes exactly on grid point 64/512
+        for q in (0.0, 0.5):
+            kinks = _kink_beliefs(1, q, p28, "consistent", unit_loss, unit_belief)
+            assert 0.125 in kinks.tolist()
+
+    def test_kinks_include_density_knots(self, p28):
+        F = tp.tabulated_loss([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
+        G = tp.tabulated_belief([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
+        q = 0.4
+        kinks = _kink_beliefs(2, q, p28, "consistent", F, G)
+        assert kinks[0] == 0.0 and kinks[-1] == 1.0 and 0.3 in kinks.tolist()
+        # the belief whose threshold sits on the loss knot 0.5 is a kink
+        mid = [k for k in kinks.tolist()
+               if abs(_payoff_gap(2, k, 0.5, q, p28, "consistent")) <= 1e-13]
+        assert len(mid) == 1
+        t = _group_threshold_given_q(2, np.array(mid), q, p28, "consistent", 1.0)
+        assert t[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the quadrature nodes load on first use, not at import
+        src = Path(tp.__file__).resolve().parents[1]
+        code = "import sys, trustpd; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+def simpson_q_update(n, q, params, variant, F, G):
+    """The q update as adaptive Simpson computes it: a scalar integrand,
+    integrated piecewise between the beliefs where the threshold enters or
+    leaves a clamped corner. Adaptive Simpson refines around any other kink
+    on its own, so F's and G's density knots need no split here."""
+    def integrand(pi):
+        t = _group_threshold_given_q(n, np.asarray([pi]), q, params, variant, F.ell_bar)
+        return float(F.cdf(t[0])) * float(G.pdf(pi))
+
+    grid = np.linspace(0.0, 1.0, 513)
+    kinks = []
+    for corner in (0.0, F.ell_bar):
+        kinks += bracket_roots(lambda pi: _payoff_gap(n, pi, corner, q, params, variant),
+                               grid, zero_tol=0.0, ftol=1e-14).roots
+    splits = [0.0] + sorted(k for k in kinks if 0.0 < k < 1.0) + [1.0]
+    return sum(adaptive_simpson(integrand, a, b, tol=1e-13)
+               for a, b in zip(splits[:-1], splits[1:]) if b > a)
+
+
+def substitute(update, tol=1e-12, max_iter=500):
+    """solve_group_diverse's substitution loop: (q, number of updates)."""
+    q = 0.0
+    for iterations in range(1, max_iter + 1):
+        q_next = update(q)
+        converged = abs(q_next - q) <= tol
+        q = q_next
+        if converged:
+            return q, iterations
+    raise AssertionError("reference substitution did not converge")
+
+
+def _tabulated_pair():
+    knots = np.linspace(0.0, 2.0, 5)
+    F = tp.tabulated_loss(knots, (knots / 2.0) ** 2)
+    G = tp.tabulated_belief([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.7, 1.0])
+    return F, G
+
+
+# The benchmark's sixteen group games: n = k and 9 - k, both variants, at the
+# k-th (b, m) centre
+REFERENCE_GAMES = [
+    (n, variant, b, m, "uniform")
+    for k, (b, m) in enumerate(((1.5, 6.0), (2.0, 8.0), (3.0, 20.0), (4.0, 40.0)), start=1)
+    for n in (k, 9 - k)
+    for variant in ("consistent", "as_printed")
+] + [(3, "consistent", 2.0, 8.0, "tabulated"), (2, "as_printed", 1.5, 6.0, "tabulated")]
+
+
+@pytest.mark.parametrize("n, variant, b, m, dists", REFERENCE_GAMES)
+def test_group_diverse_matches_adaptive_simpson(monkeypatch, n, variant, b, m, dists):
+    params = tp.validate_params(b, m)
+    F, G = _tabulated_pair() if dists == "tabulated" else (tp.uniform_loss(1.0), tp.uniform_belief())
+    q_ref, iterations_ref = substitute(
+        lambda q: simpson_q_update(n, q, params, variant, F, G))
+
+    updates = []
+
+    def counted(*args):
+        updates.append(q_update(*args))
+        return updates[-1]
+
+    q_update = extensions._q_update
+    monkeypatch.setattr(extensions, "_q_update", counted)
+    curve = tp.solve_group_diverse(n, params, F, G, variant=variant)
+    assert len(updates) == iterations_ref
+    assert abs(updates[-1] - q_ref) <= 1e-12
+    want = _group_threshold_given_q(n, curve.knots, q_ref, params, variant, F.ell_bar)
+    assert np.max(np.abs(curve.values - want)) <= 1e-12
