@@ -128,9 +128,19 @@ def uniform_loss(ell_bar: float) -> LossDistribution:
     ell_bar = float(ell_bar)
     if not np.isfinite(ell_bar) or ell_bar <= 0:
         raise ParameterError(f"upper support must be positive, got {ell_bar}")
+    density = 1.0 / ell_bar
+
+    def cdf(x):
+        if _is_array(x):
+            return np.clip(np.asarray(x, dtype=float) / ell_bar, 0.0, 1.0)
+        return min(max(float(x) / ell_bar, 0.0), 1.0)
+
+    def pdf(x):
+        return np.full_like(np.asarray(x, dtype=float), density) if _is_array(x) else density
+
     return LossDistribution(
-        cdf=lambda x: np.clip(np.asarray(x, dtype=float) / ell_bar, 0.0, 1.0),
-        pdf=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / ell_bar),
+        cdf=cdf,
+        pdf=pdf,
         ppf=lambda u: np.asarray(u, dtype=float) * ell_bar,
         ell_bar=ell_bar,
         monotone_hazard=True,
@@ -139,9 +149,17 @@ def uniform_loss(ell_bar: float) -> LossDistribution:
 
 def uniform_belief() -> BeliefDistribution:
     """Uniform belief distribution on [0, 1]."""
+    def cdf(x):
+        if _is_array(x):
+            return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return min(max(float(x), 0.0), 1.0)
+
+    def pdf(x):
+        return np.ones_like(np.asarray(x, dtype=float)) if _is_array(x) else 1.0
+
     return BeliefDistribution(
-        cdf=lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0),
-        pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        cdf=cdf,
+        pdf=pdf,
         ppf=lambda u: np.asarray(u, dtype=float),
     )
 

@@ -7,10 +7,14 @@ equilibrium cutoff is the unique fixed point of
     T(s)(l) = 1 - (1 + m - b) / (m + (l - (b - 1)) * I[s]),
     I[s] = integral of G(s(l)) dF(l) over the loss support,
 
-a contraction on bounded curves, solved here by iterating T on a shared knot
-grid. For uniform F and G on [0, 1] the fixed point is 1 - (1+m-b)/(a + c*l)
-with coefficients (a, c) tied together by a scalar system, solved exactly or
-by the large-m closed forms.
+which is a contraction on bounded curves for most games, but not all. T(s)
+depends on s only through the scalar I[s], so the solver keeps the curve's
+values on a uniform knot grid as plain arrays and takes each step as one
+pass over them: iterating T while it contracts, otherwise bisecting the
+scalar equation I[s_I] = I, s_I the cutoff at I. For uniform F and G on
+[0, 1] the fixed point is 1 - (1+m-b)/(a + c*l) with coefficients (a, c)
+tied together by a scalar system, solved exactly or by the large-m closed
+forms.
 """
 
 from __future__ import annotations
@@ -30,16 +34,23 @@ from .core import (
     ParameterError,
     ThresholdCurve,
     all_within,
-    constant_curve,
     float_or_array,
     select,
 )
-from .numerics import bisect_root, composite_simpson
+from .numerics import _simpson_step, _simpson_sum, bisect_root
 
 
 @dataclass(frozen=True)
 class DiverseSolution:
-    """Converged belief-cutoff curve with solver diagnostics."""
+    """Converged belief-cutoff curve with solver diagnostics.
+
+    `iterations` counts solver steps and `residual_history` holds each
+    step's max|T(s) - s|, `residual` the last. `contraction_gamma` is the
+    stated contraction bound, with the exact sup of the belief density.
+    `damped` is set when the fixed point was found by bisection on the scalar
+    I rather than by iterating T: when the bound is at least one, or when an
+    iteration step failed to shrink the residual.
+    """
 
     threshold: ThresholdCurve
     coop_prob: float
@@ -78,6 +89,29 @@ def _check_unit_curve(curve: ThresholdCurve, dist: LossDistribution):
         raise ParameterError("curve values must lie in [0, 1]")
 
 
+def _cutoff(big_i: float, shift: np.ndarray, params: GameParams) -> np.ndarray:
+    """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I), clipped to [0, 1], on
+    knots l given as shift = l - (b-1). The denominator is affine in l, so its
+    sign on the grid is decided at the two end knots."""
+    den = params.m + shift * big_i
+    if den[0] <= 0.0 or den[-1] <= 0.0:
+        raise InvariantViolation(
+            "best-response denominator vanished; parameters inconsistent with m > b - 1"
+        )
+    return np.clip(1.0 - params.coop_premium / den, 0.0, 1.0)
+
+
+def _defect_mass(values: np.ndarray, f: np.ndarray, h: float, G: BeliefDistribution) -> float:
+    """I[s] = integral of G(s(l)) dF(l), by Simpson on the knots: the curve
+    values and F's density f there, with step h."""
+    return _simpson_sum(np.asarray(G.cdf(values)) * f, h)
+
+
+def _coop_mass(values: np.ndarray, f: np.ndarray, h: float, G: BeliefDistribution) -> float:
+    """Integral of 1 - G(s(l)) dF(l), on the same Simpson grid as `_defect_mass`."""
+    return _simpson_sum((1.0 - np.asarray(G.cdf(values))) * f, h)
+
+
 def apply_T(
     curve: ThresholdCurve, params: GameParams, F: LossDistribution, G: BeliefDistribution
 ) -> ThresholdCurve:
@@ -88,14 +122,8 @@ def apply_T(
     """
     _check_unit_curve(curve, F)
     k = curve.knots
-    big_i = composite_simpson(np.asarray(G.cdf(curve.values)) * np.asarray(F.pdf(k)), k)
-    den = params.m + (k - (params.b - 1.0)) * big_i
-    if np.any(den <= 0.0):
-        raise InvariantViolation(
-            "best-response denominator vanished; parameters inconsistent with m > b - 1"
-        )
-    vals = 1.0 - params.coop_premium / den
-    vals = np.clip(vals, 0.0, 1.0)
+    big_i = _defect_mass(curve.values, np.asarray(F.pdf(k)), _simpson_step(k), G)
+    vals = _cutoff(big_i, k - (params.b - 1.0), params)
     return ThresholdCurve(k, vals, codomain=(0.0, 1.0),
                           monotone=bool(np.all(np.diff(vals) >= 0)))
 
@@ -106,8 +134,16 @@ def cooperation_prob_given_strategy(
     """Probability a strategic partner cooperates: integral of 1 - G(s(l)) dF."""
     _check_unit_curve(curve, F)
     k = curve.knots
-    integrand = (1.0 - np.asarray(G.cdf(curve.values))) * np.asarray(F.pdf(k))
-    return composite_simpson(integrand, k)
+    return _coop_mass(curve.values, np.asarray(F.pdf(k)), _simpson_step(k), G)
+
+
+def _density_sup(G: BeliefDistribution) -> float:
+    """sup of G's density: its largest value on a 2001-point grid and at the
+    midpoint of every segment between G's knots, which is exact for a
+    piecewise-constant density however narrow its segments."""
+    knots = np.asarray(G.knots)
+    probes = np.concatenate([np.linspace(0.0, 1.0, 2001), 0.5 * (knots[:-1] + knots[1:])])
+    return float(np.max(np.asarray(G.pdf(probes))))
 
 
 def solve_diverse_threshold(
@@ -118,49 +154,87 @@ def solve_diverse_threshold(
     max_iter: int = 10000,
     n_knots: int = DEFAULT_GRID_SIZE,
 ) -> DiverseSolution:
-    """Iterate T to its fixed point from the constant curve (b-1)/m.
+    """Fixed point of T on a uniform grid of n_knots losses.
 
-    The start is the T-image of the all-cooperate curve; uniqueness makes the
-    choice immaterial, so the cheapest admissible curve wins. The sufficient
-    contraction bound is (1+m-b) |G| |F| / m^2, where the G factor must be
-    the Lipschitz constant of the belief cdf (the sup of its density; 1 for
-    the uniform case) for the bound to control |G(s1)-G(s2)|, and the F
-    factor is the unit total mass. When the bound is not below one the
-    iteration is damped (step halfway toward T(s)) and flagged.
+    T(s) depends on s only through the scalar I[s], so the state of the
+    solver is the curve's values on the knots, and each step is one pass over
+    plain arrays: I by Simpson, then the cutoff at I. The grid is checked and
+    F's density evaluated once; only the returned curve is a validated
+    `ThresholdCurve`.
+
+    The stated contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
+    the G factor must be the Lipschitz constant of the belief cdf (the sup of
+    its density, exact for a piecewise-constant one; 1 for the uniform case)
+    for the bound to control |G(s1)-G(s2)|, and the F factor is the unit
+    total mass.
+
+    - gamma < 1: iterate T from the constant curve (b-1)/m, the T-image of the
+      all-cooperate curve. Uniqueness makes the start immaterial, so the
+      cheapest admissible curve wins. Each iteration records max|T(s) - s|.
+      The bound takes |l - (b-1)| <= 1 and a denominator of at least m, which
+      fail when b - 1 is large against m - (b-1); there the iterates can
+      settle on a two-cycle. So a step that does not shrink the residual
+      hands over to the bisection below.
+    - gamma >= 1, or after such a step (`damped`): bisect the scalar
+      equation Phi(I) = I, where Phi(I) = I[s_I] and s_I is the cutoff at
+      I. Phi(0) >= 0 and Phi(M) <= M, M the Simpson mass of F's density, so
+      [0, M] brackets a root. Each step records max|T(s_I) - s_I| and
+      returns s_I once that is at most tol.
+
+    Raises ConvergenceError when max_iter steps in all do not reach tol, or
+    when the converged curve is not strictly increasing.
     """
     knots = np.linspace(0.0, F.ell_bar, n_knots)
-    s = constant_curve(knots, params.pi_low)
-    g_sup = float(np.max(np.asarray(G.pdf(np.linspace(0.0, 1.0, 2001)))))
-    gamma = params.coop_premium * g_sup * 1.0 / params.m ** 2
-    damped = gamma >= 1.0
+    h = _simpson_step(knots)
+    f = np.asarray(F.pdf(knots))
+    shift = knots - (params.b - 1.0)
+    gamma = params.coop_premium * _density_sup(G) * 1.0 / params.m ** 2
 
+    bisecting = gamma >= 1.0
     history: list[float] = []
     residual = math.inf
+    vals = np.full(knots.shape, params.pi_low)
+    lo, hi = 0.0, _simpson_sum(f, h)
     for iteration in range(1, max_iter + 1):
-        image = apply_T(s, params, F, G)
-        vals = image.values if not damped else 0.5 * (s.values + image.values)
-        residual = float(np.max(np.abs(vals - s.values)))
+        if bisecting:
+            mid = 0.5 * (lo + hi)
+            vals = _cutoff(mid, shift, params)
+        big_i = _defect_mass(vals, f, h, G)
+        image = _cutoff(big_i, shift, params)
+        residual = float(np.max(np.abs(image - vals)))
         history.append(residual)
-        s = ThresholdCurve(knots, vals, codomain=(0.0, 1.0),
-                           monotone=bool(np.all(np.diff(vals) >= 0)))
+        if not bisecting:
+            vals = image
+            if residual <= tol:
+                break
+            # a step that does not shrink the residual: T does not contract here
+            bisecting = len(history) > 1 and residual >= history[-2]
+            continue
         if residual <= tol:
             break
+        if not lo < mid < hi:
+            raise ConvergenceError(
+                f"bisection on I collapsed at {mid!r} (last residual {residual:.3e})"
+            )
+        if big_i > mid:
+            lo = mid
+        else:
+            hi = mid
     else:
         raise ConvergenceError(
             f"no fixed point after {max_iter} iterations (last residual {residual:.3e})"
         )
 
-    if not np.all(np.diff(s.values) > 0):
+    if not np.all(np.diff(vals) > 0):
         raise ConvergenceError("converged cutoff curve is not strictly increasing")
-    s = ThresholdCurve(knots, s.values, codomain=(0.0, 1.0), monotone=True)
     return DiverseSolution(
-        threshold=s,
-        coop_prob=cooperation_prob_given_strategy(s, F, G),
+        threshold=ThresholdCurve(knots, vals, codomain=(0.0, 1.0), monotone=True),
+        coop_prob=_coop_mass(vals, f, h, G),
         iterations=iteration,
         residual=residual,
         contraction_gamma=gamma,
         residual_history=tuple(history),
-        damped=damped,
+        damped=bisecting,
     )
 
 

@@ -37,7 +37,8 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) ->
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    # signs are compared, not products, which underflow for tiny values
+    if (flo < 0) == (fhi < 0):
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -46,7 +47,7 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) ->
         fmid = f(mid)
         if abs(fmid) <= ftol:
             return mid
-        if flo * fmid < 0:
+        if (flo < 0) != (fmid < 0):
             hi = mid
         else:
             lo, flo = mid, fmid
@@ -94,7 +95,13 @@ def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> RootScan:
 
 def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson rule on a uniform grid with an even interval count."""
-    y = np.asarray(y, dtype=float)
+    return _simpson_sum(np.asarray(y, dtype=float), _simpson_step(x))
+
+
+def _simpson_step(x) -> float:
+    """The step h of a composite Simpson grid, after checking that x is
+    uniform with an even interval count. A solver that integrates on one grid
+    many times checks it once here and calls `_simpson_sum` with h."""
     x = np.asarray(x, dtype=float)
     n = x.size - 1
     if n < 2 or n % 2 != 0:
@@ -103,6 +110,11 @@ def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:
     steps = np.diff(x)
     if not np.allclose(steps, h, rtol=1e-8, atol=1e-12 * max(1.0, abs(h))):
         raise ValueError("composite Simpson expects a uniform grid")
+    return h
+
+
+def _simpson_sum(y: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of samples y on a checked grid of step h."""
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trustpd as tp
+from trustpd import diverse_eq, numerics
 from trustpd.numerics import composite_simpson
 
 
@@ -109,6 +112,163 @@ class TestSolveDiverseThreshold:
         common = tp.solve_common_equilibria(pi_bar, params, tp.uniform_loss(1.0))
         assert common.regime == "unique-interior"
         assert ell_at_pi_bar == pytest.approx(common.lowest, abs=0.02)
+
+
+# float.hex of undamped solve_diverse_threshold results on the unit loss, so
+# that any change in the bits of the contraction iteration shows here. Each
+# entry holds iterations, residual_history, coop_prob and the curve at knots
+# 0, 250, 500, 750, 1000.
+TABULATED_G = ([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.8, 1.0])
+PINNED_DIVERSE = {
+    (2.0, 8.0, "uniform"): (
+        8,
+        ["0x1.c71c71c71c700p-7", "0x1.9872ec2e06800p-11", "0x1.6c74eacf78000p-15",
+         "0x1.454ec6f580000p-19", "0x1.225bd9b000000p-23", "0x1.032a308000000p-27",
+         "0x1.cea4e00000000p-32", "0x1.9cf0800000000p-36"],
+        "0x1.c35993c92cf98p-1",
+        ["0x1.ca22313f38488p-4", "0x1.d7c05c0382b68p-4", "0x1.e544861c95b58p-4",
+         "0x1.f2aef9bd7cb88p-4", "0x1.0000000000000p-3"],
+    ),
+    (3.0, 20.0, "uniform"): (
+        8,
+        ["0x1.29e4129e41290p-7", "0x1.474b876511800p-11", "0x1.669f86ffbc000p-15",
+         "0x1.8905f8fbc0000p-19", "0x1.aeb7bf5c00000p-23", "0x1.d80720c000000p-27",
+         "0x1.02a6660000000p-30", "0x1.1b75200000000p-34"],
+        "0x1.d00f496eb805dp-1",
+        ["0x1.76c1ba0c88288p-4", "0x1.7b25ebdd51260p-4", "0x1.7f87773cf4308p-4",
+         "0x1.83e65e90deda8p-4", "0x1.8842a43b9c0d8p-4"],
+    ),
+    (2.0, 8.0, "tabulated"): (
+        7,
+        ["0x1.2dcf7ea712dc0p-7", "0x1.662bb57a0c000p-12", "0x1.a778bffed0000p-17",
+         "0x1.f4bf4bf000000p-22", "0x1.280f818000000p-26", "0x1.5e15980000000p-31",
+         "0x1.9df7000000000p-36"],
+        "0x1.d6d80c963bf4ep-1",
+        ["0x1.db9f78d4516c0p-4", "0x1.e4c94822a4458p-4", "0x1.ede73f32d9168p-4",
+         "0x1.f6f974ed70f60p-4", "0x1.0000000000000p-3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIVERSE))
+def test_diverse_pinned_bits(case, unit_loss, unit_belief):
+    b, m, belief = case
+    G = unit_belief if belief == "uniform" else tp.tabulated_belief(*TABULATED_G)
+    sol = tp.solve_diverse_threshold(tp.validate_params(b, m), unit_loss, G)
+    assert not sol.damped
+    values = sol.threshold.values
+    got = (
+        sol.iterations,
+        [r.hex() for r in sol.residual_history],
+        sol.coop_prob.hex(),
+        [float(values[i]).hex() for i in (0, 250, 500, 750, 1000)],
+    )
+    assert got == PINNED_DIVERSE[case]
+
+
+def steep_belief(lo, width, mass):
+    """Tabulated G with `mass` on [lo, lo + width] and the rest spread over
+    the two outer segments in proportion to their lengths."""
+    rest = (1.0 - mass) / (1.0 - width)
+    return tp.tabulated_belief([0.0, lo, lo + width, 1.0],
+                               [0.0, rest * lo, rest * lo + mass, 1.0])
+
+
+def assert_fixed_point(sol, params, F, G):
+    s = sol.threshold
+    assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= 1e-9
+    assert np.all(np.diff(s.values) > 0)
+
+
+class TestDampedBisection:
+    def test_steep_belief_with_steep_fixed_point_map(self, unit_loss):
+        # the belief cdf of test_point_mass_beliefs_reduce_to_common_solver at
+        # (3, 20): the scalar map Phi(I) has slope about -4 at its root, where
+        # even half-steps toward T(s) diverge
+        params = tp.validate_params(3, 20)
+        knots = np.array([0.0, 0.075, 0.085, 1.0])
+        steep = tp.tabulated_belief(knots, np.array([0.0, 1e-6, 1 - 1e-6, 1.0]))
+        sol = tp.solve_diverse_threshold(params, unit_loss, steep)
+        assert sol.damped
+        assert sol.iterations <= 60
+        assert sol.residual == sol.residual_history[-1] <= 1e-10
+        assert len(sol.residual_history) == sol.iterations
+        assert_fixed_point(sol, params, unit_loss, steep)
+
+    def test_contraction_gamma_sees_a_narrow_density_segment(self, unit_loss):
+        # mass 1/2 on a segment of width 1e-4 that falls between the points
+        # of a 2001-point grid: the sup of g is 5000
+        G = tp.tabulated_belief([0.0, 0.12021, 0.12031, 1.0], [0.0, 0.25, 0.75, 1.0])
+        params = tp.validate_params(2, 8)
+        sol = tp.solve_diverse_threshold(params, unit_loss, G)
+        assert sol.contraction_gamma == pytest.approx(7 * 5000 / 64, rel=1e-9)
+        assert sol.damped
+        assert_fixed_point(sol, params, unit_loss, G)
+
+    def test_iteration_that_stops_contracting_switches_to_bisection(self, unit_loss):
+        # gamma < 1, yet T is no contraction here: the denominator of the
+        # cutoff falls to m - (b-1) = 0.0625 and |l - (b-1)| reaches 3, which
+        # the bound leaves out, so the iterates settle on a two-cycle
+        params = tp.validate_params(4, 3.0625)
+        G = steep_belief(0.5, 0.0078125, 0.9)
+        sol = tp.solve_diverse_threshold(params, unit_loss, G)
+        assert sol.contraction_gamma < 1.0
+        assert sol.damped
+        hist = sol.residual_history
+        stall = next(k for k in range(1, len(hist)) if hist[k] >= hist[k - 1])
+        assert all(hist[k] < hist[k - 1] for k in range(1, stall))
+        assert_fixed_point(sol, params, unit_loss, G)
+
+    def test_spike_positions_all_converge(self, unit_loss):
+        # spikes across the range of the (2, 8) cutoff curve, most of them
+        # missed by a 2001-point sample of g
+        params = tp.validate_params(2, 8)
+        for lo in np.linspace(0.105, 0.126, 43):
+            G = steep_belief(lo, 1e-4, 0.96)
+            assert_fixed_point(tp.solve_diverse_threshold(params, unit_loss, G),
+                               params, unit_loss, G)
+
+
+@st.composite
+def belief_distributions(draw):
+    if draw(st.booleans()):
+        return tp.uniform_belief()
+    width = draw(st.floats(1e-4, 1e-2))
+    lo = draw(st.floats(0.01, 0.99 - width))
+    return steep_belief(lo, width, draw(st.floats(0.5, 0.999)))
+
+
+@given(b=st.floats(1.05, 6.0), excess_m=st.floats(0.05, 80.0), G=belief_distributions())
+@settings(max_examples=60, deadline=None)
+def test_every_game_reaches_the_fixed_point(b, excess_m, G):
+    # every segment of a steep G has mass >= 1e-6: the outer two get at least
+    # (1 - 0.999) * 0.01
+    params = tp.validate_params(b, b - 1.0 + excess_m)
+    F = tp.uniform_loss(1.0)
+    assert_fixed_point(tp.solve_diverse_threshold(params, F, G), params, F, G)
+
+
+def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
+    # the loop runs on plain arrays: one validated ThresholdCurve, built for
+    # the result, and one uniform-grid check for all of its Simpson sums
+    counts = {"curve": 0, "grid": 0}
+    post_init = tp.ThresholdCurve.__post_init__
+    simpson_step = numerics._simpson_step
+
+    def counted_post_init(self):
+        counts["curve"] += 1
+        post_init(self)
+
+    def counted_step(x):
+        counts["grid"] += 1
+        return simpson_step(x)
+
+    monkeypatch.setattr(tp.ThresholdCurve, "__post_init__", counted_post_init)
+    for module in (numerics, diverse_eq):
+        monkeypatch.setattr(module, "_simpson_step", counted_step)
+    sol = tp.solve_diverse_threshold(p28, unit_loss, unit_belief)
+    assert sol.iterations == 8
+    assert counts["curve"] <= 1 and counts["grid"] <= 1
 
 
 class TestCooperationProb:

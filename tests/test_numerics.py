@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import trustpd as tp
-from trustpd.numerics import bracket_roots, scan_sign_changes
+from trustpd.numerics import bisect_root, bracket_roots, scan_sign_changes
 
 
 def scan_reference(values, grid, zero_tol):
@@ -88,6 +88,19 @@ class TestBracketRoots:
         scan = bracket_roots(lambda x: x + 1.0, np.linspace(0.0, 1.0, 11),
                              zero_tol=1e-10, ftol=1e-10)
         assert scan.zeros == [] and scan.roots == []
+
+
+def test_bisect_root_with_a_subnormal_end_value():
+    # f(0) * f(mid) underflows to -0.0 here; the bracket must still close on 0
+    root = bisect_root(lambda x: 5e-324 - x, 0.0, 1.0, ftol=1e-12)
+    assert 0.0 < root <= 1e-12
+
+
+def test_shared_solver_at_a_subnormal_belief():
+    # K = 5e-324 at l = 0: the low root lies next to 0 and g vanishes there
+    eqs = tp.solve_common_equilibria(5e-324, tp.validate_params(2.0, 2.0), tp.uniform_loss(1.0))
+    assert eqs.regime == "unique-interior"
+    assert eqs.lowest <= 1e-10
 
 
 # float.hex of solve_common_equilibria at the worked example (b, m, ell_bar) =

@@ -152,3 +152,14 @@ def test_scalar_calls_return_float(fig_params, fig_dist, p28):
         tp.closed_form_diverse_uniform(0.1, p28, ab),
     ]
     assert [type(v) for v in values] == [float] * len(values)
+
+
+@given(points=st.lists(st.floats(-2.0, 14.0), min_size=1, max_size=50),
+       ell_bar=st.floats(0.2, 12.0))
+@settings(max_examples=60, deadline=None)
+def test_uniform_distributions(points, ell_bar):
+    # the shared-belief bisection calls F.cdf with a Python float at every
+    # step; that path skips numpy but must give the array path's value
+    for dist in (tp.uniform_loss(ell_bar), tp.uniform_belief()):
+        assert_matches_scalar(dist.cdf, np.array(points))
+        assert_matches_scalar(dist.pdf, np.array(points))
