@@ -29,7 +29,7 @@ class CooperationReport:
     p_diverse: float
     phi: float
     gamma_aux: float
-    # (beta, upper kink of the dispersed threshold, (b-1)/m), in ascending order
+    # (lower kink, upper kink of the dispersed threshold, (b-1)/m), ascending
     regime_bounds: tuple[float, float, float]
 
 
@@ -41,6 +41,15 @@ def _gamma_aux(params: GameParams) -> float:
     return math.sqrt(1.0 + 4.0 * (params.b - 1.0) / params.coop_premium)
 
 
+def _lower_kink(params: GameParams, ab: AlphaBeta) -> float:
+    """Belief below which the dispersed threshold is 0: the cutoff at l = 0,
+    1 - (1+m-b)/alpha. For approximate coefficients that is beta, which is
+    used there as is, so the crossing beliefs keep their last bits."""
+    if ab.mode == "approximate":
+        return ab.beta
+    return 1.0 - params.coop_premium / ab.alpha
+
+
 def _upper_kink(params: GameParams, ab: AlphaBeta) -> float:
     return 1.0 - params.coop_premium / (ab.alpha + ab.beta)
 
@@ -50,11 +59,12 @@ def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
     """Unique belief where the dispersed threshold overtakes the shared one.
 
     Sweeps the difference of the two closed-form thresholds across the open
-    interval (beta, upper kink) with `bracket_roots`, demands exactly one sign
-    change, and returns its bisected root. Anything other than one sign
-    change contradicts the single-crossing property and raises.
+    interval between the kinks of the dispersed threshold with
+    `bracket_roots`, demands exactly one sign change, and returns its
+    bisected root. Anything other than one sign change contradicts the
+    single-crossing property and raises.
     """
-    lo, hi = ab.beta, _upper_kink(params, ab)
+    lo, hi = _lower_kink(params, ab), _upper_kink(params, ab)
 
     def diff(pi):
         return closed_form_common_uniform(pi, params) - closed_form_diverse_uniform(pi, params, ab)
@@ -121,16 +131,16 @@ def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
 def cooperation_report(params: GameParams, mode: str = "approximate") -> CooperationReport:
     """Assemble the crossing belief, both ex-ante probabilities, and bounds."""
     ab = solve_alpha_beta(params, mode=mode)
-    upper = _upper_kink(params, ab)
+    lower, upper = _lower_kink(params, ab), _upper_kink(params, ab)
     report = CooperationReport(
         pi_dagger=solve_pi_dagger(params, ab),
         p_common=ex_ante_p_common(params),
         p_diverse=ex_ante_p_diverse(params, ab),
         phi=_phi(params),
         gamma_aux=_gamma_aux(params),
-        regime_bounds=(ab.beta, upper, params.pi_low),
+        regime_bounds=(lower, upper, params.pi_low),
     )
-    if not ab.beta < upper <= params.pi_low + 1e-12:
+    if not lower < upper <= params.pi_low + 1e-12:
         raise InvariantViolation(f"regime bounds out of order: {report.regime_bounds}")
     if not 0.0 < report.pi_dagger < upper:
         raise InvariantViolation(f"crossing belief {report.pi_dagger} outside (0, {upper})")

@@ -207,9 +207,9 @@ def cmd_group(args) -> None:
     diverse_curve = solve_group_diverse(args.n, params, F, G, variant=variant)
     beliefs = np.linspace(0.0, 1.0, args.pi_grid, endpoint=False)
     rows = []
-    for pi in beliefs:
+    for pi, ell_diverse in zip(beliefs, diverse_curve(beliefs)):
         common = solve_group_common(args.n, float(pi), params, F, variant=variant)
-        rows.append([args.n, float(pi), common.value, float(diverse_curve(float(pi)))])
+        rows.append([args.n, float(pi), common.value, float(ell_diverse)])
     out = Path(args.out)
     _write_csv(out, ["n", "pi", "ell_n_common", "ell_n_diverse"], rows)
     _write_manifest("group", args, [out])

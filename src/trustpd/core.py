@@ -12,6 +12,7 @@ facing a committed partner prefers to cooperate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -348,9 +349,12 @@ class ThresholdCurve:
             raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
         if not np.all(np.diff(knots) > 0):
             raise ParameterError("curve knots must be strictly increasing")
+        if not (np.isfinite(knots[0]) and np.isfinite(knots[-1])):
+            raise ParameterError("curve knots must be finite")
         lo, hi = self.codomain
         tol = 1e-12 * max(1.0, abs(hi - lo))
-        if values.min() < lo - tol or values.max() > hi + tol:
+        # written so that a NaN value, whose min and max are NaN, fails
+        if not (lo - tol <= values.min() and values.max() <= hi + tol):
             raise ParameterError(
                 f"curve values leave the codomain [{lo}, {hi}]: "
                 f"range [{values.min()}, {values.max()}]"
@@ -367,14 +371,47 @@ class ThresholdCurve:
         return float(self.knots[0]), float(self.knots[-1])
 
     def __call__(self, x):
-        """Piecewise-linear interpolation; raises on out-of-domain queries."""
+        """Piecewise-linear interpolation, equal to np.interp bit for bit on
+        finite values; raises on NaN and out-of-domain queries."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
         pad = 1e-12 * max(1.0, hi - lo)
-        if np.any(x < lo - pad) or np.any(x > hi + pad):
-            raise ParameterError(f"query outside curve domain [{lo}, {hi}]")
-        out = np.interp(x, self.knots, self.values)
+        # min and max are NaN when any query is, which fails both comparisons
+        if x.size and not (lo - pad <= x.min() and x.max() <= hi + pad):
+            raise ParameterError(f"query outside curve domain [{lo}, {hi}] or NaN")
+        out = self._interpolate(np.clip(x, lo, hi).ravel()).reshape(x.shape)
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def _segments(self):
+        """Bucket table for `_interpolate`, built on the first query."""
+        return _segment_table(self.knots, self.values)
+
+    def _interpolate(self, x: np.ndarray) -> np.ndarray:
+        """np.interp on 1-d queries inside the domain, without its binary
+        search: a bucket table gives each query a segment in one lookup."""
+        knots, values = self.knots, self.values
+        scale, table, upper, slopes = self._segments
+        j = table[((x - knots[0]) * scale).astype(np.intp)]
+        # rounding can put a query just below its bucket's left edge, and a
+        # bucket can span several segments on nonuniform knots; each loop
+        # runs only on the queries still outside their segment
+        back = np.flatnonzero(x < knots[j])
+        while back.size:
+            j[back] -= 1
+            back = back[x[back] < knots[j[back]]]
+        ahead = np.flatnonzero(x >= upper[j])
+        while ahead.size:
+            j[ahead] += 1
+            ahead = ahead[x[ahead] >= upper[j[ahead]]]
+        # numpy's slope[j]*(x - knots[j]) + values[j], and values[j] on a knot
+        out = x - knots[j]
+        on_knot = out == 0.0
+        out *= slopes[j]
+        at = values[j]
+        out += at
+        np.copyto(out, at, where=on_knot)
+        return out
 
     def invert(self, y: float) -> float:
         """Smallest preimage of y on a monotone curve.
@@ -399,6 +436,24 @@ class ThresholdCurve:
         v0, v1 = self.values[i - 1], self.values[i]
         k0, k1 = self.knots[i - 1], self.knots[i]
         return float(k0 + (y - v0) / (v1 - v0) * (k1 - k0))
+
+
+def _segment_table(knots: np.ndarray, values: np.ndarray):
+    """Lookup data for ThresholdCurve queries on N strictly increasing knots.
+
+    Returns the bucket scale (N-1)/(knots[-1] - knots[0]); the segment that
+    holds the left edge of each of the N-1 equal-width buckets over the
+    domain, plus one more for the right end; each segment's right knot
+    (+inf past the last knot); and np.interp's segment slopes (0 past the
+    last knot). On evenly spaced knots the buckets are the segments.
+    """
+    n = knots.size
+    span = knots[-1] - knots[0]
+    edges = knots[0] + np.arange(n) * (span / (n - 1))
+    table = np.searchsorted(knots, edges, side="right") - 1
+    upper = np.append(knots[1:], np.inf)
+    slopes = np.append(np.diff(values) / np.diff(knots), 0.0)
+    return (n - 1) / span, table, upper, slopes
 
 
 def constant_curve(knots, value: float, codomain=(0.0, 1.0)) -> ThresholdCurve:

@@ -65,7 +65,9 @@ class DiverseSolution:
 class AlphaBeta:
     """Coefficients of the uniform-case cutoff 1 - (1+m-b)/(alpha + beta*l).
 
-    beta doubles as the cutoff at l = 0 and as the mean cutoff over [0, 1].
+    beta is the mean cutoff over [0, 1]; the cutoff at l = 0, the lower kink
+    of the inverted threshold, is 1 - (1+m-b)/alpha. The two coincide for
+    the approximate coefficients only.
     """
 
     alpha: float
@@ -278,9 +280,10 @@ def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
 def closed_form_diverse_uniform(pi, params: GameParams, ab: AlphaBeta):
     """Loss threshold implied by the uniform-case cutoff, inverted at belief pi.
 
-    Zero below beta, one above 1 - (1+m-b)/(alpha+beta), and the middle branch
-    ((1+m-b)/(1-pi) - alpha)/beta in between. pi may be a scalar (returns a
-    float) or an array of beliefs.
+    The middle branch ((1+m-b)/(1-pi) - alpha)/beta clipped to [0, 1], which
+    is zero below the cutoff at l = 0, 1 - (1+m-b)/alpha, and one from the
+    cutoff at l = 1, 1 - (1+m-b)/(alpha+beta), on. pi may be a scalar
+    (returns a float) or an array of beliefs.
     """
     if not all_within(pi, 0.0, 1.0, include_hi=False):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
@@ -290,4 +293,4 @@ def closed_form_diverse_uniform(pi, params: GameParams, ab: AlphaBeta):
     middle = (a / (1.0 - pi) - ab.alpha) / ab.beta
     middle = select(0.0 > middle, 0.0, middle)
     middle = select(1.0 < middle, 1.0, middle)
-    return select(pi < ab.beta, 0.0, select(pi >= upper, 1.0, middle))
+    return select(pi >= upper, 1.0, middle)

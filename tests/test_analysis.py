@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trustpd as tp
 from trustpd.numerics import adaptive_simpson
@@ -9,6 +11,33 @@ from trustpd.numerics import adaptive_simpson
 
 def threshold_gap(pi, params, ab):
     return tp.closed_form_common_uniform(pi, params) - tp.closed_form_diverse_uniform(pi, params, ab)
+
+
+@given(st.floats(2.0, 8.0), st.floats(-3.0, math.log10(300.0)))
+@settings(max_examples=40, deadline=None)
+def test_dispersed_threshold_kinks_in_both_modes(b, log_gap):
+    # the dispersed threshold leaves 0 at the cutoff at l = 0, 1 - (1+m-b)/alpha,
+    # which in exact mode is not beta (the mean cutoff)
+    params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
+    for mode in ("exact", "approximate"):
+        report = tp.cooperation_report(params, mode=mode)
+        lower, upper, pi_low = report.regime_bounds
+        assert lower < report.pi_dagger < upper <= pi_low + 1e-12
+        ab = tp.solve_alpha_beta(params, mode)
+        assert tp.closed_form_diverse_uniform(lower * (1.0 - 1e-9), params, ab) == 0.0
+        assert tp.closed_form_diverse_uniform(lower + 1e-6 * (upper - lower), params, ab) > 0.0
+    if log_gap < -2.0:
+        # the cutoff flattens as m - (b-1) -> 0, and inverting it magnifies the
+        # curve's discretization error: at 2e-3 it reaches 1.7e-5 in the loss,
+        # while the cutoff values still agree to 2e-8
+        return
+    # oracle: the numerical fixed point, inverted at each belief
+    curve = tp.solve_diverse_threshold(params, tp.uniform_loss(1.0), tp.uniform_belief()).threshold
+    v0, v1 = curve.values[0], curve.values[-1]
+    pis = np.linspace(0.0, 0.999, 200)
+    want = np.array([curve.invert(min(max(pi, v0), v1)) for pi in pis])
+    got = tp.closed_form_diverse_uniform(pis, params, tp.solve_alpha_beta(params, "exact"))
+    assert np.max(np.abs(got - want)) <= 1e-5
 
 
 class TestPiDagger:

@@ -105,6 +105,23 @@ class TestCompareCommand:
                 assert diff < 0
 
 
+    def test_exact_coefficients_far_from_large_m(self, tmp_path):
+        # m - (b-1) = 0.1075: the exact cutoff at l = 0 lies below beta,
+        # and the crossing belief with it
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--b", "5.027", "--m", "5.1345", "--alpha-beta", "exact",
+                     "--out", str(out)])
+        assert code == 0
+        summary = json.loads((tmp_path / "cmp.summary.json").read_text())
+        assert summary["alpha_beta_mode"] == "exact"
+        pid = summary["pi_dagger"]
+        assert pid < summary["beta"]
+        rows = [(float(r["pi"]), float(r["diff"])) for r in read_csv(out)]
+        assert any(diff > 0 for pi, diff in rows if pi < pid)
+        assert all(diff > 0 for pi, diff in rows if pid - 0.01 < pi < pid - 1e-6)
+        assert all(diff < 0 for pi, diff in rows if pid + 1e-6 < pi < pid + 0.01)
+
+
 class TestExanteCommand:
     def test_single_pair_both_methods(self, tmp_path):
         out = tmp_path / "ex.csv"

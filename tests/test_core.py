@@ -197,6 +197,25 @@ class TestThresholdCurve:
         with pytest.raises(tp.ParameterError):
             curve(1.5)
 
+    @pytest.mark.parametrize("query", [np.nan, np.array(np.nan), np.array([0.2, np.nan, 0.7])])
+    def test_nan_query_raises(self, query):
+        curve = tp.constant_curve(np.linspace(0, 1, 5), 0.3)
+        with pytest.raises(tp.ParameterError):
+            curve(query)
+
+    def test_query_below_two_knots_at_a_bucket_edge(self):
+        # on this domain a query two ulps below the left edge of bucket 86
+        # rounds into that bucket; with knots on the edge and one ulp below
+        # it, the lookup must step back past both
+        knots = np.linspace(-28.329282336421898, 188.90432101312211, 1128)
+        knots[85] = np.nextafter(knots[86], -np.inf)
+        x = np.nextafter(knots[85], -np.inf)
+        values = np.linspace(0.0, 1.0, knots.size) ** 2
+        curve = tp.ThresholdCurve(knots, values)
+        scale, table, _, _ = curve._segments
+        assert table[int((x - knots[0]) * scale)] == 86
+        assert curve(x) == float(np.interp(x, knots, values))
+
     def test_invert_requires_monotone_flag(self):
         curve = tp.ThresholdCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.2]))
         with pytest.raises(tp.ParameterError):
@@ -205,6 +224,14 @@ class TestThresholdCurve:
     def test_knots_must_increase(self):
         with pytest.raises(tp.ParameterError):
             tp.ThresholdCurve(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("knots, values", [([0.0, 1.0, np.inf], [0.0, 0.5, 1.0]),
+                                               ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0])])
+    def test_knots_and_values_must_be_finite(self, knots, values):
+        # an infinite knot leaves no finite bucket width; a NaN value lies in
+        # no codomain
+        with pytest.raises(tp.ParameterError):
+            tp.ThresholdCurve(np.array(knots), np.array(values))
 
     def test_values_must_fit_codomain(self):
         with pytest.raises(tp.ParameterError):
@@ -219,3 +246,54 @@ class TestThresholdCurve:
         curve = tp.ThresholdCurve(knots, values, monotone=True)
         for x in np.linspace(0.0, 1.0, 13):
             assert curve.invert(curve(float(x))) == pytest.approx(float(x), abs=1e-9)
+
+
+@st.composite
+def curves_and_queries(draw):
+    """A curve on linspace, random, clustered (u**3) or one-spike knots,
+    with queries at every knot and one ulp either side of it, at both ends,
+    inside the pad outside the domain and at random points; values may
+    hold -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    kind = draw(st.sampled_from(["linspace", "random", "clustered", "spike"]))
+    if kind == "linspace":
+        u = np.linspace(0.0, 1.0, n)
+    elif kind == "random":
+        u = np.r_[0.0, rng.random(n), 1.0]
+    elif kind == "clustered":
+        u = np.linspace(0.0, 1.0, n) ** 3
+    else:
+        spike = rng.random() * (1.0 - 1e-6)
+        u = np.r_[np.linspace(0.0, 1.0, n), spike + np.linspace(0.0, 1e-6, 12)]
+    lo = draw(st.floats(-10.0, 10.0))
+    span = draw(st.floats(1e-3, 1e3))
+    knots = np.unique(lo + span * np.unique(u))
+    values = rng.normal(size=knots.size) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    values[rng.random(knots.size) < 0.1] = -0.0
+    lo, hi = knots[0], knots[-1]
+    pad = 1e-12 * max(1.0, hi - lo)
+    inner = knots[1:-1]
+    queries = np.r_[knots, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+                    lo, hi, lo - pad * rng.random(3), hi + pad * rng.random(3),
+                    lo + (hi - lo) * rng.random(200)]
+    return knots, values, rng.permutation(queries)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@given(curves_and_queries())
+@settings(max_examples=150, deadline=None)
+def test_curve_matches_np_interp_bit_for_bit(case):
+    knots, values, queries = case
+    curve = tp.ThresholdCurve(knots, values, codomain=(values.min(), values.max()))
+    want = np.interp(queries, knots, values)
+    assert np.array_equal(bits(curve(queries)), bits(want))
+    got = curve(float(queries[0]))
+    assert type(got) is float and got.hex() == float(want[0]).hex()
+    assert curve(np.array(queries[1])).hex() == float(want[1]).hex()
+    assert curve(np.array([])).shape == (0,)
+    grid = queries[:12].reshape(3, 4)
+    assert np.array_equal(bits(curve(grid)), bits(np.interp(grid, knots, values)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import trustpd as tp
+from trustpd import core
 
 
 class TestSimConfig:
@@ -182,3 +183,95 @@ class TestDeviationCheckMatchesLoops:
         cfg = tp.SimConfig(n_samples=1, seed=0, scenario="diverse")
         got = tp.deviation_check(cfg, curve, p28, unit_loss, unit_belief)
         assert got == deviation_gain_reference(cfg, curve, p28, unit_loss, unit_belief)
+
+
+# SimReport.to_dict() with every float as float.hex, 50 000 matches each,
+# recorded before simulate tallied the two halves of the draws separately
+PINNED_SIM = {
+    "common": {
+        "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
+        "coop_rate_strategic": "0x1.67e7554623f2cp-2",
+        "half_width_95": "0x1.8e25bc978cb45p-9",
+        "analytic_prediction": "0x1.67dfaba24dd30p-2",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.687056f3d36b1p+0",
+                         "DC": "-0x1.c192472a236b8p+1", "DD": "0x0.0p+0"},
+    },
+    "diverse": {
+        "scenario": "diverse", "seed": 5, "n_samples": 50000, "n_strategic": 49915,
+        "coop_rate_strategic": "0x1.c3e974434f2ebp-1",
+        "half_width_95": "0x1.7215c51d79ca4p-9",
+        "analytic_prediction": "0x1.c35993c92cf98p-1",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.f6fadc69d83dfp-2",
+                         "DC": "0x1.74dcc6d4a81b3p+0", "DD": "0x0.0p+0"},
+    },
+    "asymmetric": {
+        "scenario": "asymmetric", "seed": 9, "n_samples": 50000, "n_strategic": 94597,
+        "coop_rate_strategic": "0x1.5789ba3d38547p-2",
+        "half_width_95": "0x1.8a61b329a21d3p-9",
+        "analytic_prediction": "0x1.57b055c1248c7p-2",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.0863c3e37b264p+1",
+                         "DC": "-0x1.21d87861bd4cap+1", "DD": "0x0.0p+0"},
+    },
+    "diverse-tabulated": {
+        "scenario": "diverse", "seed": 21, "n_samples": 50000, "n_strategic": 49733,
+        "coop_rate_strategic": "0x1.d7c70c56a9c10p-1",
+        "half_width_95": "0x1.35f0780aca5b5p-9",
+        "analytic_prediction": "0x1.d6d80c963bf4ep-1",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.fbcf85f89b649p-2",
+                         "DC": "0x1.7d06df7d06df8p+0", "DD": "0x0.0p+0"},
+    },
+}
+
+
+def hexed(report: dict) -> dict:
+    return {k: hexed(v) if isinstance(v, dict) else v.hex() if isinstance(v, float) else v
+            for k, v in report.items()}
+
+
+TABULATED_G = ([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.8, 1.0])
+SIM_CASES = {  # scenario beliefs, (b, m), ell_bar, belief distribution
+    "common": ({"pi": 0.05}, (3.0, 50.0), 8.0, None),
+    "diverse": ({}, (2.0, 8.0), 1.0, "uniform"),
+    "asymmetric": ({"pi1": 0.03, "pi2": 0.08}, (3.0, 50.0), 8.0, None),
+    "diverse-tabulated": ({}, (2.0, 8.0), 1.0, "tabulated"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SIM))
+def test_simulate_pinned_bits(case):
+    pin = PINNED_SIM[case]
+    beliefs, (b, m), ell_bar, belief = SIM_CASES[case]
+    G = {None: None, "uniform": tp.uniform_belief(),
+         "tabulated": tp.tabulated_belief(*TABULATED_G)}[belief]
+    cfg = tp.SimConfig(n_samples=pin["n_samples"], seed=pin["seed"],
+                       scenario=pin["scenario"], **beliefs)
+    report = tp.simulate(cfg, tp.validate_params(b, m), tp.uniform_loss(ell_bar), G)
+    assert type(report.coop_rate_strategic) is float and type(report.n_strategic) is int
+    assert hexed(report.to_dict()) == pin
+
+
+def test_diverse_simulate_builds_one_table_and_no_long_interp(monkeypatch, p28, unit_loss,
+                                                                unit_belief):
+    # the cutoff curve answers the 2n loss queries from one segment table;
+    # np.interp sees no more than deviation_check's 200-point grid
+    tables, interp_sizes = [], []
+    segment_table, interp = core._segment_table, np.interp
+
+    def counted_table(knots, values):
+        tables.append(knots.size)
+        return segment_table(knots, values)
+
+    def sized_interp(x, *args, **kwargs):
+        interp_sizes.append(np.size(x))
+        return interp(x, *args, **kwargs)
+
+    monkeypatch.setattr(core, "_segment_table", counted_table)
+    monkeypatch.setattr(np, "interp", sized_interp)
+    cfg = tp.SimConfig(n_samples=10_000, seed=4, scenario="diverse")
+    tp.simulate(cfg, p28, unit_loss, unit_belief)
+    assert tables == [1001]
+    assert max(interp_sizes, default=0) <= 200
