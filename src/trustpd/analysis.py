@@ -33,12 +33,33 @@ class CooperationReport:
     regime_bounds: tuple[float, float, float]
 
 
-def _phi(params: GameParams) -> float:
-    return math.sqrt(params.coop_premium + params.b ** 2 / 4.0)
+# The closed forms below take arrays of b and a = 1+m-b, and give each cell
+# the bits a lone float gets: squares go through libm's pow, as Python's ** does
+# (numpy's x ** 2 is x*x), and log1p through math.log1p (numpy's SIMD log1p
+# differs in the last bit on some hosts).
+_log1p = np.vectorize(math.log1p, otypes=[float])
 
 
-def _gamma_aux(params: GameParams) -> float:
-    return math.sqrt(1.0 + 4.0 * (params.b - 1.0) / params.coop_premium)
+def _phi(b, a):
+    return np.sqrt(a + np.float_power(b, 2) / 4.0)
+
+
+def _gamma_aux(b, a):
+    return np.sqrt(1.0 + 4.0 * (b - 1.0) / a)
+
+
+def _p_common_closed(b, a):
+    phi = _phi(b, a)
+    den = phi * (phi - 1.0) - b / 2.0 * (b / 2.0 - 1.0)
+    if np.any(den <= 0.0):
+        raise ParameterError(f"log argument not positive (denominator {np.min(den)})")
+    return a / (2.0 * phi) * _log1p(2.0 * phi / den)
+
+
+def _p_diverse_closed(b, a):
+    g = _gamma_aux(b, a)
+    # log1p keeps the g -> 1 (b -> 1) degeneracy exact without a series branch
+    return a * (g + 1.0) / (g - 1.0) * _log1p(2.0 * (g - 1.0) / (a * np.float_power(g + 1.0, 2)))
 
 
 def _lower_kink(params: GameParams, ab: AlphaBeta) -> float:
@@ -90,11 +111,7 @@ def ex_ante_p_common(params: GameParams, method: str = "closed_form") -> float:
         raise ParameterError(f"requires b >= 2, got b={params.b}")
     a = params.coop_premium
     if method == "closed_form":
-        phi = _phi(params)
-        den = phi * (phi - 1.0) - params.b / 2.0 * (params.b / 2.0 - 1.0)
-        if den <= 0.0:
-            raise ParameterError(f"log argument not positive (denominator {den})")
-        return a / (2.0 * phi) * math.log1p(2.0 * phi / den)
+        return float(_p_common_closed(params.b, a))
     if method == "quadrature":
         return adaptive_simpson(
             lambda l: a / (a + params.b * l - l * l), 0.0, 1.0, tol=1e-12
@@ -113,11 +130,7 @@ def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
     """
     a = params.coop_premium
     if method == "closed_form":
-        g = _gamma_aux(params)
-        # log1p keeps the g -> 1 (b -> 1) degeneracy exact without a series branch
-        return a * (g + 1.0) / (g - 1.0) * math.log1p(
-            2.0 * (g - 1.0) / (a * (g + 1.0) ** 2)
-        )
+        return float(_p_diverse_closed(params.b, a))
     if method == "quadrature":
         if ab is None:
             ab = solve_alpha_beta(params, mode="approximate")
@@ -136,8 +149,8 @@ def cooperation_report(params: GameParams, mode: str = "approximate") -> Coopera
         pi_dagger=solve_pi_dagger(params, ab),
         p_common=ex_ante_p_common(params),
         p_diverse=ex_ante_p_diverse(params, ab),
-        phi=_phi(params),
-        gamma_aux=_gamma_aux(params),
+        phi=float(_phi(params.b, params.coop_premium)),
+        gamma_aux=float(_gamma_aux(params.b, params.coop_premium)),
         regime_bounds=(lower, upper, params.pi_low),
     )
     if not lower < upper <= params.pi_low + 1e-12:
@@ -162,24 +175,24 @@ class RegionGrid:
 def diversity_region(b_grid, m_grid) -> RegionGrid:
     """Mask of grid cells where dispersed beliefs yield more cooperation.
 
-    Cells violating b >= 2 or m > b - 1 are skipped and flagged invalid
-    rather than raising, so rectangular grids can overlap the excluded zone.
+    Both closed forms are evaluated once on the (b, m) mesh, over its valid
+    cells. Cells violating b >= 2 or m > b - 1 are flagged invalid, with NaN
+    probabilities, rather than raising, so rectangular grids can overlap the
+    excluded zone. Each valid cell holds the bits `ex_ante_p_common` and
+    `ex_ante_p_diverse` return for its (b, m).
     """
     b_grid = np.asarray(b_grid, dtype=float)
     m_grid = np.asarray(m_grid, dtype=float)
-    shape = (b_grid.size, m_grid.size)
-    p_c = np.full(shape, np.nan)
-    p_d = np.full(shape, np.nan)
-    valid = np.zeros(shape, dtype=bool)
-    for i, b in enumerate(b_grid):
-        for j, m in enumerate(m_grid):
-            if b < 2.0 or m <= b - 1.0:
-                continue
-            params = validate_params(b, m)
-            p_c[i, j] = ex_ante_p_common(params)
-            p_d[i, j] = ex_ante_p_diverse(params)
-            valid[i, j] = True
-    wins = np.zeros(shape, dtype=bool)
+    if not (np.isfinite(b_grid).all() and np.isfinite(m_grid).all()):
+        raise ParameterError("diversity_region needs finite b and m grids")
+    b, m = np.meshgrid(b_grid, m_grid, indexing="ij")
+    valid = (b >= 2.0) & (m > b - 1.0)
+    b, a = b[valid], 1.0 + m[valid] - b[valid]
+    p_c = np.full(valid.shape, np.nan)
+    p_d = np.full(valid.shape, np.nan)
+    p_c[valid] = _p_common_closed(b, a)
+    p_d[valid] = _p_diverse_closed(b, a)
+    wins = np.zeros(valid.shape, dtype=bool)
     wins[valid] = p_d[valid] > p_c[valid]
     return RegionGrid(b_grid=b_grid, m_grid=m_grid, p_common=p_c, p_diverse=p_d,
                       diverse_wins=wins, valid=valid)

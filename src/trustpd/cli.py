@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -56,12 +57,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(rows):
+    """Rows of values as rows of CSV cells, each value through `_fmt`."""
+    return ([_fmt(v) for v in row] for row in rows)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of already formatted cells (see `_cells`) under header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -102,7 +108,7 @@ def cmd_common(args) -> None:
         eqs = solve_common_equilibria(float(pi), params, dist, tol=args.tol)
         rows.append([float(pi), eqs.regime, eqs.ell_low, eqs.ell_high, eqs.ell_corner])
     out = Path(args.out)
-    _write_csv(out, ["pi", "regime", "ell_low", "ell_high", "ell_corner"], rows)
+    _write_csv(out, ["pi", "regime", "ell_low", "ell_high", "ell_corner"], _cells(rows))
     _write_manifest("common", args, [out])
 
 
@@ -114,7 +120,7 @@ def cmd_diverse(args) -> None:
     )
     ab = solve_alpha_beta(params, mode="exact" if args.alpha_beta == "exact" else "approximate")
     out = Path(args.out)
-    _write_csv(out, ["ell", "pi_star_d"], zip(sol.threshold.knots, sol.threshold.values))
+    _write_csv(out, ["ell", "pi_star_d"], _cells(zip(sol.threshold.knots, sol.threshold.values)))
     summary = {
         "alpha": ab.alpha,
         "beta": ab.beta,
@@ -132,15 +138,12 @@ def cmd_compare(args) -> None:
     params = validate_params(args.b, args.m)
     ab = solve_alpha_beta(params, mode="exact" if args.alpha_beta == "exact" else "approximate")
     pi_dagger = solve_pi_dagger(params, ab, tol=args.tol)
-    grid = np.linspace(0.0, params.pi_low, args.grid, endpoint=True)
-    rows = []
-    for pi in grid:
-        pi = min(float(pi), 1.0 - 1e-12)
-        lc = closed_form_common_uniform(pi, params)
-        ld = closed_form_diverse_uniform(pi, params, ab)
-        rows.append([pi, lc, ld, lc - ld])
+    grid = np.minimum(np.linspace(0.0, params.pi_low, args.grid, endpoint=True), 1.0 - 1e-12)
+    lc = closed_form_common_uniform(grid, params)
+    ld = closed_form_diverse_uniform(grid, params, ab)
+    rows = zip(grid.tolist(), lc.tolist(), ld.tolist(), (lc - ld).tolist())
     out = Path(args.out)
-    _write_csv(out, ["pi", "ell_star_c", "ell_star_d", "diff"], rows)
+    _write_csv(out, ["pi", "ell_star_c", "ell_star_d", "diff"], _cells(rows))
     _write_json(
         _summary_path(out),
         {"pi_dagger": pi_dagger, "alpha": ab.alpha, "beta": ab.beta,
@@ -157,13 +160,14 @@ def cmd_exante(args) -> None:
         b_grid = np.linspace(args.b_range[0], args.b_range[1], args.cells)
         m_grid = np.linspace(args.m_range[0], args.m_range[1], args.cells)
         region = diversity_region(b_grid, m_grid)
-        rows = []
-        for i, b in enumerate(region.b_grid):
-            for j, m in enumerate(region.m_grid):
-                if not region.valid[i, j]:
-                    continue
-                rows.append([float(b), float(m), region.p_common[i, j],
-                             region.p_diverse[i, j], int(region.diverse_wins[i, j])])
+        # valid cells by column: each grid value formatted once, repr as _fmt does
+        i, j = np.nonzero(region.valid)
+        b_cells = [_fmt(b) for b in region.b_grid.tolist()]
+        m_cells = [_fmt(m) for m in region.m_grid.tolist()]
+        rows = zip([b_cells[k] for k in i.tolist()], [m_cells[k] for k in j.tolist()],
+                   map(repr, region.p_common[i, j].tolist()),
+                   map(repr, region.p_diverse[i, j].tolist()),
+                   map(str, region.diverse_wins[i, j].astype(int).tolist()))
         _write_csv(out, ["b", "m", "p_c", "p_d", "diverse_wins"], rows)
     else:
         params = validate_params(args.b, args.m)
@@ -173,7 +177,7 @@ def cmd_exante(args) -> None:
                  ex_ante_p_diverse(params, method="closed_form"),
                  ex_ante_p_diverse(params, method="quadrature")]]
         _write_csv(out, ["b", "m", "p_c_closed", "p_c_quadrature",
-                         "p_d_closed", "p_d_quadrature"], rows)
+                         "p_d_closed", "p_d_quadrature"], _cells(rows))
     _write_manifest("exante", args, [out])
 
 
@@ -191,12 +195,15 @@ def cmd_asymmetric(args) -> None:
     dist = uniform_loss(args.ell_bar)
     if args.sweep_pi2 is not None:
         lo, hi, count = args.sweep_pi2
-        pi2s = np.linspace(float(lo), float(hi), int(count))
+        try:
+            pi2s = np.linspace(float(lo), float(hi), grid_size(count))
+        except ValueError as exc:
+            raise ParameterError(f"--sweep-pi2 takes LO HI N: {exc}") from None
     else:
         pi2s = [args.pi2]
     rows = [_asymmetric_row(args.pi1, float(p2), params, dist) for p2 in pi2s]
     out = Path(args.out)
-    _write_csv(out, ["pi1", "pi2", "ell1_hat", "ell2_hat", "d_ell1_d_pi2"], rows)
+    _write_csv(out, ["pi1", "pi2", "ell1_hat", "ell2_hat", "d_ell1_d_pi2"], _cells(rows))
     _write_manifest("asymmetric", args, [out])
 
 
@@ -211,7 +218,7 @@ def cmd_group(args) -> None:
         common = solve_group_common(args.n, float(pi), params, F, variant=variant)
         rows.append([args.n, float(pi), common.value, float(ell_diverse)])
     out = Path(args.out)
-    _write_csv(out, ["n", "pi", "ell_n_common", "ell_n_diverse"], rows)
+    _write_csv(out, ["n", "pi", "ell_n_common", "ell_n_diverse"], _cells(rows))
     _write_manifest("group", args, [out])
 
 
@@ -277,7 +284,7 @@ def cmd_reproduce_all(args) -> None:
         ab = solve_alpha_beta(params, mode="approximate")
         rows_b.append([float(b), 20.0, solve_pi_dagger(params, ab)])
     path_b = outdir / "crossing_belief_vs_b.csv"
-    _write_csv(path_b, ["b", "m", "pi_dagger"], rows_b)
+    _write_csv(path_b, ["b", "m", "pi_dagger"], _cells(rows_b))
 
     rows_m = []
     for m in np.linspace(5.0, 60.0, 15):
@@ -285,7 +292,7 @@ def cmd_reproduce_all(args) -> None:
         ab = solve_alpha_beta(params, mode="approximate")
         rows_m.append([3.0, float(m), solve_pi_dagger(params, ab)])
     path_m = outdir / "crossing_belief_vs_m.csv"
-    _write_csv(path_m, ["b", "m", "pi_dagger"], rows_m)
+    _write_csv(path_m, ["b", "m", "pi_dagger"], _cells(rows_m))
 
     sens = pi_dagger_sensitivity(validate_params(3.0, 20.0))
     path_s = outdir / "crossing_belief_sensitivity.json"
@@ -294,7 +301,18 @@ def cmd_reproduce_all(args) -> None:
     _write_manifest("reproduce-all", args, [path_b, path_m, path_s])
 
 
+def grid_size(text: str) -> int:
+    """A grid size from the command line: an integer of at least 1. As an
+    argparse type, its ValueError is a usage error (exit code 2)."""
+    n = int(text)
+    if n < 1:
+        raise ParameterError(f"grid size must be at least 1, got {n}")
+    return n
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trustpd",
         description="Threshold equilibria for a prisoner's dilemma with "
@@ -314,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell-bar", type=float, default=8.0)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pi", type=float)
-    group.add_argument("--pi-grid", type=int)
+    group.add_argument("--pi-grid", type=grid_size)
     p.add_argument("--pi-max", type=float, default=1.0, help="upper end of the belief grid")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", required=True)
@@ -322,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("diverse", cmd_diverse, "belief cutoff under dispersed beliefs (uniform case)")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--grid-n", type=int, default=1001)
+    p.add_argument("--grid-n", type=grid_size, default=1001)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--alpha-beta", choices=("exact", "approx"), default="exact")
@@ -332,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--alpha-beta", choices=("exact", "approx"), default="approx")
-    p.add_argument("--grid", type=int, default=500)
+    p.add_argument("--grid", type=grid_size, default=500)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", required=True)
 
@@ -341,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float)
     p.add_argument("--b-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--m-range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--cells", type=int, default=100)
+    p.add_argument("--cells", type=grid_size, default=100)
     p.add_argument("--out", required=True)
 
     p = add("asymmetric", cmd_asymmetric, "equilibrium under asymmetric known beliefs")
@@ -359,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--variant", choices=("consistent", "as-printed"), default="consistent")
-    p.add_argument("--pi-grid", type=int, default=101)
+    p.add_argument("--pi-grid", type=grid_size, default=101)
     p.add_argument("--out", required=True)
 
     p = add("simulate", cmd_simulate, "Monte Carlo validation of a scenario")

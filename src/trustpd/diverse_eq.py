@@ -183,9 +183,12 @@ def solve_diverse_threshold(
       [0, M] brackets a root. Each step records max|T(s_I) - s_I| and
       returns s_I once that is at most tol.
 
-    Raises ConvergenceError when max_iter steps in all do not reach tol, or
-    when the converged curve is not strictly increasing.
+    Raises ParameterError unless n_knots - 1 is an even count of at least 2
+    (Simpson's rule), and ConvergenceError when max_iter steps in all do not
+    reach tol, or when the converged curve is not strictly increasing.
     """
+    if n_knots < 3 or n_knots % 2 == 0:
+        raise ParameterError(f"n_knots must be odd and at least 3, got {n_knots}")
     knots = np.linspace(0.0, F.ell_bar, n_knots)
     h = _simpson_step(knots)
     f = np.asarray(F.pdf(knots))

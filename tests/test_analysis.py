@@ -158,6 +158,43 @@ class TestDiversityRegion:
         assert not region.valid[1, 1]
         assert np.isnan(region.p_common[1, 1])
 
+    def test_mesh_matches_scalar_closed_forms_bit_for_bit(self):
+        # reproduce-all's grid, where numpy's x ** 2 (x*x) and, on AVX-512, its
+        # np.log1p move values, plus cells below b = 2 and, at (3, 2) and (4, 3), on m = b - 1
+        b_grid = np.concatenate([[1.5, 1.9, 3.0, 4.0], np.linspace(2, 6, 100)])
+        m_grid = np.concatenate([[0.4, 2.0, 3.0, 250.0], np.linspace(1.2, 60, 100)])
+        region = tp.diversity_region(b_grid, m_grid)
+
+        def reference(b, m):
+            # the closed forms in plain floats: Python's ** and math.log1p
+            a = 1.0 + m - b
+            phi = math.sqrt(a + b ** 2 / 4.0)
+            den = phi * (phi - 1.0) - b / 2.0 * (b / 2.0 - 1.0)
+            g = math.sqrt(1.0 + 4.0 * (b - 1.0) / a)
+            return (a / (2.0 * phi) * math.log1p(2.0 * phi / den),
+                    a * (g + 1.0) / (g - 1.0) * math.log1p(2.0 * (g - 1.0) / (a * (g + 1.0) ** 2)))
+
+        for i, b in enumerate(b_grid.tolist()):
+            for j, m in enumerate(m_grid.tolist()):
+                if b >= 2.0 and m > b - 1.0:
+                    params = tp.validate_params(b, m)
+                    assert region.valid[i, j]
+                    assert region.p_common[i, j] == tp.ex_ante_p_common(params)
+                    assert region.p_diverse[i, j] == tp.ex_ante_p_diverse(params)
+                    assert (region.p_common[i, j], region.p_diverse[i, j]) == reference(b, m)
+                    assert region.diverse_wins[i, j] == (region.p_diverse[i, j] > region.p_common[i, j])
+                else:
+                    assert not region.valid[i, j]
+                    assert np.isnan(region.p_common[i, j]) and np.isnan(region.p_diverse[i, j])
+                    assert not region.diverse_wins[i, j]
+        assert region.valid.any() and not region.valid.all()
+
+    def test_non_finite_grid_rejected(self):
+        with pytest.raises(tp.ParameterError):
+            tp.diversity_region([2.0, np.nan], [5.0])
+        with pytest.raises(tp.ParameterError):
+            tp.diversity_region([3.0], [5.0, np.inf])
+
     def test_known_thin_sliver_cell(self):
         # (b=4, m=3.1) sits inside the dispersion-wins sliver, (4, 8) outside
         region = tp.diversity_region([4.0], [3.1, 8.0])

@@ -5,15 +5,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trustpd
+from trustpd import cli
 from trustpd.cli import main
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def exit_code(argv):
+    """main's exit code, also for argparse's own exit on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCommonCommand:
@@ -139,6 +149,21 @@ class TestExanteCommand:
         for row in rows:
             assert float(row["m"]) > float(row["b"]) - 1
 
+    def test_region_csv_bytes_match_row_by_row_rendering(self, tmp_path):
+        out = tmp_path / "region.csv"
+        assert main(["exante", "--b-range", "1.5", "5", "--m-range", "0.5", "9",
+                     "--cells", "9", "--out", str(out)]) == 0
+        region = trustpd.diversity_region(np.linspace(1.5, 5, 9), np.linspace(0.5, 9, 9))
+        assert region.valid.any() and not region.valid.all()
+        lines = ["b,m,p_c,p_d,diverse_wins"]
+        for i, b in enumerate(region.b_grid):
+            for j, m in enumerate(region.m_grid):
+                if region.valid[i, j]:
+                    row = [float(b), float(m), region.p_common[i, j],
+                           region.p_diverse[i, j], int(region.diverse_wins[i, j])]
+                    lines.append(",".join(cli._fmt(v) for v in row))
+        assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
 
 class TestAsymmetricCommand:
     def test_sweep_monotone_effect(self, tmp_path):
@@ -212,10 +237,60 @@ class TestExitCodes:
         assert "--pi2" in proc.stderr and "--sweep-pi2" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["exante", "--b-range", "2", "6", "--m-range", "1.2", "60", "--cells", "-1"],
+        ["common", "--pi-grid", "-3"],
+        ["group", "--n", "2", "--b", "2", "--m", "8", "--pi-grid", "-3"],
+        ["compare", "--b", "2", "--m", "8", "--grid", "-1"],
+        ["compare", "--b", "2", "--m", "8", "--grid", "0"],
+        ["asymmetric", "--pi1", "0.03", "--sweep-pi2", "0.05", "0.1", "-2"],
+        ["asymmetric", "--pi1", "0.03", "--sweep-pi2", "0.05", "0.1", "x"],
+        ["asymmetric", "--pi1", "0.03", "--sweep-pi2", "0.05", "y", "3"],
+        ["diverse", "--b", "2", "--m", "8", "--grid-n", "1000"],
+        ["diverse", "--b", "2", "--m", "8", "--grid-n", "1"],
+        ["diverse", "--b", "2", "--m", "8", "--grid-n", "-5"],
+    ])
+    def test_bad_grid_size_is_a_parameter_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert exit_code(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_io_failure(self, tmp_path):
         code = main(["common", "--b", "3", "--m", "50", "--pi", "0.05",
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])
         assert code == 4
+
+
+class TestCachedParser:
+    @pytest.mark.parametrize("first,second", [
+        (["common", "--b", "3", "--m", "50", "--pi", "0.05"],
+         ["common", "--b", "3", "--m", "50", "--pi-grid", "5"]),
+        (["asymmetric", "--pi1", "0.03", "--pi2", "0.08"],
+         ["asymmetric", "--pi1", "0.03", "--sweep-pi2", "0.05", "0.1", "3"]),
+        (["common", "--b", "0.5", "--m", "10", "--pi", "0.05"],
+         ["common", "--pi", "0.05"]),
+        (["compare", "--b", "2", "--m", "8", "--grid", "-1"],
+         ["compare", "--b", "2", "--m", "8", "--grid", "7"]),
+    ])
+    def test_no_state_carried_between_calls(self, tmp_path, first, second):
+        out = tmp_path / "x.csv"
+
+        def outputs(argv):
+            for p in tmp_path.iterdir():
+                p.unlink()
+            code = exit_code(argv + ["--out", str(out)])
+            return code, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        chained = [outputs(argv) for argv in (first, second)]
+        fresh = []
+        for argv in (first, second):
+            cli.build_parser.cache_clear()
+            fresh.append(outputs(argv))
+        assert chained == fresh
+        assert chained[0][0] == 0 or chained[0][1] == {}
+        assert chained[1][0] == 0 and "x.csv.manifest.json" in chained[1][1]
 
 
 class TestReproducibility:

@@ -65,6 +65,12 @@ class TestSolveDiverseThreshold:
         assert np.all(np.diff(diverse_28.threshold.values) > 0)
         assert diverse_28.threshold.monotone
 
+    @pytest.mark.parametrize("n_knots", [-5, 0, 1, 2, 1000])
+    def test_grid_without_even_simpson_intervals_rejected(self, n_knots, p28, unit_loss,
+                                                         unit_belief):
+        with pytest.raises(tp.ParameterError, match="n_knots"):
+            tp.solve_diverse_threshold(p28, unit_loss, unit_belief, n_knots=n_knots)
+
     def test_fixed_point_idempotence(self, diverse_28, p28, unit_loss, unit_belief):
         image = tp.apply_T(diverse_28.threshold, p28, unit_loss, unit_belief)
         assert np.max(np.abs(image.values - diverse_28.threshold.values)) <= 1e-9
