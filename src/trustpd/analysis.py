@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common_eq import closed_form_common_uniform
-from .core import GameParams, InvariantViolation, ParameterError, validate_params
+from .core import GameParams, InvariantViolation, ParameterError, check_tol, validate_params
 from .diverse_eq import AlphaBeta, closed_form_diverse_uniform, solve_alpha_beta
 from .numerics import adaptive_simpson, bracket_roots
 
@@ -85,6 +85,7 @@ def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
     bisected root. Anything other than one sign change contradicts the
     single-crossing property and raises.
     """
+    check_tol(tol)
     lo, hi = _lower_kink(params, ab), _upper_kink(params, ab)
 
     def diff(pi):

@@ -37,6 +37,7 @@ from .core import (
     RegimeError,
     all_within,
     any_of,
+    check_tol,
     float_or_array,
     hazard,
     select,
@@ -145,6 +146,7 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
     bracketed on [0, ell_bar]: at ell_bar, 1 - F = 0 and the gap is
     ell_bar - (b - 1) > 0, however close the tangency lies to ell_bar.
     """
+    check_tol(tol)
     big_l = dist.ell_bar
     if big_l <= params.b - 1.0:
         raise RegimeError(
@@ -194,6 +196,7 @@ def solve_common_equilibria(
 
     Requires a nondecreasing hazard rate (`dist.monotone_hazard`).
     """
+    check_tol(tol)
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
     if not dist.monotone_hazard:

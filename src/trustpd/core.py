@@ -24,6 +24,9 @@ BELIEF_EPS = 1e-9
 # Default knot count for discretized threshold curves.
 DEFAULT_GRID_SIZE = 1001
 
+# Queries per block in ThresholdCurve.at_or_above.
+BLOCK = 1 << 16
+
 
 class ParameterError(ValueError):
     """Invalid argument or model primitive (named assumption violated)."""
@@ -67,6 +70,12 @@ class GameParams:
     def coop_premium(self) -> float:
         """1 + m - b, the net gain from cooperating with a committed partner."""
         return 1.0 + self.m - self.b
+
+
+def check_tol(tol: float) -> None:
+    """Raise ParameterError unless a solver tolerance is positive and finite."""
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ParameterError(f"tolerance must be positive and finite, got {tol}")
 
 
 def validate_params(b: float, m: float) -> GameParams:
@@ -373,19 +382,57 @@ class ThresholdCurve:
     def __call__(self, x):
         """Piecewise-linear interpolation, equal to np.interp bit for bit on
         finite values; raises on NaN and out-of-domain queries."""
+        x = self._checked(x)
+        out = self._interpolate(np.clip(x, *self.domain).ravel()).reshape(x.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def at_or_above(self, x, y) -> np.ndarray:
+        """Whether y >= self(x), elementwise: that expression bit for bit,
+        with the same checks on x, and without most of its interpolation.
+
+        Each query's bucket bounds the curve there, so only a y inside its
+        bucket's bound is compared with the interpolated value. Queries go
+        in blocks of BLOCK, so no temporary grows with the query count.
+        """
+        x, y = np.broadcast_arrays(self._checked(x), np.asarray(y, dtype=float))
+        shape = x.shape
+        x, y = x.reshape(-1), y.reshape(-1)
+        out = np.empty(x.size, dtype=bool)
+        lo, hi = self.domain
+        scale = self._segments[0]
+        below, above = self._bucket_bounds
+        for start in range(0, x.size, BLOCK):
+            xs = np.clip(x[start:start + BLOCK], lo, hi)
+            ys = y[start:start + BLOCK]
+            bucket = ((xs - lo) * scale).astype(np.intp)
+            res = out[start:start + BLOCK]
+            np.greater_equal(ys, above[bucket], out=res)
+            # y < below[bucket] stays False, as does a NaN y
+            unsure = np.flatnonzero((ys >= below[bucket]) & ~res)
+            if unsure.size:
+                res[unsure] = ys[unsure] >= self._interpolate(xs[unsure])
+        return out.reshape(shape)
+
+    def _checked(self, x) -> np.ndarray:
+        """x as a float array, raising on NaN and queries outside the domain."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.domain
         pad = 1e-12 * max(1.0, hi - lo)
         # min and max are NaN when any query is, which fails both comparisons
         if x.size and not (lo - pad <= x.min() and x.max() <= hi + pad):
             raise ParameterError(f"query outside curve domain [{lo}, {hi}] or NaN")
-        out = self._interpolate(np.clip(x, lo, hi).ravel()).reshape(x.shape)
-        return float(out) if out.ndim == 0 else out
+        return x
 
     @cached_property
     def _segments(self):
         """Bucket table for `_interpolate`, built on the first query."""
         return _segment_table(self.knots, self.values)
+
+    @cached_property
+    def _bucket_bounds(self):
+        """Per-bucket (below, above): every value `_interpolate` returns for a
+        query in bucket k lies in [below[k], above[k]]."""
+        return _bucket_bounds(self.knots, self.values, self._segments[0])
 
     def _interpolate(self, x: np.ndarray) -> np.ndarray:
         """np.interp on 1-d queries inside the domain, without its binary
@@ -454,6 +501,34 @@ def _segment_table(knots: np.ndarray, values: np.ndarray):
     upper = np.append(knots[1:], np.inf)
     slopes = np.append(np.diff(values) / np.diff(knots), 0.0)
     return (n - 1) / span, table, upper, slopes
+
+
+def _bucket_bounds(knots: np.ndarray, values: np.ndarray, scale: float):
+    """Value bounds per bucket of `_segment_table`, for `at_or_above`.
+
+    A query x lands in bucket int((x - knots[0]) * scale), which rounding can
+    put a hair off the bucket's nominal edges. So each bucket is widened by a
+    millionth of its width on both sides, and its bound covers every segment
+    that meets the widened range, which includes every segment the back and
+    ahead steps of `_interpolate` reach. On a segment, np.interp's value lies
+    between the segment's end values up to rounding, which the pad covers.
+    """
+    n = knots.size
+    width = (knots[-1] - knots[0]) / (n - 1)
+    edges = knots[0] + np.arange(n + 1) * width
+    first = np.searchsorted(knots, edges[:-1] - 1e-6 * width, side="right") - 1
+    last = np.searchsorted(knots, edges[1:] + 1e-6 * width, side="right") - 1
+    # segment j runs from values[j] to values[j+1]; the last knot is a segment
+    # of its own, where the interpolation returns values[-1]
+    seg_lo = np.append(np.minimum(values[:-1], values[1:]), values[-1])
+    seg_hi = np.append(np.maximum(values[:-1], values[1:]), values[-1])
+    # reduceat over (first, last + 1) pairs reduces each bucket's segments at
+    # the even positions; the odd positions span the gaps and are dropped
+    spans = np.column_stack([np.maximum(first, 0), last + 1]).ravel()
+    pad = 1e-12 * max(1.0, float(np.abs(values).max()))
+    below = np.minimum.reduceat(np.append(seg_lo, np.inf), spans)[::2] - pad
+    above = np.maximum.reduceat(np.append(seg_hi, -np.inf), spans)[::2] + pad
+    return below, above
 
 
 def constant_curve(knots, value: float, codomain=(0.0, 1.0)) -> ThresholdCurve:

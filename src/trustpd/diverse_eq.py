@@ -34,6 +34,7 @@ from .core import (
     ParameterError,
     ThresholdCurve,
     all_within,
+    check_tol,
     float_or_array,
     select,
 )
@@ -184,9 +185,13 @@ def solve_diverse_threshold(
       returns s_I once that is at most tol.
 
     Raises ParameterError unless n_knots - 1 is an even count of at least 2
-    (Simpson's rule), and ConvergenceError when max_iter steps in all do not
-    reach tol, or when the converged curve is not strictly increasing.
+    (Simpson's rule), tol is positive and finite and max_iter at least 1, and
+    ConvergenceError when max_iter steps in all do not reach tol, or when the
+    converged curve is not strictly increasing.
     """
+    check_tol(tol)
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if n_knots < 3 or n_knots % 2 == 0:
         raise ParameterError(f"n_knots must be odd and at least 3, got {n_knots}")
     knots = np.linspace(0.0, F.ell_bar, n_knots)

@@ -37,6 +37,7 @@ from .core import (
     ParameterError,
     RegimeError,
     ThresholdCurve,
+    check_tol,
     float_or_array,
 )
 from .numerics import bracket_roots
@@ -65,6 +66,7 @@ def solve_asymmetric(
     pi1 < (b-1)/m; outside that range the lowest intersection is returned
     with unique=False.
     """
+    check_tol(tol)
     big_l = dist.ell_bar
 
     def br1(l2):
@@ -167,6 +169,7 @@ def solve_group_common(
     no interior crossing the threshold is the corner the gap's sign dictates
     (cooperate for all losses when positive throughout).
     """
+    check_tol(tol)
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if not 0.0 <= pi < 1.0:
@@ -277,6 +280,9 @@ def solve_group_diverse(
     a density knot of F, and G's density knots), so each update applies a
     fixed Gauss-Legendre rule on every piece between them.
     """
+    check_tol(tol)
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if variant not in VARIANTS:

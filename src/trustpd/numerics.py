@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConvergenceError
+from .core import ConvergenceError, check_tol
 
 
 def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) -> float:
@@ -126,6 +126,7 @@ def _simpson_cell(f, a, fa, b, fb):
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
     """Adaptive Simpson quadrature with Richardson correction."""
+    check_tol(tol)
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson_cell(f, a, fa, b, fb)
 

@@ -257,6 +257,25 @@ class TestExitCodes:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "common", "--pi", "0.03", "--b", "2", "--m", "8",
+         "--seed", "-1", "--n-samples", "100"],
+        ["simulate", "--scenario", "common", "--pi", "0.03", "--b", "2", "--m", "8",
+         "--seed", str(2 ** 128), "--n-samples", "100"],
+        ["diverse", "--b", "2", "--m", "8", "--max-iter", "0"],
+        ["diverse", "--b", "2", "--m", "8", "--max-iter", "-3"],
+        ["compare", "--b", "2", "--m", "8", "--tol", "-1"],
+        ["compare", "--b", "2", "--m", "8", "--tol", "nan"],
+        ["diverse", "--b", "2", "--m", "8", "--tol", "0"],
+        ["common", "--pi", "0.05", "--tol", "inf"],
+    ])
+    def test_bad_seed_iteration_cap_or_tolerance_is_a_parameter_error(self, tmp_path, capsys,
+                                                                       argv):
+        assert exit_code(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_failure(self, tmp_path):
         code = main(["common", "--b", "3", "--m", "50", "--pi", "0.05",
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])

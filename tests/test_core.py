@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
+from trustpd import core
 from trustpd.numerics import adaptive_simpson
 
 
@@ -297,3 +299,158 @@ def test_curve_matches_np_interp_bit_for_bit(case):
     assert curve(np.array([])).shape == (0,)
     grid = queries[:12].reshape(3, 4)
     assert np.array_equal(bits(curve(grid)), bits(np.interp(grid, knots, values)))
+
+
+@st.composite
+def curves_and_comparisons(draw):
+    """A curve (flagged monotone or not) on random, clustered or linspace
+    knots, or on linspace knots with some moved one ulp below the next knot,
+    at a bucket edge; with queries at every knot, one ulp either side of it,
+    at each bucket edge, at both ends and inside the pad outside the domain,
+    and levels y at, one ulp off and away from the curve, plus NaN and
+    infinite levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["linspace", "random", "clustered", "edges"]))
+    lo = draw(st.floats(-10.0, 10.0))
+    span = draw(st.floats(1e-3, 1e3))
+    if kind == "random":
+        knots = lo + span * np.r_[0.0, np.sort(rng.random(n)), 1.0]
+    elif kind == "clustered":
+        knots = lo + span * np.linspace(0.0, 1.0, n) ** 3
+    else:
+        knots = np.linspace(lo, lo + span, n)
+        if kind == "edges":
+            moved = np.arange(2, n - 1, 3)
+            moved = moved[rng.random(moved.size) < 0.5]
+            knots[moved - 1] = np.nextafter(knots[moved], -np.inf)
+    knots = np.unique(knots)
+    values = rng.normal(size=knots.size) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    monotone = draw(st.booleans())
+    if monotone:
+        values = np.sort(values)
+    first, last = knots[0], knots[-1]
+    edges = first + np.arange(knots.size) * ((last - first) / (knots.size - 1))
+    edges = edges[(edges >= first) & (edges <= last)]
+    pad = 1e-12 * max(1.0, last - first)
+    x = np.r_[knots, np.nextafter(knots[1:], -np.inf), np.nextafter(knots[:-1], np.inf),
+              edges, np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf),
+              first, last, first - pad * rng.random(3), last + pad * rng.random(3),
+              first + (last - first) * rng.random(200)]
+    x = rng.permutation(x)
+    at = np.interp(x, knots, values)
+    y = np.r_[at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+              values.min() + (values.max() - values.min()) * rng.random(x.size),
+              np.nan, np.inf, -np.inf]
+    x = np.r_[x, x, x, x, x[:3]]
+    order = rng.permutation(x.size)
+    curve = tp.ThresholdCurve(knots, values, codomain=(values.min(), values.max()),
+                              monotone=monotone)
+    return curve, x[order], y[order], draw(st.integers(7, 300))
+
+
+@given(curves_and_comparisons())
+@settings(max_examples=150, deadline=None)
+def test_at_or_above_is_the_comparison_elementwise(case):
+    curve, x, y, block = case
+    want = y >= curve(x)
+    # small blocks, so most sizes leave a ragged last block
+    with mock.patch.object(core, "BLOCK", block):
+        assert np.array_equal(curve.at_or_above(x, y), want)
+    assert np.array_equal(curve.at_or_above(x, y), want)
+    grid = x[:12].reshape(3, 4)
+    assert np.array_equal(curve.at_or_above(grid, y[0]), y[0] >= curve(grid))
+    assert curve.at_or_above(x[0], y[0]) == want[0]
+    assert curve.at_or_above(np.array([]), np.array([])).shape == (0,)
+
+
+class TestAtOrAbove:
+    @pytest.fixture(scope="class")
+    def curve(self):
+        return tp.ThresholdCurve(np.linspace(0.0, 1.0, 1001),
+                                 np.linspace(0.0, 1.0, 1001) ** 0.5, monotone=True)
+
+    def test_blocks_of_the_real_size_with_a_ragged_end(self, curve):
+        rng = np.random.default_rng(3)
+        x = rng.random(2 * core.BLOCK + 5)
+        y = np.where(rng.random(x.size) < 0.5, curve(x), rng.random(x.size))
+        assert np.array_equal(curve.at_or_above(x, y), y >= curve(x))
+
+    def test_interpolates_only_levels_inside_their_bucket_bound(self, curve, monkeypatch):
+        sizes = []
+        interpolate = tp.ThresholdCurve._interpolate
+
+        def sized(self, x):
+            sizes.append(x.size)
+            return interpolate(self, x)
+
+        monkeypatch.setattr(tp.ThresholdCurve, "_interpolate", sized)
+        rng = np.random.default_rng(4)
+        x, y = rng.random(100_000), rng.random(100_000)
+        assert np.array_equal(curve.at_or_above(x, y), y >= curve(x))
+        # each bucket's bound spans about three segments of a 1000-segment
+        # curve with values in [0, 1]: some 0.3% of uniform levels
+        assert sum(sizes[:-1]) < 1000  # the last call is curve(x) itself
+
+    def test_level_between_a_segment_end_and_the_rounded_value_next_to_it(self):
+        # one ulp below the right knot, np.interp rounds 1.5e-16 above the
+        # segment's larger end value
+        curve = tp.ThresholdCurve(np.array([9.570728520863033, 25.75664159348478]),
+                                  np.array([-7.71312790864529, 0.00965797009412291]),
+                                  codomain=(-8.0, 1.0))
+        x, y = 25.756641593484776, 0.00965797009412291
+        assert curve(x) > y
+        assert not curve.at_or_above(x, y)
+
+    def test_query_past_a_bucket_edge_that_rounds_into_the_bucket_before(self):
+        # on this domain a query two ulps above the left edge of bucket 22
+        # rounds into bucket 21; a knot between the edge and the query starts
+        # a steep segment that bucket 21's bound must cover
+        knots = np.linspace(-48.34723644714709, -48.34723644714709 + 244.16780152088145, 129)
+        edge = knots[0] + 22 * ((knots[-1] - knots[0]) / 128)
+        x = np.nextafter(np.nextafter(edge, np.inf), np.inf)
+        knots[22] = np.nextafter(edge, np.inf)
+        knots[23] = np.nextafter(np.nextafter(x, np.inf), np.inf)
+        values = np.zeros(knots.size)
+        values[23] = 1e6
+        curve = tp.ThresholdCurve(knots, values, codomain=(0.0, 1e6))
+        assert int((x - knots[0]) * curve._segments[0]) == 21
+        assert curve(x) > 1.0
+        assert not curve.at_or_above(x, 1.0)
+
+    @pytest.mark.parametrize("x", [np.nan, np.array([0.2, np.nan, 0.7]), 1.5, -0.1,
+                                   np.array([0.5, 1.0 + 1e-9])])
+    def test_nan_or_out_of_domain_query_raises(self, curve, x):
+        with pytest.raises(tp.ParameterError):
+            curve.at_or_above(x, 0.5)
+
+
+SOLVERS_WITH_TOL = {
+    "solve_common_equilibria": lambda p, F, G, tol: tp.solve_common_equilibria(0.05, p, F, tol=tol),
+    "critical_pair": lambda p, F, G, tol: tp.critical_pair(p, F, tol=tol),
+    "solve_diverse_threshold": lambda p, F, G, tol: tp.solve_diverse_threshold(p, F, G, tol=tol),
+    "solve_pi_dagger": lambda p, F, G, tol: tp.solve_pi_dagger(p, tp.solve_alpha_beta(p), tol=tol),
+    "solve_asymmetric": lambda p, F, G, tol: tp.solve_asymmetric(0.03, 0.08, p, F, tol=tol),
+    "solve_group_common": lambda p, F, G, tol: tp.solve_group_common(2, 0.05, p, F, tol=tol),
+    "solve_group_diverse": lambda p, F, G, tol: tp.solve_group_diverse(2, p, F, G, tol=tol),
+    "adaptive_simpson": lambda p, F, G, tol: adaptive_simpson(np.sin, 0.0, 1.0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("solver", sorted(SOLVERS_WITH_TOL))
+def test_solvers_reject_a_tolerance_that_is_not_positive_and_finite(solver, tol, p28, unit_loss,
+                                                                    unit_belief):
+    with pytest.raises(tp.ParameterError, match="tolerance"):
+        SOLVERS_WITH_TOL[solver](p28, unit_loss, unit_belief, tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("solver", [
+    lambda p, F, G, max_iter: tp.solve_diverse_threshold(p, F, G, max_iter=max_iter),
+    lambda p, F, G, max_iter: tp.solve_group_diverse(2, p, F, G, max_iter=max_iter),
+], ids=["solve_diverse_threshold", "solve_group_diverse"])
+def test_fixed_point_solvers_reject_an_iteration_cap_below_one(solver, max_iter, p28, unit_loss,
+                                                               unit_belief):
+    with pytest.raises(tp.ParameterError, match="max_iter"):
+        solver(p28, unit_loss, unit_belief, max_iter)

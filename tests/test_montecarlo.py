@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 import trustpd as tp
-from trustpd import core
+from trustpd import core, montecarlo
 
 
 class TestSimConfig:
@@ -17,6 +19,15 @@ class TestSimConfig:
     def test_asymmetric_needs_both_beliefs(self):
         with pytest.raises(tp.ParameterError):
             tp.SimConfig(n_samples=10, seed=1, scenario="asymmetric", pi1=0.1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.0, "3", None, True])
+    def test_rejects_a_seed_philox_cannot_key(self, seed):
+        with pytest.raises(tp.ParameterError, match="seed"):
+            tp.SimConfig(n_samples=10, seed=seed, scenario="common", pi=0.1)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 63)])
+    def test_accepts_every_philox_key(self, seed):
+        tp.SimConfig(n_samples=10, seed=seed, scenario="common", pi=0.1)
 
 
 class TestSimulate:
@@ -185,8 +196,10 @@ class TestDeviationCheckMatchesLoops:
         assert got == deviation_gain_reference(cfg, curve, p28, unit_loss, unit_belief)
 
 
-# SimReport.to_dict() with every float as float.hex, 50 000 matches each,
-# recorded before simulate tallied the two halves of the draws separately
+# SimReport.to_dict() with every float as float.hex, recorded with one serial
+# pass over the draws: the 50 000-match cases before simulate tallied the two
+# halves of the draws separately, the case@n ones before each player's half
+# ran on its own thread
 PINNED_SIM = {
     "common": {
         "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
@@ -224,6 +237,61 @@ PINNED_SIM = {
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.fbcf85f89b649p-2",
                          "DC": "0x1.7d06df7d06df8p+0", "DD": "0x0.0p+0"},
     },
+    # n_samples not a multiple of 4: a draw starts inside a Philox counter block
+    "common@50001": {
+        "scenario": "common", "seed": 17, "n_samples": 50001, "n_strategic": 94901,
+        "coop_rate_strategic": "0x1.67edada210e46p-2",
+        "half_width_95": "0x1.8e26452787278p-9",
+        "analytic_prediction": "0x1.67dfaba24dd30p-2",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.68811cb1f360ep+0",
+                         "DC": "-0x1.de8a4f719be46p+1", "DD": "0x0.0p+0"},
+    },
+    "common@37": {
+        "scenario": "common", "seed": 3, "n_samples": 37, "n_strategic": 69,
+        "coop_rate_strategic": "0x1.28cfc4a33f129p-2",
+        "half_width_95": "0x1.b67c55f03a862p-4",
+        "analytic_prediction": "0x1.67dfaba24dd30p-2",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.a7ac674db886ep+0",
+                         "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},
+    },
+    "diverse@50001": {
+        "scenario": "diverse", "seed": 5, "n_samples": 50001, "n_strategic": 49827,
+        "coop_rate_strategic": "0x1.c27d93d98c835p-1",
+        "half_width_95": "0x1.762d6567b9c5fp-9",
+        "analytic_prediction": "0x1.c35993c92cf98p-1",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.f8a151f32857fp-2",
+                         "DC": "0x1.6ff06d04ddee8p+0", "DD": "0x0.0p+0"},
+    },
+    "diverse@37": {
+        "scenario": "diverse", "seed": 3, "n_samples": 37, "n_strategic": 38,
+        "coop_rate_strategic": "0x1.a1af286bca1afp-1",
+        "half_width_95": "0x1.f8dc05076525ap-4",
+        "analytic_prediction": "0x1.c35993c92cf98p-1",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.29e6ac03f8435p-2",
+                         "DC": "0x1.0000000000000p+1", "DD": "0x0.0p+0"},
+    },
+    "asymmetric@50001": {
+        "scenario": "asymmetric", "seed": 9, "n_samples": 50001, "n_strategic": 94599,
+        "coop_rate_strategic": "0x1.57cfeabd8b7a7p-2",
+        "half_width_95": "0x1.8a749010885ecp-9",
+        "analytic_prediction": "0x1.57b055c1248c7p-2",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.08a6156b979ebp+1",
+                         "DC": "-0x1.398c5ec56b08ap+1", "DD": "0x0.0p+0"},
+    },
+    "asymmetric@37": {
+        "scenario": "asymmetric", "seed": 3, "n_samples": 37, "n_strategic": 67,
+        "coop_rate_strategic": "0x1.31abf0b7672a0p-2",
+        "half_width_95": "0x1.c0d0bd801445cp-4",
+        "analytic_prediction": "0x1.57b055c1248c7p-2",
+        "max_deviation_gain": "0x0.0p+0",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.40b25b9a67c52p+1",
+                         "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},
+    },
 }
 
 
@@ -244,7 +312,7 @@ SIM_CASES = {  # scenario beliefs, (b, m), ell_bar, belief distribution
 @pytest.mark.parametrize("case", sorted(PINNED_SIM))
 def test_simulate_pinned_bits(case):
     pin = PINNED_SIM[case]
-    beliefs, (b, m), ell_bar, belief = SIM_CASES[case]
+    beliefs, (b, m), ell_bar, belief = SIM_CASES[case.split("@")[0]]
     G = {None: None, "uniform": tp.uniform_belief(),
          "tabulated": tp.tabulated_belief(*TABULATED_G)}[belief]
     cfg = tp.SimConfig(n_samples=pin["n_samples"], seed=pin["seed"],
@@ -275,3 +343,33 @@ def test_diverse_simulate_builds_one_table_and_no_long_interp(monkeypatch, p28, 
     tp.simulate(cfg, p28, unit_loss, unit_belief)
     assert tables == [1001]
     assert max(interp_sizes, default=0) <= 200
+
+
+def simulate_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("trustpd-simulate")]
+
+
+def test_error_in_player_two_half_reaches_the_caller(monkeypatch, p28, unit_loss, unit_belief):
+    play_half = montecarlo._play_half
+
+    def failing_on_the_worker(*args):
+        if threading.current_thread().name.startswith("trustpd-simulate"):
+            raise RuntimeError("player 2's half failed")
+        return play_half(*args)
+
+    monkeypatch.setattr(montecarlo, "_play_half", failing_on_the_worker)
+    cfg = tp.SimConfig(n_samples=1000, seed=4, scenario="diverse")
+    with pytest.raises(RuntimeError, match="player 2's half failed"):
+        tp.simulate(cfg, p28, unit_loss, unit_belief)
+    assert simulate_threads() == []
+
+
+def test_losses_past_the_curve_domain_raise_and_leave_no_thread(p28, unit_belief, diverse_28):
+    # quantiles that overshoot the stated support [0, 1]: both halves query
+    # the cutoff curve past its domain
+    F = tp.LossDistribution(cdf=lambda x: np.clip(x, 0.0, 1.0), pdf=lambda x: 1.0 + 0 * x,
+                            ppf=lambda u: 2.0 * np.asarray(u), ell_bar=1.0)
+    cfg = tp.SimConfig(n_samples=1000, seed=4, scenario="diverse", strategy=diverse_28.threshold)
+    with pytest.raises(tp.ParameterError, match="outside curve domain"):
+        tp.simulate(cfg, p28, F, unit_belief)
+    assert simulate_threads() == []
