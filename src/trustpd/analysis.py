@@ -81,9 +81,9 @@ def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
 
     Sweeps the difference of the two closed-form thresholds across the open
     interval between the kinks of the dispersed threshold with
-    `bracket_roots`, demands exactly one sign change, and returns its
-    bisected root. Anything other than one sign change contradicts the
-    single-crossing property and raises.
+    `bracket_roots`, demands exactly one root, an exact zero on the grid or
+    a sign change, and returns it (bisected, for a sign change). Anything
+    else contradicts the single-crossing property and raises.
     """
     check_tol(tol)
     lo, hi = _lower_kink(params, ab), _upper_kink(params, ab)
@@ -92,7 +92,8 @@ def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
         return closed_form_common_uniform(pi, params) - closed_form_diverse_uniform(pi, params, ab)
 
     grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
-    roots = bracket_roots(diff, grid, zero_tol=0.0, ftol=tol).roots
+    scan = bracket_roots(diff, grid, zero_tol=0.0, ftol=tol)
+    roots = scan.zeros + scan.roots  # the crossing can fall exactly on a grid point
     if len(roots) != 1:
         raise InvariantViolation(
             f"expected exactly one sign change of the threshold gap on ({lo}, {hi}), "

@@ -170,6 +170,10 @@ def cmd_exante(args) -> None:
                    map(str, region.diverse_wins[i, j].astype(int).tolist()))
         _write_csv(out, ["b", "m", "p_c", "p_d", "diverse_wins"], rows)
     else:
+        missing = [flag for flag, v in (("--b", args.b), ("--m", args.m)) if v is None]
+        if missing:
+            raise ParameterError(f"single-pair mode needs {' and '.join(missing)}"
+                                 " (or --b-range and --m-range for range mode)")
         params = validate_params(args.b, args.m)
         rows = [[args.b, args.m,
                  ex_ante_p_common(params, "closed_form"),

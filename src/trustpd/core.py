@@ -380,10 +380,8 @@ class ThresholdCurve:
         return float(self.knots[0]), float(self.knots[-1])
 
     def __call__(self, x):
-        """Piecewise-linear interpolation, equal to np.interp bit for bit on
-        finite values; raises on NaN and out-of-domain queries."""
-        x = self._checked(x)
-        out = self._interpolate(np.clip(x, *self.domain).ravel()).reshape(x.shape)
+        """np.interp on the knots; raises on NaN and out-of-domain queries."""
+        out = np.interp(self._checked(x), self.knots, self.values)
         return float(out) if out.ndim == 0 else out
 
     def at_or_above(self, x, y) -> np.ndarray:
@@ -399,8 +397,7 @@ class ThresholdCurve:
         x, y = x.reshape(-1), y.reshape(-1)
         out = np.empty(x.size, dtype=bool)
         lo, hi = self.domain
-        scale = self._segments[0]
-        below, above = self._bucket_bounds
+        scale, below, above = self._bucket_bounds
         for start in range(0, x.size, BLOCK):
             xs = np.clip(x[start:start + BLOCK], lo, hi)
             ys = y[start:start + BLOCK]
@@ -410,7 +407,7 @@ class ThresholdCurve:
             # y < below[bucket] stays False, as does a NaN y
             unsure = np.flatnonzero((ys >= below[bucket]) & ~res)
             if unsure.size:
-                res[unsure] = ys[unsure] >= self._interpolate(xs[unsure])
+                res[unsure] = ys[unsure] >= np.interp(xs[unsure], self.knots, self.values)
         return out.reshape(shape)
 
     def _checked(self, x) -> np.ndarray:
@@ -424,41 +421,11 @@ class ThresholdCurve:
         return x
 
     @cached_property
-    def _segments(self):
-        """Bucket table for `_interpolate`, built on the first query."""
-        return _segment_table(self.knots, self.values)
-
-    @cached_property
     def _bucket_bounds(self):
-        """Per-bucket (below, above): every value `_interpolate` returns for a
-        query in bucket k lies in [below[k], above[k]]."""
-        return _bucket_bounds(self.knots, self.values, self._segments[0])
-
-    def _interpolate(self, x: np.ndarray) -> np.ndarray:
-        """np.interp on 1-d queries inside the domain, without its binary
-        search: a bucket table gives each query a segment in one lookup."""
-        knots, values = self.knots, self.values
-        scale, table, upper, slopes = self._segments
-        j = table[((x - knots[0]) * scale).astype(np.intp)]
-        # rounding can put a query just below its bucket's left edge, and a
-        # bucket can span several segments on nonuniform knots; each loop
-        # runs only on the queries still outside their segment
-        back = np.flatnonzero(x < knots[j])
-        while back.size:
-            j[back] -= 1
-            back = back[x[back] < knots[j[back]]]
-        ahead = np.flatnonzero(x >= upper[j])
-        while ahead.size:
-            j[ahead] += 1
-            ahead = ahead[x[ahead] >= upper[j[ahead]]]
-        # numpy's slope[j]*(x - knots[j]) + values[j], and values[j] on a knot
-        out = x - knots[j]
-        on_knot = out == 0.0
-        out *= slopes[j]
-        at = values[j]
-        out += at
-        np.copyto(out, at, where=on_knot)
-        return out
+        """(scale, below, above) for `at_or_above`, built on the first query:
+        every value np.interp returns for a query in bucket k lies in
+        [below[k], above[k]]."""
+        return _bucket_bounds(self.knots, self.values)
 
     def invert(self, y: float) -> float:
         """Smallest preimage of y on a monotone curve.
@@ -485,36 +452,21 @@ class ThresholdCurve:
         return float(k0 + (y - v0) / (v1 - v0) * (k1 - k0))
 
 
-def _segment_table(knots: np.ndarray, values: np.ndarray):
-    """Lookup data for ThresholdCurve queries on N strictly increasing knots.
+def _bucket_bounds(knots: np.ndarray, values: np.ndarray):
+    """Bucket scale and value bounds per bucket, for `at_or_above`.
 
-    Returns the bucket scale (N-1)/(knots[-1] - knots[0]); the segment that
-    holds the left edge of each of the N-1 equal-width buckets over the
-    domain, plus one more for the right end; each segment's right knot
-    (+inf past the last knot); and np.interp's segment slopes (0 past the
-    last knot). On evenly spaced knots the buckets are the segments.
+    The domain splits into N-1 equal-width buckets, and a query x lands in
+    bucket int((x - knots[0]) * scale), with scale (N-1)/(knots[-1] - knots[0]).
+    Rounding can put x a hair off its bucket's nominal edges, so each bucket
+    is widened by a millionth of its width on both sides, and its bound
+    covers every segment that meets the widened range: that includes the
+    segment np.interp uses for any query that rounds into the bucket. On a
+    segment, np.interp's value lies between the segment's end values up to
+    rounding, which the pad covers. Returns (scale, below, above).
     """
     n = knots.size
     span = knots[-1] - knots[0]
-    edges = knots[0] + np.arange(n) * (span / (n - 1))
-    table = np.searchsorted(knots, edges, side="right") - 1
-    upper = np.append(knots[1:], np.inf)
-    slopes = np.append(np.diff(values) / np.diff(knots), 0.0)
-    return (n - 1) / span, table, upper, slopes
-
-
-def _bucket_bounds(knots: np.ndarray, values: np.ndarray, scale: float):
-    """Value bounds per bucket of `_segment_table`, for `at_or_above`.
-
-    A query x lands in bucket int((x - knots[0]) * scale), which rounding can
-    put a hair off the bucket's nominal edges. So each bucket is widened by a
-    millionth of its width on both sides, and its bound covers every segment
-    that meets the widened range, which includes every segment the back and
-    ahead steps of `_interpolate` reach. On a segment, np.interp's value lies
-    between the segment's end values up to rounding, which the pad covers.
-    """
-    n = knots.size
-    width = (knots[-1] - knots[0]) / (n - 1)
+    width = span / (n - 1)
     edges = knots[0] + np.arange(n + 1) * width
     first = np.searchsorted(knots, edges[:-1] - 1e-6 * width, side="right") - 1
     last = np.searchsorted(knots, edges[1:] + 1e-6 * width, side="right") - 1
@@ -528,7 +480,7 @@ def _bucket_bounds(knots: np.ndarray, values: np.ndarray, scale: float):
     pad = 1e-12 * max(1.0, float(np.abs(values).max()))
     below = np.minimum.reduceat(np.append(seg_lo, np.inf), spans)[::2] - pad
     above = np.maximum.reduceat(np.append(seg_hi, -np.inf), spans)[::2] + pad
-    return below, above
+    return (n - 1) / span, below, above
 
 
 def constant_curve(knots, value: float, codomain=(0.0, 1.0)) -> ThresholdCurve:

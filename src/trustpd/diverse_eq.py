@@ -47,10 +47,13 @@ class DiverseSolution:
 
     `iterations` counts solver steps and `residual_history` holds each
     step's max|T(s) - s|, `residual` the last. `contraction_gamma` is the
-    stated contraction bound, with the exact sup of the belief density.
-    `damped` is set when the fixed point was found by bisection on the scalar
-    I rather than by iterating T: when the bound is at least one, or when an
-    iteration step failed to shrink the residual.
+    bound (1+m-b) sup g / m^2, with the exact sup of the belief density. It
+    bounds T's Lipschitz constant only where |l - (b-1)| <= 1 and
+    m + (l-(b-1)) I >= m; elsewhere T need not contract though it reads
+    below one (0.77 at (4, 3.0625) with a steep belief, where the iterates
+    two-cycle). `damped` is set when the fixed point was found by bisection
+    on the scalar I rather than by iterating T: when the bound is at least
+    one, or when an iteration step failed to shrink the residual.
     """
 
     threshold: ThresholdCurve
@@ -165,7 +168,7 @@ def solve_diverse_threshold(
     F's density evaluated once; only the returned curve is a validated
     `ThresholdCurve`.
 
-    The stated contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
+    The contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
     the G factor must be the Lipschitz constant of the belief cdf (the sup of
     its density, exact for a piecewise-constant one; 1 for the uniform case)
     for the bound to control |G(s1)-G(s2)|, and the F factor is the unit

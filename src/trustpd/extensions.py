@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,19 +142,6 @@ def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
     return float_or_array((1.0 - t) * s - t - params.b + moral)
 
 
-def _group_gap(n: int, pi: float, params: GameParams, variant: str,
-               coop_prob_of: Callable) -> Callable:
-    """The payoff gap at a shared belief pi as a function of the threshold t.
-
-    coop_prob_of(t) supplies the per-other-player strategic cooperation
-    probability (F(t) in the common case, the population constant in the
-    diverse case). t may be a scalar (the gap is a float) or an array.
-    """
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return lambda t: _payoff_gap(n, pi, t, coop_prob_of(t), params, variant)
-
-
 def solve_group_common(
     n: int,
     pi: float,
@@ -174,7 +161,12 @@ def solve_group_common(
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
-    gap = _group_gap(n, pi, params, variant, F.cdf)
+    if variant not in VARIANTS:
+        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+    def gap(t):
+        return _payoff_gap(n, pi, t, F.cdf(t), params, variant)
+
     big_l = F.ell_bar
     scan = bracket_roots(gap, np.linspace(0.0, big_l, 1001), zero_tol=tol, ftol=tol)
     if scan.roots:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
@@ -14,6 +14,7 @@ def threshold_gap(pi, params, ab):
 
 
 @given(st.floats(2.0, 8.0), st.floats(-3.0, math.log10(300.0)))
+@example(2.0000000000000004, 0.0)  # the approximate-mode crossing is a grid point
 @settings(max_examples=40, deadline=None)
 def test_dispersed_threshold_kinks_in_both_modes(b, log_gap):
     # the dispersed threshold leaves 0 at the cutoff at l = 0, 1 - (1+m-b)/alpha,

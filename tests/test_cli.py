@@ -276,6 +276,26 @@ class TestExitCodes:
         assert "parameter error:" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        *(["common", "--pi", "0.05", "--b", b] for b in ("nan", "inf")),
+        *(["diverse", "--m", "8", "--b", b] for b in ("nan", "inf")),
+        *(["compare", "--m", "8", "--b", b] for b in ("nan", "inf")),
+        *(["exante", "--m", "8", "--b", b] for b in ("nan", "inf")),
+        *(["asymmetric", "--pi1", "0.03", "--pi2", "0.08", "--b", b] for b in ("nan", "inf")),
+        *(["group", "--n", "2", "--m", "8", "--b", b] for b in ("nan", "inf")),
+        *(["simulate", "--scenario", "common", "--pi", "0.03", "--m", "8", "--n-samples",
+           "100", "--b", b] for b in ("nan", "inf")),
+        ["exante"],
+        ["exante", "--b", "2"],
+    ])
+    def test_non_finite_or_missing_b_is_a_parameter_error(self, tmp_path, capsys, argv):
+        assert exit_code(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error:" in err and "Traceback" not in err
+        if argv[0] == "exante" and "--m" not in argv:
+            assert ("needs --m " if "--b" in argv else "needs --b and --m ") in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_failure(self, tmp_path):
         code = main(["common", "--b", "3", "--m", "50", "--pi", "0.05",
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import trustpd as tp
 from trustpd.common_eq import psi
-from trustpd.extensions import VARIANTS, _group_gap, _payoff_gap
+from trustpd.extensions import VARIANTS, _payoff_gap
 
 
 def power_loss(ell_bar, k):
@@ -75,8 +75,8 @@ def test_best_response_threshold(game, pi):
 @settings(max_examples=60, deadline=None)
 def test_group_gap(game, pi, n, variant):
     params, dist = make_game(*game)
-    gap = _group_gap(n, pi, params, variant, dist.cdf)
-    assert_matches_scalar(gap, np.linspace(0.0, dist.ell_bar, 65))
+    assert_matches_scalar(lambda t: _payoff_gap(n, pi, t, dist.cdf(t), params, variant),
+                          np.linspace(0.0, dist.ell_bar, 65))
 
 
 @given(game=games, q=st.floats(0.0, 1.0), n=st.integers(1, 8),
@@ -138,13 +138,12 @@ class TestDomainErrors:
 
 def test_scalar_calls_return_float(fig_params, fig_dist, p28):
     ab = tp.solve_alpha_beta(p28, mode="approximate")
-    gap = _group_gap(2, 0.05, fig_params, "consistent", fig_dist.cdf)
     values = [
         psi(2.0, 0.05, fig_params, fig_dist),
         tp.best_response_threshold(0.05, 2.0, fig_params, fig_dist),
         tp.best_response_threshold(0.03, 8.0, fig_params, fig_dist),
         tp.best_response_threshold(1.0, 2.0, fig_params, fig_dist),
-        gap(2.0),
+        _payoff_gap(2, 0.05, 2.0, fig_dist.cdf(2.0), fig_params, "consistent"),
         _payoff_gap(2, 0.3, 0.0, 0.5, fig_params, "as_printed"),
         tp.closed_form_common_uniform(0.05, p28),
         tp.closed_form_common_uniform(0.5, p28),
