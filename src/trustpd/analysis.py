@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common_eq import closed_form_common_uniform
 from .core import GameParams, InvariantViolation, ParameterError, check_tol, validate_params
-from .diverse_eq import AlphaBeta, closed_form_diverse_uniform, solve_alpha_beta
-from .numerics import adaptive_simpson, bracket_roots
+from .diverse_eq import AlphaBeta, solve_alpha_beta
+from .numerics import adaptive_simpson
 
 
 @dataclass(frozen=True)
@@ -62,44 +61,32 @@ def _p_diverse_closed(b, a):
     return a * (g + 1.0) / (g - 1.0) * _log1p(2.0 * (g - 1.0) / (a * np.float_power(g + 1.0, 2)))
 
 
-def _lower_kink(params: GameParams, ab: AlphaBeta) -> float:
-    """Belief below which the dispersed threshold is 0: the cutoff at l = 0,
-    1 - (1+m-b)/alpha. For approximate coefficients that is beta, which is
-    used there as is, so the crossing beliefs keep their last bits."""
-    if ab.mode == "approximate":
-        return ab.beta
-    return 1.0 - params.coop_premium / ab.alpha
+def _cutoff_at(params: GameParams, ab: AlphaBeta, loss: float) -> float:
+    """The uniform-case cutoff 1 - (1+m-b)/(alpha + beta*l) at l = loss, as
+    ((b-1)(1-beta) + beta*l)/(alpha + beta*l): the two agree because
+    alpha = m - (b-1) beta, and this form does not cancel at small beliefs."""
+    return ((params.b - 1.0) * (1.0 - ab.beta) + ab.beta * loss) / (ab.alpha + ab.beta * loss)
 
 
-def _upper_kink(params: GameParams, ab: AlphaBeta) -> float:
-    return 1.0 - params.coop_premium / (ab.alpha + ab.beta)
-
-
-def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10,
-                    scan_points: int = 500) -> float:
+def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10) -> float:
     """Unique belief where the dispersed threshold overtakes the shared one.
 
-    Sweeps the difference of the two closed-form thresholds across the open
-    interval between the kinks of the dispersed threshold with
-    `bracket_roots`, demands exactly one root, an exact zero on the grid or
-    a sign change, and returns it (bisected, for a sign change). Anything
-    else contradicts the single-crossing property and raises.
+    At a crossing pi = s(l) the shared threshold l solves
+    l^2 - b l + (1+m-b) pi/(1-pi) = 0, which with alpha = m - (b-1) beta is
+    l^2 - (b - beta) l + (alpha - (1+m-b)) = 0, with roots 1 - beta and
+    b - 1 >= 1. Both thresholds are 1 - beta there, so the crossing belief is
+    the cutoff at l = 1 - beta. `tol` bounds |alpha + (b-1) beta - m| relative
+    to m, the identity this rests on; a pair off it by more raises.
     """
     check_tol(tol)
-    lo, hi = _lower_kink(params, ab), _upper_kink(params, ab)
-
-    def diff(pi):
-        return closed_form_common_uniform(pi, params) - closed_form_diverse_uniform(pi, params, ab)
-
-    grid = np.linspace(lo, hi, scan_points + 2)[1:-1]
-    scan = bracket_roots(diff, grid, zero_tol=0.0, ftol=tol)
-    roots = scan.zeros + scan.roots  # the crossing can fall exactly on a grid point
-    if len(roots) != 1:
+    if params.b < 2.0:
+        raise ParameterError(f"crossing belief requires b >= 2, got b={params.b}")
+    drift = abs(ab.alpha + (params.b - 1.0) * ab.beta - params.m)
+    if drift > tol * params.m:
         raise InvariantViolation(
-            f"expected exactly one sign change of the threshold gap on ({lo}, {hi}), "
-            f"found {len(roots)}"
+            f"coefficients off alpha + (b-1) beta = m by {drift:.3e} (m = {params.m})"
         )
-    return roots[0]
+    return _cutoff_at(params, ab, 1.0 - ab.beta)
 
 
 def ex_ante_p_common(params: GameParams, method: str = "closed_form") -> float:
@@ -146,7 +133,8 @@ def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
 def cooperation_report(params: GameParams, mode: str = "approximate") -> CooperationReport:
     """Assemble the crossing belief, both ex-ante probabilities, and bounds."""
     ab = solve_alpha_beta(params, mode=mode)
-    lower, upper = _lower_kink(params, ab), _upper_kink(params, ab)
+    # the dispersed threshold is 0 below the cutoff at l = 0 and 1 from the one at l = 1
+    lower, upper = _cutoff_at(params, ab, 0.0), _cutoff_at(params, ab, 1.0)
     report = CooperationReport(
         pi_dagger=solve_pi_dagger(params, ab),
         p_common=ex_ante_p_common(params),

@@ -24,9 +24,6 @@ BELIEF_EPS = 1e-9
 # Default knot count for discretized threshold curves.
 DEFAULT_GRID_SIZE = 1001
 
-# Queries per block in ThresholdCurve.at_or_above.
-BLOCK = 1 << 16
-
 
 class ParameterError(ValueError):
     """Invalid argument or model primitive (named assumption violated)."""
@@ -389,25 +386,20 @@ class ThresholdCurve:
         with the same checks on x, and without most of its interpolation.
 
         Each query's bucket bounds the curve there, so only a y inside its
-        bucket's bound is compared with the interpolated value. Queries go
-        in blocks of BLOCK, so no temporary grows with the query count.
+        bucket's bound is compared with the interpolated value.
         """
         x, y = np.broadcast_arrays(self._checked(x), np.asarray(y, dtype=float))
         shape = x.shape
-        x, y = x.reshape(-1), y.reshape(-1)
-        out = np.empty(x.size, dtype=bool)
         lo, hi = self.domain
         scale, below, above = self._bucket_bounds
-        for start in range(0, x.size, BLOCK):
-            xs = np.clip(x[start:start + BLOCK], lo, hi)
-            ys = y[start:start + BLOCK]
-            bucket = ((xs - lo) * scale).astype(np.intp)
-            res = out[start:start + BLOCK]
-            np.greater_equal(ys, above[bucket], out=res)
-            # y < below[bucket] stays False, as does a NaN y
-            unsure = np.flatnonzero((ys >= below[bucket]) & ~res)
-            if unsure.size:
-                res[unsure] = ys[unsure] >= np.interp(xs[unsure], self.knots, self.values)
+        x = np.clip(x.reshape(-1), lo, hi)
+        y = y.reshape(-1)
+        bucket = ((x - lo) * scale).astype(np.intp)
+        out = y >= above[bucket]
+        # y < below[bucket] stays False, as does a NaN y
+        unsure = np.flatnonzero((y >= below[bucket]) & ~out)
+        if unsure.size:
+            out[unsure] = y[unsure] >= np.interp(x[unsure], self.knots, self.values)
         return out.reshape(shape)
 
     def _checked(self, x) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .common_eq import solve_common_equilibria
 from .core import (
-    BLOCK,
     BeliefDistribution,
     GameParams,
     LossDistribution,
@@ -41,6 +40,9 @@ from .diverse_eq import cooperation_prob_given_strategy, solve_diverse_threshold
 from .extensions import solve_asymmetric
 
 SCENARIOS = ("common", "diverse", "asymmetric")
+
+# Matches per block in `_play_half`, so no temporary grows with n.
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,9 @@ class SimReport:
             "half_width_95": self.half_width_95,
             "analytic_prediction": self.analytic_prediction,
             "max_deviation_gain": self.max_deviation_gain,
-            "payoff_means": dict(self.payoff_means),
+            # an empty cell's mean is NaN, which JSON has no token for: null
+            "payoff_means": {cell: None if np.isnan(mean) else mean
+                             for cell, mean in self.payoff_means.items()},
         }
 
 

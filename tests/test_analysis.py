@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -81,6 +82,56 @@ class TestPiDagger:
             p28.pi_low, abs=1e-12
         )
         tp.solve_pi_dagger(p28, ab)  # must not raise
+
+
+def crossing_oracle(b: float, m: float, mode: str, beta: float) -> Decimal:
+    """The crossing belief by bisection at 50 digits between the kinks of the
+    dispersed threshold, on the two threshold formulas. Exact mode takes beta
+    as solved and alpha = m - (b-1) beta; approximate mode takes both from
+    r = sqrt(1 + 4(b-1)/a)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b, m = Decimal(b), Decimal(m)
+        a = 1 + m - b
+        if mode == "exact":
+            beta = Decimal(beta)
+            alpha = m - (b - 1) * beta
+        else:
+            r = (1 + 4 * (b - 1) / a).sqrt()
+            alpha, beta = a / 2 * (1 + r), (r - 1) / (r + 1)
+
+        def gap(pi):
+            disc = b * b / 4 - a * pi / (1 - pi)
+            return b / 2 - max(disc, Decimal(0)).sqrt() - (a / (1 - pi) - alpha) / beta
+
+        lo, hi = 1 - a / alpha, 1 - a / (alpha + beta)  # gap > 0 above lo, < 0 below hi
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+@st.composite
+def games_up_to_large_m(draw):
+    b = draw(st.one_of(st.just(2.0 + 1e-12), st.floats(2.0, 8.0)))
+    return b, b - 1.0 + 10.0 ** draw(st.floats(-3.0, 6.0))
+
+
+@given(games_up_to_large_m())
+@example((2.0, 600.0))  # in the last cell of a 500-point scan between the kinks
+@example((3.0, 3000.0))
+@settings(max_examples=60, deadline=None)
+def test_crossing_belief_matches_the_decimal_oracle(game):
+    params = tp.validate_params(*game)
+    for mode in ("exact", "approximate"):
+        report = tp.cooperation_report(params, mode=mode)
+        lower, upper, pi_low = report.regime_bounds
+        assert lower < report.pi_dagger < upper <= pi_low + 1e-12
+        want = crossing_oracle(*game, mode, tp.solve_alpha_beta(params, mode).beta)
+        assert abs(Decimal(report.pi_dagger) - want) <= Decimal(1e-12) * want
 
 
 class TestExAnteCommon:

@@ -131,6 +131,19 @@ class TestCompareCommand:
         assert all(diff > 0 for pi, diff in rows if pid - 0.01 < pi < pid - 1e-6)
         assert all(diff < 0 for pi, diff in rows if pid + 1e-6 < pi < pid + 0.01)
 
+    @pytest.mark.parametrize("b,m", [("2", "600"), ("3", "3000")])
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_crossing_inside_the_kinks_at_large_m(self, tmp_path, b, m, mode):
+        # m beyond about 505 (b-1), where the crossing lies within 1/501 of
+        # the kink interval's width below its upper end
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--b", b, "--m", m, "--alpha-beta", mode,
+                     "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "cmp.summary.json").read_text())
+        a = 1.0 + float(m) - float(b)
+        alpha, beta = summary["alpha"], summary["beta"]
+        assert 1.0 - a / alpha < summary["pi_dagger"] < 1.0 - a / (alpha + beta)
+
 
 class TestExanteCommand:
     def test_single_pair_both_methods(self, tmp_path):
@@ -211,6 +224,21 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 99
         assert manifest["parameters"]["n_samples"] == 20000
+
+    def test_empty_payoff_cell_is_null_in_strict_json(self, tmp_path):
+        # at pi = 0 no partner is committed and the shared threshold is 0, so
+        # nobody cooperates: every cell but DD is empty
+        out = tmp_path / "sc.json"
+        code = main(["simulate", "--scenario", "common", "--pi", "0.0",
+                     "--b", "3", "--m", "50", "--ell-bar", "8",
+                     "--n-samples", "1000", "--out", str(out)])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["payoff_means"] == {"CC": None, "CD": None, "DC": None, "DD": 0.0}
 
 
 class TestExitCodes:

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
-from trustpd import core
 from trustpd.numerics import adaptive_simpson
 
 
@@ -346,17 +344,14 @@ def curves_and_comparisons(draw):
     order = rng.permutation(x.size)
     curve = tp.ThresholdCurve(knots, values, codomain=(values.min(), values.max()),
                               monotone=monotone)
-    return curve, x[order], y[order], draw(st.integers(7, 300))
+    return curve, x[order], y[order]
 
 
 @given(curves_and_comparisons())
 @settings(max_examples=150, deadline=None)
 def test_at_or_above_is_the_comparison_elementwise(case):
-    curve, x, y, block = case
+    curve, x, y = case
     want = y >= curve(x)
-    # small blocks, so most sizes leave a ragged last block
-    with mock.patch.object(core, "BLOCK", block):
-        assert np.array_equal(curve.at_or_above(x, y), want)
     assert np.array_equal(curve.at_or_above(x, y), want)
     grid = x[:12].reshape(3, 4)
     assert np.array_equal(curve.at_or_above(grid, y[0]), y[0] >= curve(grid))
@@ -370,9 +365,9 @@ class TestAtOrAbove:
         return tp.ThresholdCurve(np.linspace(0.0, 1.0, 1001),
                                  np.linspace(0.0, 1.0, 1001) ** 0.5, monotone=True)
 
-    def test_blocks_of_the_real_size_with_a_ragged_end(self, curve):
+    def test_many_queries_in_one_pass(self, curve):
         rng = np.random.default_rng(3)
-        x = rng.random(2 * core.BLOCK + 5)
+        x = rng.random(2 * (1 << 16) + 5)  # more than two of simulate's blocks
         y = np.where(rng.random(x.size) < 0.5, curve(x), rng.random(x.size))
         assert np.array_equal(curve.at_or_above(x, y), y >= curve(x))
 

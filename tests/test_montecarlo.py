@@ -322,6 +322,23 @@ def test_simulate_pinned_bits(case):
     assert hexed(report.to_dict()) == pin
 
 
+@pytest.mark.parametrize("case", ["common", "diverse"])
+def test_simulate_blocks_of_any_size_give_the_same_bits(case, monkeypatch):
+    # blocks of 7 leave a ragged last block (1003 = 143 * 7 + 2); at the real
+    # size the 1003 matches are one block
+    beliefs, (b, m), ell_bar, belief = SIM_CASES[case]
+    G = tp.uniform_belief() if belief else None
+    cfg = tp.SimConfig(n_samples=1003, seed=8, scenario=case, **beliefs)
+
+    def report():
+        return hexed(tp.simulate(cfg, tp.validate_params(b, m), tp.uniform_loss(ell_bar),
+                                 G).to_dict())
+
+    whole = report()
+    monkeypatch.setattr(montecarlo, "BLOCK", 7)
+    assert report() == whole
+
+
 def test_diverse_simulate_builds_one_table_and_no_long_interp(monkeypatch, p28, unit_loss,
                                                                 unit_belief):
     # the cutoff curve's bucket bounds, built once, settle nearly all of the
