@@ -159,11 +159,12 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
         return ell - (1.0 - float(dist.cdf(ell))) / f - (params.b - 1.0)
 
     lo, hi = 0.0, big_l
-    if gap(lo) >= 0 or gap(hi) <= 0:
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if gap_lo >= 0 or gap_hi <= 0:
         raise ConvergenceError(
             "tangency equation does not bracket a root; hazard is not increasing"
         )
-    ell_prime = bisect_root(gap, lo, hi, ftol=tol * max(1.0, big_l))
+    ell_prime = bisect_root(gap, lo, hi, ftol=tol * max(1.0, big_l), flo=gap_lo, fhi=gap_hi)
     big_f = float(dist.cdf(ell_prime))
     k = ell_prime * (1.0 - big_f) + (params.b - 1.0) * big_f
     pi_prime = k / (params.coop_premium + k)
@@ -183,9 +184,11 @@ def solve_common_equilibria(
     (`corner-zero` at 0), its right one `interior-high`. From (b-1)/m on, a
     grid with no sign change is re-gridded over the two cells around its
     peak of phi, at most twice (the cell is then below rounding), as a
-    near-tangency pair can hide inside one cell. Each bracket is bisected to
-    |g| <= tol (1 - F(hi)), hi its upper end, so |psi(l) - l| <= tol; in the
-    last cell that bound is 0 and the bracket is refined to one ulp.
+    near-tangency pair can hide inside one cell. Each bracket is refined by
+    `bisect_root`, which starts from the scan's values of g at its ends
+    (equal to g's scalar values there), to |g| <= tol (1 - F(hi)), hi its
+    upper end, so |psi(l) - l| <= tol; in the last cell that bound is 0 and
+    the bracket is refined to one ulp.
 
     The corner ell_bar is an equilibrium exactly when pi >= (b-1)/m. The
     regime is `unique-interior` below (b-1)/m, `triple` when two interior
@@ -221,10 +224,11 @@ def solve_common_equilibria(
             break
         grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, SCAN_CELLS)], SCAN_CELLS + 1)
         values = g(grid)
-    zeros, brackets = scan_sign_changes(values, grid, zero_tol=0.0)
+    zeros, brackets = scan_sign_changes(values, grid, zero_tol=0.0, with_values=True)
 
     roots = sorted([z for z in zeros if z < big_l] + [
-        bisect_root(g, lo, hi, ftol=tol * (1.0 - float(dist.cdf(hi)))) for lo, hi in brackets
+        bisect_root(g, lo, hi, ftol=tol * (1.0 - float(dist.cdf(hi))), flo=g_lo, fhi=g_hi)
+        for lo, hi, g_lo, g_hi in brackets
     ])
     # Rounding can flip the sign of g between the outer two roots when pi is
     # within a few ulps of pi'; those extra sign changes are noise.

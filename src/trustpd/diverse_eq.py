@@ -257,13 +257,29 @@ def _approximate_alpha_beta(params: GameParams) -> tuple[float, float]:
     return a / 2.0 * (1.0 + root), (root - 1.0) / (root + 1.0)
 
 
+def _log1p_ratio_minus_one(x: float) -> float:
+    """log1p(x)/x - 1 for x > 0; below 1e-4, where the quotient is within
+    about 5e-5 of 1 and the subtraction would cancel, its series to x^4."""
+    if x < 1e-4:
+        return x * (-0.5 + x * (1.0 / 3.0 + x * (-0.25 + x * 0.2)))
+    return math.log1p(x) / x - 1.0
+
+
 def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
     """Cutoff coefficients for uniform F and G on [0, 1].
 
     Approximate mode returns the large-m closed forms. Exact mode solves the
     defining scalar system; substituting alpha = m - (b-1) beta reduces it to
-    one equation in beta, bracketed on (0, 1) and bisected, after which both
-    original equations are verified.
+    one equation in beta, refined to adjacent floats, after which both
+    original equations are verified, each to 1e-9 of its largest term.
+
+    The reduced equation beta - 1 + (a/beta) log1p(beta/alpha) = 0, a = 1+m-b,
+    is solved as beta + L - (b-1)(1-beta)(1+L)/alpha = 0 with x = beta/alpha
+    and L = log1p(x)/x - 1, using a/alpha = 1 - (b-1)(1-beta)/alpha. Its terms
+    are then of the size of beta rather than 1, which keeps beta to a few ulps
+    when it is small, about (b-1)/m at large m. The left side is -(b-1)/m
+    at beta = 0 and 1 + L > 0 at beta = 1, so the bracket runs from the
+    smallest positive float to 1, whatever the size of beta.
     """
     if mode not in ("exact", "approximate"):
         raise ParameterError(f"mode must be 'exact' or 'approximate', got {mode!r}")
@@ -271,17 +287,21 @@ def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
     if mode == "approximate":
         alpha, beta = _approximate_alpha_beta(params)
         return AlphaBeta(alpha=alpha, beta=beta, mode="approximate")
+    b1 = params.b - 1.0
 
     def reduced(beta):
-        alpha = params.m - (params.b - 1.0) * beta
-        return beta * beta - beta + a * math.log1p(beta / alpha)
+        alpha = params.m - b1 * beta
+        big_l = _log1p_ratio_minus_one(beta / alpha)
+        return beta + big_l - b1 * (1.0 - beta) * (1.0 + big_l) / alpha
 
-    beta = bisect_root(reduced, 1e-12, 1.0 - 1e-12, ftol=1e-15, max_iter=300)
-    alpha = params.m - (params.b - 1.0) * beta
-    r1 = alpha - a * (1.0 + (params.b - 1.0) / beta * math.log1p(beta / alpha))
-    r2 = beta - 1.0 + a / beta * math.log1p(beta / alpha)
-    scale = max(1.0, alpha)
-    if abs(r1) > 1e-9 * scale or abs(r2) > 1e-9:
+    beta = bisect_root(reduced, math.ulp(0.0), 1.0, ftol=0.0, max_iter=300)
+    alpha = params.m - b1 * beta
+    log_term = math.log1p(beta / alpha)
+    t1 = a * (1.0 + b1 / beta * log_term)
+    t2 = a / beta * log_term
+    r1 = alpha - t1
+    r2 = beta - 1.0 + t2
+    if abs(r1) > 1e-9 * max(alpha, t1) or abs(r2) > 1e-9 * max(1.0, t2):
         raise ConvergenceError(
             f"exact coefficient system residuals too large: {r1:.3e}, {r2:.3e}"
         )

@@ -40,7 +40,7 @@ from .core import (
     check_tol,
     float_or_array,
 )
-from .numerics import bracket_roots
+from .numerics import bisect_root, bracket_roots
 
 VARIANTS = ("consistent", "as_printed")
 
@@ -253,6 +253,43 @@ def _q_update(n, q, params, variant, F: LossDistribution, G: BeliefDistribution)
     return float(np.dot(F.cdf(t) * G.pdf(pis), (half * weights).ravel()))
 
 
+def _group_fixed_point(n, params, variant, F: LossDistribution, G: BeliefDistribution,
+                       tol: float, max_iter: int) -> float:
+    """A population cooperation probability q with |Phi(q) - q| <= tol, Phi
+    the `_q_update` map.
+
+    Substitutes q <- Phi(q) from q = 0 (all defect) until a step is at most
+    tol, and returns the last image. Phi maps [0, 1] into itself and is
+    continuous, so a fixed point exists even where the iterates do not settle.
+    A step that reverses the one before is the step Phi(q) - q taken from
+    each of the last two iterates, with opposite signs: they bracket a fixed
+    point. Once such a step is at least half as long as the one before, as
+    on a two-cycle or an oscillation that barely contracts, `bisect_root`
+    refines that bracket instead. Of several fixed points, the one returned
+    is the one substitution reaches, or the one inside that bracket.
+    """
+    def excess(q):
+        return _q_update(n, q, params, variant, F, G) - q
+
+    q, q_prev, step_prev = 0.0, 0.0, 0.0
+    history = []
+    for _ in range(max_iter):
+        q_next = _q_update(n, q, params, variant, F, G)
+        step = q_next - q
+        history.append(abs(step))
+        if abs(step) <= tol:
+            return q_next
+        reverses = (step < 0) != (step_prev < 0)
+        if len(history) > 1 and reverses and abs(step) >= 0.5 * abs(step_prev):
+            (lo, f_lo), (hi, f_hi) = sorted([(q_prev, step_prev), (q, step)])
+            return bisect_root(excess, lo, hi, ftol=tol, flo=f_lo, fhi=f_hi)
+        q, q_prev, step_prev = q_next, q, step
+    raise ConvergenceError(
+        f"population cooperation probability did not settle in {max_iter} "
+        f"iterations; residual history tail {history[-5:]}"
+    )
+
+
 def solve_group_diverse(
     n: int,
     params: GameParams,
@@ -267,10 +304,12 @@ def solve_group_diverse(
 
     Outer fixed point on the scalar population cooperation probability
     q = integral of F(threshold(pi)) dG(pi): given q the per-belief threshold
-    is explicit, and q is re-integrated until stationary. The integrand is
-    smooth between the kink beliefs (where the threshold hits its corners or
-    a density knot of F, and G's density knots), so each update applies a
-    fixed Gauss-Legendre rule on every piece between them.
+    is explicit, and q is re-integrated until stationary, or, where the
+    updates oscillate without settling, refined on the bracket of the last
+    two (`_group_fixed_point`). The integrand is smooth between the kink beliefs
+    (where the threshold hits its corners or a density knot of F, and G's
+    density knots), so each update applies a fixed Gauss-Legendre rule on
+    every piece between them.
     """
     check_tol(tol)
     if max_iter < 1:
@@ -279,23 +318,8 @@ def solve_group_diverse(
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    q = _group_fixed_point(n, params, variant, F, G, tol, max_iter)
     pis = np.linspace(0.0, 1.0, n_knots)
-    big_l = F.ell_bar
-
-    q = 0.0  # start from all-defect
-    history = []
-    for _ in range(max_iter):
-        q_next = _q_update(n, q, params, variant, F, G)
-        history.append(abs(q_next - q))
-        converged = history[-1] <= tol
-        q = q_next
-        if converged:
-            break
-    else:
-        raise ConvergenceError(
-            f"population cooperation probability did not settle in {max_iter} "
-            f"iterations; residual history tail {history[-5:]}"
-        )
-    t = _group_threshold_given_q(n, pis, q, params, variant, big_l)
-    return ThresholdCurve(pis, t, codomain=(0.0, big_l),
+    t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)
+    return ThresholdCurve(pis, t, codomain=(0.0, F.ell_bar),
                           monotone=bool(np.all(np.diff(t) >= 0)))

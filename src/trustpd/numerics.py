@@ -1,12 +1,18 @@
-"""Small numerical kernels used across the solvers: bracketed bisection,
-sign-change scanning, grid root bracketing, and composite/adaptive Simpson
-quadrature.
+"""Small numerical kernels used across the solvers: bracketed root
+refinement, sign-change scanning, grid root bracketing, and
+composite/adaptive Simpson quadrature.
 
 A solver that sweeps a function for its roots evaluates it once on the
 whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
 exact zeros and sign-change brackets, and each bracket is refined by scalar
-`bisect_root`. `bracket_roots` bundles the three steps for one tolerance;
-the shared-belief solver runs them itself, as its tolerance varies by bracket.
+`bisect_root`, starting from the samples at its ends. `bracket_roots` bundles
+the three steps for one tolerance; the shared-belief solver runs them itself,
+as its tolerance varies by bracket.
+
+`bisect_root` refines by ITP (interpolate, truncate, project; Oliveira and
+Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst
+case within one step, and superlinear convergence on the smooth functions the
+solvers bracket, about a quarter of bisection's evaluations.
 
 Quadrature and curve interpolation deliberately share grids elsewhere in the
 package, so the composite rule here works directly on a supplied knot vector.
@@ -14,6 +20,7 @@ package, so the composite rule here works directly on a supplied knot vector.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +28,16 @@ import numpy as np
 from .core import ConvergenceError, check_tol
 
 
-def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) -> float:
-    """Bisection on a sign-change bracket lo < hi, run until |f(mid)| <= ftol.
+# ITP constants: the truncation is ITP_K1/w0 times the squared bracket width,
+# w0 the starting width, and the projection leaves ITP_N0 steps of slack over
+# bisection.
+ITP_K1 = 0.2
+ITP_N0 = 1
+
+
+def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
+                flo: float | None = None, fhi: float | None = None) -> float:
+    """Root of f on a sign-change bracket lo < hi, refined until |f(x)| <= ftol.
 
     f must be continuous on [lo, hi], so that the bracket always holds a root.
     The residual criterion (not the interval width) is the contract the
@@ -30,9 +45,23 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) ->
     stop while the residual is still large. A bracket that shrinks to two
     adjacent floats first is returned as its lower end, within one ulp of
     the root. Raises ConvergenceError when f has no sign change on [lo, hi],
-    or when max_iter halvings do not get that far.
+    or when max_iter steps do not get that far. flo and fhi, when given, are
+    f(lo) and f(hi), which a caller that scanned a grid already has.
+
+    Each step is ITP: the regula falsi point, moved k1 w^2 towards the
+    midpoint (w the bracket width, k1 = ITP_K1/w0), then projected into a
+    window about the midpoint that shrinks so that, n_half being the
+    halvings bisection needs to bring the bracket to one float spacing of its
+    larger end, n_half + ITP_N0 steps do that; further steps are midpoints.
+    So it takes at most ITP_N0 steps more than bisection's worst case for the
+    bracket, and on a smooth f its steps converge superlinearly. The name is
+    kept from the plain halving it replaced: the bracket, the contract and
+    the worst case are still bisection's.
     """
-    flo, fhi = f(lo), f(hi)
+    if flo is None:
+        flo = f(lo)
+    if fhi is None:
+        fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -40,36 +69,65 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200) ->
     # signs are compared, not products, which underflow for tiny values
     if (flo < 0) == (fhi < 0):
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    width = hi - lo
+    k1 = ITP_K1 / width
+    # eps: half the float spacing at the larger end. `reach` bounds the width
+    # of the bracket a step leaves, halving from eps 2^(n_half + ITP_N0), so
+    # that it is 2 eps after n_half + ITP_N0 steps (an inf or nan width gives
+    # n_half = 0, and so plain halving)
+    eps = 0.5 * math.ulp(max(abs(lo), abs(hi)))
+    mant, n_half = math.frexp(width / (2.0 * eps))
+    reach = eps * 2.0 ** (max(n_half - (mant == 0.5), 0) + ITP_N0)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo
-        fmid = f(mid)
-        if abs(fmid) <= ftol:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
+        w = hi - lo
+        # interpolate: the regula falsi point
+        x = lo + w * (flo / (flo - fhi))
+        # truncate: k1 w^2 towards the midpoint
+        toward = mid - x
+        delta = k1 * w * w
+        x = x + math.copysign(delta, toward) if delta <= abs(toward) else mid
+        # project: keep both parts of the bracket within reach. The window
+        # ends are pulled in by eps, which absorbs their rounding: a sum
+        # rounds by at most eps at magnitudes up to the larger end
+        lower, upper = hi - (reach - eps), lo + (reach - eps)
+        x = mid if lower > upper else min(max(x, lower), upper)
+        reach *= 0.5
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x
+        if (flo < 0) != (fx < 0):
+            hi, fhi = x, fx
         else:
-            lo, flo = mid, fmid
+            lo, flo = x, fx
     raise ConvergenceError(
-        f"bisection still at [{lo}, {hi}] after {max_iter} halvings, ftol={ftol:.1e}"
+        f"root refinement still at [{lo}, {hi}] after {max_iter} steps, ftol={ftol:.1e}"
     )
 
 
-def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float):
+def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float, *,
+                      with_values: bool = False):
     """Split a sampled function into exact zeros and sign-change brackets.
 
     Returns (zeros, brackets): grid points where |value| <= zero_tol, and
     (a, b) interval pairs with strictly opposite signs at the ends. A cell
-    with a zero at either end is never a bracket.
+    with a zero at either end is never a bracket. with_values makes each
+    bracket (a, b, f(a), f(b)), the samples at its ends, so that
+    `bisect_root` need not evaluate them again.
     """
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     zero = np.abs(values) <= zero_tol
     signs = np.sign(values)
     cells = np.flatnonzero((signs[:-1] * signs[1:] < 0) & ~zero[:-1] & ~zero[1:])
-    brackets = list(zip(grid[cells].tolist(), grid[cells + 1].tolist()))
-    return grid[zero].tolist(), brackets
+    ends = [grid[cells].tolist(), grid[cells + 1].tolist()]
+    if with_values:
+        ends += [values[cells].tolist(), values[cells + 1].tolist()]
+    return grid[zero].tolist(), list(zip(*ends))
 
 
 class RootScan(NamedTuple):
@@ -77,20 +135,22 @@ class RootScan(NamedTuple):
 
     values: np.ndarray  # f on the scan grid
     zeros: list  # grid points with |f| <= zero_tol
-    roots: list  # one bisected root per sign-change bracket
+    roots: list  # one refined root per sign-change bracket
 
 
 def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> RootScan:
     """All roots of f visible on a grid.
 
     f must accept the whole grid as one array and return its values, and a
-    scalar and return a float. It is evaluated once on the grid; each
-    sign-change bracket is then refined by `bisect_root` to |f| <= ftol.
+    scalar and return a float, equal to the array's element there. It is
+    evaluated once on the grid; each sign-change bracket is then refined by
+    `bisect_root` to |f| <= ftol, starting from the grid values at its ends.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(f(grid), dtype=float)
-    zeros, brackets = scan_sign_changes(values, grid, zero_tol)
-    return RootScan(values, zeros, [bisect_root(f, a, b, ftol=ftol) for a, b in brackets])
+    zeros, brackets = scan_sign_changes(values, grid, zero_tol, with_values=True)
+    return RootScan(values, zeros, [bisect_root(f, a, b, ftol=ftol, flo=fa, fhi=fb)
+                                    for a, b, fa, fb in brackets])
 
 
 def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:

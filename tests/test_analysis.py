@@ -123,6 +123,7 @@ def games_up_to_large_m(draw):
 @given(games_up_to_large_m())
 @example((2.0, 600.0))  # in the last cell of a 500-point scan between the kinks
 @example((3.0, 3000.0))
+@example((2.0 + 1e-12, 1e5 + 1.0))  # an absolute ftol on exact beta admits 1e-5 relative
 @settings(max_examples=60, deadline=None)
 def test_crossing_belief_matches_the_decimal_oracle(game):
     params = tp.validate_params(*game)

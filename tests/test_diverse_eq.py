@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -342,6 +343,46 @@ class TestAlphaBeta:
     def test_invalid_mode(self, p28):
         with pytest.raises(tp.ParameterError):
             tp.solve_alpha_beta(p28, "other")
+
+    @given(b=st.floats(2.0, 8.0), log_gap=st.floats(-3.0, 9.0))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_beta_matches_the_decimal_oracle(self, b, log_gap):
+        params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
+        beta = tp.solve_alpha_beta(params, "exact").beta
+        want = exact_beta_oracle(params.b, params.m)
+        assert abs(Decimal(beta) - want) <= Decimal(1e-13) * want
+
+    @pytest.mark.parametrize("b, m", [(1.0 + 1e-13, 1.0), (1.5, 1e12), (2.0, 1e13)])
+    def test_exact_beta_below_1e_12(self, b, m):
+        # beta is about (b-1)/m; the bracket used to start at 1e-12
+        params = tp.validate_params(b, m)
+        beta = tp.solve_alpha_beta(params, "exact").beta
+        want = exact_beta_oracle(params.b, params.m)
+        assert abs(Decimal(beta) - want) <= Decimal(1e-13) * want
+
+
+def exact_beta_oracle(b: float, m: float) -> Decimal:
+    """Exact-mode beta by bisection at 60 digits of the exact system itself:
+    beta = 1 - (a/beta) ln(1 + beta/alpha), a = 1+m-b, alpha = m - (b-1) beta
+    (which the first equation gives once the second holds). The residual
+    beta - 1 + (a/beta) ln(1 + beta/alpha) rises from -(b-1)/m at 0+ to
+    a ln(1 + 1/a) > 0 at 1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, m = Decimal(b), Decimal(m)
+        a = 1 + m - b
+
+        def residual(beta):
+            return beta - 1 + a / beta * (1 + beta / (m - (b - 1) * beta)).ln()
+
+        lo, hi = Decimal("1e-30"), Decimal(1)
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            if residual(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 class TestClosedFormDiverseUniform:

@@ -6,11 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import trustpd as tp
 from trustpd import extensions
 from trustpd.common_eq import psi
-from trustpd.extensions import _group_threshold_given_q, _kink_beliefs, _payoff_gap
+from trustpd.extensions import (
+    VARIANTS,
+    _group_fixed_point,
+    _group_threshold_given_q,
+    _kink_beliefs,
+    _payoff_gap,
+    _q_update,
+)
 from trustpd.numerics import adaptive_simpson, bracket_roots
 
 
@@ -293,3 +302,34 @@ def test_group_diverse_matches_adaptive_simpson(monkeypatch, n, variant, b, m, d
     assert abs(updates[-1] - q_ref) <= 1e-12
     want = _group_threshold_given_q(n, curve.knots, q_ref, params, variant, F.ell_bar)
     assert np.max(np.abs(curve.values - want)) <= 1e-12
+
+
+def concentrated_belief(start, width):
+    """Tabulated belief with 0.9 of its mass on [start, start + width]."""
+    return tp.tabulated_belief([0.0, start, start + width, 1.0], [0.0, 0.05, 0.95, 1.0])
+
+
+@pytest.mark.parametrize("b, m, n, start, width", [
+    (4.6, 8.1, 10, 0.786, 0.002),  # the updates two-cycle, steps of +-0.395
+    (3.88, 2.91, 10, 0.924, 0.0494),  # they oscillate, shrinking by about 1% a step
+])
+def test_group_fixed_point_where_substitution_cycles(b, m, n, start, width):
+    params, F, G = tp.validate_params(b, m), tp.uniform_loss(1.0), concentrated_belief(start, width)
+    q = _group_fixed_point(n, params, "consistent", F, G, tol=1e-12, max_iter=500)
+    assert abs(_q_update(n, q, params, "consistent", F, G) - q) <= 1e-12
+    curve = tp.solve_group_diverse(n, params, F, G)
+    want = _group_threshold_given_q(n, curve.knots, q, params, "consistent", F.ell_bar)
+    np.testing.assert_array_equal(curve.values, want)
+
+
+@given(b=st.floats(1.05, 8.0), log_gap=st.floats(-2.0, 2.0), n=st.integers(1, 10),
+       variant=st.sampled_from(VARIANTS), start=st.floats(1e-3, 0.99),
+       log_width=st.floats(-3.0, -1.0))
+@settings(max_examples=100, deadline=None)
+def test_group_fixed_point_under_concentrated_beliefs(b, log_gap, n, variant, start, log_width):
+    width = 10.0 ** log_width
+    assume(start + width < 1.0)
+    params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
+    F, G = tp.uniform_loss(1.0), concentrated_belief(start, width)
+    q = _group_fixed_point(n, params, variant, F, G, tol=1e-12, max_iter=500)
+    assert abs(_q_update(n, q, params, variant, F, G) - q) <= 1e-12

@@ -199,13 +199,14 @@ class TestDeviationCheckMatchesLoops:
 # SimReport.to_dict() with every float as float.hex, recorded with one serial
 # pass over the draws: the 50 000-match cases before simulate tallied the two
 # halves of the draws separately, the case@n ones before each player's half
-# ran on its own thread
+# ran on its own thread; analytic_prediction of the common and asymmetric
+# cases re-recorded when root refinement became ITP
 PINNED_SIM = {
     "common": {
         "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
         "coop_rate_strategic": "0x1.67e7554623f2cp-2",
         "half_width_95": "0x1.8e25bc978cb45p-9",
-        "analytic_prediction": "0x1.67dfaba24dd30p-2",
+        "analytic_prediction": "0x1.67dfaba27e902p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.687056f3d36b1p+0",
                          "DC": "-0x1.c192472a236b8p+1", "DD": "0x0.0p+0"},
@@ -223,7 +224,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 9, "n_samples": 50000, "n_strategic": 94597,
         "coop_rate_strategic": "0x1.5789ba3d38547p-2",
         "half_width_95": "0x1.8a61b329a21d3p-9",
-        "analytic_prediction": "0x1.57b055c1248c7p-2",
+        "analytic_prediction": "0x1.57b055c12472dp-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.0863c3e37b264p+1",
                          "DC": "-0x1.21d87861bd4cap+1", "DD": "0x0.0p+0"},
@@ -242,7 +243,7 @@ PINNED_SIM = {
         "scenario": "common", "seed": 17, "n_samples": 50001, "n_strategic": 94901,
         "coop_rate_strategic": "0x1.67edada210e46p-2",
         "half_width_95": "0x1.8e26452787278p-9",
-        "analytic_prediction": "0x1.67dfaba24dd30p-2",
+        "analytic_prediction": "0x1.67dfaba27e902p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.68811cb1f360ep+0",
                          "DC": "-0x1.de8a4f719be46p+1", "DD": "0x0.0p+0"},
@@ -251,7 +252,7 @@ PINNED_SIM = {
         "scenario": "common", "seed": 3, "n_samples": 37, "n_strategic": 69,
         "coop_rate_strategic": "0x1.28cfc4a33f129p-2",
         "half_width_95": "0x1.b67c55f03a862p-4",
-        "analytic_prediction": "0x1.67dfaba24dd30p-2",
+        "analytic_prediction": "0x1.67dfaba27e902p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.a7ac674db886ep+0",
                          "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},
@@ -278,7 +279,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 9, "n_samples": 50001, "n_strategic": 94599,
         "coop_rate_strategic": "0x1.57cfeabd8b7a7p-2",
         "half_width_95": "0x1.8a749010885ecp-9",
-        "analytic_prediction": "0x1.57b055c1248c7p-2",
+        "analytic_prediction": "0x1.57b055c12472dp-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.08a6156b979ebp+1",
                          "DC": "-0x1.398c5ec56b08ap+1", "DD": "0x0.0p+0"},
@@ -287,7 +288,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 3, "n_samples": 37, "n_strategic": 67,
         "coop_rate_strategic": "0x1.31abf0b7672a0p-2",
         "half_width_95": "0x1.c0d0bd801445cp-4",
-        "analytic_prediction": "0x1.57b055c1248c7p-2",
+        "analytic_prediction": "0x1.57b055c12472dp-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.40b25b9a67c52p+1",
                          "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import trustpd as tp
-from trustpd.numerics import bisect_root, bracket_roots, scan_sign_changes
+from trustpd.numerics import ITP_N0, bisect_root, bracket_roots, scan_sign_changes
 
 
 def scan_reference(values, grid, zero_tol):
@@ -90,6 +94,88 @@ class TestBracketRoots:
         assert scan.zeros == [] and scan.roots == []
 
 
+@st.composite
+def sign_change_brackets(draw):
+    """(f, lo, hi) with f(lo), f(hi) nonzero and of opposite signs, f smooth
+    and monotone, non-monotone with several roots, or with a jump at r."""
+    lo = draw(st.floats(-1e3, 1e3))
+    hi = lo + draw(st.floats(1e-12, 1e3)) * max(1.0, abs(lo))
+    assume(lo < hi)
+    r = draw(st.floats(lo, hi))
+    scale = draw(st.floats(0.01, 100.0))
+    kind = draw(st.sampled_from(["smooth", "wave", "jump"]))
+    if kind == "smooth":
+        def f(x):
+            return math.tanh(scale * (x - r)) + 1e-3 * (x - r)
+    elif kind == "wave":
+        def f(x):
+            return math.sin(scale * (x - r)) + 0.3 * math.sin(x)
+    else:
+        def f(x):
+            return 1.0 + x * x if x >= r else -scale
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    flo, fhi = sign * f(lo), sign * f(hi)
+    assume(flo != 0.0 and fhi != 0.0 and (flo < 0) != (fhi < 0))
+    return (lambda x: sign * f(x)), lo, hi
+
+
+def counted(f):
+    """f with a count of its calls in .calls."""
+    def wrapper(x):
+        wrapper.calls += 1
+        return f(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+def bisection_worst_case(lo, hi):
+    """Halvings that take [lo, hi] to adjacent floats wherever its root is:
+    down to the finest float spacing in the bracket."""
+    finest = math.ulp(0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)))
+    return math.ceil(math.log2(hi - lo) - math.log2(finest))
+
+
+class TestRootRefinement:
+    @given(bracket=sign_change_brackets(), ftol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-6]))
+    @settings(max_examples=300, deadline=None)
+    def test_contract(self, bracket, ftol):
+        f, lo, hi = bracket
+        g = counted(f)
+        root = bisect_root(g, lo, hi, ftol=ftol, max_iter=5000)
+        assert lo <= root <= hi
+        if abs(f(root)) > ftol:
+            # the bracket collapsed: its ends are adjacent floats, signs apart
+            assert (f(root) < 0) != (f(math.nextafter(root, math.inf)) < 0)
+        assert g.calls <= bisection_worst_case(lo, hi) + ITP_N0 + 2
+
+    @given(bracket=sign_change_brackets(), ftol=st.sampled_from([0.0, 1e-12]))
+    @settings(max_examples=100, deadline=None)
+    def test_end_values_save_two_calls(self, bracket, ftol):
+        f, lo, hi = bracket
+        plain, given_ends = counted(f), counted(f)
+        root = bisect_root(plain, lo, hi, ftol=ftol, max_iter=5000)
+        assert bisect_root(given_ends, lo, hi, ftol=ftol, max_iter=5000,
+                           flo=f(lo), fhi=f(hi)) == root
+        assert given_ends.calls == plain.calls - 2
+
+    def test_zero_ftol_collapses_the_bracket(self):
+        root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, ftol=0.0)
+        assert root * root - 2.0 < 0.0 < math.nextafter(root, 2.0) ** 2 - 2.0
+
+    def test_a_smooth_root_takes_a_few_steps(self):
+        g = counted(lambda x: math.expm1(x - 1.3))
+        assert abs(math.expm1(bisect_root(g, 0.0, 4.0, ftol=1e-14) - 1.3)) <= 1e-14
+        assert g.calls <= 12  # bisection: 50
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(tp.ConvergenceError, match="no sign change"):
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, ftol=1e-12)
+
+    def test_running_out_of_steps_raises(self):
+        with pytest.raises(tp.ConvergenceError):
+            bisect_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, ftol=0.0, max_iter=10)
+
+
 def test_bisect_root_with_a_subnormal_end_value():
     # f(0) * f(mid) underflows to -0.0 here; the bracket must still close on 0
     root = bisect_root(lambda x: 5e-324 - x, 0.0, 1.0, ftol=1e-12)
@@ -105,15 +191,16 @@ def test_shared_solver_at_a_subnormal_belief():
 
 # float.hex of solve_common_equilibria at the worked example (b, m, ell_bar) =
 # (3, 50, 8), two beliefs per regime, recorded from the pole-free solver of
-# g = K - phi: any change in the solver's bits shows here.
+# g = K - phi with ITP root refinement: any change in the solver's bits shows
+# here.
 PINNED_COMMON = {
-    0.01: ("unique-interior", [("0x1.9deb534dd2f1ap-2", "interior-low")]),
-    0.03: ("unique-interior", [("0x1.6098f07b645a1p+0", "interior-low")]),
-    0.05: ("triple", [("0x1.67dfaba24dd30p+1", "interior-low"),
-                      ("0x1.cc102a2eb851ep+2", "interior-high"),
+    0.01: ("unique-interior", [("0x1.9deb534d42099p-2", "interior-low")]),
+    0.03: ("unique-interior", [("0x1.6098f07b54378p+0", "interior-low")]),
+    0.05: ("triple", [("0x1.67dfaba27e902p+1", "interior-low"),
+                      ("0x1.cc102a2ec0b80p+2", "interior-high"),
                       ("0x1.0000000000000p+3", "corner-upper")]),
-    0.055: ("triple", [("0x1.af9992cfdf3b6p+1", "interior-low"),
-                       ("0x1.a833369820c4bp+2", "interior-high"),
+    0.055: ("triple", [("0x1.af9992cff7483p+1", "interior-low"),
+                       ("0x1.a8333698244dap+2", "interior-high"),
                        ("0x1.0000000000000p+3", "corner-upper")]),
     0.07: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),
     0.1: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),
