@@ -224,7 +224,7 @@ def solve_common_equilibria(
             break
         grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, SCAN_CELLS)], SCAN_CELLS + 1)
         values = g(grid)
-    zeros, brackets = scan_sign_changes(values, grid, zero_tol=0.0, with_values=True)
+    zeros, brackets = scan_sign_changes(values, grid, zero_tol=0.0)
 
     roots = sorted([z for z in zeros if z < big_l] + [
         bisect_root(g, lo, hi, ftol=tol * (1.0 - float(dist.cdf(hi))), flo=g_lo, fhi=g_hi)

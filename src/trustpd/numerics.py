@@ -74,8 +74,10 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     # eps: half the float spacing at the larger end. `reach` bounds the width
     # of the bracket a step leaves, halving from eps 2^(n_half + ITP_N0), so
     # that it is 2 eps after n_half + ITP_N0 steps (an inf or nan width gives
-    # n_half = 0, and so plain halving)
-    eps = 0.5 * math.ulp(max(abs(lo), abs(hi)))
+    # n_half = 0, and so plain halving). Among subnormals the spacing is the
+    # smallest float, and half of it would round to zero, so eps is floored
+    # there: subnormal sums are exact and need no rounding margin
+    eps = max(0.5 * math.ulp(max(abs(lo), abs(hi))), math.ulp(0.0))
     mant, n_half = math.frexp(width / (2.0 * eps))
     reach = eps * 2.0 ** (max(n_half - (mant == 0.5), 0) + ITP_N0)
     for _ in range(max_iter):
@@ -109,25 +111,21 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     )
 
 
-def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float, *,
-                      with_values: bool = False):
+def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float):
     """Split a sampled function into exact zeros and sign-change brackets.
 
     Returns (zeros, brackets): grid points where |value| <= zero_tol, and
-    (a, b) interval pairs with strictly opposite signs at the ends. A cell
-    with a zero at either end is never a bracket. with_values makes each
-    bracket (a, b, f(a), f(b)), the samples at its ends, so that
-    `bisect_root` need not evaluate them again.
+    (a, b, f(a), f(b)) cells with strictly opposite signs at the ends, which
+    carry the samples at their ends so that `bisect_root` need not evaluate
+    them again. A cell with a zero at either end is never a bracket.
     """
     values = np.asarray(values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     zero = np.abs(values) <= zero_tol
     signs = np.sign(values)
     cells = np.flatnonzero((signs[:-1] * signs[1:] < 0) & ~zero[:-1] & ~zero[1:])
-    ends = [grid[cells].tolist(), grid[cells + 1].tolist()]
-    if with_values:
-        ends += [values[cells].tolist(), values[cells + 1].tolist()]
-    return grid[zero].tolist(), list(zip(*ends))
+    return grid[zero].tolist(), list(zip(grid[cells].tolist(), grid[cells + 1].tolist(),
+                                          values[cells].tolist(), values[cells + 1].tolist()))
 
 
 class RootScan(NamedTuple):
@@ -148,7 +146,7 @@ def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> RootScan:
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(f(grid), dtype=float)
-    zeros, brackets = scan_sign_changes(values, grid, zero_tol, with_values=True)
+    zeros, brackets = scan_sign_changes(values, grid, zero_tol)
     return RootScan(values, zeros, [bisect_root(f, a, b, ftol=ftol, flo=fa, fhi=fb)
                                     for a, b, fa, fb in brackets])
 

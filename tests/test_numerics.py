@@ -18,7 +18,7 @@ def scan_reference(values, grid, zero_tol):
         if abs(v0) <= zero_tol or abs(v1) <= zero_tol:
             continue
         if v0 * v1 < 0:
-            brackets.append((float(grid[i]), float(grid[i + 1])))
+            brackets.append((float(grid[i]), float(grid[i + 1]), float(v0), float(v1)))
     return zeros, brackets
 
 
@@ -47,8 +47,8 @@ class TestScanSignChanges:
     def test_brackets_are_python_float_pairs(self):
         grid = np.linspace(0.0, 1.0, 3)
         zeros, brackets = scan_sign_changes(np.array([1.0, -1.0, 1.0]), grid, zero_tol=0.0)
-        assert zeros == [] and brackets == [(0.0, 0.5), (0.5, 1.0)]
-        assert all(type(x) is float for pair in brackets for x in pair)
+        assert zeros == [] and brackets == [(0.0, 0.5, 1.0, -1.0), (0.5, 1.0, -1.0, 1.0)]
+        assert all(type(x) is float for cell in brackets for x in cell)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_cell_by_cell_reference(self, seed):
@@ -166,6 +166,24 @@ class TestRootRefinement:
         g = counted(lambda x: math.expm1(x - 1.3))
         assert abs(math.expm1(bisect_root(g, 0.0, 4.0, ftol=1e-14) - 1.3)) <= 1e-14
         assert g.calls <= 12  # bisection: 50
+
+    @given(lo=st.integers(0, 2000), width=st.integers(1, 2000), at=st.floats(0.0, 1.0),
+           ftol=st.sampled_from([0.0, 5e-324]))
+    @settings(max_examples=200, deadline=None)
+    def test_subnormal_brackets(self, lo, width, at, ftol):
+        # a bracket of subnormals, whose float spacing is the smallest float:
+        # half of it rounds to zero, so no step may divide by it
+        tiny = math.ulp(0.0)
+        lo, hi = lo * tiny, (lo + width) * tiny
+        r = lo + round(at * width) * tiny
+        assume(lo < r < hi)
+        g = counted(lambda x: x - r)
+        root = bisect_root(g, lo, hi, ftol=ftol)
+        assert abs(root - r) <= ftol
+        assert g.calls <= bisection_worst_case(lo, hi) + ITP_N0 + 2
+
+    def test_a_subnormal_root(self):
+        assert bisect_root(lambda x: x - 1e-320, 0.0, 1e-318, ftol=0.0) == 1e-320
 
     def test_no_sign_change_raises(self):
         with pytest.raises(tp.ConvergenceError, match="no sign change"):
