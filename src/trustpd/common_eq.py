@@ -13,15 +13,18 @@ are the roots of
 
 and psi(l) - l = g(l)/(1 - F(l)). Under a nondecreasing hazard, phi rises from
 phi(0) = 0 to its maximum at the tangency loss l' and falls back to
-phi(ell_bar) = b - 1, while K rises with pi and equals b - 1 at (b-1)/m. Three
-belief ranges follow: below (b-1)/m a unique interior threshold; from there up
-to the tangency belief pi', where K = phi(l'), two interior thresholds, one
-each side of l', coexisting with the full-cooperation corner; beyond pi' the
-corner alone.
+phi(ell_bar) = b - 1, while K rises with pi and equals b - 1 at (b-1)/m. So g
+has at most one root on each side of l', and three belief ranges follow:
+below (b-1)/m a unique interior threshold; from there up to the tangency
+belief pi', where K = phi(l'), two interior thresholds, one each side of l',
+coexisting with the full-cooperation corner; beyond pi' the corner alone.
+`solve_common_equilibria` takes one bracket per root from this shape, with no
+grid scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +45,7 @@ from .core import (
     hazard,
     select,
 )
-from .numerics import bisect_root, scan_sign_changes
-
-# Scan-grid resolution of the fixed-point search, and of each re-grid around
-# the peak of phi.
-SCAN_CELLS = 2000
+from .numerics import bisect_root
 
 
 def _clamp_belief(pi: float) -> float:
@@ -139,34 +138,39 @@ class CommonCriticals:
 
 
 def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12) -> CommonCriticals:
-    """Solve l - 1/h(l) = b - 1 for the tangency loss, then back out pi_prime.
+    """Solve phi'(l) = 0 for the tangency loss, then back out pi_prime.
 
-    Requires ell_bar > b - 1; below that the best response never becomes
-    tangent to the identity and the corner takes over directly. The root is
-    bracketed on [0, ell_bar]: at ell_bar, 1 - F = 0 and the gap is
-    ell_bar - (b - 1) > 0, however close the tangency lies to ell_bar.
+    phi'(l) = (1 - F) - f (l - (b - 1)) is the tangency condition
+    l - 1/h(l) = b - 1 multiplied by -f, so it has the same root and needs no
+    division by a density that may vanish at l = 0. Requires ell_bar > b - 1;
+    below that the best response never becomes tangent to the identity and
+    the corner takes over directly. The root is bracketed on [0, ell_bar]:
+    phi'(0) = 1 + f(0) (b - 1) > 0 and phi'(ell_bar) = -f(ell_bar)
+    (ell_bar - (b - 1)) < 0, however close the tangency lies to ell_bar. Where
+    the density vanishes at ell_bar, phi'(ell_bar) = 0 is approached from
+    below, as phi' = (1 - F)(1 - h (l - (b - 1))) and the hazard h is
+    unbounded there; the smallest negative float stands in for it.
     """
     check_tol(tol)
     big_l = dist.ell_bar
-    if big_l <= params.b - 1.0:
+    b1 = params.b - 1.0
+    if big_l <= b1:
         raise RegimeError(
-            f"no tangency: ell_bar={big_l} <= b-1={params.b - 1.0}; "
+            f"no tangency: ell_bar={big_l} <= b-1={b1}; "
             "threshold rises to ell_bar at pi=(b-1)/m without a multiple-equilibrium range"
         )
 
-    def gap(ell):
-        f = float(dist.pdf(ell))
-        return ell - (1.0 - float(dist.cdf(ell))) / f - (params.b - 1.0)
+    def dphi(ell):
+        return (1.0 - float(dist.cdf(ell))) - float(dist.pdf(ell)) * (ell - b1)
 
-    lo, hi = 0.0, big_l
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo >= 0 or gap_hi <= 0:
+    dphi_lo, dphi_hi = dphi(0.0), dphi(big_l) or -math.ulp(0.0)
+    if dphi_lo <= 0 or dphi_hi >= 0:
         raise ConvergenceError(
             "tangency equation does not bracket a root; hazard is not increasing"
         )
-    ell_prime = bisect_root(gap, lo, hi, ftol=tol * max(1.0, big_l), flo=gap_lo, fhi=gap_hi)
+    ell_prime = bisect_root(dphi, 0.0, big_l, ftol=tol, flo=dphi_lo, fhi=dphi_hi)
     big_f = float(dist.cdf(ell_prime))
-    k = ell_prime * (1.0 - big_f) + (params.b - 1.0) * big_f
+    k = ell_prime * (1.0 - big_f) + b1 * big_f
     pi_prime = k / (params.coop_premium + k)
     return CommonCriticals(pi_low=params.pi_low, ell_prime=ell_prime, pi_prime=pi_prime)
 
@@ -178,24 +182,34 @@ def solve_common_equilibria(
 
     Interior equilibria are the roots of g = K - phi on [0, ell_bar) (module
     docstring), computed as (K - l)(1 - F) + (K - (b-1)) F with
-    K - (b-1) = m (pi - (b-1)/m)/(1 - pi), so that g(0) = K and g(ell_bar)
-    has the sign of pi - (b-1)/m exactly. g is evaluated as one array on
-    SCAN_CELLS cells ending at ell_bar; its left root is `interior-low`
-    (`corner-zero` at 0), its right one `interior-high`. From (b-1)/m on, a
-    grid with no sign change is re-gridded over the two cells around its
-    peak of phi, at most twice (the cell is then below rounding), as a
-    near-tangency pair can hide inside one cell. Each bracket is refined by
-    `bisect_root`, which starts from the scan's values of g at its ends
-    (equal to g's scalar values there), to |g| <= tol (1 - F(hi)), hi its
-    upper end, so |psi(l) - l| <= tol; in the last cell that bound is 0 and
-    the bracket is refined to one ulp.
+    K - (b-1) = m (pi - (b-1)/m)/(1 - pi), so that g(0) = K and
+    g(ell_bar) = K - (b-1) has the sign of pi - (b-1)/m exactly. The shape of
+    phi gives each root its own bracket, and no grid is scanned:
+
+    - below (b-1)/m, K < b - 1 and both terms of g are <= 0 from l = K on, so
+      [0, min(K, ell_bar)] holds the one root, `interior-low` (`corner-zero`
+      when it is 0, as at pi = 0);
+    - from (b-1)/m on with ell_bar <= b - 1, phi <= b - 1 <= K: no root;
+    - at pi = (b-1)/m exactly, g = (l - (b-1))(1 - F) vanishes at l = b - 1;
+    - otherwise g falls to its minimum at the tangency loss l' of
+      `critical_pair`: none when g(l') > 0, one at l' when g(l') = 0, and two
+      when g(l') < 0, `interior-low` in [0, l'] and `interior-high` in
+      [l', ell_bar].
+
+    Each bracket is refined by `bisect_root` from the values of g the solver
+    already holds at its ends, to |g| <= ftol with ftol = tol times a lower
+    bound on 1 - F at any root in the bracket. Since psi(l) - l =
+    g(l)/(1 - F(l)), every interior root has |psi(l) - l| <= tol. On [0, hi]
+    the bound is 1 - F(hi). On [l', ell_bar] a root l > K solves
+    (l - K)(1 - F) = (K - (b-1)) F, so 1 - F >= (K - (b-1)) F(l')/(ell_bar - K).
+    Only where the bound is 0 is the bracket refined to adjacent floats.
 
     The corner ell_bar is an equilibrium exactly when pi >= (b-1)/m. The
     regime is `unique-interior` below (b-1)/m, `triple` when two interior
     roots join the corner, and `unique-corner` otherwise. At pi = (b-1)/m
-    exactly, g(ell_bar) = 0: the high root coincides with ell_bar and is
-    reported once, as `corner-upper`, beside the low root l = b - 1 if
-    ell_bar > b - 1, under `unique-corner`.
+    exactly, the high root coincides with ell_bar and is reported once, as
+    `corner-upper`, beside the low root l = b - 1 if ell_bar > b - 1, under
+    `unique-corner`.
 
     Requires a nondecreasing hazard rate (`dist.monotone_hazard`).
     """
@@ -208,40 +222,48 @@ def solve_common_equilibria(
             "the loss distribution is not flagged monotone_hazard"
         )
     big_l = dist.ell_bar
+    b1 = params.b - 1.0
     clamped = _clamp_belief(pi)
     k = params.coop_premium * clamped / (1.0 - clamped)
     k_excess = params.m * (clamped - params.pi_low) / (1.0 - clamped)
 
-    def g(ell):
-        big_f = float_or_array(dist.cdf(ell))
+    def g_at(ell, big_f):
         return (k - ell) * (1.0 - big_f) + k_excess * big_f
 
-    grid = np.linspace(0.0, big_l, SCAN_CELLS + 1)
-    values = g(grid)
-    for _ in range(2):
-        i = int(np.argmin(values))
-        if k_excess < 0.0 or values[i] <= 0.0:
-            break
-        grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, SCAN_CELLS)], SCAN_CELLS + 1)
-        values = g(grid)
-    zeros, brackets = scan_sign_changes(values, grid, zero_tol=0.0)
+    def g(ell):
+        return g_at(ell, float(dist.cdf(ell)))
 
-    roots = sorted([z for z in zeros if z < big_l] + [
-        bisect_root(g, lo, hi, ftol=tol * (1.0 - float(dist.cdf(hi))), flo=g_lo, fhi=g_hi)
-        for lo, hi, g_lo, g_hi in brackets
-    ])
-    # Rounding can flip the sign of g between the outer two roots when pi is
-    # within a few ulps of pi'; those extra sign changes are noise.
-    interior = roots[:1] + roots[1:][-1:]
+    if k_excess < 0.0:
+        hi = min(k, big_l)
+        f_hi = float(dist.cdf(hi))
+        roots = [bisect_root(g, 0.0, hi, ftol=tol * (1.0 - f_hi), flo=k, fhi=g_at(hi, f_hi))]
+    elif big_l <= b1:
+        roots = []
+    elif k_excess == 0.0:
+        roots = [b1]
+    else:
+        ell_prime = critical_pair(params, dist).ell_prime
+        f_prime = float(dist.cdf(ell_prime))
+        g_prime = g_at(ell_prime, f_prime)
+        if g_prime > 0.0:
+            roots = []
+        elif g_prime == 0.0:
+            roots = [ell_prime]
+        else:
+            high_slack = k_excess * f_prime / (big_l - k)
+            roots = [
+                bisect_root(g, 0.0, ell_prime, ftol=tol * (1.0 - f_prime), flo=k, fhi=g_prime),
+                bisect_root(g, ell_prime, big_l, ftol=tol * high_slack, flo=g_prime, fhi=k_excess),
+            ]
     classified = [
         EquilibriumRoot(0.0, "corner-zero") if r <= 1e-12 * big_l else EquilibriumRoot(r, kind)
-        for r, kind in zip(interior, ("interior-low", "interior-high"))
+        for r, kind in zip(roots, ("interior-low", "interior-high"))
     ]
     if pi < params.pi_low:
         regime = "unique-interior"
     else:
         classified.append(EquilibriumRoot(big_l, "corner-upper"))
-        regime = "triple" if len(interior) == 2 else "unique-corner"
+        regime = "triple" if len(roots) == 2 else "unique-corner"
     return EquilibriumSet(pi=pi, roots=tuple(classified), regime=regime)
 
 

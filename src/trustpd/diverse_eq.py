@@ -98,13 +98,15 @@ def _check_unit_curve(curve: ThresholdCurve, dist: LossDistribution):
 def _cutoff(big_i: float, shift: np.ndarray, params: GameParams) -> np.ndarray:
     """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I), clipped to [0, 1], on
     knots l given as shift = l - (b-1). The denominator is affine in l, so its
-    sign on the grid is decided at the two end knots."""
+    sign on the grid is decided at the two end knots. The cutoff is computed
+    as ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
+    1 - (1+m-b)/den when it is small, about (b-1)/m at large m."""
     den = params.m + shift * big_i
     if den[0] <= 0.0 or den[-1] <= 0.0:
         raise InvariantViolation(
             "best-response denominator vanished; parameters inconsistent with m > b - 1"
         )
-    return np.clip(1.0 - params.coop_premium / den, 0.0, 1.0)
+    return np.clip(((params.b - 1.0) + shift * big_i) / den, 0.0, 1.0)
 
 
 def _defect_mass(values: np.ndarray, f: np.ndarray, h: float, G: BeliefDistribution) -> float:

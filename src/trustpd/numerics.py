@@ -6,8 +6,7 @@ A solver that sweeps a function for its roots evaluates it once on the
 whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
 exact zeros and sign-change brackets, and each bracket is refined by scalar
 `bisect_root`, starting from the samples at its ends. `bracket_roots` bundles
-the three steps for one tolerance; the shared-belief solver runs them itself,
-as its tolerance varies by bracket.
+the three steps for one tolerance.
 
 `bisect_root` refines by ITP (interpolate, truncate, project; Oliveira and
 Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst

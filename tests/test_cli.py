@@ -96,6 +96,13 @@ class TestDiverseCommand:
         assert code == 3
 
 
+    def test_large_m(self, tmp_path):
+        # the cutoff is about (b-1)/m = 1e-9 here, and it used to cancel
+        out = tmp_path / "diverse.csv"
+        assert main(["diverse", "--b", "2", "--m", "1e9", "--out", str(out)]) == 0
+        vals = [float(r["pi_star_d"]) for r in read_csv(out)]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+
 class TestCompareCommand:
     def test_crossing_summary(self, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -222,7 +223,8 @@ class TestSolveCommonEquilibria:
         assert 8.0 - 8.0 / 2000 < eqs.ell_high < 8.0
 
     def test_pair_inside_one_cell_below_pi_prime(self, fig_params, fig_dist):
-        # the two interior roots are about 4e-5 apart, inside one scan cell
+        # the two interior roots are about 4e-5 apart, closer than the 4e-3
+        # cells of a 2000-cell scan of [0, ell_bar]
         crit = tp.critical_pair(fig_params, fig_dist)
         pi = crit.pi_prime - 1e-12
         eqs = tp.solve_common_equilibria(pi, fig_params, fig_dist)
@@ -237,6 +239,79 @@ class TestSolveCommonEquilibria:
         assert not dist.monotone_hazard
         with pytest.raises(tp.ParameterError, match="hazard"):
             tp.solve_common_equilibria(0.03, fig_params, dist)
+
+    def test_pair_around_a_kinked_tangency(self):
+        # the density jumps from 0.2 to 0.6 at l = 2, so phi peaks at that kink
+        # and g is V-shaped there: 1e-11 below pi' the two interior roots lie
+        # about 4e-10 either side of 2, a pair a grid scan cannot see
+        params = tp.validate_params(1.5, 8.0)
+        dist = tp.tabulated_loss([0.0, 2.0, 3.0], [0.0, 0.4, 1.0])
+        pi = tp.critical_pair(params, dist).pi_prime - 1e-11
+        eqs = tp.solve_common_equilibria(pi, params, dist)
+        assert eqs.regime == "triple"
+        assert eqs.ell_low < 2.0 < eqs.ell_high
+
+    def test_never_calls_the_cdf_with_an_array(self, fig_params, fig_dist):
+        def scalar_cdf(ell):
+            assert np.ndim(ell) == 0, "cdf called with an array"
+            return fig_dist.cdf(ell)
+
+        dist = dataclasses.replace(fig_dist, cdf=scalar_cdf)
+        for pi in (0.0, 0.01, 0.04, 0.05, 0.1, 0.5):
+            assert tp.solve_common_equilibria(pi, fig_params, dist).regime == (
+                tp.solve_common_equilibria(pi, fig_params, fig_dist).regime)
+
+
+def vanishing_density_losses():
+    """Two losses on [0, 4] with a rising hazard whose density vanishes at a
+    support end, with (l', pi') at (b, m) = (2, 8) and the coefficients of
+    phi(l) = F + l (1 - F), highest power first.
+
+    - F = (l/4)^2, density l/8, 0 at l = 0: phi'(l) = 1 + l/8 - 3 l^2/16, so
+      l' = 8/3, phi(l') = 52/27 and pi' = 52/241.
+    - F = 1 - (1 - l/4)^2, density (1 - l/4)/2, 0 at l = 4:
+      phi'(l) = (1 - l/4)(3/2 - 3 l/4), so l' = 2, phi(l') = 5/4 and
+      pi' = 5/33.
+    """
+    def loss(cdf, pdf, ppf):
+        return tp.LossDistribution(
+            cdf=lambda x: cdf(np.clip(np.asarray(x, dtype=float) / 4.0, 0.0, 1.0)),
+            pdf=lambda x: pdf(np.asarray(x, dtype=float) / 4.0),
+            ppf=lambda u: 4.0 * ppf(np.asarray(u, dtype=float)),
+            ell_bar=4.0,
+            monotone_hazard=True,
+        )
+
+    return {
+        "zero-at-0": (loss(lambda t: t**2, lambda t: t / 2.0, np.sqrt),
+                      8.0 / 3.0, 52.0 / 241.0, [-1.0 / 16.0, 1.0 / 16.0, 1.0, 0.0]),
+        "zero-at-ell_bar": (loss(lambda t: 1.0 - (1.0 - t) ** 2, lambda t: (1.0 - t) / 2.0,
+                                 lambda u: 1.0 - np.sqrt(1.0 - u)),
+                            2.0, 5.0 / 33.0, [1.0 / 16.0, -9.0 / 16.0, 1.5, 0.0]),
+    }
+
+
+@pytest.mark.parametrize("name", ["zero-at-0", "zero-at-ell_bar"])
+class TestVanishingDensity:
+    def test_critical_pair(self, p28, name):
+        dist, ell_prime, pi_prime, _ = vanishing_density_losses()[name]
+        crit = tp.critical_pair(p28, dist)
+        assert crit.ell_prime == pytest.approx(ell_prime, abs=1e-9)
+        assert crit.pi_prime == pytest.approx(pi_prime, abs=1e-9)
+
+    @pytest.mark.parametrize("regime, at", [
+        ("unique-interior", -0.6), ("triple", 0.5), ("unique-corner", 1.5),
+    ])
+    def test_solver_in_each_regime(self, p28, name, regime, at):
+        # a belief `at` of the way from (b-1)/m = 1/8 to pi'; oracle: the real
+        # roots in [0, 4) of g = K - phi, a cubic
+        dist, _, pi_prime, phi = vanishing_density_losses()[name]
+        pi = p28.pi_low + at * (pi_prime - p28.pi_low)
+        eqs = tp.solve_common_equilibria(pi, p28, dist)
+        assert eqs.regime == regime
+        cubic = np.roots(-np.array(phi) + [0.0, 0.0, 0.0, 7.0 * pi / (1.0 - pi)])
+        want = sorted(r.real for r in cubic if abs(r.imag) < 1e-12 and 0.0 <= r.real < 4.0)
+        np.testing.assert_allclose(eqs.interior(), want, rtol=0.0, atol=1e-9)
 
 
 def g_oracle(ell, pi, params, dist):
@@ -280,6 +355,74 @@ def test_solver_agrees_with_critical_beliefs(game, belief):
         want, n_interior = "unique-corner", 0
     assert eqs.regime == want
     assert sum(r.kind != "corner-upper" for r in eqs.roots) == n_interior
+
+
+# a belief anywhere, or at an offset of 1e-14..1e-3 on either side of a
+# regime edge
+close_to_edge = st.tuples(
+    st.sampled_from(["pi_low", "pi_prime"]), st.sampled_from([-1.0, 1.0]), st.floats(-14.0, -3.0)
+)
+
+
+@st.composite
+def convex_tables(draw):
+    """Up to four segments with nondecreasing densities, as (knot fractions,
+    cdf values): a tangency at a knot makes phi peak at a kink."""
+    widths = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4)))
+    densities = np.sort(draw(st.lists(st.floats(0.1, 1.0), min_size=widths.size,
+                                      max_size=widths.size)))
+    mass = np.concatenate([[0.0], np.cumsum(densities * widths)])
+    return np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum(), mass / mass[-1]
+
+
+shared_games = st.tuples(
+    st.floats(1.05, 6.0),  # b
+    st.floats(0.05, 80.0),  # m - (b - 1)
+    st.floats(0.2, 12.0),  # ell_bar
+    st.one_of(st.sampled_from(["uniform", 0.5, 0.8]), convex_tables()),
+)
+
+
+@given(game=shared_games, belief=st.one_of(st.floats(0.0, 0.999), close_to_edge))
+@settings(max_examples=400, deadline=None)
+def test_brackets_from_the_shape_of_phi(game, belief):
+    b, excess_m, big_l, family = game
+    if isinstance(family, tuple):
+        params = tp.validate_params(b, b - 1.0 + excess_m)
+        dist = tp.tabulated_loss(family[0] * big_l, family[1])
+    else:
+        params, dist = make_game(*game)
+    try:
+        pi_prime = tp.critical_pair(params, dist).pi_prime
+    except tp.RegimeError:
+        pi_prime = params.pi_low  # ell_bar <= b - 1: no multiple-equilibrium range
+    if isinstance(belief, tuple):
+        edge, side, exponent = belief
+        pi = (params.pi_low if edge == "pi_low" else pi_prime) + side * 10.0**exponent
+    else:
+        pi = belief
+    assume(0.0 <= pi < 1.0)
+    tol = 1e-10
+    eqs = tp.solve_common_equilibria(pi, params, dist, tol=tol)
+    k = params.coop_premium * pi / (1.0 - pi)
+    for root in eqs.interior():
+        # |psi(l) - l| <= tol, up to the rounding of g's terms
+        slack = 1.0 - float(dist.cdf(root))
+        rounding = 1e-14 * max(k, params.b - 1.0, root)
+        assert abs(g_oracle(root, pi, params, dist)) <= tol * slack + rounding
+    if abs(pi - pi_prime) > 1e-14 and pi != params.pi_low:
+        assert eqs.regime == ("unique-interior" if pi < params.pi_low
+                              else "triple" if pi < pi_prime else "unique-corner")
+    if family == "uniform":
+        # g = q/L with q the oracle's quadratic, so a root with |g| <= tol lies
+        # within tol L/sqrt(disc) of the oracle's, beside the oracle's own
+        # rounding; L stands in for a high root within rounding of ell_bar
+        p_sum = big_l + params.b - 1.0
+        disc = max(p_sum * p_sum - 4.0 * k * big_l, 1e-300)
+        bound = (tol + 1e-14 * p_sum * p_sum) * big_l / math.sqrt(disc) + 1e-14 * big_l
+        want = uniform_fixed_points(params.b, params.m, big_l, pi) + (big_l,)
+        for root in eqs.interior():
+            assert min(abs(root - w) for w in want) <= bound
 
 
 class TestCriticalPair:

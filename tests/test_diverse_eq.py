@@ -124,35 +124,36 @@ class TestSolveDiverseThreshold:
 # float.hex of undamped solve_diverse_threshold results on the unit loss, so
 # that any change in the bits of the contraction iteration shows here. Each
 # entry holds iterations, residual_history, coop_prob and the curve at knots
-# 0, 250, 500, 750, 1000.
+# 0, 250, 500, 750, 1000. Re-recorded when the cutoff became
+# ((b-1) + (l-(b-1)) I)/den, free of the cancellation in 1 - (1+m-b)/den.
 TABULATED_G = ([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.8, 1.0])
 PINNED_DIVERSE = {
     (2.0, 8.0, "uniform"): (
         8,
-        ["0x1.c71c71c71c700p-7", "0x1.9872ec2e06800p-11", "0x1.6c74eacf78000p-15",
-         "0x1.454ec6f580000p-19", "0x1.225bd9b000000p-23", "0x1.032a308000000p-27",
-         "0x1.cea4e00000000p-32", "0x1.9cf0800000000p-36"],
+        ["0x1.c71c71c71c720p-7", "0x1.9872ec2e06780p-11", "0x1.6c74eacf76000p-15",
+         "0x1.454ec6f568000p-19", "0x1.225bd9ae00000p-23", "0x1.032a307800000p-27",
+         "0x1.cea4e40000000p-32", "0x1.9cf1000000000p-36"],
         "0x1.c35993c92cf98p-1",
-        ["0x1.ca22313f38488p-4", "0x1.d7c05c0382b68p-4", "0x1.e544861c95b58p-4",
-         "0x1.f2aef9bd7cb88p-4", "0x1.0000000000000p-3"],
+        ["0x1.ca22313f3848bp-4", "0x1.d7c05c0382b67p-4", "0x1.e544861c95b57p-4",
+         "0x1.f2aef9bd7cb87p-4", "0x1.0000000000000p-3"],
     ),
     (3.0, 20.0, "uniform"): (
         8,
-        ["0x1.29e4129e41290p-7", "0x1.474b876511800p-11", "0x1.669f86ffbc000p-15",
-         "0x1.8905f8fbc0000p-19", "0x1.aeb7bf5c00000p-23", "0x1.d80720c000000p-27",
-         "0x1.02a6660000000p-30", "0x1.1b75200000000p-34"],
-        "0x1.d00f496eb805dp-1",
-        ["0x1.76c1ba0c88288p-4", "0x1.7b25ebdd51260p-4", "0x1.7f87773cf4308p-4",
-         "0x1.83e65e90deda8p-4", "0x1.8842a43b9c0d8p-4"],
+        ["0x1.29e4129e412a0p-7", "0x1.474b876511b00p-11", "0x1.669f86ffbe800p-15",
+         "0x1.8905f8fba0000p-19", "0x1.aeb7bf5900000p-23", "0x1.d80720a000000p-27",
+         "0x1.02a6644000000p-30", "0x1.1b75000000000p-34"],
+        "0x1.d00f496eb805bp-1",
+        ["0x1.76c1ba0c88284p-4", "0x1.7b25ebdd5125bp-4", "0x1.7f87773cf4307p-4",
+         "0x1.83e65e90deda7p-4", "0x1.8842a43b9c0dap-4"],
     ),
     (2.0, 8.0, "tabulated"): (
         7,
-        ["0x1.2dcf7ea712dc0p-7", "0x1.662bb57a0c000p-12", "0x1.a778bffed0000p-17",
-         "0x1.f4bf4bf000000p-22", "0x1.280f818000000p-26", "0x1.5e15980000000p-31",
-         "0x1.9df7000000000p-36"],
-        "0x1.d6d80c963bf4ep-1",
-        ["0x1.db9f78d4516c0p-4", "0x1.e4c94822a4458p-4", "0x1.ede73f32d9168p-4",
-         "0x1.f6f974ed70f60p-4", "0x1.0000000000000p-3"],
+        ["0x1.2dcf7ea712dd0p-7", "0x1.662bb57a0c100p-12", "0x1.a778bffed0000p-17",
+         "0x1.f4bf4befc0000p-22", "0x1.280f816400000p-26", "0x1.5e15948000000p-31",
+         "0x1.9df7400000000p-36"],
+        "0x1.d6d80c963bf4dp-1",
+        ["0x1.db9f78d4516bap-4", "0x1.e4c94822a445dp-4", "0x1.ede73f32d9168p-4",
+         "0x1.f6f974ed70f65p-4", "0x1.0000000000000p-3"],
     ),
 }
 
@@ -254,6 +255,20 @@ def test_every_game_reaches_the_fixed_point(b, excess_m, G):
     F = tp.uniform_loss(1.0)
     assert_fixed_point(tp.solve_diverse_threshold(params, F, G), params, F, G)
 
+
+
+@given(b=st.floats(2.0, 8.0), log_gap=st.floats(-1.0, 12.0))
+@settings(max_examples=40, deadline=None)
+def test_large_m_matches_the_exact_uniform_closed_form(b, log_gap):
+    # the cutoff is about (b-1)/m at large m: as 1 - (1+m-b)/den it cancelled,
+    # and neighbouring knots rounded to one value from m - (b-1) ~ 10^6.5
+    params = tp.validate_params(b, b - 1.0 + 10.0**log_gap)
+    sol = tp.solve_diverse_threshold(params, tp.uniform_loss(1.0), tp.uniform_belief())
+    ab = tp.solve_alpha_beta(params, "exact")
+    # 1 - (1+m-b)/(alpha + beta l), with alpha - (1+m-b) = (b-1)(1-beta)
+    knots = sol.threshold.knots
+    want = ((params.b - 1.0) * (1.0 - ab.beta) + ab.beta * knots) / (ab.alpha + ab.beta * knots)
+    np.testing.assert_allclose(sol.threshold.values, want, rtol=1e-9, atol=0.0)
 
 def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
     # the loop runs on plain arrays: one validated ThresholdCurve, built for

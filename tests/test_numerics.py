@@ -209,16 +209,16 @@ def test_shared_solver_at_a_subnormal_belief():
 
 # float.hex of solve_common_equilibria at the worked example (b, m, ell_bar) =
 # (3, 50, 8), two beliefs per regime, recorded from the pole-free solver of
-# g = K - phi with ITP root refinement: any change in the solver's bits shows
-# here.
+# g = K - phi with brackets from the shape of phi and ITP root refinement: any
+# change in the solver's bits shows here.
 PINNED_COMMON = {
-    0.01: ("unique-interior", [("0x1.9deb534d42099p-2", "interior-low")]),
-    0.03: ("unique-interior", [("0x1.6098f07b54378p+0", "interior-low")]),
-    0.05: ("triple", [("0x1.67dfaba27e902p+1", "interior-low"),
-                      ("0x1.cc102a2ec0b80p+2", "interior-high"),
+    0.01: ("unique-interior", [("0x1.9deb534d5e3d6p-2", "interior-low")]),
+    0.03: ("unique-interior", [("0x1.6098f07b53ee5p+0", "interior-low")]),
+    0.05: ("triple", [("0x1.67dfaba28642ep+1", "interior-low"),
+                      ("0x1.cc102a2ebd40fp+2", "interior-high"),
                       ("0x1.0000000000000p+3", "corner-upper")]),
-    0.055: ("triple", [("0x1.af9992cff7483p+1", "interior-low"),
-                       ("0x1.a8333698244dap+2", "interior-high"),
+    0.055: ("triple", [("0x1.af9992cfb7a03p+1", "interior-low"),
+                       ("0x1.a833369822e89p+2", "interior-high"),
                        ("0x1.0000000000000p+3", "corner-upper")]),
     0.07: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),
     0.1: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),
