@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameParams, InvariantViolation, ParameterError, check_tol, validate_params
+from .core import GameParams, InvariantViolation, ParameterError, check_tol
 from .diverse_eq import AlphaBeta, solve_alpha_beta
 from .numerics import adaptive_simpson
 
@@ -188,20 +188,25 @@ def diversity_region(b_grid, m_grid) -> RegionGrid:
                       diverse_wins=wins, valid=valid)
 
 
-def pi_dagger_sensitivity(params: GameParams, step: float = 1e-4) -> tuple[float, float]:
-    """Central-difference sensitivities (d pi_dagger / db, d pi_dagger / dm).
+def pi_dagger_sensitivity(params: GameParams) -> tuple[float, float]:
+    """Closed-form (d pi_dagger / db, d pi_dagger / dm) with approximate
+    coefficients: alpha = a(1+r)/2 and beta = (r-1)/(r+1), a = 1+m-b and
+    r = sqrt(1 + 4(b-1)/a), give pi_dagger = (1-beta)(b-1+beta)/D with
+    D = alpha + beta(1-beta). d/dm is the partial in a, and d/db the partial
+    in b less the one in a. Requires b >= 2."""
+    ab = solve_alpha_beta(params, mode="approximate")
+    pid = solve_pi_dagger(params, ab)
+    b1, a, alpha, beta = params.b - 1.0, params.coop_premium, ab.alpha, ab.beta
+    r = math.sqrt(1.0 + 4.0 * b1 / a)
+    den = alpha + beta * (1.0 - beta)
 
-    The step is relative to each parameter; steps that push the perturbed
-    parameters outside b >= 2 or m > b - 1 raise before any solve runs.
-    """
-    def pid(b, m):
-        p = validate_params(b, m)
-        if b < 2.0:
-            raise ParameterError(f"step too large: perturbed b={b} < 2")
-        return solve_pi_dagger(p, solve_alpha_beta(p, mode="approximate"))
+    def partial(dr, dalpha, db):
+        """d pi_dagger from the partials of r, alpha and b."""
+        dbeta = 2.0 / (r + 1.0) ** 2 * dr
+        dn = (1.0 - beta) * (db + dbeta) - dbeta * (b1 + beta)
+        return (dn - pid * (dalpha + dbeta * (1.0 - 2.0 * beta))) / den
 
-    db = step * params.b
-    dm = step * params.m
-    d_db = (pid(params.b + db, params.m) - pid(params.b - db, params.m)) / (2.0 * db)
-    d_dm = (pid(params.b, params.m + dm) - pid(params.b, params.m - dm)) / (2.0 * dm)
-    return d_db, d_dm
+    dr_db = 2.0 / (a * r)
+    dr_da = -b1 / a * dr_db
+    d_da = partial(dr_da, 0.5 * (1.0 + r) + 0.5 * a * dr_da, 0.0)
+    return partial(dr_db, 0.5 * a * dr_db, 1.0) - d_da, d_da

@@ -10,11 +10,11 @@ equilibrium cutoff is the unique fixed point of
 which is a contraction on bounded curves for most games, but not all. T(s)
 depends on s only through the scalar I[s], so the solver keeps the curve's
 values on a uniform knot grid as plain arrays and takes each step as one
-pass over them: iterating T while it contracts, otherwise bisecting the
-scalar equation I[s_I] = I, s_I the cutoff at I. For uniform F and G on
-[0, 1] the fixed point is 1 - (1+m-b)/(a + c*l) with coefficients (a, c)
-tied together by a scalar system, solved exactly or by the large-m closed
-forms.
+pass over them: iterating T while it contracts, otherwise solving the scalar
+equation I[s_I] = I, s_I the cutoff at I, with `bisect_root`. For uniform F
+and G on [0, 1] the fixed point is 1 - (1+m-b)/(a + c*l) with coefficients
+(a, c) tied together by a scalar system, solved exactly or by the large-m
+closed forms.
 """
 
 from __future__ import annotations
@@ -45,15 +45,16 @@ from .numerics import _simpson_step, _simpson_sum, bisect_root
 class DiverseSolution:
     """Converged belief-cutoff curve with solver diagnostics.
 
-    `iterations` counts solver steps and `residual_history` holds each
-    step's max|T(s) - s|, `residual` the last. `contraction_gamma` is the
-    bound (1+m-b) sup g / m^2, with the exact sup of the belief density. It
-    bounds T's Lipschitz constant only where |l - (b-1)| <= 1 and
-    m + (l-(b-1)) I >= m; elsewhere T need not contract though it reads
-    below one (0.77 at (4, 3.0625) with a steep belief, where the iterates
-    two-cycle). `damped` is set when the fixed point was found by bisection
-    on the scalar I rather than by iterating T: when the bound is at least
-    one, or when an iteration step failed to shrink the residual.
+    `iterations` counts solver steps, each one Simpson-and-cutoff pass, and
+    `residual_history` holds each step's max|T(s) - s|, `residual` that of
+    the returned curve. `contraction_gamma` is the bound (1+m-b) sup g / m^2,
+    with the exact sup of the belief density. It bounds T's Lipschitz
+    constant only where |l - (b-1)| <= 1 and m + (l-(b-1)) I >= m; elsewhere
+    T need not contract though it reads below one (0.77 at (4, 3.0625) with
+    a steep belief, where the iterates two-cycle). `damped` is set when the
+    fixed point was found as a root of the scalar equation in I rather than
+    by iterating T: when the bound is at least one, or when an iteration
+    step failed to shrink the residual.
     """
 
     threshold: ThresholdCurve
@@ -182,17 +183,20 @@ def solve_diverse_threshold(
       The bound takes |l - (b-1)| <= 1 and a denominator of at least m, which
       fail when b - 1 is large against m - (b-1); there the iterates can
       settle on a two-cycle. So a step that does not shrink the residual
-      hands over to the bisection below.
-    - gamma >= 1, or after such a step (`damped`): bisect the scalar
-      equation Phi(I) = I, where Phi(I) = I[s_I] and s_I is the cutoff at
-      I. Phi(0) >= 0 and Phi(M) <= M, M the Simpson mass of F's density, so
-      [0, M] brackets a root. Each step records max|T(s_I) - s_I| and
-      returns s_I once that is at most tol.
+      hands over to the root solve below.
+    - gamma >= 1, or after such a step (`damped`): one `bisect_root` call
+      on [0, M], M the Simpson mass of F's density, solves Phi(I) = I, where
+      Phi(I) = I[s_I] and s_I is the cutoff at I; Phi(0) >= 0 and
+      Phi(M) <= M. Each evaluation is a step that records max|T(s_I) - s_I|.
+      Its excess is 0 once that is at most tol and Phi(I) - I otherwise, so
+      every bracket holds a zero, and s_I is returned there.
 
     Raises ParameterError unless n_knots - 1 is an even count of at least 2
     (Simpson's rule), tol is positive and finite and max_iter at least 1, and
-    ConvergenceError when max_iter steps in all do not reach tol, or when the
-    converged curve is not strictly increasing.
+    ConvergenceError when max_iter steps in all do not reach tol, when the
+    bracket on I collapses above tol, or when the curve decreases. It may be
+    flat: from m - (b-1) of about 1e13 on, neighbouring knots round to one
+    cutoff.
     """
     check_tol(tol)
     if max_iter < 1:
@@ -205,51 +209,56 @@ def solve_diverse_threshold(
     shift = knots - (params.b - 1.0)
     gamma = params.coop_premium * _density_sup(G) * 1.0 / params.m ** 2
 
-    bisecting = gamma >= 1.0
     history: list[float] = []
-    residual = math.inf
-    vals = np.full(knots.shape, params.pi_low)
-    lo, hi = 0.0, _simpson_sum(f, h)
-    for iteration in range(1, max_iter + 1):
-        if bisecting:
-            mid = 0.5 * (lo + hi)
-            vals = _cutoff(mid, shift, params)
-        big_i = _defect_mass(vals, f, h, G)
-        image = _cutoff(big_i, shift, params)
-        residual = float(np.max(np.abs(image - vals)))
-        history.append(residual)
-        if not bisecting:
-            vals = image
-            if residual <= tol:
-                break
-            # a step that does not shrink the residual: T does not contract here
-            bisecting = len(history) > 1 and residual >= history[-2]
-            continue
-        if residual <= tol:
-            break
-        if not lo < mid < hi:
-            raise ConvergenceError(
-                f"bisection on I collapsed at {mid!r} (last residual {residual:.3e})"
-            )
-        if big_i > mid:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise ConvergenceError(
-            f"no fixed point after {max_iter} iterations (last residual {residual:.3e})"
-        )
 
-    if not np.all(np.diff(vals) > 0):
-        raise ConvergenceError("converged cutoff curve is not strictly increasing")
+    def image(vals):
+        """(I[s], T(s)) for cutoff values s, recording max|T(s) - s|."""
+        big_i = _defect_mass(vals, f, h, G)
+        out = _cutoff(big_i, shift, params)
+        history.append(float(np.max(np.abs(out - vals))))
+        if history[-1] > tol and len(history) >= max_iter:
+            raise ConvergenceError(
+                f"no fixed point after {max_iter} iterations (last residual {history[-1]:.3e})"
+            )
+        return big_i, out
+
+    damped = gamma >= 1.0
+    vals = np.full(knots.shape, params.pi_low)
+    while not damped:
+        vals = image(vals)[1]
+        if history[-1] <= tol:
+            break
+        # a step that does not shrink the residual: T does not contract here
+        damped = len(history) > 1 and history[-1] >= history[-2]
+    if not damped:
+        residual = history[-1]
+    else:
+        evaluated = {}
+
+        def excess(big_i):
+            cut = _cutoff(big_i, shift, params)
+            phi = image(cut)[0]
+            evaluated[big_i] = cut, history[-1]
+            return 0.0 if history[-1] <= tol else phi - big_i
+
+        # image() enforces the step budget, so bisect_root's cap never binds
+        root = bisect_root(excess, 0.0, _simpson_sum(f, h), ftol=0.0, max_iter=max_iter)
+        vals, residual = evaluated[root]
+        if residual > tol:
+            raise ConvergenceError(
+                f"bisection on I collapsed at {root!r} (last residual {residual:.3e})"
+            )
+
+    if not np.all(np.diff(vals) >= 0):
+        raise ConvergenceError("converged cutoff curve is decreasing")
     return DiverseSolution(
         threshold=ThresholdCurve(knots, vals, codomain=(0.0, 1.0), monotone=True),
         coop_prob=_coop_mass(vals, f, h, G),
-        iterations=iteration,
+        iterations=len(history),
         residual=residual,
         contraction_gamma=gamma,
         residual_history=tuple(history),
-        damped=bisecting,
+        damped=damped,
     )
 
 

@@ -14,8 +14,10 @@ carries the two-player payoff algebra over, with cooperation worth
 cooperation probability, so n = 1 reproduces the two-player game exactly.
 
 With beliefs private, each threshold depends on the others only through the
-population cooperation probability q = integral of F(t(pi)) dG(pi), which
-`solve_group_diverse` iterates to a fixed point. Each update integrates
+population cooperation probability q = integral of F(t(pi)) dG(pi), a fixed
+point of the scalar map Phi that re-integrates q. Phi maps [0, 1] into
+itself, so `solve_group_diverse` refines Phi(q) - q on that bracket with
+`bisect_root`. Each update integrates
 with a fixed Gauss-Legendre rule on every piece between the beliefs where
 the integrand is not smooth, evaluated as one array.
 """
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .common_eq import best_response_threshold
+from .common_eq import best_response_threshold, psi_dl
 from .core import (
     BeliefDistribution,
     ConvergenceError,
@@ -62,9 +64,11 @@ def solve_asymmetric(
     l1 is a fixed point of BR1(BR2(.)), a continuous map of [0, ell_bar] into
     itself, so `bracket_roots` on a 2001-point grid always lands on a solution;
     this avoids the cobweb divergence plain alternation suffers when the
-    partner's reaction curve is steep. Uniqueness holds (and is flagged) for
-    pi1 < (b-1)/m; outside that range the lowest intersection is returned
-    with unique=False.
+    partner's reaction curve is steep. The lowest intersection is returned,
+    and `unique` says whether the scan found only one. With the beliefs on
+    opposite sides of (b-1)/m the composed best response is nonincreasing,
+    so there is exactly one; with both below, as at (3, 50) on [0, 1] with
+    pi1 = pi2 = 0.03, there can be three.
     """
     check_tol(tol)
     big_l = dist.ell_bar
@@ -85,7 +89,7 @@ def solve_asymmetric(
     ell1 = min(roots)
     ell2 = br2(ell1)
     return AsymmetricEquilibrium(
-        pi1=pi1, pi2=pi2, ell1_hat=ell1, ell2_hat=ell2, unique=pi1 < params.pi_low
+        pi1=pi1, pi2=pi2, ell1_hat=ell1, ell2_hat=ell2, unique=len(roots) == 1
     )
 
 
@@ -94,30 +98,31 @@ def asymmetric_sensitivity(
     pi2: float,
     params: GameParams,
     dist: LossDistribution,
-    step: float = 1e-5,
 ) -> float:
-    """Central-difference d(l1)/d(pi2); negative when pi1 < (b-1)/m < pi2.
+    """d(l1)/d(pi2) by implicit differentiation; negative when pi1 < (b-1)/m < pi2.
 
-    Requires an interior solution at pi2 and both perturbations: at a corner
-    the threshold is locally constant and the derivative is not defined.
+    At an interior solution l1 = psi(l2; pi1) and l2 = psi(l1; pi2), so
+    d l1/d pi2 = psi1'(l2) dpsi2/dpi2 / (1 - psi1'(l2) psi2'(l1)), with psi'
+    the slope in the partner's threshold (`psi_dl`) and
+    dpsi/dpi = (1+m-b) / ((1-pi)^2 (1-F(l))). Requires an interior solution:
+    at a corner the threshold is locally constant and the derivative is not
+    defined.
     """
     if not pi1 < params.pi_low < pi2:
         raise ParameterError(
             f"sign claim needs pi1 < (b-1)/m < pi2; got pi1={pi1}, pi2={pi2}, "
             f"(b-1)/m={params.pi_low}"
         )
+    sol = solve_asymmetric(pi1, pi2, params, dist)
+    l1, l2 = sol.ell1_hat, sol.ell2_hat
     margin = 1e-7 * dist.ell_bar
-    solutions = [
-        solve_asymmetric(pi1, p2, params, dist) for p2 in (pi2 - step, pi2, pi2 + step)
-    ]
-    for sol in solutions:
-        for val in (sol.ell1_hat, sol.ell2_hat):
-            if val < margin or val > dist.ell_bar - margin:
-                raise RegimeError(
-                    f"corner solution at (pi1={sol.pi1}, pi2={sol.pi2}); "
-                    "derivative undefined"
-                )
-    return (solutions[2].ell1_hat - solutions[0].ell1_hat) / (2.0 * step)
+    if not margin <= min(l1, l2) <= max(l1, l2) <= dist.ell_bar - margin:
+        raise RegimeError(
+            f"corner solution at (pi1={pi1}, pi2={pi2}); derivative undefined"
+        )
+    slope1 = psi_dl(l2, pi1, params, dist)
+    dpsi2_dpi2 = params.coop_premium / ((1.0 - pi2) ** 2 * (1.0 - float(dist.cdf(l1))))
+    return slope1 * dpsi2_dpi2 / (1.0 - slope1 * psi_dl(l1, pi2, params, dist))
 
 
 class GroupRoot(NamedTuple):
@@ -254,40 +259,16 @@ def _q_update(n, q, params, variant, F: LossDistribution, G: BeliefDistribution)
 
 
 def _group_fixed_point(n, params, variant, F: LossDistribution, G: BeliefDistribution,
-                       tol: float, max_iter: int) -> float:
-    """A population cooperation probability q with |Phi(q) - q| <= tol, Phi
-    the `_q_update` map.
+                       tol: float) -> float:
+    """A population cooperation probability q in [0, 1] with |Phi(q) - q| <= tol,
+    Phi the `_q_update` map.
 
-    Substitutes q <- Phi(q) from q = 0 (all defect) until a step is at most
-    tol, and returns the last image. Phi maps [0, 1] into itself and is
-    continuous, so a fixed point exists even where the iterates do not settle.
-    A step that reverses the one before is the step Phi(q) - q taken from
-    each of the last two iterates, with opposite signs: they bracket a fixed
-    point. Once such a step is at least half as long as the one before, as
-    on a two-cycle or an oscillation that barely contracts, `bisect_root`
-    refines that bracket instead. Of several fixed points, the one returned
-    is the one substitution reaches, or the one inside that bracket.
+    Phi is continuous and maps [0, 1] into itself, so Phi(q) - q is >= 0 at
+    0 and <= 0 at 1, and [0, 1] brackets a fixed point, which `bisect_root`
+    refines. Of several fixed points, the one returned is the one the
+    bracket narrows onto.
     """
-    def excess(q):
-        return _q_update(n, q, params, variant, F, G) - q
-
-    q, q_prev, step_prev = 0.0, 0.0, 0.0
-    history = []
-    for _ in range(max_iter):
-        q_next = _q_update(n, q, params, variant, F, G)
-        step = q_next - q
-        history.append(abs(step))
-        if abs(step) <= tol:
-            return q_next
-        reverses = (step < 0) != (step_prev < 0)
-        if len(history) > 1 and reverses and abs(step) >= 0.5 * abs(step_prev):
-            (lo, f_lo), (hi, f_hi) = sorted([(q_prev, step_prev), (q, step)])
-            return bisect_root(excess, lo, hi, ftol=tol, flo=f_lo, fhi=f_hi)
-        q, q_prev, step_prev = q_next, q, step
-    raise ConvergenceError(
-        f"population cooperation probability did not settle in {max_iter} "
-        f"iterations; residual history tail {history[-5:]}"
-    )
+    return bisect_root(lambda q: _q_update(n, q, params, variant, F, G) - q, 0.0, 1.0, ftol=tol)
 
 
 def solve_group_diverse(
@@ -298,27 +279,24 @@ def solve_group_diverse(
     tol: float = 1e-12,
     variant: str = "consistent",
     n_knots: int = 2001,
-    max_iter: int = 500,
 ) -> ThresholdCurve:
     """Group thresholds as a function of the own belief, beliefs private.
 
     Outer fixed point on the scalar population cooperation probability
     q = integral of F(threshold(pi)) dG(pi): given q the per-belief threshold
-    is explicit, and q is re-integrated until stationary, or, where the
-    updates oscillate without settling, refined on the bracket of the last
-    two (`_group_fixed_point`). The integrand is smooth between the kink beliefs
+    is explicit, and q is a root of Phi(q) - q on [0, 1], Phi the update
+    that re-integrates it, refined by `bisect_root` until |Phi(q) - q| <= tol
+    (`_group_fixed_point`). The integrand is smooth between the kink beliefs
     (where the threshold hits its corners or a density knot of F, and G's
     density knots), so each update applies a fixed Gauss-Legendre rule on
     every piece between them.
     """
     check_tol(tol)
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    q = _group_fixed_point(n, params, variant, F, G, tol, max_iter)
+    q = _group_fixed_point(n, params, variant, F, G, tol)
     pis = np.linspace(0.0, 1.0, n_knots)
     t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)
     return ThresholdCurve(pis, t, codomain=(0.0, F.ell_bar),

@@ -261,16 +261,32 @@ class TestSensitivity:
         assert d_db > 0
         assert d_dm < 0
 
-    def test_step_halving_consistency(self):
-        params = tp.validate_params(3, 20)
-        d1 = tp.pi_dagger_sensitivity(params, step=1e-4)
-        d2 = tp.pi_dagger_sensitivity(params, step=5e-5)
-        assert d1[0] == pytest.approx(d2[0], rel=0.05)
-        assert d1[1] == pytest.approx(d2[1], rel=0.05)
+    @staticmethod
+    def crossing(b, m):
+        params = tp.validate_params(b, m)
+        return tp.solve_pi_dagger(params, tp.solve_alpha_beta(params, mode="approximate"))
 
-    def test_oversized_step_rejected(self):
+    @pytest.mark.parametrize("b, m", [(3.0, 20.0), (5.0, 40.0), (2.5, 1.6), (8.0, 1e6)])
+    def test_matches_central_differences(self, b, m):
+        # oracle: central differences of the crossing belief, steps 1e-5 relative
+        db, dm = 1e-5 * b, 1e-5 * m
+        want = ((self.crossing(b + db, m) - self.crossing(b - db, m)) / (2 * db),
+                (self.crossing(b, m + dm) - self.crossing(b, m - dm)) / (2 * dm))
+        got = tp.pi_dagger_sensitivity(tp.validate_params(b, m))
+        assert got == pytest.approx(want, rel=1e-7)
+
+    def test_defined_at_b_two(self):
+        # the paper's (2, 8): a central difference in b would step below 2, so
+        # the oracle for d/db is the second-order one-sided difference
+        h = 1e-5
+        f0, f1, f2 = (self.crossing(2.0 + k * h, 8.0) for k in range(3))
+        d_db, d_dm = tp.pi_dagger_sensitivity(tp.validate_params(2.0, 8.0))
+        assert d_db == pytest.approx((-3 * f0 + 4 * f1 - f2) / (2 * h), rel=1e-7)
+        assert (d_db, d_dm) == pytest.approx((0.110320, -0.015160), abs=1e-6)
+
+    def test_b_below_two_rejected(self):
         with pytest.raises(tp.ParameterError):
-            tp.pi_dagger_sensitivity(tp.validate_params(2.05, 8), step=0.5)
+            tp.pi_dagger_sensitivity(tp.validate_params(1.9, 8))
 
 
 class TestCooperationReport:

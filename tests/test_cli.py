@@ -103,6 +103,16 @@ class TestDiverseCommand:
         vals = [float(r["pi_star_d"]) for r in read_csv(out)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_curve_flat_to_rounding(self, tmp_path):
+        # from m - (b-1) ~ 1e13 on neighbouring knots round to one cutoff;
+        # the nondecreasing curve is written, not refused as non-convergence
+        out = tmp_path / "diverse.csv"
+        assert main(["diverse", "--b", "2", "--m", "1e13", "--out", str(out)]) == 0
+        vals = [float(r["pi_star_d"]) for r in read_csv(out)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert any(b == a for a, b in zip(vals, vals[1:]))
+
+
 class TestCompareCommand:
     def test_crossing_summary(self, tmp_path):
         out = tmp_path / "cmp.csv"

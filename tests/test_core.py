@@ -441,11 +441,7 @@ def test_solvers_reject_a_tolerance_that_is_not_positive_and_finite(solver, tol,
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
-@pytest.mark.parametrize("solver", [
-    lambda p, F, G, max_iter: tp.solve_diverse_threshold(p, F, G, max_iter=max_iter),
-    lambda p, F, G, max_iter: tp.solve_group_diverse(2, p, F, G, max_iter=max_iter),
-], ids=["solve_diverse_threshold", "solve_group_diverse"])
-def test_fixed_point_solvers_reject_an_iteration_cap_below_one(solver, max_iter, p28, unit_loss,
-                                                               unit_belief):
+def test_diverse_solver_rejects_an_iteration_cap_below_one(max_iter, p28, unit_loss,
+                                                           unit_belief):
     with pytest.raises(tp.ParameterError, match="max_iter"):
-        solver(p28, unit_loss, unit_belief, max_iter)
+        tp.solve_diverse_threshold(p28, unit_loss, unit_belief, max_iter=max_iter)

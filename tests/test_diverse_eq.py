@@ -227,6 +227,30 @@ class TestDampedBisection:
         assert all(hist[k] < hist[k - 1] for k in range(1, stall))
         assert_fixed_point(sol, params, unit_loss, G)
 
+    @pytest.mark.parametrize("b, m, G, tol", [
+        (2.0, 8.0, tp.tabulated_belief([0.0, 0.12021, 0.12031, 1.0], [0.0, 0.25, 0.75, 1.0]),
+         1e-10),
+        (3.0, 20.0, tp.tabulated_belief([0.0, 0.075, 0.085, 1.0], [0.0, 1e-6, 1 - 1e-6, 1.0]),
+         1e-10),
+        (1.05, 0.4, tp.uniform_belief(), 1e-9),
+    ], ids=["narrow-spike", "steep-G", "bound-above-one"])
+    def test_root_on_I_takes_few_evaluations(self, unit_loss, b, m, G, tol):
+        # damped from the start; the halving this replaced took 28, 28 and 24
+        # steps on these games, ITP on the same bracket about 10
+        params = tp.validate_params(b, m)
+        sol = tp.solve_diverse_threshold(params, unit_loss, G, tol=tol)
+        assert sol.damped and sol.contraction_gamma >= 1.0
+        assert sol.iterations == len(sol.residual_history) <= 12
+        assert sol.residual <= tol
+        assert_fixed_point(sol, params, unit_loss, G)
+
+    def test_collapsed_bracket_above_tol_raises(self, unit_loss):
+        # no double reaches a residual of 1e-300: the bracket on I shrinks to
+        # adjacent floats, and that is reported, not returned as converged
+        G = tp.tabulated_belief([0.0, 0.12021, 0.12031, 1.0], [0.0, 0.25, 0.75, 1.0])
+        with pytest.raises(tp.ConvergenceError, match="collapsed"):
+            tp.solve_diverse_threshold(tp.validate_params(2, 8), unit_loss, G, tol=1e-300)
+
     def test_spike_positions_all_converge(self, unit_loss):
         # spikes across the range of the (2, 8) cutoff curve, most of them
         # missed by a 2001-point sample of g
@@ -257,11 +281,13 @@ def test_every_game_reaches_the_fixed_point(b, excess_m, G):
 
 
 
-@given(b=st.floats(2.0, 8.0), log_gap=st.floats(-1.0, 12.0))
+@given(b=st.floats(2.0, 8.0), log_gap=st.floats(-1.0, 15.0))
 @settings(max_examples=40, deadline=None)
 def test_large_m_matches_the_exact_uniform_closed_form(b, log_gap):
     # the cutoff is about (b-1)/m at large m: as 1 - (1+m-b)/den it cancelled,
-    # and neighbouring knots rounded to one value from m - (b-1) ~ 10^6.5
+    # and neighbouring knots rounded to one value from m - (b-1) ~ 10^6.5.
+    # From about 10^13 on they round to one value in any form: the curve is
+    # flat to rounding there, and it is accepted as nondecreasing
     params = tp.validate_params(b, b - 1.0 + 10.0**log_gap)
     sol = tp.solve_diverse_threshold(params, tp.uniform_loss(1.0), tp.uniform_belief())
     ab = tp.solve_alpha_beta(params, "exact")
@@ -269,6 +295,7 @@ def test_large_m_matches_the_exact_uniform_closed_form(b, log_gap):
     knots = sol.threshold.knots
     want = ((params.b - 1.0) * (1.0 - ab.beta) + ab.beta * knots) / (ab.alpha + ab.beta * knots)
     np.testing.assert_allclose(sol.threshold.values, want, rtol=1e-9, atol=0.0)
+
 
 def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
     # the loop runs on plain arrays: one validated ThresholdCurve, built for

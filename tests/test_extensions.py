@@ -61,6 +61,19 @@ class TestSolveAsymmetric:
         assert tp.solve_asymmetric(0.03, 0.2, fig_params, fig_dist).unique
         assert not tp.solve_asymmetric(0.05, 0.05, fig_params, fig_dist).unique
 
+    def test_unique_flag_counts_intersections_below_the_boundary(self, fig_params, unit_loss):
+        # both beliefs below (b-1)/m on [0, 1]: besides the returned (0, 1),
+        # (1, 0) and the shared-belief threshold, about 0.625 for both, are
+        # fixed points of the best responses
+        sol = tp.solve_asymmetric(0.03, 0.03, fig_params, unit_loss)
+        assert (sol.ell1_hat, sol.ell2_hat) == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert not sol.unique
+        shared = tp.solve_common_equilibria(0.03, fig_params, unit_loss).lowest
+        assert shared == pytest.approx(0.625, abs=1e-3)
+        for l1, l2 in ((1.0, 0.0), (shared, shared)):
+            assert clamp_br(0.03, l2, fig_params, unit_loss) == pytest.approx(l1, abs=1e-9)
+            assert clamp_br(0.03, l1, fig_params, unit_loss) == pytest.approx(l2, abs=1e-9)
+
 
 class TestAsymmetricSensitivity:
     def test_negative_across_sampled_configurations(self, fig_params, fig_dist):
@@ -98,6 +111,17 @@ class TestAsymmetricSensitivity:
         expected = num / den
         measured = tp.asymmetric_sensitivity(pi1, pi2, fig_params, fig_dist)
         assert measured == pytest.approx(expected, rel=0.05)
+
+    def test_matches_central_difference_of_the_solver(self, fig_params, fig_dist):
+        # oracle: d l1/d pi2 by central differences of solve_asymmetric,
+        # over criterion 7's twenty configurations
+        step = 1e-5
+        for pi1 in (0.02, 0.025, 0.03, 0.035):
+            for pi2 in (0.045, 0.05, 0.055, 0.06, 0.065):
+                up, down = (tp.solve_asymmetric(pi1, pi2 + s, fig_params, fig_dist).ell1_hat
+                            for s in (step, -step))
+                measured = tp.asymmetric_sensitivity(pi1, pi2, fig_params, fig_dist)
+                assert measured == pytest.approx((up - down) / (2 * step), rel=1e-6)
 
 
 class TestGroupCommon:
@@ -237,8 +261,10 @@ class TestGroupDiverse:
 def simpson_q_update(n, q, params, variant, F, G):
     """The q update as adaptive Simpson computes it: a scalar integrand,
     integrated piecewise between the beliefs where the threshold enters or
-    leaves a clamped corner. Adaptive Simpson refines around any other kink
-    on its own, so F's and G's density knots need no split here."""
+    leaves a clamped corner, and G's density knots. Adaptive Simpson refines
+    around F's density knots on its own, but it can take an interval with a
+    jump of G's density for converged: without those splits the update was
+    off by 8e-6 at q = 1 in the tabulated game below."""
     def integrand(pi):
         t = _group_threshold_given_q(n, np.asarray([pi]), q, params, variant, F.ell_bar)
         return float(F.cdf(t[0])) * float(G.pdf(pi))
@@ -248,20 +274,20 @@ def simpson_q_update(n, q, params, variant, F, G):
     for corner in (0.0, F.ell_bar):
         kinks += bracket_roots(lambda pi: _payoff_gap(n, pi, corner, q, params, variant),
                                grid, zero_tol=0.0, ftol=1e-14).roots
-    splits = [0.0] + sorted(k for k in kinks if 0.0 < k < 1.0) + [1.0]
+    splits = sorted({0.0, 1.0, *G.knots, *(k for k in kinks if 0.0 < k < 1.0)})
     return sum(adaptive_simpson(integrand, a, b, tol=1e-13)
                for a, b in zip(splits[:-1], splits[1:]) if b > a)
 
 
 def substitute(update, tol=1e-12, max_iter=500):
-    """solve_group_diverse's substitution loop: (q, number of updates)."""
+    """q by plain substitution q <- update(q) from q = 0, to a step of tol."""
     q = 0.0
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         q_next = update(q)
         converged = abs(q_next - q) <= tol
         q = q_next
         if converged:
-            return q, iterations
+            return q
     raise AssertionError("reference substitution did not converge")
 
 
@@ -286,20 +312,22 @@ REFERENCE_GAMES = [
 def test_group_diverse_matches_adaptive_simpson(monkeypatch, n, variant, b, m, dists):
     params = tp.validate_params(b, m)
     F, G = _tabulated_pair() if dists == "tabulated" else (tp.uniform_loss(1.0), tp.uniform_belief())
-    q_ref, iterations_ref = substitute(
-        lambda q: simpson_q_update(n, q, params, variant, F, G))
+    q_ref = substitute(lambda q: simpson_q_update(n, q, params, variant, F, G))
 
-    updates = []
+    q_update, visited = extensions._q_update, []
 
-    def counted(*args):
-        updates.append(q_update(*args))
-        return updates[-1]
+    def recorded(*args):
+        visited.append((args[1], q_update(*args)))
+        return visited[-1][1]
 
-    q_update = extensions._q_update
-    monkeypatch.setattr(extensions, "_q_update", counted)
+    monkeypatch.setattr(extensions, "_q_update", recorded)
+    q = _group_fixed_point(n, params, variant, F, G, tol=1e-12)
+    monkeypatch.undo()
+    # the Gauss-Legendre update is the adaptive-Simpson one at every q visited
+    for q_seen, update in visited:
+        assert abs(update - simpson_q_update(n, q_seen, params, variant, F, G)) <= 1e-12
+    assert abs(q - q_ref) <= 1e-12
     curve = tp.solve_group_diverse(n, params, F, G, variant=variant)
-    assert len(updates) == iterations_ref
-    assert abs(updates[-1] - q_ref) <= 1e-12
     want = _group_threshold_given_q(n, curve.knots, q_ref, params, variant, F.ell_bar)
     assert np.max(np.abs(curve.values - want)) <= 1e-12
 
@@ -315,7 +343,7 @@ def concentrated_belief(start, width):
 ])
 def test_group_fixed_point_where_substitution_cycles(b, m, n, start, width):
     params, F, G = tp.validate_params(b, m), tp.uniform_loss(1.0), concentrated_belief(start, width)
-    q = _group_fixed_point(n, params, "consistent", F, G, tol=1e-12, max_iter=500)
+    q = _group_fixed_point(n, params, "consistent", F, G, tol=1e-12)
     assert abs(_q_update(n, q, params, "consistent", F, G) - q) <= 1e-12
     curve = tp.solve_group_diverse(n, params, F, G)
     want = _group_threshold_given_q(n, curve.knots, q, params, "consistent", F.ell_bar)
@@ -331,5 +359,5 @@ def test_group_fixed_point_under_concentrated_beliefs(b, log_gap, n, variant, st
     assume(start + width < 1.0)
     params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
     F, G = tp.uniform_loss(1.0), concentrated_belief(start, width)
-    q = _group_fixed_point(n, params, variant, F, G, tol=1e-12, max_iter=500)
+    q = _group_fixed_point(n, params, variant, F, G, tol=1e-12)
     assert abs(_q_update(n, q, params, variant, F, G) - q) <= 1e-12
