@@ -21,7 +21,8 @@ from .numerics import adaptive_simpson
 
 @dataclass(frozen=True)
 class CooperationReport:
-    """Headline comparison numbers for one (b, m) pair."""
+    """Headline comparison numbers for one (b, m) pair; p_diverse is the
+    approximate closed form whatever the mode."""
 
     pi_dagger: float
     p_common: float
@@ -57,8 +58,13 @@ def _p_common_closed(b, a):
 
 def _p_diverse_closed(b, a):
     g = _gamma_aux(b, a)
-    # log1p keeps the g -> 1 (b -> 1) degeneracy exact without a series branch
-    return a * (g + 1.0) / (g - 1.0) * _log1p(2.0 * (g - 1.0) / (a * np.float_power(g + 1.0, 2)))
+    # log1p keeps the g -> 1 (b -> 1) degeneracy exact without a series branch.
+    # The value is 2/(g+1) log1p(y)/y, y = 2(g-1)/(a(g+1)^2), so the rounding of
+    # g - 1 cancels; where g itself rounds to 1, from m - (b-1) of about 1e16 on,
+    # that is 1 to within 1/m, and the quotient below would be 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = a * (g + 1.0) / (g - 1.0) * _log1p(2.0 * (g - 1.0) / (a * np.float_power(g + 1.0, 2)))
+    return np.where(g > 1.0, p, 1.0)
 
 
 def _cutoff_at(params: GameParams, ab: AlphaBeta, loss: float) -> float:
@@ -113,9 +119,9 @@ def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
     """Ex-ante cooperation probability under dispersed beliefs.
 
     closed_form is the log expression in gamma (the integral of the
-    approximate cutoff, exact as m grows); quadrature integrates the cutoff
-    1 - (1+m-b)/(alpha + beta*l) for the supplied coefficient pair and
-    returns one minus that mass.
+    approximate cutoff, exact as m grows), and ignores ab; quadrature
+    integrates the cutoff 1 - (1+m-b)/(alpha + beta*l) for the supplied
+    coefficient pair and returns one minus that mass.
     """
     a = params.coop_premium
     if method == "closed_form":
@@ -131,14 +137,15 @@ def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
 
 
 def cooperation_report(params: GameParams, mode: str = "approximate") -> CooperationReport:
-    """Assemble the crossing belief, both ex-ante probabilities, and bounds."""
+    """Assemble the crossing belief, both ex-ante probabilities, and bounds;
+    p_diverse is the approximate closed form whatever the mode."""
     ab = solve_alpha_beta(params, mode=mode)
     # the dispersed threshold is 0 below the cutoff at l = 0 and 1 from the one at l = 1
     lower, upper = _cutoff_at(params, ab, 0.0), _cutoff_at(params, ab, 1.0)
     report = CooperationReport(
         pi_dagger=solve_pi_dagger(params, ab),
         p_common=ex_ante_p_common(params),
-        p_diverse=ex_ante_p_diverse(params, ab),
+        p_diverse=ex_ante_p_diverse(params),
         phi=float(_phi(params.b, params.coop_premium)),
         gamma_aux=float(_gamma_aux(params.b, params.coop_premium)),
         regime_bounds=(lower, upper, params.pi_low),

@@ -137,8 +137,12 @@ class CommonCriticals:
     pi_prime: float
 
 
-def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12) -> CommonCriticals:
-    """Solve phi'(l) = 0 for the tangency loss, then back out pi_prime.
+TANGENCY_TOL = 1e-12
+
+
+def critical_pair(params: GameParams, dist: LossDistribution) -> CommonCriticals:
+    """Solve phi'(l) = 0 for the tangency loss, to |phi'| <= TANGENCY_TOL,
+    then back out pi_prime.
 
     phi'(l) = (1 - F) - f (l - (b - 1)) is the tangency condition
     l - 1/h(l) = b - 1 multiplied by -f, so it has the same root and needs no
@@ -151,7 +155,6 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
     below, as phi' = (1 - F)(1 - h (l - (b - 1))) and the hazard h is
     unbounded there; the smallest negative float stands in for it.
     """
-    check_tol(tol)
     big_l = dist.ell_bar
     b1 = params.b - 1.0
     if big_l <= b1:
@@ -168,7 +171,7 @@ def critical_pair(params: GameParams, dist: LossDistribution, tol: float = 1e-12
         raise ConvergenceError(
             "tangency equation does not bracket a root; hazard is not increasing"
         )
-    ell_prime = bisect_root(dphi, 0.0, big_l, ftol=tol, flo=dphi_lo, fhi=dphi_hi)
+    ell_prime = bisect_root(dphi, 0.0, big_l, ftol=TANGENCY_TOL, flo=dphi_lo, fhi=dphi_hi)
     big_f = float(dist.cdf(ell_prime))
     k = ell_prime * (1.0 - big_f) + b1 * big_f
     pi_prime = k / (params.coop_premium + k)

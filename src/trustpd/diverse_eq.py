@@ -263,9 +263,11 @@ def solve_diverse_threshold(
 
 
 def _approximate_alpha_beta(params: GameParams) -> tuple[float, float]:
+    # beta = (r-1)/(r+1) = x/(r+1)^2, r = sqrt(1+x): no cancellation as r -> 1
     a = params.coop_premium
-    root = math.sqrt(1.0 + 4.0 * (params.b - 1.0) / a)
-    return a / 2.0 * (1.0 + root), (root - 1.0) / (root + 1.0)
+    x = 4.0 * (params.b - 1.0) / a
+    root = math.sqrt(1.0 + x)
+    return a / 2.0 * (1.0 + root), x / (root + 1.0) ** 2
 
 
 def _log1p_ratio_minus_one(x: float) -> float:

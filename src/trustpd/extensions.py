@@ -39,12 +39,12 @@ from .core import (
     ParameterError,
     RegimeError,
     ThresholdCurve,
-    check_tol,
     float_or_array,
 )
 from .numerics import bisect_root, bracket_roots
 
 VARIANTS = ("consistent", "as_printed")
+SOLVE_TOL = 1e-12  # the residual every root and fixed point here is refined to
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,20 @@ class AsymmetricEquilibrium:
 
 
 def solve_asymmetric(
-    pi1: float, pi2: float, params: GameParams, dist: LossDistribution, tol: float = 1e-12
+    pi1: float, pi2: float, params: GameParams, dist: LossDistribution
 ) -> AsymmetricEquilibrium:
     """Solve the two-threshold system through the composed best response.
 
     l1 is a fixed point of BR1(BR2(.)), a continuous map of [0, ell_bar] into
-    itself, so `bracket_roots` on a 2001-point grid always lands on a solution;
-    this avoids the cobweb divergence plain alternation suffers when the
-    partner's reaction curve is steep. The lowest intersection is returned,
-    and `unique` says whether the scan found only one. With the beliefs on
-    opposite sides of (b-1)/m the composed best response is nonincreasing,
-    so there is exactly one; with both below, as at (3, 50) on [0, 1] with
-    pi1 = pi2 = 0.03, there can be three.
+    itself, so `bracket_roots` on a 2001-point grid always lands on a solution,
+    refined to |BR1(BR2(l1)) - l1| <= SOLVE_TOL; this avoids the cobweb
+    divergence plain alternation suffers when the partner's reaction curve is
+    steep. The lowest intersection is returned, and `unique` says whether
+    the scan found only one. With the beliefs on opposite sides of (b-1)/m
+    the composed best response is nonincreasing, so there is exactly one;
+    with both below, as at (3, 50) on [0, 1] with pi1 = pi2 = 0.03, there
+    can be three.
     """
-    check_tol(tol)
     big_l = dist.ell_bar
 
     def br1(l2):
@@ -82,11 +82,10 @@ def solve_asymmetric(
     def gap(l1):
         return br1(br2(l1)) - l1
 
-    scan = bracket_roots(gap, np.linspace(0.0, big_l, 2001), zero_tol=tol, ftol=tol)
-    roots = scan.zeros + scan.roots
+    roots = bracket_roots(gap, np.linspace(0.0, big_l, 2001), zero_tol=SOLVE_TOL, ftol=SOLVE_TOL)
     if not roots:
         raise ConvergenceError("no intersection of the reaction curves found")
-    ell1 = min(roots)
+    ell1 = roots[0]
     ell2 = br2(ell1)
     return AsymmetricEquilibrium(
         pi1=pi1, pi2=pi2, ell1_hat=ell1, ell2_hat=ell2, unique=len(roots) == 1
@@ -153,15 +152,15 @@ def solve_group_common(
     params: GameParams,
     F: LossDistribution,
     variant: str = "consistent",
-    tol: float = 1e-12,
 ) -> GroupRoot:
     """Threshold of one player facing n others under a shared belief.
 
-    Takes the first sign change `bracket_roots` finds in the payoff gap; with
-    no interior crossing the threshold is the corner the gap's sign dictates
-    (cooperate for all losses when positive throughout).
+    Takes the lowest root `bracket_roots` finds in the payoff gap on a
+    1001-point grid, refined to |gap| <= SOLVE_TOL. With none, the gap has
+    one sign on the whole grid, and the threshold is the corner that sign
+    dictates: ell_bar (cooperate for all losses) when the gap at 0 is
+    positive, 0 otherwise.
     """
-    check_tol(tol)
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if not 0.0 <= pi < 1.0:
@@ -173,15 +172,9 @@ def solve_group_common(
         return _payoff_gap(n, pi, t, F.cdf(t), params, variant)
 
     big_l = F.ell_bar
-    scan = bracket_roots(gap, np.linspace(0.0, big_l, 1001), zero_tol=tol, ftol=tol)
-    if scan.roots:
-        root = scan.roots[0]
-        return GroupRoot(value=root, corner=False, residual=abs(gap(root)))
-    if scan.zeros:
-        return GroupRoot(value=scan.zeros[0], corner=False, residual=abs(gap(scan.zeros[0])))
-    vals = scan.values
-    corner = big_l if vals[vals != 0].mean() > 0 else 0.0
-    return GroupRoot(value=corner, corner=True, residual=abs(gap(corner)))
+    roots = bracket_roots(gap, np.linspace(0.0, big_l, 1001), zero_tol=SOLVE_TOL, ftol=SOLVE_TOL)
+    value = roots[0] if roots else (big_l if gap(0.0) > 0 else 0.0)
+    return GroupRoot(value=value, corner=not roots, residual=abs(gap(value)))
 
 
 def _group_threshold_given_q(n, pis, q, params, variant, big_l):
@@ -218,14 +211,14 @@ def _kink_beliefs(n, q, params, variant, F: LossDistribution, G: BeliefDistribut
     grid = np.linspace(0.0, 1.0, 513)
     splits = list(G.knots)
     for k in F.knots:
-        scan = bracket_roots(lambda pi, k=k: _payoff_gap(n, pi, k, q, params, variant),
-                             grid, zero_tol=0.0, ftol=1e-14)
-        splits += scan.zeros + scan.roots
+        splits += bracket_roots(lambda pi, k=k: _payoff_gap(n, pi, k, q, params, variant),
+                                grid, zero_tol=0.0, ftol=1e-14)
     return np.unique(splits)
 
 
 # Gauss-Legendre nodes per smooth piece of the q_update integrand.
 GAUSS_NODES = 32
+GROUP_KNOTS = 2001  # beliefs, equally spaced on [0, 1], on solve_group_diverse's curve
 
 
 @functools.cache
@@ -258,17 +251,17 @@ def _q_update(n, q, params, variant, F: LossDistribution, G: BeliefDistribution)
     return float(np.dot(F.cdf(t) * G.pdf(pis), (half * weights).ravel()))
 
 
-def _group_fixed_point(n, params, variant, F: LossDistribution, G: BeliefDistribution,
-                       tol: float) -> float:
-    """A population cooperation probability q in [0, 1] with |Phi(q) - q| <= tol,
-    Phi the `_q_update` map.
+def _group_fixed_point(n, params, variant, F: LossDistribution, G: BeliefDistribution) -> float:
+    """A population cooperation probability q in [0, 1] with
+    |Phi(q) - q| <= SOLVE_TOL, Phi the `_q_update` map.
 
     Phi is continuous and maps [0, 1] into itself, so Phi(q) - q is >= 0 at
     0 and <= 0 at 1, and [0, 1] brackets a fixed point, which `bisect_root`
     refines. Of several fixed points, the one returned is the one the
     bracket narrows onto.
     """
-    return bisect_root(lambda q: _q_update(n, q, params, variant, F, G) - q, 0.0, 1.0, ftol=tol)
+    return bisect_root(lambda q: _q_update(n, q, params, variant, F, G) - q, 0.0, 1.0,
+                       ftol=SOLVE_TOL)
 
 
 def solve_group_diverse(
@@ -276,28 +269,26 @@ def solve_group_diverse(
     params: GameParams,
     F: LossDistribution,
     G: BeliefDistribution,
-    tol: float = 1e-12,
     variant: str = "consistent",
-    n_knots: int = 2001,
 ) -> ThresholdCurve:
     """Group thresholds as a function of the own belief, beliefs private.
 
     Outer fixed point on the scalar population cooperation probability
     q = integral of F(threshold(pi)) dG(pi): given q the per-belief threshold
     is explicit, and q is a root of Phi(q) - q on [0, 1], Phi the update
-    that re-integrates it, refined by `bisect_root` until |Phi(q) - q| <= tol
-    (`_group_fixed_point`). The integrand is smooth between the kink beliefs
-    (where the threshold hits its corners or a density knot of F, and G's
-    density knots), so each update applies a fixed Gauss-Legendre rule on
-    every piece between them.
+    that re-integrates it, refined by `bisect_root` until
+    |Phi(q) - q| <= SOLVE_TOL (`_group_fixed_point`). The integrand is
+    smooth between the kink beliefs (where the threshold hits its corners or
+    a density knot of F, and G's density knots), so each update applies a
+    fixed Gauss-Legendre rule on every piece between them. The curve holds
+    the thresholds at GROUP_KNOTS equally spaced beliefs.
     """
-    check_tol(tol)
     if n < 1:
         raise ParameterError(f"group size n must be >= 1, got {n}")
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    q = _group_fixed_point(n, params, variant, F, G, tol)
-    pis = np.linspace(0.0, 1.0, n_knots)
+    q = _group_fixed_point(n, params, variant, F, G)
+    pis = np.linspace(0.0, 1.0, GROUP_KNOTS)
     t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)
     return ThresholdCurve(pis, t, codomain=(0.0, F.ell_bar),
                           monotone=bool(np.all(np.diff(t) >= 0)))

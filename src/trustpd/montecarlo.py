@@ -43,6 +43,8 @@ SCENARIOS = ("common", "diverse", "asymmetric")
 
 # Matches per block in `_play_half`, so no temporary grows with n.
 BLOCK = 1 << 16
+# Losses (and beliefs, under dispersed beliefs) at which `deviation_check` looks.
+DEVIATION_GRID = 200
 
 
 @dataclass(frozen=True)
@@ -279,13 +281,13 @@ def deviation_check(
     params: GameParams,
     F: LossDistribution,
     G: BeliefDistribution | None = None,
-    grid: int = 200,
 ) -> float:
     """Maximum payoff gain from deviating off the prescribed action.
 
     Expected payoffs against the population strategy are evaluated
     analytically (quadrature, no sampling), so at an equilibrium strategy the
-    result sits at numerical-noise level rather than Monte Carlo noise.
+    result sits at numerical-noise level rather than Monte Carlo noise. The
+    gain is maximised on DEVIATION_GRID losses.
     """
     if strategy is None:
         strategy, _ = _resolve_strategy(config, params, F, G)
@@ -296,7 +298,7 @@ def deviation_check(
         gain = np.where(losses <= threshold, ud - uc, uc - ud)
         return max(0.0, float(gain.max()))
 
-    losses = np.linspace(0.0, F.ell_bar, grid)
+    losses = np.linspace(0.0, F.ell_bar, DEVIATION_GRID)
     if config.scenario == "common":
         thr = float(strategy)
         p = float(F.cdf(thr))
@@ -309,7 +311,7 @@ def deviation_check(
     # diverse: the (loss, belief) mesh against the cutoff curve, losses down rows
     curve = strategy
     p = cooperation_prob_given_strategy(curve, F, G)
-    beliefs = np.linspace(0.0, 1.0 - 1e-9, grid)
+    beliefs = np.linspace(0.0, 1.0 - 1e-9, DEVIATION_GRID)
     cutoffs = curve(losses)[:, None]
     uc = payoff_cooperate(losses[:, None], beliefs, p)
     ud = payoff_defect(beliefs, p, params)

@@ -6,7 +6,8 @@ A solver that sweeps a function for its roots evaluates it once on the
 whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
 exact zeros and sign-change brackets, and each bracket is refined by scalar
 `bisect_root`, starting from the samples at its ends. `bracket_roots` bundles
-the three steps for one tolerance.
+the three steps for one tolerance and returns the grid zeros and the refined
+roots as one sorted list.
 
 `bisect_root` refines by ITP (interpolate, truncate, project; Oliveira and
 Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst
@@ -20,7 +21,6 @@ package, so the composite rule here works directly on a supplied knot vector.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .core import ConvergenceError, check_tol
 # bisection.
 ITP_K1 = 0.2
 ITP_N0 = 1
+SIMPSON_MAX_DEPTH = 50  # halvings `adaptive_simpson` allows below the whole interval
 
 
 def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
@@ -127,27 +128,19 @@ def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float):
                                           values[cells].tolist(), values[cells + 1].tolist()))
 
 
-class RootScan(NamedTuple):
-    """Outcome of `bracket_roots`, in grid order."""
-
-    values: np.ndarray  # f on the scan grid
-    zeros: list  # grid points with |f| <= zero_tol
-    roots: list  # one refined root per sign-change bracket
-
-
-def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> RootScan:
-    """All roots of f visible on a grid.
+def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> list:
+    """All roots of f visible on a grid, in ascending order.
 
     f must accept the whole grid as one array and return its values, and a
     scalar and return a float, equal to the array's element there. It is
-    evaluated once on the grid; each sign-change bracket is then refined by
+    evaluated once on the grid: the grid points with |f| <= zero_tol are
+    roots as they stand, and each sign-change bracket is refined by
     `bisect_root` to |f| <= ftol, starting from the grid values at its ends.
     """
     grid = np.asarray(grid, dtype=float)
-    values = np.asarray(f(grid), dtype=float)
-    zeros, brackets = scan_sign_changes(values, grid, zero_tol)
-    return RootScan(values, zeros, [bisect_root(f, a, b, ftol=ftol, flo=fa, fhi=fb)
-                                    for a, b, fa, fb in brackets])
+    zeros, brackets = scan_sign_changes(np.asarray(f(grid), dtype=float), grid, zero_tol)
+    return sorted(zeros + [bisect_root(f, a, b, ftol=ftol, flo=fa, fhi=fb)
+                           for a, b, fa, fb in brackets])
 
 
 def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -181,8 +174,9 @@ def _simpson_cell(f, a, fa, b, fb):
     return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Adaptive Simpson quadrature with Richardson correction, halving each
+    cell at most SIMPSON_MAX_DEPTH times."""
     check_tol(tol)
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson_cell(f, a, fa, b, fb)
@@ -191,7 +185,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
         lm, flm, left = _simpson_cell(f, a, fa, m, fm)
         rm, frm, right = _simpson_cell(f, m, fm, b, fb)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol:
+        if depth >= SIMPSON_MAX_DEPTH or abs(delta) <= 15.0 * tol:
             return left + right + delta / 15.0
         return recurse(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1) + recurse(
             m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -133,6 +134,41 @@ def test_crossing_belief_matches_the_decimal_oracle(game):
         assert lower < report.pi_dagger < upper <= pi_low + 1e-12
         want = crossing_oracle(*game, mode, tp.solve_alpha_beta(params, mode).beta)
         assert abs(Decimal(report.pi_dagger) - want) <= Decimal(1e-12) * want
+
+
+def closed_forms_oracle(b: float, a: float) -> tuple[Decimal, Decimal]:
+    """The approximate beta and p_diverse from their textbook formulas in
+    decimal, at the library's float a = 1+m-b: beta = (r-1)/(r+1) and
+    p_diverse = a (r+1)/(r-1) log(1 + 2(r-1)/(a (r+1)^2)), with
+    r = sqrt(1 + 4(b-1)/a). Both cancel up to twice as many digits as a has
+    orders of magnitude above 1, so they are evaluated with that many digits
+    on top of 60."""
+    with localcontext() as ctx:
+        a = Decimal(a)
+        ctx.prec = 60 + 2 * abs(a.adjusted())
+        b = Decimal(b)
+        r = (1 + 4 * (b - 1) / a).sqrt()
+        p_diverse = a * (r + 1) / (r - 1) * (1 + 2 * (r - 1) / (a * (r + 1) ** 2)).ln()
+        return (r - 1) / (r + 1), p_diverse
+
+
+@given(st.floats(2.0, 8.0), st.floats(-12.0, 300.0))
+@example(2.0, 8.0)  # beta = (r-1)/(r+1) was 5e-9 relative off
+@example(2.0, 17.0)  # r rounds to 1: beta was 0, and p_diverse NaN
+@example(8.0, 300.0)
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_match_the_decimal_oracle(b, log_gap):
+    params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        beta = tp.solve_alpha_beta(params, "approximate").beta
+        p_diverse = tp.ex_ante_p_diverse(params)
+        # finite, but not yet accurate as m - (b-1) -> 0: its log denominator
+        # phi(phi-1) - (b/2)(b/2-1) cancels (ROADMAP item 4)
+        assert math.isfinite(tp.ex_ante_p_common(params))
+    for value, want in zip((beta, p_diverse), closed_forms_oracle(params.b, params.coop_premium)):
+        assert math.isfinite(value)
+        assert abs(Decimal(value) - want) <= Decimal(1e-13) * want
 
 
 class TestExAnteCommon:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestCompareCommand:
         assert 1.0 - a / alpha < summary["pi_dagger"] < 1.0 - a / (alpha + beta)
 
 
+    def test_coefficients_where_r_rounds_to_one(self, tmp_path):
+        # at (2, 1e17) r = sqrt(1 + 4(b-1)/a) rounds to 1, and the approximate
+        # beta = (r-1)/(r+1) rounded to 0: the command exited 3
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--b", "2", "--m", "1e17", "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "cmp.summary.json").read_text())
+        assert summary["beta"] == pytest.approx(1e-17, rel=1e-15)
+        assert summary["pi_dagger"] == pytest.approx(1e-17, rel=1e-15)
+
+
 class TestExanteCommand:
     def test_single_pair_both_methods(self, tmp_path):
         out = tmp_path / "ex.csv"
@@ -178,6 +189,18 @@ class TestExanteCommand:
         assert rows
         for row in rows:
             assert float(row["m"]) > float(row["b"]) - 1
+
+    def test_region_at_large_m_has_no_nan(self, tmp_path):
+        # p_d's prefactor divided by g - 1, which rounds to 0 from m of about 1e16
+        out = tmp_path / "region.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["exante", "--b-range", "2", "3", "--m-range", "1e16", "1e18",
+                         "--cells", "3", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 9
+        # both probabilities are within about 1/m of 1
+        assert all(abs(float(row[key]) - 1.0) <= 1e-15 for row in rows for key in ("p_c", "p_d"))
 
     def test_region_csv_bytes_match_row_by_row_rendering(self, tmp_path):
         out = tmp_path / "region.csv"

@@ -422,12 +422,8 @@ class TestAtOrAbove:
 
 SOLVERS_WITH_TOL = {
     "solve_common_equilibria": lambda p, F, G, tol: tp.solve_common_equilibria(0.05, p, F, tol=tol),
-    "critical_pair": lambda p, F, G, tol: tp.critical_pair(p, F, tol=tol),
     "solve_diverse_threshold": lambda p, F, G, tol: tp.solve_diverse_threshold(p, F, G, tol=tol),
     "solve_pi_dagger": lambda p, F, G, tol: tp.solve_pi_dagger(p, tp.solve_alpha_beta(p), tol=tol),
-    "solve_asymmetric": lambda p, F, G, tol: tp.solve_asymmetric(0.03, 0.08, p, F, tol=tol),
-    "solve_group_common": lambda p, F, G, tol: tp.solve_group_common(2, 0.05, p, F, tol=tol),
-    "solve_group_diverse": lambda p, F, G, tol: tp.solve_group_diverse(2, p, F, G, tol=tol),
     "adaptive_simpson": lambda p, F, G, tol: adaptive_simpson(np.sin, 0.0, 1.0, tol=tol),
 }
 

@@ -137,6 +137,10 @@ class TestGroupCommon:
             for n in (1, 4):
                 root = tp.solve_group_common(n, 0.0, fig_params, fig_dist, variant=variant)
                 assert root.value == 0.0
+                if variant == "as_printed":
+                    # the gap is -b at t = 0 and negative throughout: no root, and
+                    # the corner is read from the sign of the gap at 0
+                    assert root.corner
 
     def test_strong_moral_cost_forces_cooperation(self, unit_loss):
         # m pi^n > b with the remaining terms bounded: cooperate for all losses
@@ -273,7 +277,7 @@ def simpson_q_update(n, q, params, variant, F, G):
     kinks = []
     for corner in (0.0, F.ell_bar):
         kinks += bracket_roots(lambda pi: _payoff_gap(n, pi, corner, q, params, variant),
-                               grid, zero_tol=0.0, ftol=1e-14).roots
+                               grid, zero_tol=0.0, ftol=1e-14)
     splits = sorted({0.0, 1.0, *G.knots, *(k for k in kinks if 0.0 < k < 1.0)})
     return sum(adaptive_simpson(integrand, a, b, tol=1e-13)
                for a, b in zip(splits[:-1], splits[1:]) if b > a)
@@ -321,7 +325,7 @@ def test_group_diverse_matches_adaptive_simpson(monkeypatch, n, variant, b, m, d
         return visited[-1][1]
 
     monkeypatch.setattr(extensions, "_q_update", recorded)
-    q = _group_fixed_point(n, params, variant, F, G, tol=1e-12)
+    q = _group_fixed_point(n, params, variant, F, G)
     monkeypatch.undo()
     # the Gauss-Legendre update is the adaptive-Simpson one at every q visited
     for q_seen, update in visited:
@@ -343,7 +347,7 @@ def concentrated_belief(start, width):
 ])
 def test_group_fixed_point_where_substitution_cycles(b, m, n, start, width):
     params, F, G = tp.validate_params(b, m), tp.uniform_loss(1.0), concentrated_belief(start, width)
-    q = _group_fixed_point(n, params, "consistent", F, G, tol=1e-12)
+    q = _group_fixed_point(n, params, "consistent", F, G)
     assert abs(_q_update(n, q, params, "consistent", F, G) - q) <= 1e-12
     curve = tp.solve_group_diverse(n, params, F, G)
     want = _group_threshold_given_q(n, curve.knots, q, params, "consistent", F.ell_bar)
@@ -359,5 +363,5 @@ def test_group_fixed_point_under_concentrated_beliefs(b, log_gap, n, variant, st
     assume(start + width < 1.0)
     params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
     F, G = tp.uniform_loss(1.0), concentrated_belief(start, width)
-    q = _group_fixed_point(n, params, variant, F, G, tol=1e-12)
+    q = _group_fixed_point(n, params, variant, F, G)
     assert abs(_q_update(n, q, params, variant, F, G) - q) <= 1e-12

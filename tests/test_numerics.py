@@ -64,34 +64,31 @@ class TestScanSignChanges:
 
 class TestBracketRoots:
     def test_refines_every_bracket_in_grid_order(self):
-        scan = bracket_roots(np.sin, np.linspace(0.5, 10.0, 40), zero_tol=0.0, ftol=1e-13)
-        assert scan.zeros == []
-        assert scan.roots == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-12)
-        assert all(abs(np.sin(r)) <= 1e-13 for r in scan.roots)
-
-    def test_values_are_f_on_the_grid(self):
-        grid = np.linspace(0.0, 2.0, 11)
-        scan = bracket_roots(lambda x: x * x - 2.0, grid, zero_tol=1e-12, ftol=1e-12)
-        np.testing.assert_array_equal(scan.values, grid * grid - 2.0)
-        assert scan.roots == pytest.approx([np.sqrt(2.0)], abs=1e-12)
+        roots = bracket_roots(np.sin, np.linspace(0.5, 10.0, 40), zero_tol=0.0, ftol=1e-13)
+        assert roots == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-12)
+        assert all(abs(np.sin(r)) <= 1e-13 for r in roots)
+        # a grid zero at 0.25 sorts between the refined roots -sqrt(2) and sqrt(2)
+        roots = bracket_roots(lambda x: (x * x - 2.0) * (x - 0.25), np.linspace(-2.0, 2.0, 17),
+                              zero_tol=0.0, ftol=1e-13)
+        assert roots[1] == 0.25
+        assert roots == pytest.approx([-np.sqrt(2.0), 0.25, np.sqrt(2.0)], abs=1e-12)
 
     def test_grid_zeros_are_not_bisected(self):
-        scan = bracket_roots(lambda x: x - 1.0, np.linspace(0.0, 2.0, 5),
-                             zero_tol=0.0, ftol=1e-12)
-        assert scan.zeros == [1.0]
-        assert scan.roots == []
+        def f(x):
+            if np.ndim(x) == 0:
+                raise AssertionError(f"refined at {x}")
+            return x - 1.0
+
+        assert bracket_roots(f, np.linspace(0.0, 2.0, 5), zero_tol=0.0, ftol=1e-12) == [1.0]
 
     def test_roots_on_grid_endpoints(self):
         grid = np.linspace(0.0, 1.0, 11)
-        assert bracket_roots(lambda x: x, grid, zero_tol=0.0, ftol=1e-12)[1:] == ([0.0], [])
-        assert bracket_roots(lambda x: 1.0 - x, grid, zero_tol=0.0, ftol=1e-12)[1:] == (
-            [1.0], []
-        )
+        assert bracket_roots(lambda x: x, grid, zero_tol=0.0, ftol=1e-12) == [0.0]
+        assert bracket_roots(lambda x: 1.0 - x, grid, zero_tol=0.0, ftol=1e-12) == [1.0]
 
     def test_no_sign_change(self):
-        scan = bracket_roots(lambda x: x + 1.0, np.linspace(0.0, 1.0, 11),
-                             zero_tol=1e-10, ftol=1e-10)
-        assert scan.zeros == [] and scan.roots == []
+        assert bracket_roots(lambda x: x + 1.0, np.linspace(0.0, 1.0, 11),
+                             zero_tol=1e-10, ftol=1e-10) == []
 
 
 @st.composite
