@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
+from trustpd import extensions
+from trustpd.common_eq import TANGENCY_TOL
 from trustpd.numerics import adaptive_simpson
 
 
@@ -434,6 +436,60 @@ def test_solvers_reject_a_tolerance_that_is_not_positive_and_finite(solver, tol,
                                                                     unit_belief):
     with pytest.raises(tp.ParameterError, match="tolerance"):
         SOLVERS_WITH_TOL[solver](p28, unit_loss, unit_belief, tol)
+
+
+def _tangency_residual(p, F, G):
+    sol = tp.critical_pair(p, F)
+    ell = sol.ell_prime
+    return (1.0 - float(F.cdf(ell))) - float(F.pdf(ell)) * (ell - (p.b - 1.0))
+
+
+def _asymmetric_residual(p, F, G):
+    # beliefs either side of (b-1)/m: one interior intersection
+    sol = tp.solve_asymmetric(0.9 * p.pi_low, 1.1 * p.pi_low, p, F)
+    assert sol.unique and 0.0 < sol.ell1_hat < sol.ell2_hat < F.ell_bar
+    assert sol.ell2_hat == tp.best_response_threshold(sol.pi2, sol.ell1_hat, p, F)
+    return tp.best_response_threshold(sol.pi1, sol.ell2_hat, p, F) - sol.ell1_hat
+
+
+def _group_common_residual(p, F, G):
+    root = tp.solve_group_common(3, p.pi_low, p, F)
+    assert not root.corner
+    return extensions._payoff_gap(3, p.pi_low, root.value, F.cdf(root.value), p, "consistent")
+
+
+def _group_diverse_residual(p, F, G):
+    q = extensions._group_fixed_point(3, p, "consistent", F, G)
+    curve = tp.solve_group_diverse(3, p, F, G)
+    want = extensions._group_threshold_given_q(3, curve.knots, q, p, "consistent", F.ell_bar)
+    np.testing.assert_array_equal(curve.values, want)
+    return extensions._q_update(3, q, p, "consistent", F, G) - q
+
+
+# Solvers whose tolerance is a module constant rather than an option: the
+# residual each documents holds at that constant.
+SOLVERS_WITH_FIXED_TOL = {
+    "critical_pair": (_tangency_residual, TANGENCY_TOL),
+    "solve_asymmetric": (_asymmetric_residual, extensions.SOLVE_TOL),
+    "solve_group_common": (_group_common_residual, extensions.SOLVE_TOL),
+    "solve_group_diverse": (_group_diverse_residual, extensions.SOLVE_TOL),
+}
+
+FIXED_TOL_GAMES = {
+    "b3-m50-uniform8": lambda: (tp.validate_params(3.0, 50.0), tp.uniform_loss(8.0)),
+    "b2-m8-uniform4": lambda: (tp.validate_params(2.0, 8.0), tp.uniform_loss(4.0)),
+    "b1.5-m3-tabulated": lambda: (tp.validate_params(1.5, 3.0),
+                                  tp.tabulated_loss([0.0, 1.0, 3.0], [0.0, 0.2, 1.0])),
+    "b8-m1e3-uniform10": lambda: (tp.validate_params(8.0, 1e3), tp.uniform_loss(10.0)),
+}
+
+
+@pytest.mark.parametrize("game", sorted(FIXED_TOL_GAMES))
+@pytest.mark.parametrize("solver", sorted(SOLVERS_WITH_FIXED_TOL))
+def test_solvers_meet_their_fixed_tolerance(solver, game, unit_belief):
+    residual, tol = SOLVERS_WITH_FIXED_TOL[solver]
+    p, F = FIXED_TOL_GAMES[game]()
+    assert abs(residual(p, F, unit_belief)) <= tol
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

@@ -73,6 +73,21 @@ class TestBracketRoots:
         assert roots[1] == 0.25
         assert roots == pytest.approx([-np.sqrt(2.0), 0.25, np.sqrt(2.0)], abs=1e-12)
 
+    def test_values_are_f_on_the_grid(self):
+        # f is evaluated once, on the whole grid, and each bracket is then
+        # refined from the grid values at its ends
+        grid = np.linspace(0.0, 2.0, 11)
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x, dtype=float, copy=True))
+            return x * x - 2.0
+
+        roots = bracket_roots(f, grid, zero_tol=1e-12, ftol=1e-12)
+        assert roots == pytest.approx([np.sqrt(2.0)], abs=1e-12)
+        np.testing.assert_array_equal(calls[0], grid)
+        assert all(np.ndim(x) == 0 and 1.4 < x < 1.6 for x in calls[1:])
+
     def test_grid_zeros_are_not_bisected(self):
         def f(x):
             if np.ndim(x) == 0:
