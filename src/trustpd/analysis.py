@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameParams, InvariantViolation, ParameterError, check_tol
-from .diverse_eq import AlphaBeta, solve_alpha_beta
+from .diverse_eq import AlphaBeta, _cutoff_at, solve_alpha_beta
 from .numerics import adaptive_simpson
 
 
@@ -53,7 +53,9 @@ def _p_common_closed(b, a):
     den = phi * (phi - 1.0) - b / 2.0 * (b / 2.0 - 1.0)
     if np.any(den <= 0.0):
         raise ParameterError(f"log argument not positive (denominator {np.min(den)})")
-    return a / (2.0 * phi) * _log1p(2.0 * phi / den)
+    # the value is 1 - O(1/a); from a of about 3e15 on its rounding can land
+    # above 1, so it is capped there, and every value below keeps its bits
+    return np.minimum(a / (2.0 * phi) * _log1p(2.0 * phi / den), 1.0)
 
 
 def _p_diverse_closed(b, a):
@@ -65,13 +67,6 @@ def _p_diverse_closed(b, a):
     with np.errstate(divide="ignore", invalid="ignore"):
         p = a * (g + 1.0) / (g - 1.0) * _log1p(2.0 * (g - 1.0) / (a * np.float_power(g + 1.0, 2)))
     return np.where(g > 1.0, p, 1.0)
-
-
-def _cutoff_at(params: GameParams, ab: AlphaBeta, loss: float) -> float:
-    """The uniform-case cutoff 1 - (1+m-b)/(alpha + beta*l) at l = loss, as
-    ((b-1)(1-beta) + beta*l)/(alpha + beta*l): the two agree because
-    alpha = m - (b-1) beta, and this form does not cancel at small beliefs."""
-    return ((params.b - 1.0) * (1.0 - ab.beta) + ab.beta * loss) / (ab.alpha + ab.beta * loss)
 
 
 def solve_pi_dagger(params: GameParams, ab: AlphaBeta, tol: float = 1e-10) -> float:

@@ -139,7 +139,7 @@ def uniform_loss(ell_bar: float) -> LossDistribution:
 
     def cdf(x):
         if _is_array(x):
-            return np.clip(np.asarray(x, dtype=float) / ell_bar, 0.0, 1.0)
+            return (np.asarray(x, dtype=float) / ell_bar).clip(0.0, 1.0)
         return min(max(float(x) / ell_bar, 0.0), 1.0)
 
     def pdf(x):
@@ -158,7 +158,7 @@ def uniform_belief() -> BeliefDistribution:
     """Uniform belief distribution on [0, 1]."""
     def cdf(x):
         if _is_array(x):
-            return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+            return np.asarray(x, dtype=float).clip(0.0, 1.0)
         return min(max(float(x), 0.0), 1.0)
 
     def pdf(x):
@@ -353,7 +353,7 @@ class ThresholdCurve:
         values = np.ascontiguousarray(self.values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
             raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
-        if not np.all(np.diff(knots) > 0):
+        if not (knots[1:] > knots[:-1]).all():
             raise ParameterError("curve knots must be strictly increasing")
         if not (np.isfinite(knots[0]) and np.isfinite(knots[-1])):
             raise ParameterError("curve knots must be finite")
@@ -365,7 +365,7 @@ class ThresholdCurve:
                 f"curve values leave the codomain [{lo}, {hi}]: "
                 f"range [{values.min()}, {values.max()}]"
             )
-        if self.monotone and not np.all(np.diff(values) >= 0):
+        if self.monotone and not (values[1:] >= values[:-1]).all():
             raise ParameterError("curve flagged monotone but values decrease")
         knots.setflags(write=False)
         values.setflags(write=False)

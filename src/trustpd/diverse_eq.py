@@ -101,13 +101,18 @@ def _cutoff(big_i: float, shift: np.ndarray, params: GameParams) -> np.ndarray:
     knots l given as shift = l - (b-1). The denominator is affine in l, so its
     sign on the grid is decided at the two end knots. The cutoff is computed
     as ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
-    1 - (1+m-b)/den when it is small, about (b-1)/m at large m."""
-    den = params.m + shift * big_i
+    1 - (1+m-b)/den when it is small, about (b-1)/m at large m. The product
+    (l-(b-1)) I is formed once, and the cutoff built in its array."""
+    out = shift * big_i
+    den = out + params.m
     if den[0] <= 0.0 or den[-1] <= 0.0:
         raise InvariantViolation(
             "best-response denominator vanished; parameters inconsistent with m > b - 1"
         )
-    return np.clip(((params.b - 1.0) + shift * big_i) / den, 0.0, 1.0)
+    out += params.b - 1.0
+    out /= den
+    # the method np.clip calls, without its dispatch; np.maximum would turn -0.0 into 0.0
+    return out.clip(0.0, 1.0, out=out)
 
 
 def _defect_mass(values: np.ndarray, f: np.ndarray, h: float, G: BeliefDistribution) -> float:
@@ -134,7 +139,7 @@ def apply_T(
     big_i = _defect_mass(curve.values, np.asarray(F.pdf(k)), _simpson_step(k), G)
     vals = _cutoff(big_i, k - (params.b - 1.0), params)
     return ThresholdCurve(k, vals, codomain=(0.0, 1.0),
-                          monotone=bool(np.all(np.diff(vals) >= 0)))
+                          monotone=bool((vals[1:] >= vals[:-1]).all()))
 
 
 def cooperation_prob_given_strategy(
@@ -146,12 +151,16 @@ def cooperation_prob_given_strategy(
     return _coop_mass(curve.values, np.asarray(F.pdf(k)), _simpson_step(k), G)
 
 
+_DENSITY_PROBES = np.linspace(0.0, 1.0, 2001)
+_DENSITY_PROBES.setflags(write=False)
+
+
 def _density_sup(G: BeliefDistribution) -> float:
     """sup of G's density: its largest value on a 2001-point grid and at the
     midpoint of every segment between G's knots, which is exact for a
     piecewise-constant density however narrow its segments."""
     knots = np.asarray(G.knots)
-    probes = np.concatenate([np.linspace(0.0, 1.0, 2001), 0.5 * (knots[:-1] + knots[1:])])
+    probes = np.concatenate([_DENSITY_PROBES, 0.5 * (knots[:-1] + knots[1:])])
     return float(np.max(np.asarray(G.pdf(probes))))
 
 
@@ -167,9 +176,12 @@ def solve_diverse_threshold(
 
     T(s) depends on s only through the scalar I[s], so the state of the
     solver is the curve's values on the knots, and each step is one pass over
-    plain arrays: I by Simpson, then the cutoff at I. The grid is checked and
-    F's density evaluated once; only the returned curve is a validated
-    `ThresholdCurve`.
+    plain arrays: one call of G's cdf and a Simpson sum for I, the cutoff at
+    I built in one array, and the residual as one max. The grid is checked
+    and F's density evaluated once; only the returned curve is a validated
+    `ThresholdCurve`. A step costs a handful of numpy calls on the knots, so
+    at the default 1001 knots their per-call overhead, not the arithmetic,
+    sets its time.
 
     The contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
     the G factor must be the Lipschitz constant of the belief cdf (the sup of
@@ -215,7 +227,7 @@ def solve_diverse_threshold(
         """(I[s], T(s)) for cutoff values s, recording max|T(s) - s|."""
         big_i = _defect_mass(vals, f, h, G)
         out = _cutoff(big_i, shift, params)
-        history.append(float(np.max(np.abs(out - vals))))
+        history.append(float(np.abs(out - vals).max()))
         if history[-1] > tol and len(history) >= max_iter:
             raise ConvergenceError(
                 f"no fixed point after {max_iter} iterations (last residual {history[-1]:.3e})"
@@ -249,7 +261,7 @@ def solve_diverse_threshold(
                 f"bisection on I collapsed at {root!r} (last residual {residual:.3e})"
             )
 
-    if not np.all(np.diff(vals) >= 0):
+    if not (vals[1:] >= vals[:-1]).all():
         raise ConvergenceError("converged cutoff curve is decreasing")
     return DiverseSolution(
         threshold=ThresholdCurve(knots, vals, codomain=(0.0, 1.0), monotone=True),
@@ -321,20 +333,30 @@ def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
     return AlphaBeta(alpha=alpha, beta=beta, mode="exact")
 
 
+def _cutoff_at(params: GameParams, ab: AlphaBeta, loss: float) -> float:
+    """The uniform-case cutoff 1 - (1+m-b)/(alpha + beta*l) at l = loss, as
+    ((b-1)(1-beta) + beta*l)/(alpha + beta*l): the two agree because
+    alpha = m - (b-1) beta in both modes, and this form does not cancel at
+    small beliefs."""
+    return ((params.b - 1.0) * (1.0 - ab.beta) + ab.beta * loss) / (ab.alpha + ab.beta * loss)
+
+
 def closed_form_diverse_uniform(pi, params: GameParams, ab: AlphaBeta):
     """Loss threshold implied by the uniform-case cutoff, inverted at belief pi.
 
     The middle branch ((1+m-b)/(1-pi) - alpha)/beta clipped to [0, 1], which
     is zero below the cutoff at l = 0, 1 - (1+m-b)/alpha, and one from the
-    cutoff at l = 1, 1 - (1+m-b)/(alpha+beta), on. pi may be a scalar
-    (returns a float) or an array of beliefs.
+    cutoff at l = 1 on. pi may be a scalar (returns a float) or an array of
+    beliefs. With alpha = m - (b-1) beta, (1+m-b) - alpha is -(b-1)(1-beta),
+    so the middle branch is computed as (pi alpha - (b-1)(1-beta))/((1-pi) beta)
+    and the upper kink by `_cutoff_at`: neither subtracts two terms of the
+    size of m, whose rounding would move the threshold by about eps m^2/(b-1).
     """
     if not all_within(pi, 0.0, 1.0, include_hi=False):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
     pi = float_or_array(pi)
-    a = params.coop_premium
-    upper = 1.0 - a / (ab.alpha + ab.beta)
-    middle = (a / (1.0 - pi) - ab.alpha) / ab.beta
+    upper = _cutoff_at(params, ab, 1.0)
+    middle = (pi * ab.alpha - (params.b - 1.0) * (1.0 - ab.beta)) / ((1.0 - pi) * ab.beta)
     middle = select(0.0 > middle, 0.0, middle)
     middle = select(1.0 < middle, 1.0, middle)
     return select(pi >= upper, 1.0, middle)

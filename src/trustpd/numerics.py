@@ -151,14 +151,19 @@ def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:
 def _simpson_step(x) -> float:
     """The step h of a composite Simpson grid, after checking that x is
     uniform with an even interval count. A solver that integrates on one grid
-    many times checks it once here and calls `_simpson_sum` with h."""
+    many times checks it once here and calls `_simpson_sum` with h.
+
+    Uniform means every step within 1e-12 max(1, |h|) + 1e-8 |h| of h, the
+    test of np.allclose(steps, h, rtol=1e-8, atol=1e-12 max(1, |h|)), made as
+    one max of |step - h|. A NaN knot makes that max NaN, which fails it.
+    Raises ValueError on an odd or too small interval count, and on a grid
+    that is not uniform."""
     x = np.asarray(x, dtype=float)
     n = x.size - 1
     if n < 2 or n % 2 != 0:
         raise ValueError(f"composite Simpson needs an even interval count, got {n}")
     h = (x[-1] - x[0]) / n
-    steps = np.diff(x)
-    if not np.allclose(steps, h, rtol=1e-8, atol=1e-12 * max(1.0, abs(h))):
+    if not np.abs(x[1:] - x[:-1] - h).max() <= 1e-12 * max(1.0, abs(h)) + 1e-8 * abs(h):
         raise ValueError("composite Simpson expects a uniform grid")
     return h
 

@@ -195,6 +195,21 @@ class TestExAnteCommon:
             p = tp.ex_ante_p_common(tp.validate_params(b, m))
             assert 0 < p < 1
 
+    def test_a_probability_up_to_m_1e300(self):
+        # p_common is about 1 - (b/2 - 1/3)/a, a = 1+m-b; the closed form's
+        # rounding put it above 1, by up to 4.4e-16, in 40955 of these cells,
+        # the first near (2, 2.75e15)
+        b_grid = np.linspace(2.0, 8.0, 61)
+        m_grid = np.logspace(1.0, 300.0, 3000)
+        region = tp.diversity_region(b_grid, m_grid)
+        assert region.valid.all()
+        p_c = region.p_common
+        assert np.all((0.0 < p_c) & (p_c <= 1.0))
+        a = 1.0 + m_grid[None, :] - b_grid[:, None]
+        assert np.all(1.0 - p_c <= b_grid[:, None] / a + 2.0**-51)
+        for b, m in ((2.0, 2.75e15), (2.0, 1.1963528442352842e17), (8.0, 1e300)):
+            assert tp.ex_ante_p_common(tp.validate_params(b, m)) <= 1.0
+
 
 class TestExAnteDiverse:
     @pytest.mark.parametrize("b,m", [(2, 8), (3, 20), (2.5, 12)])

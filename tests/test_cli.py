@@ -172,6 +172,16 @@ class TestCompareCommand:
         assert summary["beta"] == pytest.approx(1e-17, rel=1e-15)
         assert summary["pi_dagger"] == pytest.approx(1e-17, rel=1e-15)
 
+    def test_dispersed_threshold_where_m_is_1e17(self, tmp_path):
+        # both kinks of the dispersed threshold lie within 1e-33 of 1e-17:
+        # it is 0 below them, at pi = 0 too, and 1 at pi = (b-1)/m
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--b", "2", "--m", "1e17", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        ell_d = [float(row["ell_star_d"]) for row in rows]
+        assert float(rows[0]["pi"]) == 0.0 and ell_d[0] == 0.0
+        assert ell_d[:-1] == [0.0] * (len(rows) - 1) and ell_d[-1] == 1.0
+
 
 class TestExanteCommand:
     def test_single_pair_both_methods(self, tmp_path):

@@ -164,14 +164,19 @@ def test_diverse_pinned_bits(case, unit_loss, unit_belief):
     G = unit_belief if belief == "uniform" else tp.tabulated_belief(*TABULATED_G)
     sol = tp.solve_diverse_threshold(tp.validate_params(b, m), unit_loss, G)
     assert not sol.damped
+    assert pinned_digest(sol) == PINNED_DIVERSE[case]
+
+
+def pinned_digest(sol):
+    """A solve's iterations, residual_history, coop_prob and curve at knots
+    0, 250, 500, 750 and 1000, as float.hex strings."""
     values = sol.threshold.values
-    got = (
+    return (
         sol.iterations,
         [r.hex() for r in sol.residual_history],
         sol.coop_prob.hex(),
         [float(values[i]).hex() for i in (0, 250, 500, 750, 1000)],
     )
-    assert got == PINNED_DIVERSE[case]
 
 
 def steep_belief(lo, width, mass):
@@ -180,6 +185,64 @@ def steep_belief(lo, width, mass):
     rest = (1.0 - mass) / (1.0 - width)
     return tp.tabulated_belief([0.0, lo, lo + width, 1.0],
                                [0.0, rest * lo, rest * lo + mass, 1.0])
+
+
+# float.hex of damped solves, as PINNED_DIVERSE holds undamped ones: the
+# steep G of TestDampedBisection at (3, 20), damped from the start, and the
+# two-cycle at (4, 3.0625), 51 substitution steps before the root solve on I.
+DAMPED_GAMES = {
+    "steep-G": ((3.0, 20.0), tp.tabulated_belief([0.0, 0.075, 0.085, 1.0],
+                                                 [0.0, 1e-6, 1 - 1e-6, 1.0])),
+    "two-cycle": ((4.0, 3.0625), steep_belief(0.5, 0.0078125, 0.9)),
+}
+PINNED_DAMPED = {
+    "steep-G": (
+        10,
+        ["0x1.99997c434686cp-4", "0x1.999990f8679f0p-4", "0x1.7e4901778aeaap-5",
+         "0x1.7f7889c9d1178p-6", "0x1.0065f0bed445cp-6", "0x1.c59164d5329c0p-10",
+         "0x1.bcfeb56022000p-17", "0x1.88c1b88640000p-20", "0x1.0c4d468000000p-31",
+         "0x1.3df3640000000p-34"],
+        "0x1.585f169bed205p-1",
+        ["0x1.1cd27cd6ccb26p-4", "0x1.2ce122e6edaf2p-4", "0x1.3ccd4adda1bf3p-4",
+         "0x1.4c976367fd852p-4", "0x1.5c3fd95b8dbffp-4"],
+    ),
+    "two-cycle": (
+        65,
+        ["0x1.c78b196c52e90p-1", "0x1.5b3341e082f26p-1", "0x1.c3d82b1187468p-2",
+         "0x1.71073021cf7fcp-2", "0x1.51ce0a316dc32p-2", "0x1.3c26c8100522cp-2",
+         "0x1.3580ec1ffb888p-2", "0x1.303b4c4908490p-2", "0x1.2eafd65e402e1p-2",
+         "0x1.2d64ed7c85af9p-2", "0x1.2d050825dd2cfp-2", "0x1.2cb5652e0374dp-2",
+         "0x1.2c9e60f7905e5p-2", "0x1.2c8b3d8b8ce73p-2", "0x1.2c85b66ed0012p-2",
+         "0x1.2c811d653ae06p-2", "0x1.2c7fc97b3ac5fp-2", "0x1.2c7eaebb96fd1p-2",
+         "0x1.2c7e5d14da896p-2", "0x1.2c7e1929276f8p-2", "0x1.2c7e058c07a19p-2",
+         "0x1.2c7df53b3f765p-2", "0x1.2c7df0851a32dp-2", "0x1.2c7dec99c7605p-2",
+         "0x1.2c7deb780b9a3p-2", "0x1.2c7dea870854dp-2", "0x1.2c7dea416f356p-2",
+         "0x1.2c7dea078a268p-2", "0x1.2c7de9f6d23a3p-2", "0x1.2c7de9e8ea007p-2",
+         "0x1.2c7de9e4e5e45p-2", "0x1.2c7de9e18eab3p-2", "0x1.2c7de9e097b65p-2",
+         "0x1.2c7de9dfca483p-2", "0x1.2c7de9df8ef69p-2", "0x1.2c7de9df5da0bp-2",
+         "0x1.2c7de9df4f5ebp-2", "0x1.2c7de9df43815p-2", "0x1.2c7de9df4015ep-2",
+         "0x1.2c7de9df3d3c6p-2", "0x1.2c7de9df3c6b2p-2", "0x1.2c7de9df3bbe4p-2",
+         "0x1.2c7de9df3b8acp-2", "0x1.2c7de9df3b60ep-2", "0x1.2c7de9df3b574p-2",
+         "0x1.2c7de9df3b4b2p-2", "0x1.2c7de9df3b44bp-2", "0x1.2c7de9df3b411p-2",
+         "0x1.2c7de9df3b3ddp-2", "0x1.2c7de9df3b3cdp-2", "0x1.2c7de9df3b3cdp-2",
+         "0x1.c78b196c52e90p-1", "0x1.909ef59015cb6p-1", "0x1.74485f8887334p-1",
+         "0x1.d6b8a651b68e8p-2", "0x1.214a1330004a5p-2", "0x1.83cdf9bd4b8b6p-3",
+         "0x1.0ebaf24e3efb6p-3", "0x1.1b4154cd4bf30p-4", "0x1.4969181b09f04p-3",
+         "0x1.3cbfa1d9c4c00p-12", "0x1.0216387230000p-16", "0x1.4bfca30000000p-30",
+         "0x1.91d0500000000p-32", "0x1.1000000000000p-48"],
+        "0x1.3c5c26add6cbbp-6",
+        ["0x1.ec8f0bc51863fp-2", "0x1.a878fef711dc4p-1", "0x1.cb9b7b520fbd8p-1",
+         "0x1.da9d4be15a539p-1", "0x1.e2f04a30a0f72p-1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("game", sorted(PINNED_DAMPED))
+def test_damped_pinned_bits(game, unit_loss):
+    (b, m), G = DAMPED_GAMES[game]
+    sol = tp.solve_diverse_threshold(tp.validate_params(b, m), unit_loss, G)
+    assert sol.damped
+    assert pinned_digest(sol) == PINNED_DAMPED[game]
 
 
 def assert_fixed_point(sol, params, F, G):
@@ -298,9 +361,10 @@ def test_large_m_matches_the_exact_uniform_closed_form(b, log_gap):
 
 
 def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
-    # the loop runs on plain arrays: one validated ThresholdCurve, built for
-    # the result, and one uniform-grid check for all of its Simpson sums
-    counts = {"curve": 0, "grid": 0}
+    # each step is one pass over plain arrays with one call of G's cdf, and
+    # coop_prob makes one more; the grid is checked once for all the Simpson
+    # sums, and one validated ThresholdCurve is built, for the result
+    counts = {"curve": 0, "grid": 0, "cdf": 0}
     post_init = tp.ThresholdCurve.__post_init__
     simpson_step = numerics._simpson_step
 
@@ -312,11 +376,17 @@ def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
         counts["grid"] += 1
         return simpson_step(x)
 
+    def counted_cdf(x):
+        counts["cdf"] += 1
+        return unit_belief.cdf(x)
+
+    G = tp.BeliefDistribution(cdf=counted_cdf, pdf=unit_belief.pdf, ppf=unit_belief.ppf)
     monkeypatch.setattr(tp.ThresholdCurve, "__post_init__", counted_post_init)
     for module in (numerics, diverse_eq):
         monkeypatch.setattr(module, "_simpson_step", counted_step)
-    sol = tp.solve_diverse_threshold(p28, unit_loss, unit_belief)
+    sol = tp.solve_diverse_threshold(p28, unit_loss, G)
     assert sol.iterations == 8
+    assert counts["cdf"] == sol.iterations + 1
     assert counts["curve"] <= 1 and counts["grid"] <= 1
 
 
@@ -427,6 +497,37 @@ def exact_beta_oracle(b: float, m: float) -> Decimal:
         return (lo + hi) / 2
 
 
+def inverse_cutoff_oracle(pi: float, b: float, ab) -> Decimal:
+    """The loss at which the uniform-case cutoff ((b-1)(1-beta) + beta l)/(alpha + beta l)
+    equals pi, clipped to [0, 1], exactly in decimal at the float inputs:
+    (pi alpha - (b-1)(1-beta))/((1-pi) beta). 200 digits hold every product
+    and difference of these floats exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        pi, alpha, beta = Decimal(pi), Decimal(ab.alpha), Decimal(ab.beta)
+        loss = (pi * alpha - (Decimal(b) - 1) * (1 - beta)) / ((1 - pi) * beta)
+        return min(max(loss, Decimal(0)), Decimal(1))
+
+
+@given(b=st.floats(2.0, 8.0), log_gap=st.floats(-1.0, 17.0), loss=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["exact", "approximate"]))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_inverse_matches_the_decimal_oracle(b, log_gap, loss, mode):
+    # pi is the float cutoff at `loss`. A one-ulp change of pi moves the
+    # exact inverse by about eps (pi alpha + (b-1)(1-beta))/((1-pi) beta),
+    # about eps m, the most a float evaluation can be held to; subtracting
+    # (1+m-b)/(1-pi) and alpha would be off by about eps m^2/(b-1)
+    params = tp.validate_params(b, b - 1.0 + 10.0**log_gap)
+    ab = tp.solve_alpha_beta(params, mode)
+    pi = diverse_eq._cutoff_at(params, ab, loss)
+    got = tp.closed_form_diverse_uniform(pi, params, ab)
+    scale = (pi * ab.alpha + (b - 1.0) * (1.0 - ab.beta)) / ((1.0 - pi) * ab.beta)
+    assert 0.0 <= got <= 1.0
+    assert abs(Decimal(got) - inverse_cutoff_oracle(pi, b, ab)) <= Decimal(8e-16 * (1.0 + scale))
+    assert tp.closed_form_diverse_uniform(0.0, params, ab) == 0.0
+    assert tp.closed_form_diverse_uniform(diverse_eq._cutoff_at(params, ab, 1.0), params, ab) == 1.0
+
+
 class TestClosedFormDiverseUniform:
     def test_zero_below_beta(self, p28):
         ab = tp.solve_alpha_beta(p28, "approximate")
@@ -439,8 +540,10 @@ class TestClosedFormDiverseUniform:
         assert just_above == pytest.approx(0.0, abs=1e-9)
 
     def test_one_at_upper_kink(self, p28):
+        # the cutoff at l = 1, 1 - (1+m-b)/(alpha + beta), in the form that
+        # does not cancel at large m
         ab = tp.solve_alpha_beta(p28, "approximate")
-        upper = 1 - p28.coop_premium / (ab.alpha + ab.beta)
+        upper = diverse_eq._cutoff_at(p28, ab, 1.0)
         assert tp.closed_form_diverse_uniform(upper, p28, ab) == 1.0
         just_below = tp.closed_form_diverse_uniform(upper - 1e-12, p28, ab)
         assert just_below == pytest.approx(1.0, abs=1e-9)

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
-from trustpd.numerics import ITP_N0, bisect_root, bracket_roots, scan_sign_changes
+from trustpd.numerics import (
+    ITP_N0, _simpson_step, bisect_root, bracket_roots, scan_sign_changes,
+)
 
 
 def scan_reference(values, grid, zero_tol):
@@ -217,6 +219,34 @@ def test_shared_solver_at_a_subnormal_belief():
     eqs = tp.solve_common_equilibria(5e-324, tp.validate_params(2.0, 2.0), tp.uniform_loss(1.0))
     assert eqs.regime == "unique-interior"
     assert eqs.lowest <= 1e-10
+
+
+class TestSimpsonStep:
+    def test_uniform_grid_gives_its_step(self):
+        assert _simpson_step(np.linspace(0.0, 2.0, 9)) == 0.25
+
+    def test_rounding_sized_departure_is_accepted(self):
+        x = np.linspace(0.0, 1.0, 5)
+        x[2] += 1e-14
+        assert _simpson_step(x) == 0.25
+
+    def test_non_uniform_grid_raises(self):
+        x = np.linspace(0.0, 1.0, 5)
+        x[2] += 1e-6
+        with pytest.raises(ValueError, match="uniform"):
+            _simpson_step(x)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_nan_knot_raises(self, where):
+        x = np.linspace(0.0, 1.0, 5)
+        x[where] = np.nan
+        with pytest.raises(ValueError, match="uniform"):
+            _simpson_step(x)
+
+    @pytest.mark.parametrize("n_points", [2, 4, 1000])
+    def test_odd_interval_count_raises(self, n_points):
+        with pytest.raises(ValueError, match="even interval count"):
+            _simpson_step(np.linspace(0.0, 1.0, n_points))
 
 
 # float.hex of solve_common_equilibria at the worked example (b, m, ell_bar) =
