@@ -11,10 +11,10 @@ byte. Exit codes: 0 success, 2 parameter validation, 3 solver convergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,8 @@ from .montecarlo import SimConfig, simulate
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip form
-    if isinstance(value, np.integer):
-        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))  # shortest round-trip form, also for np.float64
     return str(value)
 
 
@@ -63,17 +61,18 @@ def _cells(rows):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows of already formatted cells (see `_cells`) under header."""
+    """Write header and rows of already formatted cells as CRLF-ended lines,
+    one row at a time. Every cell the CLI makes (a float repr, an int, an
+    empty string, a regime label) is free of commas, quotes and line breaks,
+    and every table has two or more columns, so these are the bytes
+    csv.writer writes, without its per-cell quoting pass."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(row) + "\r\n" for row in chain([header], rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(command: str, args: argparse.Namespace, outputs: list[Path]) -> None:
@@ -120,7 +119,8 @@ def cmd_diverse(args) -> None:
     )
     ab = solve_alpha_beta(params, mode="exact" if args.alpha_beta == "exact" else "approximate")
     out = Path(args.out)
-    _write_csv(out, ["ell", "pi_star_d"], _cells(zip(sol.threshold.knots, sol.threshold.values)))
+    rows = zip(map(repr, sol.threshold.knots.tolist()), map(repr, sol.threshold.values.tolist()))
+    _write_csv(out, ["ell", "pi_star_d"], rows)
     summary = {
         "alpha": ab.alpha,
         "beta": ab.beta,
@@ -141,9 +141,9 @@ def cmd_compare(args) -> None:
     grid = np.minimum(np.linspace(0.0, params.pi_low, args.grid, endpoint=True), 1.0 - 1e-12)
     lc = closed_form_common_uniform(grid, params)
     ld = closed_form_diverse_uniform(grid, params, ab)
-    rows = zip(grid.tolist(), lc.tolist(), ld.tolist(), (lc - ld).tolist())
+    rows = zip(*(map(repr, col.tolist()) for col in (grid, lc, ld, lc - ld)))
     out = Path(args.out)
-    _write_csv(out, ["pi", "ell_star_c", "ell_star_d", "diff"], _cells(rows))
+    _write_csv(out, ["pi", "ell_star_c", "ell_star_d", "diff"], rows)
     _write_json(
         _summary_path(out),
         {"pi_dagger": pi_dagger, "alpha": ab.alpha, "beta": ab.beta,
@@ -160,10 +160,10 @@ def cmd_exante(args) -> None:
         b_grid = np.linspace(args.b_range[0], args.b_range[1], args.cells)
         m_grid = np.linspace(args.m_range[0], args.m_range[1], args.cells)
         region = diversity_region(b_grid, m_grid)
-        # valid cells by column: each grid value formatted once, repr as _fmt does
+        # valid cells by column: each grid value formatted once
         i, j = np.nonzero(region.valid)
-        b_cells = [_fmt(b) for b in region.b_grid.tolist()]
-        m_cells = [_fmt(m) for m in region.m_grid.tolist()]
+        b_cells = list(map(repr, region.b_grid.tolist()))
+        m_cells = list(map(repr, region.m_grid.tolist()))
         rows = zip([b_cells[k] for k in i.tolist()], [m_cells[k] for k in j.tolist()],
                    map(repr, region.p_common[i, j].tolist()),
                    map(repr, region.p_diverse[i, j].tolist()),

@@ -62,14 +62,17 @@ def solve_asymmetric(
     """Solve the two-threshold system through the composed best response.
 
     l1 is a fixed point of BR1(BR2(.)), a continuous map of [0, ell_bar] into
-    itself, so `bracket_roots` on a 2001-point grid always lands on a solution,
-    refined to |BR1(BR2(l1)) - l1| <= SOLVE_TOL; this avoids the cobweb
+    itself, so the gap BR1(BR2(l1)) - l1 is >= 0 at 0 and <= 0 at ell_bar,
+    and its roots are refined to |gap| <= SOLVE_TOL; this avoids the cobweb
     divergence plain alternation suffers when the partner's reaction curve is
-    steep. The lowest intersection is returned, and `unique` says whether
-    the scan found only one. With the beliefs on opposite sides of (b-1)/m
-    the composed best response is nonincreasing, so there is exactly one;
-    with both below, as at (3, 50) on [0, 1] with pi1 = pi2 = 0.03, there
-    can be three.
+    steep. With the beliefs on opposite sides of (b-1)/m (a belief at it
+    counts as above), one best response is nonincreasing and the other
+    nondecreasing, so the composed one is nonincreasing, the gap strictly
+    decreasing, and [0, ell_bar] brackets its one root, which `bisect_root`
+    refines. With both on one side, as at (3, 50) on [0, 1] with
+    pi1 = pi2 = 0.03, there can be three intersections: `bracket_roots` scans
+    a 2001-point grid for them, the lowest is returned, and `unique` says
+    whether the scan found only one.
     """
     big_l = dist.ell_bar
 
@@ -82,7 +85,11 @@ def solve_asymmetric(
     def gap(l1):
         return br1(br2(l1)) - l1
 
-    roots = bracket_roots(gap, np.linspace(0.0, big_l, 2001), zero_tol=SOLVE_TOL, ftol=SOLVE_TOL)
+    if (pi1 < params.pi_low) != (pi2 < params.pi_low):
+        roots = [bisect_root(gap, 0.0, big_l, ftol=SOLVE_TOL)]
+    else:
+        roots = bracket_roots(gap, np.linspace(0.0, big_l, 2001), zero_tol=SOLVE_TOL,
+                              ftol=SOLVE_TOL)
     if not roots:
         raise ConvergenceError("no intersection of the reaction curves found")
     ell1 = roots[0]

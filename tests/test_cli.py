@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -17,6 +18,20 @@ from trustpd.cli import main
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def stdlib_rendering(path):
+    """The bytes csv.writer writes for the rows csv.reader parses from a CSV
+    file, or json.dump(indent=2, sort_keys=True) and a newline for what a
+    JSON file parses to."""
+    buf = io.StringIO()
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            csv.writer(buf).writerows(csv.reader(fh))
+    else:
+        json.dump(json.loads(path.read_text()), buf, indent=2, sort_keys=True)
+        buf.write("\n")
+    return buf.getvalue().encode()
 
 
 def exit_code(argv):
@@ -408,6 +423,22 @@ class TestCachedParser:
         assert chained == fresh
         assert chained[0][0] == 0 or chained[0][1] == {}
         assert chained[1][0] == 0 and "x.csv.manifest.json" in chained[1][1]
+
+
+class TestWritersMatchTheStandardLibrary:
+    def test_every_reproduce_all_file(self, tmp_path):
+        assert main(["reproduce-all", "--outdir", str(tmp_path)]) == 0
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == 22
+        for path in paths:
+            assert path.read_bytes() == stdlib_rendering(path), path.name
+
+    def test_rows_with_empty_cells(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["common", "--b", "2", "--m", "8", "--ell-bar", "1",
+                     "--pi-grid", "20", "--out", str(out)]) == 0
+        assert any(r["ell_high"] == r["ell_corner"] == "" for r in read_csv(out))
+        assert out.read_bytes() == stdlib_rendering(out)
 
 
 class TestReproducibility:

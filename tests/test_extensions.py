@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,54 @@ class TestSolveAsymmetric:
         for l1, l2 in ((1.0, 0.0), (shared, shared)):
             assert clamp_br(0.03, l2, fig_params, unit_loss) == pytest.approx(l1, abs=1e-9)
             assert clamp_br(0.03, l1, fig_params, unit_loss) == pytest.approx(l2, abs=1e-9)
+
+
+def asymmetric_quadratic_roots(b, m, pi1, pi2, ell_bar):
+    """The roots l1 of L(K1 - l1)(L - l1) = (K2 L - (b-1) l1)((b-1) - l1), in
+    60-digit decimal from the float inputs: with uniform losses on [0, L],
+    every interior solution of l1 = psi(l2; pi1), l2 = psi(l1; pi2) is one,
+    K_i = (1+m-b) pi_i/(1-pi_i)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, m, pi1, pi2, big_l = map(Decimal, (b, m, pi1, pi2, ell_bar))
+        c = b - 1
+        k1, k2 = ((1 + m - b) * p / (1 - p) for p in (pi1, pi2))
+        qa = big_l - c
+        qb = k2 * big_l + c * c - big_l * (k1 + big_l)
+        qc = big_l * (k1 * big_l - k2 * c)
+        if qa == 0:
+            return [-qc / qb]
+        root_disc = (qb * qb - 4 * qa * qc).sqrt()
+        return [(-qb + s * root_disc) / (2 * qa) for s in (-1, 1)]
+
+
+@given(b=st.floats(1.05, 8.0), log_gap=st.floats(-2.0, 3.0),
+       ell_bar=st.one_of(st.sampled_from([1.0, 8.0]), st.floats(0.5, 16.0)),
+       log_below=st.floats(-14.0, -3.0), log_above=st.none() | st.floats(-14.0, -3.0),
+       below_first=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_straddling_asymmetric_solve(b, log_gap, ell_bar, log_below, log_above, below_first):
+    """Beliefs on opposite sides of (b-1)/m, one of them possibly at it: one
+    intersection, the lowest one the 2001-point scan finds, and for an interior
+    solution a root of the uniform quadratic."""
+    params, dist = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap), tp.uniform_loss(ell_bar)
+    pi_low = params.pi_low
+    below = pi_low * (1.0 - 10.0 ** log_below)
+    above = pi_low if log_above is None else min(pi_low * (1.0 + 10.0 ** log_above), 1.0)
+    assume(below < pi_low <= above)
+    pi1, pi2 = (below, above) if below_first else (above, below)
+    sol = tp.solve_asymmetric(pi1, pi2, params, dist)
+    assert sol.unique
+
+    def gap(l1):
+        return clamp_br(pi1, clamp_br(pi2, l1, params, dist), params, dist) - l1
+
+    scan = bracket_roots(gap, np.linspace(0.0, ell_bar, 2001), zero_tol=1e-12, ftol=1e-12)
+    assert abs(sol.ell1_hat - scan[0]) <= 1e-9 * ell_bar
+    lo, hi = sorted((sol.ell1_hat, sol.ell2_hat))
+    if 1e-7 * ell_bar <= lo and hi <= ell_bar - 1e-7 * ell_bar:
+        roots = asymmetric_quadratic_roots(b, params.m, pi1, pi2, ell_bar)
+        assert min(abs(Decimal(sol.ell1_hat) - r) for r in roots) <= Decimal(1e-10 * ell_bar)
 
 
 class TestAsymmetricSensitivity:
