@@ -94,10 +94,10 @@ def chi_bound(pi: float, params: GameParams, dist: LossDistribution) -> float:
 def best_response_threshold(
     pi: float, opponent_threshold, params: GameParams, dist: LossDistribution
 ):
-    """Optimal own threshold against a partner using `opponent_threshold`.
-
-    Handles the analytic corner cases (certain-honest partner, fully
-    cooperative partner, full-defection bound) before clamping psi. The
+    """Optimal own threshold against a partner using `opponent_threshold`:
+    psi clamped to [0, ell_bar], apart from the corners pi = 1 (ell_bar) and
+    a partner at ell_bar, psi's pole (0 below (b-1)/m, ell_bar from there).
+    Beyond `chi_bound` psi's numerator is negative, so the clamp gives 0. The
     opponent threshold may be a scalar (returns a float) or an array.
     """
     if not 0.0 <= pi <= 1.0:
@@ -110,13 +110,8 @@ def best_response_threshold(
         )
     if pi >= 1.0:
         return float_or_array(np.full(np.shape(opp), big_l))
-    # Corners: against a fully cooperative partner (threshold ell_bar) the
-    # best response is 0 below (b-1)/m and ell_bar above; below (b-1)/m a
-    # partner beyond the full-defection bound chi is met with 0 as well.
     corner = 0.0 if pi < params.pi_low else big_l
     use_psi = opp < big_l
-    if pi < params.pi_low and any_of(use_psi):
-        use_psi = use_psi & (opp <= chi_bound(pi, params, dist))
     best = psi(select(use_psi, opp, 0.0), pi, params, dist)
     best = select(0.0 > best, 0.0, best)
     best = select(big_l < best, big_l, best)

@@ -11,7 +11,7 @@ facing a committed partner prefers to cooperate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -309,26 +309,21 @@ class EquilibriumSet:
     def interior(self) -> tuple[float, ...]:
         return tuple(r.value for r in self.roots if r.kind.startswith("interior"))
 
+    def _first(self, *kinds: str) -> float | None:
+        """Value of the first root of one of these kinds, None when there is none."""
+        return next((r.value for r in self.roots if r.kind in kinds), None)
+
     @property
     def ell_low(self) -> float | None:
-        for r in self.roots:
-            if r.kind in ("interior-low", "corner-zero"):
-                return r.value
-        return None
+        return self._first("interior-low", "corner-zero")
 
     @property
     def ell_high(self) -> float | None:
-        for r in self.roots:
-            if r.kind == "interior-high":
-                return r.value
-        return None
+        return self._first("interior-high")
 
     @property
     def ell_corner(self) -> float | None:
-        for r in self.roots:
-            if r.kind == "corner-upper":
-                return r.value
-        return None
+        return self._first("corner-upper")
 
     @property
     def lowest(self) -> float:

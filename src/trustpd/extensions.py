@@ -12,6 +12,8 @@ others cooperate and defection worth b - m pi^n outright; `consistent`
 carries the two-player payoff algebra over, with cooperation worth
 (1+l) P^n - l and defection worth b P^n - m pi^n for P the per-player
 cooperation probability, so n = 1 reproduces the two-player game exactly.
+Under a shared belief the `consistent` gap is the two-player one at belief
+pi^n under the loss law F~ of `_group_loss`.
 
 With beliefs private, each threshold depends on the others only through the
 population cooperation probability q = integral of F(t(pi)) dG(pi), a fixed
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .common_eq import best_response_threshold, psi_dl
+from .common_eq import best_response_threshold, psi_dl, solve_common_equilibria
 from .core import (
     BeliefDistribution,
     ConvergenceError,
@@ -137,20 +139,59 @@ class GroupRoot(NamedTuple):
     residual: float
 
 
-def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
-    """Cooperation-minus-defection payoff at loss threshold t against n others,
-    each strategic other cooperating with probability coop_prob.
-
-    Elementwise over arrays of pi, t or coop_prob, and a float for scalars.
-    The probability that all n others cooperate is (pi + (1-pi) coop_prob)^n.
-    float_power keeps the scalar pow in both powers, so a belief gives the
-    same gap alone or as an array element.
+def _gap_terms(n: int, pi, coop_prob, params: GameParams, variant: str):
+    """(a, slope) of the cooperation-minus-defection payoff a + slope t at
+    loss threshold t against n others, each strategic other cooperating with
+    probability coop_prob. With s = (pi + (1-pi) coop_prob)^n, `consistent`
+    has a = (1-b) s + m pi^n and slope s - 1, `as_printed` a = s - b + m pi^n
+    and slope -(1 + s). Elementwise over arrays of pi or coop_prob;
+    float_power keeps the scalar pow, so a belief gives the same terms alone
+    or as an array element.
     """
     s = np.float_power(pi + (1.0 - pi) * coop_prob, n)
     moral = params.m * np.float_power(pi, n)
     if variant == "consistent":
-        return float_or_array((1.0 + t - params.b) * s - t + moral)
-    return float_or_array((1.0 - t) * s - t - params.b + moral)
+        return (1.0 - params.b) * s + moral, s - 1.0
+    return s - params.b + moral, -(1.0 + s)
+
+
+def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
+    """The payoff gap a + slope t of `_gap_terms`, elementwise over arrays of
+    pi, t or coop_prob, and a float for scalars."""
+    a, slope = _gap_terms(n, pi, coop_prob, params, variant)
+    return float_or_array(a + slope * t)
+
+
+def _check_group(n: int, variant: str) -> None:
+    if n < 1:
+        raise ParameterError(f"group size n must be >= 1, got {n}")
+    if variant not in VARIANTS:
+        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
+def _group_loss(n: int, pi: float, F: LossDistribution) -> LossDistribution:
+    """F~ = (P^n - pi^n)/(1 - pi^n), P = pi + (1-pi) F(t), on F's support.
+
+    The `consistent` gap (1+t-b) P^n - t + m pi^n is (1 - pi^n)(K~ - phi~(t)),
+    K~ = (1+m-b) pi^n/(1 - pi^n) and phi~ = (b-1) F~ + t (1 - F~): the
+    two-player g at belief pi^n under F~. F~'s hazard is F's times
+    n/sum_{j<n} P^-j, nondecreasing in t, so F~ keeps F's `monotone_hazard`
+    and its knots.
+    """
+    c = float(np.float_power(pi, n))
+
+    def power(t, k):
+        return np.float_power(pi + (1.0 - pi) * F.cdf(t), k)
+
+    return LossDistribution(
+        cdf=lambda t: (power(t, n) - c) / (1.0 - c),
+        pdf=lambda t: n * (1.0 - pi) * power(t, n - 1) * F.pdf(t) / (1.0 - c),
+        ppf=lambda u: F.ppf((np.float_power(c + np.asarray(u) * (1.0 - c), 1.0 / n) - pi)
+                            / (1.0 - pi)),
+        ell_bar=F.ell_bar,
+        monotone_hazard=F.monotone_hazard,
+        knots=F.knots,
+    )
 
 
 def solve_group_common(
@@ -162,46 +203,49 @@ def solve_group_common(
 ) -> GroupRoot:
     """Threshold of one player facing n others under a shared belief.
 
-    Takes the lowest root `bracket_roots` finds in the payoff gap on a
-    1001-point grid, refined to |gap| <= SOLVE_TOL. With none, the gap has
-    one sign on the whole grid, and the threshold is the corner that sign
-    dictates: ell_bar (cooperate for all losses) when the gap at 0 is
-    positive, 0 otherwise.
+    `consistent`: the lowest equilibrium `solve_common_equilibria` finds at
+    belief pi^n under F~ (`_group_loss`), near-tangency pairs included; it
+    needs `F.monotone_hazard`. Its |psi~(l) - l| <= SOLVE_TOL gives
+    |gap| = (1 - pi^n)(1 - F~)|psi~(l) - l| <= SOLVE_TOL, and a root within
+    1e-12 ell_bar of 0 is reported as 0. `corner` means ell_bar.
+
+    `as_printed`: the gap has no one-peak shape (at n = 1, uniform on
+    [0, 0.4], (b, m) = (1.5, 25.6) and pi = 0.05 it is negative at 0 and
+    changes sign at 0.2 and 0.358), so this takes the lowest root
+    `bracket_roots` finds on a 1001-point grid, refined to |gap| <= SOLVE_TOL;
+    a root pair inside one cell goes unseen. With none, `corner` is set and
+    the threshold is ell_bar when the gap at 0 is positive, 0 otherwise.
     """
-    if n < 1:
-        raise ParameterError(f"group size n must be >= 1, got {n}")
+    _check_group(n, variant)
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
     def gap(t):
         return _payoff_gap(n, pi, t, F.cdf(t), params, variant)
 
     big_l = F.ell_bar
-    roots = bracket_roots(gap, np.linspace(0.0, big_l, 1001), zero_tol=SOLVE_TOL, ftol=SOLVE_TOL)
-    value = roots[0] if roots else (big_l if gap(0.0) > 0 else 0.0)
-    return GroupRoot(value=value, corner=not roots, residual=abs(gap(value)))
+    if variant == "consistent":
+        value = solve_common_equilibria(float(np.float_power(pi, n)), params,
+                                        _group_loss(n, pi, F), tol=SOLVE_TOL).lowest
+        corner = value == big_l
+    else:
+        roots = bracket_roots(gap, np.linspace(0.0, big_l, 1001), zero_tol=SOLVE_TOL,
+                              ftol=SOLVE_TOL)
+        value = roots[0] if roots else (big_l if gap(0.0) > 0 else 0.0)
+        corner = not roots
+    return GroupRoot(value=value, corner=corner, residual=abs(gap(value)))
 
 
 def _group_threshold_given_q(n, pis, q, params, variant, big_l):
     """Per-belief thresholds with the population cooperation probability fixed.
 
-    With q fixed the payoff gap is linear in t, so the root is closed-form
-    and only needs clamping to [0, ell_bar]. Both powers use float_power, as
-    `_payoff_gap` does, so a threshold is the root of that gap.
+    With q fixed the payoff gap a + slope t is linear in t (`_gap_terms`), so
+    the root is -a/slope, clamped to [0, ell_bar]. A flat gap (slope 0, all
+    others cooperate for sure) is the constant a: the threshold is ell_bar
+    when a > 0 and 0 otherwise.
     """
-    s = np.float_power(pis + (1.0 - pis) * q, n)
-    moral = params.m * np.float_power(pis, n)
-    if variant == "consistent":
-        den = 1.0 - s
-        num = moral - (params.b - 1.0) * s
-        t = np.where(den > 1e-14, num / np.where(den > 1e-14, den, 1.0), np.inf)
-        # P -> 1 collapses the gap to the constant 1 - b + m pi^n
-        const_sign = 1.0 - params.b + moral
-        t = np.where(den > 1e-14, t, np.where(const_sign > 0, np.inf, -np.inf))
-    else:
-        t = (s - params.b + moral) / (s + 1.0)
+    a, slope = _gap_terms(n, pis, q, params, variant)
+    t = np.divide(a, -slope, out=np.where(a > 0.0, big_l, 0.0), where=slope != 0.0)
     return np.clip(t, 0.0, big_l)
 
 
@@ -290,10 +334,7 @@ def solve_group_diverse(
     fixed Gauss-Legendre rule on every piece between them. The curve holds
     the thresholds at GROUP_KNOTS equally spaced beliefs.
     """
-    if n < 1:
-        raise ParameterError(f"group size n must be >= 1, got {n}")
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_group(n, variant)
     q = _group_fixed_point(n, params, variant, F, G)
     pis = np.linspace(0.0, 1.0, GROUP_KNOTS)
     t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)

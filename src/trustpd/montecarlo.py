@@ -21,7 +21,7 @@ Xeon, most of it the six draws, about 10 ms each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -32,7 +32,6 @@ from .core import (
     GameParams,
     LossDistribution,
     ParameterError,
-    ThresholdCurve,
     payoff_cooperate,
     payoff_defect,
 )
@@ -98,19 +97,11 @@ class SimReport:
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "n_strategic": self.n_strategic,
-            "coop_rate_strategic": self.coop_rate_strategic,
-            "half_width_95": self.half_width_95,
-            "analytic_prediction": self.analytic_prediction,
-            "max_deviation_gain": self.max_deviation_gain,
-            # an empty cell's mean is NaN, which JSON has no token for: null
-            "payoff_means": {cell: None if np.isnan(mean) else mean
-                             for cell, mean in self.payoff_means.items()},
-        }
+        out = asdict(self)
+        # an empty cell's mean is NaN, which JSON has no token for: null
+        out["payoff_means"] = {cell: None if np.isnan(mean) else mean
+                               for cell, mean in self.payoff_means.items()}
+        return out
 
 
 def _common_threshold(config: SimConfig, params, F) -> float:
@@ -292,28 +283,20 @@ def deviation_check(
     if strategy is None:
         strategy, _ = _resolve_strategy(config, params, F, G)
 
-    def one_sided(pi, p, threshold, losses):
+    def gain(pi, p, cooperates, losses):
         uc = payoff_cooperate(losses, pi, p)
         ud = payoff_defect(pi, p, params)
-        gain = np.where(losses <= threshold, ud - uc, uc - ud)
-        return max(0.0, float(gain.max()))
+        return max(0.0, float(np.where(cooperates, ud - uc, uc - ud).max()))
 
     losses = np.linspace(0.0, F.ell_bar, DEVIATION_GRID)
     if config.scenario == "common":
         thr = float(strategy)
-        p = float(F.cdf(thr))
-        return one_sided(config.pi, p, thr, losses)
+        return gain(config.pi, float(F.cdf(thr)), losses <= thr, losses)
     if config.scenario == "asymmetric":
         t1, t2 = strategy
-        g1 = one_sided(config.pi1, float(F.cdf(t2)), t1, losses)
-        g2 = one_sided(config.pi2, float(F.cdf(t1)), t2, losses)
-        return max(g1, g2)
+        return max(gain(config.pi1, float(F.cdf(t2)), losses <= t1, losses),
+                   gain(config.pi2, float(F.cdf(t1)), losses <= t2, losses))
     # diverse: the (loss, belief) mesh against the cutoff curve, losses down rows
-    curve = strategy
-    p = cooperation_prob_given_strategy(curve, F, G)
     beliefs = np.linspace(0.0, 1.0 - 1e-9, DEVIATION_GRID)
-    cutoffs = curve(losses)[:, None]
-    uc = payoff_cooperate(losses[:, None], beliefs, p)
-    ud = payoff_defect(beliefs, p, params)
-    gain = np.where(beliefs >= cutoffs, ud - uc, uc - ud)
-    return max(0.0, float(gain.max()))
+    return gain(beliefs, cooperation_prob_given_strategy(strategy, F, G),
+                beliefs >= strategy(losses)[:, None], losses[:, None])

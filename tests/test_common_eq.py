@@ -123,6 +123,24 @@ class TestBestResponse:
         assert near == pytest.approx(0.0, abs=1e-6)
 
 
+@given(game=games, pi_frac=st.floats(0.0, 1.0 - 1e-9), vector=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_best_response_is_clamped_psi_below_pi_low(game, pi_frac, vector):
+    """Below (b-1)/m: 0 against every partner at or beyond chi (and against
+    ell_bar), and psi clamped to [0, ell_bar] against every other."""
+    params, dist = make_game(*game)
+    pi, big_l = pi_frac * params.pi_low, dist.ell_bar
+    opponents = np.linspace(0.0, big_l, 97)
+    if vector:
+        br = tp.best_response_threshold(pi, opponents, params, dist)
+    else:
+        br = np.array([tp.best_response_threshold(pi, float(x), params, dist) for x in opponents])
+    beyond = (opponents >= tp.chi_bound(pi, params, dist) + 1e-12 * big_l) | (opponents == big_l)
+    assert np.all(br[beyond] == 0.0)
+    inside = opponents[~beyond]
+    np.testing.assert_array_equal(br[~beyond], np.clip(psi(inside, pi, params, dist), 0.0, big_l))
+
+
 class TestSolveCommonEquilibria:
     def test_unique_interior_regime(self, fig_params, fig_dist):
         eqs = tp.solve_common_equilibria(0.03, fig_params, fig_dist)

@@ -9,19 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_common_eq import uniform_fixed_points
+from test_vectorized import power_loss
 
 import trustpd as tp
 from trustpd import extensions
 from trustpd.common_eq import psi
 from trustpd.extensions import (
+    SOLVE_TOL,
     VARIANTS,
     _group_fixed_point,
+    _group_loss,
     _group_threshold_given_q,
     _kink_beliefs,
     _payoff_gap,
     _q_update,
 )
-from trustpd.numerics import adaptive_simpson, bracket_roots
+from trustpd.numerics import adaptive_simpson, bisect_root, bracket_roots
 
 
 def clamp_br(pi, opp, params, dist):
@@ -221,6 +225,131 @@ class TestGroupCommon:
             tp.solve_group_common(2, 1.0, p28, unit_loss)
         with pytest.raises(tp.ParameterError):
             tp.solve_group_common(2, 0.5, p28, unit_loss, variant="bogus")
+
+
+def group_losses():
+    """Uniform and power-law tabulated losses on [0, 2], by name."""
+    losses = {f"power{k}": power_loss(2.0, k) for k in (0.5, 0.8, 1.0)}
+    return {"uniform": tp.uniform_loss(2.0), **losses}
+
+
+class TestGroupLoss:
+    """F~ of `_group_loss`, the law under which the consistent group gap is the
+    two-player one at belief pi^n."""
+
+    @pytest.mark.parametrize("name", sorted(group_losses()))
+    @pytest.mark.parametrize("n, pi", [(1, 0.03), (2, 0.3), (5, 0.6), (10, 0.9), (3, 0.0)])
+    def test_gap_is_the_two_player_gap(self, name, n, pi):
+        F, params = group_losses()[name], tp.validate_params(3.0, 50.0)
+        tilde, c = _group_loss(n, pi, F), pi ** n
+        k = params.coop_premium * c / (1.0 - c)
+        for t in np.linspace(0.0, F.ell_bar, 101).tolist():
+            big_f = float(tilde.cdf(t))
+            phi = (params.b - 1.0) * big_f + t * (1.0 - big_f)
+            gap = _payoff_gap(n, pi, t, F.cdf(t), params, "consistent")
+            scale = 1.0 + t + params.b + params.m * c
+            assert abs(gap - (1.0 - c) * (k - phi)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", sorted(group_losses()))
+    @pytest.mark.parametrize("n, pi", [(1, 0.03), (2, 0.3), (5, 0.6), (10, 0.9), (3, 0.0)])
+    def test_ppf_inverts_cdf(self, name, n, pi):
+        F = group_losses()[name]
+        tilde = _group_loss(n, pi, F)
+        ts = np.linspace(0.0, F.ell_bar, 201)
+        np.testing.assert_allclose(tilde.ppf(tilde.cdf(ts)), ts, rtol=0.0, atol=1e-12 * F.ell_bar)
+        assert tilde.cdf(0.0) == 0.0 and tilde.cdf(F.ell_bar) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(group_losses()))
+    @pytest.mark.parametrize("n, pi", [(1, 0.03), (2, 0.3), (10, 0.9), (3, 0.0)])
+    def test_keeps_a_nondecreasing_hazard(self, name, n, pi):
+        F = group_losses()[name]
+        tilde = _group_loss(n, pi, F)
+        assert tilde.monotone_hazard and tilde.knots == F.knots and tilde.ell_bar == F.ell_bar
+        ts = np.linspace(0.0, F.ell_bar, 802)[:-1]
+        h = tilde.pdf(ts) / (1.0 - tilde.cdf(ts))
+        assert np.all(np.diff(h) >= -1e-9 * h[1:])
+
+    def test_non_monotone_hazard(self, fig_params):
+        # density 0.5, 0.05, 0.45 on three unit segments: the hazard dips on
+        # the middle one
+        F = tp.tabulated_loss([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.55, 1.0])
+        assert not _group_loss(2, 0.1, F).monotone_hazard
+        with pytest.raises(tp.ParameterError, match="hazard"):
+            tp.solve_group_common(2, 0.1, fig_params, F, variant="consistent")
+        root = tp.solve_group_common(2, 0.1, fig_params, F, variant="as_printed")
+        assert 0.0 <= root.value <= F.ell_bar
+
+    def test_as_printed_gap_changes_sign_twice(self):
+        # no one-peak shape: negative at 0, a root at 0.2 and another at 0.358
+        params, F, pi = tp.validate_params(1.5, 25.6), tp.uniform_loss(0.4), 0.05
+        roots = bracket_roots(lambda t: _payoff_gap(1, pi, t, F.cdf(t), params, "as_printed"),
+                              np.linspace(0.0, 0.4, 1001), zero_tol=0.0, ftol=1e-14)
+        assert _payoff_gap(1, pi, 0.0, 0.0, params, "as_printed") < 0.0
+        assert roots == pytest.approx([0.2, 0.358], abs=1e-3)
+        root = tp.solve_group_common(1, pi, params, F, variant="as_printed")
+        assert root.value == pytest.approx(roots[0], abs=1e-12) and not root.corner
+
+
+def reduced_pi_prime(n, pi, params, F):
+    """pi' of the two-player game under the group loss F~ at belief pi."""
+    return tp.critical_pair(params, _group_loss(n, pi, F)).pi_prime
+
+
+def belief_below_reduced_pi_prime(n, rel, params, F):
+    """The belief pi with pi^n = (1 - rel) pi'(pi), pi' the reduced game's
+    tangency belief: pi^n - (1 - rel) pi' is negative at 0 and positive near 1."""
+    return bisect_root(lambda pi: pi ** n - (1.0 - rel) * reduced_pi_prime(n, pi, params, F),
+                       0.0, 1.0 - 1e-9, ftol=0.0)
+
+
+@given(b=st.floats(1.05, 6.0), log_gap=st.floats(-1.0, 2.5), n=st.integers(1, 10),
+       family=st.sampled_from(["uniform", 0.5, 0.8, 1.0]), ell_bar=st.floats(0.5, 16.0),
+       belief=st.one_of(st.tuples(st.just("random"), st.floats(0.0, 0.999)),
+                        st.tuples(st.just("below-pi-prime"), st.floats(-12.0, -3.0)),
+                        st.tuples(st.just("near-one"), st.floats(-6.0, -1.0))))
+@settings(max_examples=300, deadline=None)
+def test_consistent_group_solve(b, log_gap, n, family, ell_bar, belief):
+    """The consistent group threshold is the lowest root of the payoff gap, or
+    ell_bar when the gap stays positive, near pi' of the reduced game too."""
+    params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
+    F = tp.uniform_loss(ell_bar) if family == "uniform" else power_loss(ell_bar, family)
+    mode, x = belief
+    if mode == "random":
+        pi = x
+    elif mode == "near-one":
+        pi = 1.0 - 10.0 ** x
+    else:
+        assume(ell_bar > b - 1.0)
+        pi = belief_below_reduced_pi_prime(n, 10.0 ** x, params, F)
+    root = tp.solve_group_common(n, pi, params, F, variant="consistent")
+
+    def gap(t):
+        return _payoff_gap(n, pi, t, F.cdf(t), params, "consistent")
+
+    assert root.corner == (root.value == ell_bar)
+    if root.value == 0.0:
+        # a root within 1e-12 ell_bar of 0 is reported as 0 (`corner-zero`)
+        assert gap(1e-12 * ell_bar) <= SOLVE_TOL
+    elif not root.corner:
+        assert root.residual == abs(gap(root.value)) <= SOLVE_TOL
+    grid = np.linspace(0.0, ell_bar, 20001)
+    below = grid if root.corner else grid[grid < root.value]
+    assert np.all(gap(below) >= -SOLVE_TOL)
+    if n == 1:
+        def agrees(want, atol):
+            # two roots with |gap| <= SOLVE_TOL lie apart by up to 2 SOLVE_TOL
+            # over the slope of the gap between them, (1 - pi) |phi'|, which
+            # vanishes at the tangency loss: near pi' that exceeds atol
+            at = max(root.value, want)
+            dphi = (1.0 - float(F.cdf(at))) - float(F.pdf(at)) * (at - (b - 1.0))
+            return (abs(root.value - want) - atol) * (1.0 - pi) * abs(dphi) <= 2.0 * SOLVE_TOL
+
+        shared = tp.solve_common_equilibria(pi, params, F, tol=SOLVE_TOL).lowest
+        assert agrees(shared, 1e-9 * ell_bar)
+        if family == "uniform":
+            want = min(uniform_fixed_points(b, params.m, ell_bar, pi)
+                       + ((ell_bar,) if pi >= params.pi_low else ()))
+            assert agrees(want, 1e-10 * ell_bar)
 
 
 class TestGroupDiverse:
