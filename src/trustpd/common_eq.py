@@ -201,6 +201,11 @@ def solve_common_equilibria(
     the bound is 1 - F(hi). On [l', ell_bar] a root l > K solves
     (l - K)(1 - F) = (K - (b-1)) F, so 1 - F >= (K - (b-1)) F(l')/(ell_bar - K).
     Only where the bound is 0 is the bracket refined to adjacent floats.
+    The contract bounds the residual, not the error in l: near pi' the slope
+    of g at a root tends to 0, as g'(l') = 0, so a root may lie about
+    ftol/|g'| from the exact one. At (4, 4), uniform on [0, 5], 1e-9
+    relative below pi', tol = 1e-12 leaves the low root 1.69e-9 above the
+    exact root of the uniform quadratic.
 
     The corner ell_bar is an equilibrium exactly when pi >= (b-1)/m. The
     regime is `unique-interior` below (b-1)/m, `triple` when two interior

@@ -241,26 +241,37 @@ def _play_half(seed: int, n: int, belief, cooperates, slots, F: LossDistribution
 
 
 def _cell_payoffs(params, honest, own, partner, partner_honest, loss) -> dict:
-    """One player's strategic payoffs per (own action, partner action) cell,
-    in draw order."""
+    """One player's strategic payoffs per (own action, partner action) cell:
+    the CD and DC payoffs in draw order, and for CC and DD, whose every
+    outcome pays 1 and 0, the count of outcomes."""
     own_c, own_d = own & ~honest, ~(own | honest)
     dc = own_d & partner
     return {
-        "CC": np.ones(np.count_nonzero(own_c & partner)),
+        "CC": np.count_nonzero(own_c & partner),
         "CD": -loss[own_c & ~partner],
         "DC": np.where(partner_honest[dc], params.b - params.m, params.b),
-        "DD": np.zeros(np.count_nonzero(own_d & ~partner)),
+        "DD": np.count_nonzero(own_d & ~partner),
     }
+
+
+# the payoff of every outcome in the cells `_cell_payoffs` tallies as counts
+_FIXED_CELL_PAYOFFS = {"CC": 1.0, "DD": 0.0}
 
 
 def _strategic_cell_means(first: dict, second: dict) -> dict:
     """Mean strategic payoff per cell of the two players' `_cell_payoffs`.
 
-    Each cell averages its payoffs in draw order, first players before
-    second players: the order of one pass over all 2n players.
+    Each varying cell averages its payoffs in draw order, first players
+    before second players: the order of one pass over all 2n players. A
+    fixed cell's mean is its payoff, NaN when neither player has an outcome
+    there.
     """
     out = {}
     for label, payoffs in first.items():
+        if label in _FIXED_CELL_PAYOFFS:
+            seen = payoffs + second[label] > 0
+            out[label] = _FIXED_CELL_PAYOFFS[label] if seen else float("nan")
+            continue
         payoffs = np.concatenate([payoffs, second[label]])
         out[label] = float(payoffs.mean()) if payoffs.size else float("nan")
     return out

@@ -150,8 +150,8 @@ def composite_simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 def _simpson_step(x) -> float:
     """The step h of a composite Simpson grid, after checking that x is
-    uniform with an even interval count. A solver that integrates on one grid
-    many times checks it once here and calls `_simpson_sum` with h.
+    uniform with an even interval count, for `_simpson_sum` on a grid that
+    comes from the caller.
 
     Uniform means every step within 1e-12 max(1, |h|) + 1e-8 |h| of h, the
     test of np.allclose(steps, h, rtol=1e-8, atol=1e-12 max(1, |h|)), made as

@@ -207,6 +207,21 @@ class TestGroupCommon:
             gap = (1 + t - params.b) * s - t + params.m * 0.9
             assert gap >= 0
 
+    @pytest.mark.parametrize("n, gap_at_zero", [(2, 1.2e-11), (5, 3e-12), (2, 5e-13)])
+    def test_root_next_to_zero_meets_the_residual_contract(self, n, gap_at_zero):
+        # gap(0) = pi^n (1+m-b) and the root lies within 1e-12 ell_bar of 0,
+        # where the shared solver reports 0; 0 is kept only when it meets
+        # |gap| <= SOLVE_TOL itself
+        params = tp.validate_params(2, 8)
+        F = tp.uniform_loss(16.0)
+        pi = (gap_at_zero / params.coop_premium) ** (1.0 / n)
+        root = tp.solve_group_common(n, pi, params, F, variant="consistent")
+        assert not root.corner
+        assert root.residual == abs(_payoff_gap(n, pi, root.value, F.cdf(root.value), params,
+                                                "consistent")) <= SOLVE_TOL
+        assert (root.value == 0.0) == (gap_at_zero <= SOLVE_TOL)
+        assert root.value <= 1e-12 * F.ell_bar
+
     def test_as_printed_residual(self, p28, unit_loss):
         for n, pi in ((1, 0.3), (3, 0.7)):
             root = tp.solve_group_common(n, pi, p28, unit_loss, variant="as_printed")
@@ -327,10 +342,7 @@ def test_consistent_group_solve(b, log_gap, n, family, ell_bar, belief):
         return _payoff_gap(n, pi, t, F.cdf(t), params, "consistent")
 
     assert root.corner == (root.value == ell_bar)
-    if root.value == 0.0:
-        # a root within 1e-12 ell_bar of 0 is reported as 0 (`corner-zero`)
-        assert gap(1e-12 * ell_bar) <= SOLVE_TOL
-    elif not root.corner:
+    if not root.corner:
         assert root.residual == abs(gap(root.value)) <= SOLVE_TOL
     grid = np.linspace(0.0, ell_bar, 20001)
     below = grid if root.corner else grid[grid < root.value]
