@@ -8,15 +8,20 @@ partner's belief. Draws come from a counter-based generator (Philox) keyed
 by the seed, in a fixed serial order per scenario, so identical
 configurations reproduce bit-identical reports.
 
-Each player's half of the n matches (its belief, its partner's honesty, its
-loss and its strategic action) replays its own slots of that serial stream,
-so player 2's half runs on a worker thread while the caller plays player
-1's, and the two halves' payoff cells are gathered the same way; numpy
-releases the GIL in the draws, the ufuncs and the gathers. Under dispersed
-beliefs the cutoff curve compares each belief with its bucket's bound on the
-curve and interpolates only the few beliefs inside it. One (2.5, 20) diverse
-run of 10^6 matches takes about 72 ms (best of 9; 79 ms median) on a 2-vCPU
-Xeon, most of it the six draws, about 10 ms each.
+Each thread plays a range of the n matches, both players of each match:
+the caller matches [0, n//2) and a worker thread [n//2, n), each replaying
+its range of every slot of that serial stream, BLOCK matches at a time;
+numpy releases the GIL in the draws, the ufuncs and the gathers. A block
+keeps only counts (strategic players, their cooperations, CC and DD
+outcomes) and, per player, its CD payoffs and its DC partners' honesty,
+which are averaged in the order of one serial pass. So memory is a block's
+temporaries per thread plus about 0.5 bytes a match at (2.5, 20). Under
+dispersed beliefs the cutoff curve compares each belief with its bucket's
+bound on the curve and interpolates only the few beliefs inside it. One
+(2.5, 20) diverse run of 10^6 matches takes about 73 ms (median of 15 calls
+in a fresh process) on a 2-vCPU Xeon, most of it the six draws and that
+comparison; its traced allocation peak is 9.5 MB, and 9.7 MB at 4 * 10^6
+matches.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .extensions import solve_asymmetric
 
 SCENARIOS = ("common", "diverse", "asymmetric")
 
-# Matches per block in `_play_half`, so no temporary grows with n.
+# Matches per block in `_play_matches`, so no temporary grows with n.
 BLOCK = 1 << 16
 # Losses (and beliefs, under dispersed beliefs) at which `deviation_check` looks.
 DEVIATION_GRID = 200
@@ -70,8 +75,9 @@ class SimConfig:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or not 0 <= self.seed < 2 ** 128):
             raise ParameterError(f"seed must be an integer in [0, 2^128), got {self.seed!r}")
-        if self.n_samples < 1:
-            raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
+        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, (int, np.integer))
+                or self.n_samples < 1):
+            raise ParameterError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.scenario == "common" and not (self.pi is not None and 0.0 <= self.pi < 1.0):
@@ -153,26 +159,29 @@ def simulate(
     # imported here, so that importing trustpd does not load the thread pool
     from concurrent.futures import ThreadPoolExecutor
 
-    n = config.n_samples
-    halves = _player_halves(config, strategy, G)
-    # player 2's half runs on a worker thread while this one plays player 1's,
-    # and again for the payoff cells; numpy releases the GIL in the draws, the
-    # ufuncs and the gathers
+    n = int(config.n_samples)  # a numpy integer would wrap in the stream offsets
+    players = _players(config, strategy, G)
+    # the worker plays matches [n//2, n) while this thread plays [0, n//2);
+    # numpy releases the GIL in the draws, the ufuncs and the gathers
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="trustpd-simulate") as pool:
-        second = pool.submit(_play_half, config.seed, n, *halves[1], F)
-        honest2, loss1, strategic_coop1 = _play_half(config.seed, n, *halves[0], F)
-        honest1, loss2, strategic_coop2 = second.result()
-        coop1, coop2 = honest1 | strategic_coop1, honest2 | strategic_coop2
-        second = pool.submit(_cell_payoffs, params, honest2, coop2, coop1, honest1, loss2)
-        payoffs1 = _cell_payoffs(params, honest1, coop1, coop2, honest2, loss1)
-        payoff_means = _strategic_cell_means(payoffs1, second.result())
+        second = pool.submit(_play_matches, config.seed, n, n // 2, n, players, F)
+        first = _play_matches(config.seed, n, 0, n // 2, players, F)
+        second = second.result()
 
-    strategic1, strategic2 = ~honest1, ~honest2
-    n_strat = int(np.count_nonzero(strategic1)) + int(np.count_nonzero(strategic2))
+    n_strat, n_coop, n_cc, n_dd = (int(a + b) for a, b in zip(first[0], second[0]))
     if n_strat == 0:
         raise ParameterError("no strategic players sampled; increase n_samples")
+    # each gather in the order of one serial pass over the 2n players: player
+    # 1's blocks over all n matches, then player 2's
+    cd, dc_honest = (np.concatenate(first[k][0] + second[k][0] + first[k][1] + second[k][1])
+                     for k in (1, 2))
+    payoff_means = {  # every CC outcome pays 1 and every DD outcome 0
+        "CC": 1.0 if n_cc else float("nan"),
+        "CD": _mean(cd),
+        "DC": _mean(np.where(dc_honest, params.b - params.m, params.b)),
+        "DD": 0.0 if n_dd else float("nan"),
+    }
     # a count over a count: the mean of the strategic players' cooperation flags
-    n_coop = int(np.count_nonzero(coop1 & strategic1)) + int(np.count_nonzero(coop2 & strategic2))
     p_hat = n_coop / n_strat
     half = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / n_strat)
 
@@ -190,7 +199,12 @@ def simulate(
     )
 
 
-def _player_halves(config: SimConfig, strategy, G):
+def _mean(payoffs: np.ndarray) -> float:
+    """The payoffs' mean; NaN when no outcome fell in the cell."""
+    return float(payoffs.mean()) if payoffs.size else float("nan")
+
+
+def _players(config: SimConfig, strategy, G):
     """Each player's belief, cooperation rule and draw slots, in player order.
 
     The belief is a number, or G when beliefs are dispersed; the rule maps
@@ -198,11 +212,11 @@ def _player_halves(config: SimConfig, strategy, G):
     the serial stream holds its values k*n to (k+1)*n - 1, and the serial
     order of the draws is: the two dispersed beliefs, if any, then whether
     players 1 and 2 are committed, then their losses. A player's own belief
-    is how likely its partner is committed, so each half draws its
+    is how likely its partner is committed, so each player draws its
     partner's honesty, from slots (belief, partner honesty, loss).
     """
     if config.scenario == "diverse":
-        strategy._bucket_bounds  # built before the halves start, so both share it
+        strategy._bucket_bounds  # built before the threads start, so both share it
         return (G, strategy.at_or_above, (0, 3, 4)), (G, strategy.at_or_above, (1, 2, 5))
     if config.scenario == "common":
         (pi1, pi2), (t1, t2) = (config.pi, config.pi), (strategy, strategy)
@@ -220,61 +234,38 @@ def _stream(seed: int, offset: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _play_half(seed: int, n: int, belief, cooperates, slots, F: LossDistribution):
-    """One player's half of n matches, BLOCK matches at a time: whether its
-    partner is committed, its losses, and whether it cooperates if strategic.
-    Each draw replays its slot of the serial stream (see `_player_halves`)."""
-    belief_slot, honesty_slot, loss_slot = slots
-    beliefs = None if belief_slot is None else _stream(seed, belief_slot * n)
-    honesty, losses = _stream(seed, honesty_slot * n), _stream(seed, loss_slot * n)
-    partner_honest = np.empty(n, dtype=bool)
-    loss = np.empty(n)
-    coop = np.empty(n, dtype=bool)
-    for start in range(0, n, BLOCK):
-        block = slice(start, min(start + BLOCK, n))
-        size = block.stop - start
-        own = belief if beliefs is None else np.asarray(belief.ppf(beliefs.random(size)))
-        np.less(honesty.random(size), own, out=partner_honest[block])
-        loss[block] = F.ppf(losses.random(size))
-        coop[block] = cooperates(loss[block], own)
-    return partner_honest, loss, coop
+def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDistribution):
+    """Matches [start, stop) of n, BLOCK at a time, keeping no per-match array.
 
-
-def _cell_payoffs(params, honest, own, partner, partner_honest, loss) -> dict:
-    """One player's strategic payoffs per (own action, partner action) cell:
-    the CD and DC payoffs in draw order, and for CC and DD, whose every
-    outcome pays 1 and 0, the count of outcomes."""
-    own_c, own_d = own & ~honest, ~(own | honest)
-    dc = own_d & partner
-    return {
-        "CC": np.count_nonzero(own_c & partner),
-        "CD": -loss[own_c & ~partner],
-        "DC": np.where(partner_honest[dc], params.b - params.m, params.b),
-        "DD": np.count_nonzero(own_d & ~partner),
-    }
-
-
-# the payoff of every outcome in the cells `_cell_payoffs` tallies as counts
-_FIXED_CELL_PAYOFFS = {"CC": 1.0, "DD": 0.0}
-
-
-def _strategic_cell_means(first: dict, second: dict) -> dict:
-    """Mean strategic payoff per cell of the two players' `_cell_payoffs`.
-
-    Each varying cell averages its payoffs in draw order, first players
-    before second players: the order of one pass over all 2n players. A
-    fixed cell's mean is its payoff, NaN when neither player has an outcome
-    there.
+    Each draw replays its slot of the serial stream from the match at start
+    on (see `_players`). Returns the counts (strategic players, their
+    cooperations, CC outcomes, DD outcomes) and, per player and block in
+    draw order, its CD payoffs and its DC partners' honesty.
     """
-    out = {}
-    for label, payoffs in first.items():
-        if label in _FIXED_CELL_PAYOFFS:
-            seen = payoffs + second[label] > 0
-            out[label] = _FIXED_CELL_PAYOFFS[label] if seen else float("nan")
-            continue
-        payoffs = np.concatenate([payoffs, second[label]])
-        out[label] = float(payoffs.mean()) if payoffs.size else float("nan")
-    return out
+    streams = [[None if slot is None else _stream(seed, slot * n + start) for slot in slots]
+               for _, _, slots in players]
+    counts = [0, 0, 0, 0]
+    cd, dc_honest = ([], []), ([], [])
+    for block_start in range(start, stop, BLOCK):
+        size = min(BLOCK, stop - block_start)
+        partner_honest, loss, strategic_coop = [], [], []
+        for (belief, cooperates, _), (beliefs, honesty, losses) in zip(players, streams):
+            own = belief if beliefs is None else np.asarray(belief.ppf(beliefs.random(size)))
+            partner_honest.append(honesty.random(size) < own)
+            loss.append(np.asarray(F.ppf(losses.random(size)), dtype=float))
+            strategic_coop.append(cooperates(loss[-1], own))
+        honest = partner_honest[::-1]
+        coop = [h | c for h, c in zip(honest, strategic_coop)]
+        for me, partner in ((0, 1), (1, 0)):
+            strategic = ~honest[me]
+            own_c, own_d = coop[me] & strategic, strategic & ~coop[me]
+            counts[0] += np.count_nonzero(strategic)
+            counts[1] += np.count_nonzero(own_c)
+            counts[2] += np.count_nonzero(own_c & coop[partner])
+            counts[3] += np.count_nonzero(own_d & ~coop[partner])
+            cd[me].append(-loss[me][own_c & ~coop[partner]])
+            dc_honest[me].append(honest[partner][own_d & coop[partner]])
+    return counts, cd, dc_honest
 
 
 def deviation_check(

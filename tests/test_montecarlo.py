@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ class TestSimConfig:
     @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 63)])
     def test_accepts_every_philox_key(self, seed):
         tp.SimConfig(n_samples=10, seed=seed, scenario="common", pi=0.1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True, 1e3])
+    def test_rejects_a_sample_count_that_is_no_integer(self, n_samples):
+        with pytest.raises(tp.ParameterError, match="n_samples"):
+            tp.SimConfig(n_samples=n_samples, seed=1, scenario="common", pi=0.1)
+
+    def test_a_numpy_integer_sample_count_plays_as_its_int(self, fig_params, fig_dist):
+        # 5 * 200 wraps in uint8, so the stream offsets must be taken as int
+        base = dict(seed=1, scenario="common", pi=0.05)
+        got = tp.simulate(tp.SimConfig(n_samples=np.uint8(200), **base), fig_params, fig_dist)
+        want = tp.simulate(tp.SimConfig(n_samples=200, **base), fig_params, fig_dist)
+        assert got == want
 
 
 class TestSimulate:
@@ -329,19 +342,40 @@ def test_simulate_pinned_bits(case):
 
 @pytest.mark.parametrize("case", ["common", "diverse"])
 def test_simulate_blocks_of_any_size_give_the_same_bits(case, monkeypatch):
-    # blocks of 7 leave a ragged last block (1003 = 143 * 7 + 2); at the real
-    # size the 1003 matches are one block
+    # at the real size each thread's matches are one block. In blocks of 7:
+    # at n = 1 the caller's range [0, 0) is empty; at n = 8 the split at 4
+    # falls inside the first block of a serial pass; at n = 1003 each thread
+    # ends on a ragged block (501 = 71 * 7 + 4 and 502 = 71 * 7 + 5)
     beliefs, (b, m), ell_bar, belief = SIM_CASES[case]
     G = tp.uniform_belief() if belief else None
-    cfg = tp.SimConfig(n_samples=1003, seed=8, scenario=case, **beliefs)
 
-    def report():
-        return hexed(tp.simulate(cfg, tp.validate_params(b, m), tp.uniform_loss(ell_bar),
-                                 G).to_dict())
+    def reports():
+        return [hexed(tp.simulate(tp.SimConfig(n_samples=n, seed=8, scenario=case, **beliefs),
+                                  tp.validate_params(b, m), tp.uniform_loss(ell_bar),
+                                  G).to_dict())
+                for n in (1, 8, 1003)]
 
-    whole = report()
+    one_block = reports()
     monkeypatch.setattr(montecarlo, "BLOCK", 7)
-    assert report() == whole
+    assert reports() == one_block
+
+
+def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
+    # per-match arrays took 29.6 MB at 10^6 matches and 118 MB at 4 * 10^6;
+    # blocks and the CD and DC gathers take a few MB and about 0.5 B a match
+    params = tp.validate_params(2.5, 20.0)
+    curve = tp.solve_diverse_threshold(params, unit_loss, unit_belief).threshold
+    peaks = []
+    for n in (10 ** 6, 4 * 10 ** 6):
+        cfg = tp.SimConfig(n_samples=n, seed=3, scenario="diverse", strategy=curve)
+        tracemalloc.start()
+        try:
+            tp.simulate(cfg, params, unit_loss, unit_belief)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 12e6
+    assert peaks[1] - peaks[0] < 3e6
 
 
 def test_diverse_simulate_builds_one_table_and_no_long_interp(monkeypatch, p28, unit_loss,
@@ -374,23 +408,24 @@ def simulate_threads():
     return [t for t in threading.enumerate() if t.name.startswith("trustpd-simulate")]
 
 
-def test_error_in_player_two_half_reaches_the_caller(monkeypatch, p28, unit_loss, unit_belief):
-    play_half = montecarlo._play_half
+def test_error_in_the_workers_matches_reaches_the_caller(monkeypatch, p28, unit_loss,
+                                                          unit_belief):
+    play_matches = montecarlo._play_matches
 
     def failing_on_the_worker(*args):
         if threading.current_thread().name.startswith("trustpd-simulate"):
-            raise RuntimeError("player 2's half failed")
-        return play_half(*args)
+            raise RuntimeError("the worker's matches failed")
+        return play_matches(*args)
 
-    monkeypatch.setattr(montecarlo, "_play_half", failing_on_the_worker)
+    monkeypatch.setattr(montecarlo, "_play_matches", failing_on_the_worker)
     cfg = tp.SimConfig(n_samples=1000, seed=4, scenario="diverse")
-    with pytest.raises(RuntimeError, match="player 2's half failed"):
+    with pytest.raises(RuntimeError, match="the worker's matches failed"):
         tp.simulate(cfg, p28, unit_loss, unit_belief)
     assert simulate_threads() == []
 
 
 def test_losses_past_the_curve_domain_raise_and_leave_no_thread(p28, unit_belief, diverse_28):
-    # quantiles that overshoot the stated support [0, 1]: both halves query
+    # quantiles that overshoot the stated support [0, 1]: both threads query
     # the cutoff curve past its domain
     F = tp.LossDistribution(cdf=lambda x: np.clip(x, 0.0, 1.0), pdf=lambda x: 1.0 + 0 * x,
                             ppf=lambda u: 2.0 * np.asarray(u), ell_bar=1.0)
