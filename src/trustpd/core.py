@@ -11,6 +11,7 @@ facing a committed partner prefers to cooperate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -330,6 +331,34 @@ class EquilibriumSet:
         return min(r.value for r in self.roots)
 
 
+def _curve_knots(knots) -> np.ndarray:
+    """knots as a read-only float array, raising ParameterError unless they
+    are 1-d, at least two, strictly increasing and finite."""
+    knots = np.ascontiguousarray(knots, dtype=float)
+    if knots.ndim != 1 or knots.size < 2:
+        raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
+    if not (knots[1:] > knots[:-1]).all():
+        raise ParameterError("curve knots must be strictly increasing")
+    if not (np.isfinite(knots[0]) and np.isfinite(knots[-1])):
+        raise ParameterError("curve knots must be finite")
+    knots.setflags(write=False)
+    return knots
+
+
+# Knot grids that many curves share, checked once by `shared_knots`, by id;
+# an entry goes when its array does, so an id names no other array. An entry
+# only spares a curve's knot checks, so no result depends on what it holds.
+_SHARED_KNOTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def shared_knots(knots) -> np.ndarray:
+    """`_curve_knots(knots)`, after which a `ThresholdCurve` on the returned
+    array checks only its values."""
+    knots = _curve_knots(knots)
+    _SHARED_KNOTS[id(knots)] = knots
+    return knots
+
+
 @dataclass(frozen=True)
 class ThresholdCurve:
     """Piecewise-linear monotone-capable curve on a strictly increasing grid.
@@ -344,14 +373,12 @@ class ThresholdCurve:
     monotone: bool = False
 
     def __post_init__(self):
-        knots = np.ascontiguousarray(self.knots, dtype=float)
+        knots = self.knots
+        if _SHARED_KNOTS.get(id(knots)) is not knots:
+            knots = _curve_knots(knots)
         values = np.ascontiguousarray(self.values, dtype=float)
-        if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
+        if knots.shape != values.shape:
             raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
-        if not (knots[1:] > knots[:-1]).all():
-            raise ParameterError("curve knots must be strictly increasing")
-        if not (np.isfinite(knots[0]) and np.isfinite(knots[-1])):
-            raise ParameterError("curve knots must be finite")
         lo, hi = self.codomain
         tol = 1e-12 * max(1.0, abs(hi - lo))
         # written so that a NaN value, whose min and max are NaN, fails
@@ -362,7 +389,6 @@ class ThresholdCurve:
             )
         if self.monotone and not (values[1:] >= values[:-1]).all():
             raise ParameterError("curve flagged monotone but values decrease")
-        knots.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
@@ -378,24 +404,40 @@ class ThresholdCurve:
 
     def at_or_above(self, x, y) -> np.ndarray:
         """Whether y >= self(x), elementwise: that expression bit for bit,
-        with the same checks on x, and without most of its interpolation.
+        with the same checks on x, and without most of its interpolation."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out, flags = np.empty((2, x.size), dtype=bool)
+        self._at_or_above_into(x.reshape(-1), y.reshape(-1), out, flags)
+        return out.reshape(x.shape)
 
-        Each query's bucket bounds the curve there, so only a y inside its
-        bucket's bound is compared with the interpolated value.
+    def _at_or_above_into(self, x, y, out, flags) -> None:
+        """out = (y >= self(x)) bit for bit, for 1-d float arrays x and y,
+        with the checks of `self(x)`; flags is a bool work array, and all
+        four arrays have one length.
+
+        The curve lies between the floor and the ceiling of its bucket
+        bounds, so only a y in that range is compared with its bucket's
+        bound, on arrays of its own, and only a y inside that bound with the
+        interpolated value. Near a narrow cutoff curve that is a few percent
+        of the queries.
         """
-        x, y = np.broadcast_arrays(self._checked(x), np.asarray(y, dtype=float))
-        shape = x.shape
-        lo, hi = self.domain
-        scale, below, above = self._bucket_bounds
-        x = np.clip(x.reshape(-1), lo, hi)
-        y = y.reshape(-1)
-        bucket = ((x - lo) * scale).astype(np.intp)
-        out = y >= above[bucket]
-        # y < below[bucket] stays False, as does a NaN y
-        unsure = np.flatnonzero((y >= below[bucket]) & ~out)
+        self._checked(x)
+        scale, below, above, floor, ceiling = self._bucket_bounds
+        np.greater_equal(y, ceiling, out=out)
+        # y < floor stays False, as does a NaN y
+        near = np.flatnonzero(np.greater(np.greater_equal(y, floor, out=flags), out, out=flags))
+        if not near.size:
+            return
+        x, y = x[near], y[near]
+        # the bucket int((x - lo) * scale); a query in the pad past either end
+        # gets the end bucket, by truncation or by take's clip, and np.interp
+        # answers it with that end's value
+        bucket = ((x - self.knots[0]) * scale).astype(np.intp)
+        sure = y >= above.take(bucket, mode="clip")
+        unsure = np.flatnonzero((y >= below.take(bucket, mode="clip")) > sure)
         if unsure.size:
-            out[unsure] = y[unsure] >= np.interp(x[unsure], self.knots, self.values)
-        return out.reshape(shape)
+            sure[unsure] = y[unsure] >= np.interp(x[unsure], self.knots, self.values)
+        out[near] = sure
 
     def _checked(self, x) -> np.ndarray:
         """x as a float array, raising on NaN and queries outside the domain."""
@@ -409,9 +451,9 @@ class ThresholdCurve:
 
     @cached_property
     def _bucket_bounds(self):
-        """(scale, below, above) for `at_or_above`, built on the first query:
-        every value np.interp returns for a query in bucket k lies in
-        [below[k], above[k]]."""
+        """(scale, below, above, floor, ceiling) for `at_or_above`, built on
+        the first query: every value np.interp returns for a query in bucket
+        k lies in [below[k], above[k]], and so in [floor, ceiling]."""
         return _bucket_bounds(self.knots, self.values)
 
     def invert(self, y: float) -> float:
@@ -449,7 +491,9 @@ def _bucket_bounds(knots: np.ndarray, values: np.ndarray):
     covers every segment that meets the widened range: that includes the
     segment np.interp uses for any query that rounds into the bucket. On a
     segment, np.interp's value lies between the segment's end values up to
-    rounding, which the pad covers. Returns (scale, below, above).
+    rounding, which the pad covers. Returns (scale, below, above, floor,
+    ceiling), the last two the least of below and the greatest of above,
+    which bound the curve on its whole domain.
     """
     n = knots.size
     span = knots[-1] - knots[0]
@@ -467,7 +511,7 @@ def _bucket_bounds(knots: np.ndarray, values: np.ndarray):
     pad = 1e-12 * max(1.0, float(np.abs(values).max()))
     below = np.minimum.reduceat(np.append(seg_lo, np.inf), spans)[::2] - pad
     above = np.maximum.reduceat(np.append(seg_hi, -np.inf), spans)[::2] + pad
-    return (n - 1) / span, below, above
+    return (n - 1) / span, below, above, below.min(), above.max()
 
 
 def constant_curve(knots, value: float, codomain=(0.0, 1.0)) -> ThresholdCurve:

@@ -38,6 +38,7 @@ from .core import (
     check_tol,
     float_or_array,
     select,
+    shared_knots,
 )
 from .numerics import _simpson_step, _simpson_sum, bisect_root
 
@@ -165,13 +166,14 @@ def _density_sup(G: BeliefDistribution) -> float:
 def _simpson_grid(ell_bar: float, n_knots: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform grid of n_knots losses on [0, ell_bar] and its composite
     Simpson weights h/3 (1, 4, 2, 4, ..., 2, 4, 1), both read-only, shared by
-    every solve on that support and knot count."""
-    knots = np.linspace(0.0, ell_bar, n_knots)
+    every solve on that support and knot count. The knots pass a curve's
+    knot checks here, once, so the solver's curves on them check only their
+    values."""
+    knots = shared_knots(np.linspace(0.0, ell_bar, n_knots))
     weights = np.full(n_knots, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     weights *= ell_bar / (n_knots - 1) / 3.0
-    knots.setflags(write=False)
     weights.setflags(write=False)
     return knots, weights
 
@@ -193,7 +195,8 @@ def solve_diverse_threshold(
     Simpson weights times F's density at the knots; the knots and the
     weights are built once per (ell_bar, n_knots) and cached read-only, and
     `coop_prob` and the damped path's M come from the same w. Only the
-    returned curve is validated, once, as a `ThresholdCurve`. The sum is one
+    returned curve's values are validated, once: the cached knots passed the
+    `ThresholdCurve` knot checks when the grid was built. The sum is one
     multiply and one `np.add.reduce`, not `np.dot`: BLAS picks its summation
     order by CPU, so `np.dot` gives other bits on other machines.
 

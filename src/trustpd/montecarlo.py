@@ -11,17 +11,20 @@ configurations reproduce bit-identical reports.
 Each thread plays a range of the n matches, both players of each match:
 the caller matches [0, n//2) and a worker thread [n//2, n), each replaying
 its range of every slot of that serial stream, BLOCK matches at a time;
-numpy releases the GIL in the draws, the ufuncs and the gathers. A block
-keeps only counts (strategic players, their cooperations, CC and DD
-outcomes) and, per player, its CD payoffs and its DC partners' honesty,
-which are averaged in the order of one serial pass. So memory is a block's
-temporaries per thread plus about 0.5 bytes a match at (2.5, 20). Under
-dispersed beliefs the cutoff curve compares each belief with its bucket's
-bound on the curve and interpolates only the few beliefs inside it. One
-(2.5, 20) diverse run of 10^6 matches takes about 73 ms (median of 15 calls
-in a fresh process) on a 2-vCPU Xeon, most of it the six draws and that
-comparison; its traced allocation peak is 9.5 MB, and 9.7 MB at 4 * 10^6
-matches.
+numpy releases the GIL in the draws, the ufuncs and the gathers. Each
+thread allocates one workspace per call, 40 bytes a match of a block: the
+draws fill it through `Generator.random(out=...)`, and the cooperation rule
+and the tallies write into it, so a block allocates only what the loss
+quantile function returns, the few beliefs near the cutoff curve and its
+gathers. A block keeps only counts (strategic players, their cooperations,
+CC and DD outcomes) and, per player, its CD losses and its DC partners'
+honesty, which are averaged in the order of one serial pass. Under
+dispersed beliefs the cutoff curve settles each belief outside the range of
+its values with two comparisons, and the few others from its bucket's bound,
+interpolating only inside that. One (2.5, 20) diverse run of 10^6 matches
+takes about 62 ms with one minor page fault (median of 15 calls in a fresh
+process, on a 2-vCPU Xeon), most of it the six draws; its traced allocation
+peak is 5.5 MB, and 6.4 MB at 4 * 10^6 matches.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from .extensions import solve_asymmetric
 
 SCENARIOS = ("common", "diverse", "asymmetric")
 
-# Matches per block in `_play_matches`, so no temporary grows with n.
-BLOCK = 1 << 16
+# Matches per block in `_play_matches`: no temporary grows with n, and a
+# thread's workspace, 1.25 MB, stays in a core's 2 MB L2 cache.
+BLOCK = 1 << 15
 # Losses (and beliefs, under dispersed beliefs) at which `deviation_check` looks.
 DEVIATION_GRID = 200
 
@@ -78,6 +82,10 @@ class SimConfig:
         if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, (int, np.integer))
                 or self.n_samples < 1):
             raise ParameterError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
+        # stored as int, so that the stream offsets cannot wrap and the
+        # report serialises to JSON
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_samples", int(self.n_samples))
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.scenario == "common" and not (self.pi is not None and 0.0 <= self.pi < 1.0):
@@ -159,7 +167,7 @@ def simulate(
     # imported here, so that importing trustpd does not load the thread pool
     from concurrent.futures import ThreadPoolExecutor
 
-    n = int(config.n_samples)  # a numpy integer would wrap in the stream offsets
+    n = config.n_samples
     players = _players(config, strategy, G)
     # the worker plays matches [n//2, n) while this thread plays [0, n//2);
     # numpy releases the GIL in the draws, the ufuncs and the gathers
@@ -177,7 +185,7 @@ def simulate(
                      for k in (1, 2))
     payoff_means = {  # every CC outcome pays 1 and every DD outcome 0
         "CC": 1.0 if n_cc else float("nan"),
-        "CD": _mean(cd),
+        "CD": _mean(-cd),  # a CD outcome pays -loss
         "DC": _mean(np.where(dc_honest, params.b - params.m, params.b)),
         "DD": 0.0 if n_dd else float("nan"),
     }
@@ -207,23 +215,26 @@ def _mean(payoffs: np.ndarray) -> float:
 def _players(config: SimConfig, strategy, G):
     """Each player's belief, cooperation rule and draw slots, in player order.
 
-    The belief is a number, or G when beliefs are dispersed; the rule maps
-    losses and beliefs to the cooperation of a strategic player. Slot k of
-    the serial stream holds its values k*n to (k+1)*n - 1, and the serial
-    order of the draws is: the two dispersed beliefs, if any, then whether
-    players 1 and 2 are committed, then their losses. A player's own belief
-    is how likely its partner is committed, so each player draws its
-    partner's honesty, from slots (belief, partner honesty, loss).
+    The belief is a number, or G when beliefs are dispersed. The rule
+    writes into a bool array whether a strategic player with these losses
+    and beliefs cooperates, given a bool work array of the same length.
+    Slot k of the serial stream holds its values k*n to (k+1)*n - 1, and
+    the serial order of the draws is: the two dispersed beliefs, if any,
+    then whether players 1 and 2 are committed, then their losses. A
+    player's own belief is how likely its partner is committed, so each
+    player draws its partner's honesty, from slots (belief, partner
+    honesty, loss).
     """
     if config.scenario == "diverse":
         strategy._bucket_bounds  # built before the threads start, so both share it
-        return (G, strategy.at_or_above, (0, 3, 4)), (G, strategy.at_or_above, (1, 2, 5))
+        rule = strategy._at_or_above_into
+        return (G, rule, (0, 3, 4)), (G, rule, (1, 2, 5))
     if config.scenario == "common":
         (pi1, pi2), (t1, t2) = (config.pi, config.pi), (strategy, strategy)
     else:
         (pi1, pi2), (t1, t2) = (config.pi1, config.pi2), strategy
-    return ((pi1, lambda loss, _: loss <= t1, (None, 1, 2)),
-            (pi2, lambda loss, _: loss <= t2, (None, 0, 3)))
+    return ((pi1, lambda loss, _, out, work: np.less_equal(loss, t1, out=out), (None, 1, 2)),
+            (pi2, lambda loss, _, out, work: np.less_equal(loss, t2, out=out), (None, 0, 3)))
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
@@ -238,33 +249,55 @@ def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDist
     """Matches [start, stop) of n, BLOCK at a time, keeping no per-match array.
 
     Each draw replays its slot of the serial stream from the match at start
-    on (see `_players`). Returns the counts (strategic players, their
-    cooperations, CC outcomes, DD outcomes) and, per player and block in
-    draw order, its CD payoffs and its DC partners' honesty.
+    on (see `_players`). The draws, the cooperation rules and the tallies
+    write into one workspace, allocated here and reused by every block.
+    Returns the counts (strategic players, their cooperations, CC outcomes,
+    DD outcomes) and, per player and block in draw order, its CD losses and
+    its DC partners' honesty.
     """
     streams = [[None if slot is None else _stream(seed, slot * n + start) for slot in slots]
                for _, _, slots in players]
+    size = min(BLOCK, stop - start)
+    # one allocation: the belief draws, shared by both players (a player's
+    # beliefs are spent once its rule has run), the honesty draws, each
+    # player's loss draws, which may be its losses, and eight rows of flags:
+    # four kinds, one row per player (honest, strategic cooperation,
+    # cooperation, work)
+    workspace = np.empty((5, size))
+    beliefs_u, honesty_u, *losses_u = workspace[:4]
+    flags = workspace[4].view(bool).reshape(4, 2, size)
     counts = [0, 0, 0, 0]
     cd, dc_honest = ([], []), ([], [])
     for block_start in range(start, stop, BLOCK):
-        size = min(BLOCK, stop - block_start)
-        partner_honest, loss, strategic_coop = [], [], []
-        for (belief, cooperates, _), (beliefs, honesty, losses) in zip(players, streams):
-            own = belief if beliefs is None else np.asarray(belief.ppf(beliefs.random(size)))
-            partner_honest.append(honesty.random(size) < own)
-            loss.append(np.asarray(F.ppf(losses.random(size)), dtype=float))
-            strategic_coop.append(cooperates(loss[-1], own))
-        honest = partner_honest[::-1]
-        coop = [h | c for h, c in zip(honest, strategic_coop)]
-        for me, partner in ((0, 1), (1, 0)):
-            strategic = ~honest[me]
-            own_c, own_d = coop[me] & strategic, strategic & ~coop[me]
-            counts[0] += np.count_nonzero(strategic)
-            counts[1] += np.count_nonzero(own_c)
-            counts[2] += np.count_nonzero(own_c & coop[partner])
-            counts[3] += np.count_nonzero(own_d & ~coop[partner])
-            cd[me].append(-loss[me][own_c & ~coop[partner]])
-            dc_honest[me].append(honest[partner][own_d & coop[partner]])
+        m = min(BLOCK, stop - block_start)
+        honest, strat, coop, work = flags[:, :, :m]
+        loss = []
+        for p, ((belief, cooperates, _), (beliefs, honesty, losses)) in enumerate(
+                zip(players, streams)):
+            own = belief if beliefs is None else np.asarray(
+                belief.ppf(beliefs.random(out=beliefs_u[:m])), dtype=float)
+            np.less(honesty.random(out=honesty_u[:m]), own, out=honest[1 - p])
+            loss.append(np.asarray(F.ppf(losses.random(out=losses_u[p][:m])), dtype=float))
+            cooperates(loss[p], own, strat[p], work[0])
+        # every honest player cooperates, and a strategic one where its rule
+        # says so; strat becomes the strategic players' cooperation
+        partner_coop = coop[::-1]
+        np.logical_or(honest, strat, out=coop)
+        np.greater(strat, honest, out=strat)
+        # each count over both rows, so once per player as in a serial pass;
+        # a DD outcome is one where neither player cooperates
+        counts[0] += honest.size - np.count_nonzero(honest)
+        counts[1] += np.count_nonzero(strat)
+        counts[2] += np.count_nonzero(np.logical_and(strat, partner_coop, out=work))
+        counts[3] += honest.size - np.count_nonzero(np.logical_or(coop, partner_coop, out=work))
+        # np.compress: on these masks, 3-10% set, boolean indexing takes 1.4
+        # to 2.5 times as long
+        np.greater(strat, partner_coop, out=work)  # CD: cooperates, partner defects
+        for p in (0, 1):
+            cd[p].append(np.compress(work[p], loss[p]))
+        np.greater(partner_coop, coop, out=work)  # DC: defects, partner cooperates
+        for p in (0, 1):
+            dc_honest[p].append(np.compress(work[p], honest[1 - p]))
     return counts, cd, dc_honest
 
 

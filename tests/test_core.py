@@ -422,6 +422,68 @@ class TestAtOrAbove:
             curve.at_or_above(x, 0.5)
 
 
+@st.composite
+def cutoff_curves_and_queries(draw):
+    """A cutoff curve as `simulate` meets one: the diverse solver's, on a
+    uniform or a tabulated belief distribution, or a curve that is not
+    monotone on random knots; with losses at every knot and one ulp either
+    side, at both domain ends, and at and inside the pad past each end, and
+    beliefs at, one ulp off and away from the curve there, and NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["solver", "tabulated", "non-monotone"]))
+    if kind == "non-monotone":
+        lo, span = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 1e3))
+        knots = lo + span * np.r_[0.0, np.sort(rng.random(draw(st.integers(0, 200)))), 1.0]
+        curve = tp.ThresholdCurve(np.unique(knots), rng.random(np.unique(knots).size))
+    else:
+        b = draw(st.floats(1.5, 4.0))
+        params = tp.validate_params(b, draw(st.floats(b + 3.0, 40.0)))
+        G = tp.uniform_belief()
+        if kind == "tabulated":
+            k = draw(st.integers(2, 6))
+            knots, cdf = (np.r_[0.0, np.cumsum(0.1 + rng.random(k))] for _ in range(2))
+            G = tp.tabulated_belief(knots / knots[-1], cdf / cdf[-1])
+        F = tp.uniform_loss(draw(st.floats(0.5, 8.0)))
+        curve = tp.solve_diverse_threshold(params, F, G).threshold
+    knots = curve.knots
+    lo, hi = curve.domain
+    pad = 1e-12 * max(1.0, hi - lo)
+    x = np.r_[knots, np.nextafter(knots[1:], -np.inf), np.nextafter(knots[:-1], np.inf),
+              lo, hi, lo - pad, hi + pad, lo - pad * rng.random(3), hi + pad * rng.random(3),
+              lo + (hi - lo) * rng.random(300)]
+    at = curve(x)
+    y = np.r_[at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), rng.random(x.size),
+              np.nan, np.nan]
+    x = np.r_[x, x, x, x, lo, hi]
+    order = rng.permutation(x.size)
+    return curve, x[order], y[order]
+
+
+@given(cutoff_curves_and_queries())
+@settings(max_examples=100, deadline=None)
+def test_cutoff_kernel_is_the_comparison_and_checks_the_losses(case):
+    curve, x, y = case
+
+    def kernel(x):
+        # simulate's workspace: views into longer arrays, holding stale values
+        out, flags = np.ones((2, x.size + 3), dtype=bool)[:, :x.size]
+        curve._at_or_above_into(x, y, out, flags)
+        return out
+
+    want = y >= curve(x)
+    assert np.array_equal(curve.at_or_above(x, y), want)
+    assert np.array_equal(kernel(x), want)
+    lo, hi = curve.domain
+    pad = 1e-12 * max(1.0, hi - lo)
+    for bad in (np.nan, np.nextafter(lo - pad, -np.inf), np.nextafter(hi + pad, np.inf)):
+        x_bad = x.copy()
+        x_bad[x.size // 2] = bad
+        with pytest.raises(tp.ParameterError, match="outside curve domain"):
+            curve.at_or_above(x_bad, y)
+        with pytest.raises(tp.ParameterError, match="outside curve domain"):
+            kernel(x_bad)
+
+
 SOLVERS_WITH_TOL = {
     "solve_common_equilibria": lambda p, F, G, tol: tp.solve_common_equilibria(0.05, p, F, tol=tol),
     "solve_diverse_threshold": lambda p, F, G, tol: tp.solve_diverse_threshold(p, F, G, tol=tol),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
-from trustpd import diverse_eq, numerics
+from trustpd import core, diverse_eq, numerics
 from trustpd.numerics import composite_simpson
 
 
@@ -406,6 +406,34 @@ def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
     assert sol.iterations == 8
     assert counts["cdf"] == sol.iterations + 1
     assert counts["curve"] == 1 and counts["grid"] == 0
+
+
+def test_grid_knots_are_checked_once_and_a_callers_knots_always(monkeypatch, p28, unit_loss,
+                                                                unit_belief):
+    # the cached grid passes the knot checks when it is built, so a solve's
+    # curve checks only its values; a curve on any other array checks both
+    checked = []
+    curve_knots = core._curve_knots
+
+    def counted(knots):
+        checked.append(np.size(knots))
+        return curve_knots(knots)
+
+    monkeypatch.setattr(core, "_curve_knots", counted)
+    diverse_eq._simpson_grid.cache_clear()
+    first = tp.solve_diverse_threshold(p28, unit_loss, unit_belief).threshold
+    second = tp.solve_diverse_threshold(p28, unit_loss, unit_belief).threshold
+    assert checked == [1001] and second.knots is first.knots
+    tp.ThresholdCurve(first.knots.copy(), first.values)
+    assert checked == [1001, 1001]
+    with pytest.raises(tp.ParameterError, match="codomain"):
+        tp.ThresholdCurve(first.knots, np.full(first.knots.size, np.nan))
+    with pytest.raises(tp.ParameterError, match="values decrease"):
+        tp.ThresholdCurve(first.knots, first.values[::-1], monotone=True)
+    knots = first.knots.copy()
+    knots[5] = knots[4]
+    with pytest.raises(tp.ParameterError, match="strictly increasing"):
+        tp.ThresholdCurve(knots, first.values)
 
 
 class TestCooperationProb:
