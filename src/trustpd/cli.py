@@ -44,7 +44,7 @@ from .extensions import (
     solve_group_common,
     solve_group_diverse,
 )
-from .montecarlo import SimConfig, simulate
+from .montecarlo import EQUILIBRIA, SimConfig, simulate
 
 
 def _fmt(value) -> str:
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float)
     p.add_argument("--pi1", type=float)
     p.add_argument("--pi2", type=float)
-    p.add_argument("--equilibrium", choices=("lowest", "highest", "corner"), default="lowest")
+    p.add_argument("--equilibrium", choices=EQUILIBRIA, default="lowest")
     p.add_argument("--out", required=True)
 
     p = add("reproduce-all", cmd_reproduce_all, "regenerate every illustration's data")

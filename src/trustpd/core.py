@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -381,17 +380,21 @@ class ThresholdCurve:
             raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
         lo, hi = self.codomain
         tol = 1e-12 * max(1.0, abs(hi - lo))
+        vmin, vmax = values.min(), values.max()
         # written so that a NaN value, whose min and max are NaN, fails
-        if not (lo - tol <= values.min() and values.max() <= hi + tol):
+        if not (lo - tol <= vmin and vmax <= hi + tol):
             raise ParameterError(
-                f"curve values leave the codomain [{lo}, {hi}]: "
-                f"range [{values.min()}, {values.max()}]"
+                f"curve values leave the codomain [{lo}, {hi}]: range [{vmin}, {vmax}]"
             )
         if self.monotone and not (values[1:] >= values[:-1]).all():
             raise ParameterError("curve flagged monotone but values decrease")
         values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
+        # np.interp returns a value between a segment's end values, up to a
+        # rounding that the pad 1e-12 max(1, max|value|) covers
+        pad = 1e-12 * max(1.0, -vmin, vmax)
+        object.__setattr__(self, "_floor_ceiling", (vmin - pad, vmax + pad))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -415,29 +418,18 @@ class ThresholdCurve:
         with the checks of `self(x)`; flags is a bool work array, and all
         four arrays have one length.
 
-        The curve lies between the floor and the ceiling of its bucket
-        bounds, so only a y in that range is compared with its bucket's
-        bound, on arrays of its own, and only a y inside that bound with the
-        interpolated value. Near a narrow cutoff curve that is a few percent
-        of the queries.
+        Every value np.interp returns lies between the curve's floor and
+        ceiling, so only a y between them is compared with the interpolated
+        value. Near an equilibrium cutoff curve that is a few percent of
+        uniform beliefs at most.
         """
         self._checked(x)
-        scale, below, above, floor, ceiling = self._bucket_bounds
+        floor, ceiling = self._floor_ceiling
         np.greater_equal(y, ceiling, out=out)
         # y < floor stays False, as does a NaN y
         near = np.flatnonzero(np.greater(np.greater_equal(y, floor, out=flags), out, out=flags))
-        if not near.size:
-            return
-        x, y = x[near], y[near]
-        # the bucket int((x - lo) * scale); a query in the pad past either end
-        # gets the end bucket, by truncation or by take's clip, and np.interp
-        # answers it with that end's value
-        bucket = ((x - self.knots[0]) * scale).astype(np.intp)
-        sure = y >= above.take(bucket, mode="clip")
-        unsure = np.flatnonzero((y >= below.take(bucket, mode="clip")) > sure)
-        if unsure.size:
-            sure[unsure] = y[unsure] >= np.interp(x[unsure], self.knots, self.values)
-        out[near] = sure
+        if near.size:
+            out[near] = y[near] >= np.interp(x[near], self.knots, self.values)
 
     def _checked(self, x) -> np.ndarray:
         """x as a float array, raising on NaN and queries outside the domain."""
@@ -448,13 +440,6 @@ class ThresholdCurve:
         if x.size and not (lo - pad <= x.min() and x.max() <= hi + pad):
             raise ParameterError(f"query outside curve domain [{lo}, {hi}] or NaN")
         return x
-
-    @cached_property
-    def _bucket_bounds(self):
-        """(scale, below, above, floor, ceiling) for `at_or_above`, built on
-        the first query: every value np.interp returns for a query in bucket
-        k lies in [below[k], above[k]], and so in [floor, ceiling]."""
-        return _bucket_bounds(self.knots, self.values)
 
     def invert(self, y: float) -> float:
         """Smallest preimage of y on a monotone curve.
@@ -479,39 +464,6 @@ class ThresholdCurve:
         v0, v1 = self.values[i - 1], self.values[i]
         k0, k1 = self.knots[i - 1], self.knots[i]
         return float(k0 + (y - v0) / (v1 - v0) * (k1 - k0))
-
-
-def _bucket_bounds(knots: np.ndarray, values: np.ndarray):
-    """Bucket scale and value bounds per bucket, for `at_or_above`.
-
-    The domain splits into N-1 equal-width buckets, and a query x lands in
-    bucket int((x - knots[0]) * scale), with scale (N-1)/(knots[-1] - knots[0]).
-    Rounding can put x a hair off its bucket's nominal edges, so each bucket
-    is widened by a millionth of its width on both sides, and its bound
-    covers every segment that meets the widened range: that includes the
-    segment np.interp uses for any query that rounds into the bucket. On a
-    segment, np.interp's value lies between the segment's end values up to
-    rounding, which the pad covers. Returns (scale, below, above, floor,
-    ceiling), the last two the least of below and the greatest of above,
-    which bound the curve on its whole domain.
-    """
-    n = knots.size
-    span = knots[-1] - knots[0]
-    width = span / (n - 1)
-    edges = knots[0] + np.arange(n + 1) * width
-    first = np.searchsorted(knots, edges[:-1] - 1e-6 * width, side="right") - 1
-    last = np.searchsorted(knots, edges[1:] + 1e-6 * width, side="right") - 1
-    # segment j runs from values[j] to values[j+1]; the last knot is a segment
-    # of its own, where the interpolation returns values[-1]
-    seg_lo = np.append(np.minimum(values[:-1], values[1:]), values[-1])
-    seg_hi = np.append(np.maximum(values[:-1], values[1:]), values[-1])
-    # reduceat over (first, last + 1) pairs reduces each bucket's segments at
-    # the even positions; the odd positions span the gaps and are dropped
-    spans = np.column_stack([np.maximum(first, 0), last + 1]).ravel()
-    pad = 1e-12 * max(1.0, float(np.abs(values).max()))
-    below = np.minimum.reduceat(np.append(seg_lo, np.inf), spans)[::2] - pad
-    above = np.maximum.reduceat(np.append(seg_hi, -np.inf), spans)[::2] + pad
-    return (n - 1) / span, below, above, below.min(), above.max()
 
 
 def constant_curve(knots, value: float, codomain=(0.0, 1.0)) -> ThresholdCurve:

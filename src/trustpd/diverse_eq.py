@@ -40,7 +40,7 @@ from .core import (
     select,
     shared_knots,
 )
-from .numerics import _simpson_step, _simpson_sum, bisect_root
+from .numerics import bisect_root, composite_simpson
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,7 @@ def apply_T(
     """
     _check_unit_curve(curve, F)
     k = curve.knots
-    big_i = _simpson_sum(np.asarray(G.cdf(curve.values)) * np.asarray(F.pdf(k)),
-                         _simpson_step(k))
+    big_i = composite_simpson(np.asarray(G.cdf(curve.values)) * np.asarray(F.pdf(k)), k)
     vals = _cutoff(big_i, k - (params.b - 1.0), params)
     return ThresholdCurve(k, vals, codomain=(0.0, 1.0),
                           monotone=bool((vals[1:] >= vals[:-1]).all()))
@@ -145,8 +144,7 @@ def cooperation_prob_given_strategy(
     """Probability a strategic partner cooperates: integral of 1 - G(s(l)) dF."""
     _check_unit_curve(curve, F)
     k = curve.knots
-    return _simpson_sum((1.0 - np.asarray(G.cdf(curve.values))) * np.asarray(F.pdf(k)),
-                        _simpson_step(k))
+    return composite_simpson((1.0 - np.asarray(G.cdf(curve.values))) * np.asarray(F.pdf(k)), k)
 
 
 _DENSITY_PROBES = np.linspace(0.0, 1.0, 2001)

@@ -12,19 +12,19 @@ Each thread plays a range of the n matches, both players of each match:
 the caller matches [0, n//2) and a worker thread [n//2, n), each replaying
 its range of every slot of that serial stream, BLOCK matches at a time;
 numpy releases the GIL in the draws, the ufuncs and the gathers. Each
-thread allocates one workspace per call, 40 bytes a match of a block: the
+thread allocates one workspace per call, 32 bytes a match of a block: the
 draws fill it through `Generator.random(out=...)`, and the cooperation rule
 and the tallies write into it, so a block allocates only what the loss
 quantile function returns, the few beliefs near the cutoff curve and its
 gathers. A block keeps only counts (strategic players, their cooperations,
 CC and DD outcomes) and, per player, its CD losses and its DC partners'
 honesty, which are averaged in the order of one serial pass. Under
-dispersed beliefs the cutoff curve settles each belief outside the range of
-its values with two comparisons, and the few others from its bucket's bound,
-interpolating only inside that. One (2.5, 20) diverse run of 10^6 matches
-takes about 62 ms with one minor page fault (median of 15 calls in a fresh
-process, on a 2-vCPU Xeon), most of it the six draws; its traced allocation
-peak is 5.5 MB, and 6.4 MB at 4 * 10^6 matches.
+dispersed beliefs a belief at or above the cutoff curve's ceiling, or below
+its floor, is settled by one comparison, and only the others, 0.06% to 2.6%
+of uniform beliefs on games drawn as the benchmark draws them, are compared
+with the interpolated curve. One (2.5, 20) diverse run of 10^6 matches
+takes about 55 ms (2-vCPU Xeon), most of it the six draws; its traced
+allocation peak is 3.7 MB, and 5.0-5.3 MB at 4 * 10^6 matches.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ from .diverse_eq import cooperation_prob_given_strategy, solve_diverse_threshold
 from .extensions import solve_asymmetric
 
 SCENARIOS = ("common", "diverse", "asymmetric")
+EQUILIBRIA = ("lowest", "highest", "corner")
 
 # Matches per block in `_play_matches`: no temporary grows with n, and a
-# thread's workspace, 1.25 MB, stays in a core's 2 MB L2 cache.
+# thread's workspace, 1.0 MB, stays in a core's 2 MB L2 cache.
 BLOCK = 1 << 15
 # Losses (and beliefs, under dispersed beliefs) at which `deviation_check` looks.
 DEVIATION_GRID = 200
@@ -71,7 +72,7 @@ class SimConfig:
     pi: float | None = None
     pi1: float | None = None
     pi2: float | None = None
-    equilibrium: str = "lowest"  # "lowest" | "highest" | "corner"
+    equilibrium: str = "lowest"  # one of EQUILIBRIA
     strategy: Any = None
 
     def __post_init__(self):
@@ -88,6 +89,9 @@ class SimConfig:
         object.__setattr__(self, "n_samples", int(self.n_samples))
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if self.equilibrium not in EQUILIBRIA:
+            raise ParameterError(
+                f"equilibrium must be one of {EQUILIBRIA}, got {self.equilibrium!r}")
         if self.scenario == "common" and not (self.pi is not None and 0.0 <= self.pi < 1.0):
             raise ParameterError("common scenario needs pi in [0, 1)")
         if self.scenario == "asymmetric":
@@ -126,11 +130,9 @@ def _common_threshold(config: SimConfig, params, F) -> float:
         return eqs.lowest
     if config.equilibrium == "highest":
         return max(r.value for r in eqs.roots)
-    if config.equilibrium == "corner":
-        if eqs.ell_corner is None:
-            raise ParameterError(f"no full-cooperation corner at pi={config.pi}")
-        return eqs.ell_corner
-    raise ParameterError(f"unknown equilibrium selector {config.equilibrium!r}")
+    if eqs.ell_corner is None:
+        raise ParameterError(f"no full-cooperation corner at pi={config.pi}")
+    return eqs.ell_corner
 
 
 def _resolve_strategy(config: SimConfig, params, F, G):
@@ -183,6 +185,7 @@ def simulate(
     # 1's blocks over all n matches, then player 2's
     cd, dc_honest = (np.concatenate(first[k][0] + second[k][0] + first[k][1] + second[k][1])
                      for k in (1, 2))
+    del first, second  # the blocks' gathers, copied now, are freed before the payoffs
     payoff_means = {  # every CC outcome pays 1 and every DD outcome 0
         "CC": 1.0 if n_cc else float("nan"),
         "CD": _mean(-cd),  # a CD outcome pays -loss
@@ -226,7 +229,6 @@ def _players(config: SimConfig, strategy, G):
     honesty, loss).
     """
     if config.scenario == "diverse":
-        strategy._bucket_bounds  # built before the threads start, so both share it
         rule = strategy._at_or_above_into
         return (G, rule, (0, 3, 4)), (G, rule, (1, 2, 5))
     if config.scenario == "common":
@@ -259,13 +261,13 @@ def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDist
                for _, _, slots in players]
     size = min(BLOCK, stop - start)
     # one allocation: the belief draws, shared by both players (a player's
-    # beliefs are spent once its rule has run), the honesty draws, each
-    # player's loss draws, which may be its losses, and eight rows of flags:
-    # four kinds, one row per player (honest, strategic cooperation,
+    # beliefs are spent once its rule has run), each player's honesty draws
+    # and then its loss draws, which may be its losses, and eight rows of
+    # flags: four kinds, one row per player (honest, strategic cooperation,
     # cooperation, work)
-    workspace = np.empty((5, size))
-    beliefs_u, honesty_u, *losses_u = workspace[:4]
-    flags = workspace[4].view(bool).reshape(4, 2, size)
+    workspace = np.empty((4, size))
+    beliefs_u, *losses_u = workspace[:3]
+    flags = workspace[3].view(bool).reshape(4, 2, size)
     counts = [0, 0, 0, 0]
     cd, dc_honest = ([], []), ([], [])
     for block_start in range(start, stop, BLOCK):
@@ -276,7 +278,9 @@ def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDist
                 zip(players, streams)):
             own = belief if beliefs is None else np.asarray(
                 belief.ppf(beliefs.random(out=beliefs_u[:m])), dtype=float)
-            np.less(honesty.random(out=honesty_u[:m]), own, out=honest[1 - p])
+            # the honesty draws are spent once compared, so the loss draws
+            # overwrite them
+            np.less(honesty.random(out=losses_u[p][:m]), own, out=honest[1 - p])
             loss.append(np.asarray(F.ppf(losses.random(out=losses_u[p][:m])), dtype=float))
             cooperates(loss[p], own, strat[p], work[0])
         # every honest player cooperates, and a strategic one where its rule

@@ -206,15 +206,15 @@ class TestThresholdCurve:
             curve(query)
 
     def test_query_below_two_knots_at_a_bucket_edge(self):
-        # on this domain a query two ulps below the left edge of bucket 86
-        # rounds into that bucket; with knots on the edge and one ulp below
-        # it, the query lies in segment 84, which bucket 86's bound must cover
+        # on this domain a query two ulps below the left edge of equal-width
+        # cell 86 rounds into that cell; with knots on the edge and one ulp
+        # below it, the query lies in segment 84, and both answers are
+        # np.interp's there
         knots = np.linspace(-28.329282336421898, 188.90432101312211, 1128)
         knots[85] = np.nextafter(knots[86], -np.inf)
         x = np.nextafter(knots[85], -np.inf)
         values = np.linspace(0.0, 1.0, knots.size) ** 2
         curve = tp.ThresholdCurve(knots, values)
-        assert int((x - knots[0]) * curve._bucket_bounds[0]) == 86
         assert curve(x) == float(np.interp(x, knots, values))
         assert curve.at_or_above(x, curve(x))
 
@@ -230,8 +230,8 @@ class TestThresholdCurve:
     @pytest.mark.parametrize("knots, values", [([0.0, 1.0, np.inf], [0.0, 0.5, 1.0]),
                                                ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0])])
     def test_knots_and_values_must_be_finite(self, knots, values):
-        # an infinite knot leaves no finite bucket width; a NaN value lies in
-        # no codomain
+        # an infinite knot leaves the domain no finite width; a NaN value
+        # lies in no codomain
         with pytest.raises(tp.ParameterError):
             tp.ThresholdCurve(np.array(knots), np.array(values))
 
@@ -305,8 +305,9 @@ def test_curve_matches_np_interp_bit_for_bit(case):
 def curves_and_comparisons(draw):
     """A curve (flagged monotone or not) on random, clustered or linspace
     knots, or on linspace knots with some moved one ulp below the next knot,
-    at a bucket edge; with queries at every knot, one ulp either side of it,
-    at each bucket edge, at both ends and inside the pad outside the domain,
+    at an edge of N-1 equal-width cells; with queries at every knot, one ulp
+    either side of it, at each cell edge, at both ends and inside the pad
+    outside the domain,
     and levels y at, one ulp off and away from the curve, plus NaN and
     infinite levels."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -373,22 +374,6 @@ class TestAtOrAbove:
         y = np.where(rng.random(x.size) < 0.5, curve(x), rng.random(x.size))
         assert np.array_equal(curve.at_or_above(x, y), y >= curve(x))
 
-    def test_interpolates_only_levels_inside_their_bucket_bound(self, curve, monkeypatch):
-        sizes = []
-        interp = np.interp
-
-        def sized(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return interp(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "interp", sized)
-        rng = np.random.default_rng(4)
-        x, y = rng.random(100_000), rng.random(100_000)
-        assert np.array_equal(curve.at_or_above(x, y), y >= curve(x))
-        # each bucket's bound spans about three segments of a 1000-segment
-        # curve with values in [0, 1]: some 0.3% of uniform levels
-        assert sum(sizes[:-1]) < 1000  # the last call is curve(x) itself
-
     def test_level_between_a_segment_end_and_the_rounded_value_next_to_it(self):
         # one ulp below the right knot, np.interp rounds 1.5e-16 above the
         # segment's larger end value
@@ -400,9 +385,9 @@ class TestAtOrAbove:
         assert not curve.at_or_above(x, y)
 
     def test_query_past_a_bucket_edge_that_rounds_into_the_bucket_before(self):
-        # on this domain a query two ulps above the left edge of bucket 22
-        # rounds into bucket 21; a knot between the edge and the query starts
-        # a steep segment that bucket 21's bound must cover
+        # on this domain a query two ulps above the left edge of equal-width
+        # cell 22 rounds into cell 21; a knot between the edge and the query
+        # starts a steep segment, whose value np.interp returns
         knots = np.linspace(-48.34723644714709, -48.34723644714709 + 244.16780152088145, 129)
         edge = knots[0] + 22 * ((knots[-1] - knots[0]) / 128)
         x = np.nextafter(np.nextafter(edge, np.inf), np.inf)
@@ -411,7 +396,6 @@ class TestAtOrAbove:
         values = np.zeros(knots.size)
         values[23] = 1e6
         curve = tp.ThresholdCurve(knots, values, codomain=(0.0, 1e6))
-        assert int((x - knots[0]) * curve._bucket_bounds[0]) == 21
         assert curve(x) > 1.0
         assert not curve.at_or_above(x, 1.0)
 

@@ -400,8 +400,7 @@ def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
 
     G = tp.BeliefDistribution(cdf=counted_cdf, pdf=unit_belief.pdf, ppf=unit_belief.ppf)
     monkeypatch.setattr(tp.ThresholdCurve, "__post_init__", counted_post_init)
-    for module in (numerics, diverse_eq):
-        monkeypatch.setattr(module, "_simpson_step", counted_step)
+    monkeypatch.setattr(numerics, "_simpson_step", counted_step)
     sol = tp.solve_diverse_threshold(p28, unit_loss, G)
     assert sol.iterations == 8
     assert counts["cdf"] == sol.iterations + 1

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,6 +451,42 @@ class TestGroupDiverse:
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+@given(b=st.floats(1.05, 8.0), log_gap=st.floats(-2.0, 2.0), n=st.integers(1, 8),
+       variant=st.sampled_from(VARIANTS), q=st.floats(0.0, 1.0),
+       ell_bar=st.floats(0.05, 20.0),
+       inner=st.none() | st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_kink_scan_finds_every_knot_crossing(b, log_gap, n, variant, q, ell_bar, inner):
+    """At each knot k of a uniform or tabulated F, `_kink_beliefs` finds as
+    many crossings (grid zeros and sign changes of the gap at t = k) as a
+    scan of a grid 128 times finer, which holds its 513 beliefs.
+
+    Its scan cannot miss one. The gap at t = k is c s(pi) + m pi^n - d with
+    s = (q + (1-q) pi)^n: c = 1-b+k and d = k under `consistent`, c = 1-k
+    and d = b+k under `as_printed`. It is <= 0 at pi = 0. It increases in pi
+    when c >= 0, and when c < 0 its slope changes sign at most once, from
+    minus to plus. So it has at most one root in (0, 1], and the scan, which
+    starts at a value <= 0, meets a grid zero or a sign change before any
+    grid value > 0.
+    """
+    params = tp.validate_params(b, b - 1.0 + 10.0**log_gap)
+    if inner is None:
+        F = tp.uniform_loss(ell_bar)
+    else:
+        knots = ell_bar * np.r_[0.0, np.sort(inner), 1.0]
+        F = tp.tabulated_loss(knots, np.linspace(0.0, 1.0, knots.size))
+    fine = np.linspace(0.0, 1.0, 128 * 512 + 1)
+    for k in F.knots:
+        gap = _payoff_gap(n, fine, k, q, params, variant)
+        signs = np.sign(gap)
+        want = np.count_nonzero(signs == 0.0) + np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
+        # it reads only the distributions' knots: given k alone as F's and
+        # none as G's, it returns the crossings of k
+        got = _kink_beliefs(n, q, params, variant, SimpleNamespace(knots=(k,)),
+                            SimpleNamespace(knots=()))
+        assert got.size == want, (k, got)
 
 
 def simpson_q_update(n, q, params, variant, F, G):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import trustpd as tp
-from trustpd import core, montecarlo
+from trustpd import montecarlo
 
 
 class TestSimConfig:
@@ -21,6 +21,16 @@ class TestSimConfig:
     def test_asymmetric_needs_both_beliefs(self):
         with pytest.raises(tp.ParameterError):
             tp.SimConfig(n_samples=10, seed=1, scenario="asymmetric", pi1=0.1)
+
+    @pytest.mark.parametrize("config", [
+        dict(scenario="common", pi=0.03, equilibrium="highestt", strategy=0.5),
+        dict(scenario="diverse", equilibrium=None),
+    ])
+    def test_rejects_an_unknown_equilibrium_selector(self, config):
+        # refused in every scenario, also where a given strategy or the
+        # scenario leaves the selector unused
+        with pytest.raises(tp.ParameterError, match="equilibrium"):
+            tp.SimConfig(n_samples=10, seed=1, **config)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.0, "3", None, True])
     def test_rejects_a_seed_philox_cannot_key(self, seed):
@@ -378,8 +388,9 @@ def test_simulate_blocks_of_any_size_give_the_same_bits(case, monkeypatch):
 
 def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
     # per-match arrays took 29.6 MB at 10^6 matches and 118 MB at 4 * 10^6;
-    # each thread's workspace takes 1.25 MB, and the CD and DC gathers about
-    # 0.3 B a match: 5.5 MB at 10^6 matches
+    # each thread's workspace takes 1.0 MB, and the CD and DC gathers about
+    # 0.5 B a match: 3.7 MB at 10^6 matches (5.1 MB in a call that first
+    # imports the thread pool) and 5.0-5.3 MB at 4 * 10^6
     params = tp.validate_params(2.5, 20.0)
     curve = tp.solve_diverse_threshold(params, unit_loss, unit_belief).threshold
     peaks = []
@@ -395,30 +406,24 @@ def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
     assert peaks[1] - peaks[0] < 3e6
 
 
-def test_diverse_simulate_builds_one_table_and_no_long_interp(monkeypatch, p28, unit_loss,
-                                                                unit_belief):
-    # the cutoff curve's bucket bounds, built once, settle nearly all of the
-    # 2n loss comparisons; np.interp sees deviation_check's 200-point grid
-    # and under 1% of the beliefs
-    tables, interp_sizes = [], []
-    bucket_bounds, interp = core._bucket_bounds, np.interp
-
-    def counted_table(knots, values):
-        tables.append(knots.size)
-        return bucket_bounds(knots, values)
+def test_diverse_simulate_interpolates_only_beliefs_near_the_cutoff(monkeypatch, p28, unit_loss,
+                                                                    unit_belief):
+    # np.interp sees deviation_check's 200-point grid and only the beliefs
+    # between the cutoff curve's floor and ceiling: at (2, 8) its values
+    # span [0.1118, 0.125], 1.3% of uniform beliefs, so under 2% of the 2n
+    interp_sizes = []
+    interp = np.interp
 
     def sized_interp(x, *args, **kwargs):
         interp_sizes.append(np.size(x))
         return interp(x, *args, **kwargs)
 
-    monkeypatch.setattr(core, "_bucket_bounds", counted_table)
     monkeypatch.setattr(np, "interp", sized_interp)
     n = 10_000
     cfg = tp.SimConfig(n_samples=n, seed=4, scenario="diverse")
     tp.simulate(cfg, p28, unit_loss, unit_belief)
-    assert tables == [1001]
     interp_sizes.remove(200)
-    assert sum(interp_sizes) < 0.01 * 2 * n
+    assert sum(interp_sizes) < 0.02 * 2 * n
 
 
 def simulate_threads():
