@@ -133,7 +133,13 @@ def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
 
 def cooperation_report(params: GameParams, mode: str = "approximate") -> CooperationReport:
     """Assemble the crossing belief, both ex-ante probabilities, and bounds;
-    p_diverse is the approximate closed form whatever the mode."""
+    p_diverse is the approximate closed form whatever the mode.
+
+    pi_dagger and the upper bound are the cutoffs at l = 1 - beta and l = 1.
+    The cutoff increases in l and 0 < beta < 1, so pi_dagger <= upper by
+    construction; at large m the two round to one float (at b = 3 from m of
+    about 3e8 on), so the check allows the tie.
+    """
     ab = solve_alpha_beta(params, mode=mode)
     # the dispersed threshold is 0 below the cutoff at l = 0 and 1 from the one at l = 1
     lower, upper = _cutoff_at(params, ab, 0.0), _cutoff_at(params, ab, 1.0)
@@ -147,8 +153,8 @@ def cooperation_report(params: GameParams, mode: str = "approximate") -> Coopera
     )
     if not lower < upper <= params.pi_low + 1e-12:
         raise InvariantViolation(f"regime bounds out of order: {report.regime_bounds}")
-    if not 0.0 < report.pi_dagger < upper:
-        raise InvariantViolation(f"crossing belief {report.pi_dagger} outside (0, {upper})")
+    if not 0.0 < report.pi_dagger <= upper:
+        raise InvariantViolation(f"crossing belief {report.pi_dagger} outside (0, {upper}]")
     return report
 
 

@@ -4,10 +4,12 @@ composite/adaptive Simpson quadrature.
 
 A solver that sweeps a function for its roots evaluates it once on the
 whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
-exact zeros and sign-change brackets, and each bracket is refined by scalar
-`bisect_root`, starting from the samples at its ends. `bracket_roots` bundles
-the three steps for one tolerance and returns the grid zeros and the refined
-roots as one sorted list.
+zeros (|f| <= tol) and sign-change brackets, and each bracket is refined by
+scalar `bisect_root` to |f| <= tol, starting from the samples at its ends.
+`bracket_roots` bundles the three steps and returns the grid zeros and the
+refined roots as one sorted list. Two solvers still scan, where a function
+may have several roots: `extensions.solve_asymmetric` with both beliefs on
+one side of (b-1)/m, and `extensions.solve_group_common` under `as_printed`.
 
 `bisect_root` refines by ITP (interpolate, truncate, project; Oliveira and
 Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst
@@ -128,18 +130,18 @@ def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float):
                                           values[cells].tolist(), values[cells + 1].tolist()))
 
 
-def bracket_roots(f, grid, *, zero_tol: float, ftol: float) -> list:
+def bracket_roots(f, grid, *, tol: float) -> list:
     """All roots of f visible on a grid, in ascending order.
 
     f must accept the whole grid as one array and return its values, and a
     scalar and return a float, equal to the array's element there. It is
-    evaluated once on the grid: the grid points with |f| <= zero_tol are
-    roots as they stand, and each sign-change bracket is refined by
-    `bisect_root` to |f| <= ftol, starting from the grid values at its ends.
+    evaluated once on the grid: the grid points with |f| <= tol are roots as
+    they stand, and each sign-change bracket is refined by `bisect_root` to
+    |f| <= tol, starting from the grid values at its ends.
     """
     grid = np.asarray(grid, dtype=float)
-    zeros, brackets = scan_sign_changes(np.asarray(f(grid), dtype=float), grid, zero_tol)
-    return sorted(zeros + [bisect_root(f, a, b, ftol=ftol, flo=fa, fhi=fb)
+    zeros, brackets = scan_sign_changes(np.asarray(f(grid), dtype=float), grid, tol)
+    return sorted(zeros + [bisect_root(f, a, b, ftol=tol, flo=fa, fhi=fb)
                            for a, b, fa, fb in brackets])
 
 

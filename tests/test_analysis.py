@@ -351,6 +351,19 @@ class TestCooperationReport:
         assert report.phi == pytest.approx(math.sqrt(18 + 9 / 4))
         assert report.gamma_aux == pytest.approx(math.sqrt(1 + 8 / 18))
 
+    @pytest.mark.parametrize("b, m", [(3.0, 3e8), (3.0, 1e12), (5.0, 1e15)])
+    def test_crossing_belief_may_tie_its_upper_bound_at_large_m(self, b, m):
+        # the cutoffs at l = 1 - beta and l = 1 differ by less than their
+        # rounding here, and the strict check raised InvariantViolation.
+        # pi_dagger is (b-1)/m to about (b-2)/m relative (3.3e-9 at 3e8), so
+        # the oracle is the 50-digit crossing, not (b-1)/m
+        params = tp.validate_params(b, m)
+        for mode in ("exact", "approximate"):
+            report = tp.cooperation_report(params, mode=mode)
+            assert 0.0 < report.pi_dagger <= report.regime_bounds[1]
+            want = crossing_oracle(b, m, mode, tp.solve_alpha_beta(params, mode).beta)
+            assert abs(Decimal(report.pi_dagger) - want) <= Decimal(1e-12) * want
+
     def test_derivative_ordering_on_scan_interval(self):
         # shared-belief threshold rises more slowly than the dispersed one
         # wherever the dispersed middle branch is interior (b away from 2)

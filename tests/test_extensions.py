@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -121,7 +122,7 @@ def test_straddling_asymmetric_solve(b, log_gap, ell_bar, log_below, log_above, 
     def gap(l1):
         return clamp_br(pi1, clamp_br(pi2, l1, params, dist), params, dist) - l1
 
-    scan = bracket_roots(gap, np.linspace(0.0, ell_bar, 2001), zero_tol=1e-12, ftol=1e-12)
+    scan = bracket_roots(gap, np.linspace(0.0, ell_bar, 2001), tol=1e-12)
     assert abs(sol.ell1_hat - scan[0]) <= 1e-9 * ell_bar
     lo, hi = sorted((sol.ell1_hat, sol.ell2_hat))
     if 1e-7 * ell_bar <= lo and hi <= ell_bar - 1e-7 * ell_bar:
@@ -299,7 +300,7 @@ class TestGroupLoss:
         # no one-peak shape: negative at 0, a root at 0.2 and another at 0.358
         params, F, pi = tp.validate_params(1.5, 25.6), tp.uniform_loss(0.4), 0.05
         roots = bracket_roots(lambda t: _payoff_gap(1, pi, t, F.cdf(t), params, "as_printed"),
-                              np.linspace(0.0, 0.4, 1001), zero_tol=0.0, ftol=1e-14)
+                              np.linspace(0.0, 0.4, 1001), tol=1e-14)
         assert _payoff_gap(1, pi, 0.0, 0.0, params, "as_printed") < 0.0
         assert roots == pytest.approx([0.2, 0.358], abs=1e-3)
         root = tp.solve_group_common(1, pi, params, F, variant="as_printed")
@@ -458,18 +459,12 @@ class TestGroupDiverse:
        ell_bar=st.floats(0.05, 20.0),
        inner=st.none() | st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True))
 @settings(max_examples=100, deadline=None)
-def test_kink_scan_finds_every_knot_crossing(b, log_gap, n, variant, q, ell_bar, inner):
+def test_kink_beliefs_find_every_knot_crossing(b, log_gap, n, variant, q, ell_bar, inner):
     """At each knot k of a uniform or tabulated F, `_kink_beliefs` finds as
     many crossings (grid zeros and sign changes of the gap at t = k) as a
-    scan of a grid 128 times finer, which holds its 513 beliefs.
-
-    Its scan cannot miss one. The gap at t = k is c s(pi) + m pi^n - d with
-    s = (q + (1-q) pi)^n: c = 1-b+k and d = k under `consistent`, c = 1-k
-    and d = b+k under `as_printed`. It is <= 0 at pi = 0. It increases in pi
-    when c >= 0, and when c < 0 its slope changes sign at most once, from
-    minus to plus. So it has at most one root in (0, 1], and the scan, which
-    starts at a value <= 0, meets a grid zero or a sign change before any
-    grid value > 0.
+    scan of a grid of 128 * 512 + 1 beliefs, and each one it returns is a
+    root of that gap to the 1e-14 it refines to. Its docstring gives the
+    shape of the gap that leaves at most one crossing per knot.
     """
     params = tp.validate_params(b, b - 1.0 + 10.0**log_gap)
     if inner is None:
@@ -487,6 +482,13 @@ def test_kink_scan_finds_every_knot_crossing(b, log_gap, n, variant, q, ell_bar,
         got = _kink_beliefs(n, q, params, variant, SimpleNamespace(knots=(k,)),
                             SimpleNamespace(knots=()))
         assert got.size == want, (k, got)
+        for pi in got.tolist():
+            # or, where the gap's rounding is coarser than 1e-14 (with m near
+            # 100 and a knot near 15 its terms reach tens, and one ulp of 32
+            # is 7.1e-15), a sign change within one ulp above
+            at = _payoff_gap(n, pi, k, q, params, variant)
+            above = _payoff_gap(n, math.nextafter(pi, 2.0), k, q, params, variant)
+            assert abs(at) <= 1e-14 or (at < 0.0) != (above < 0.0), (k, pi, at)
 
 
 def simpson_q_update(n, q, params, variant, F, G):
@@ -504,7 +506,7 @@ def simpson_q_update(n, q, params, variant, F, G):
     kinks = []
     for corner in (0.0, F.ell_bar):
         kinks += bracket_roots(lambda pi: _payoff_gap(n, pi, corner, q, params, variant),
-                               grid, zero_tol=0.0, ftol=1e-14)
+                               grid, tol=1e-14)
     splits = sorted({0.0, 1.0, *G.knots, *(k for k in kinks if 0.0 < k < 1.0)})
     return sum(adaptive_simpson(integrand, a, b, tol=1e-13)
                for a, b in zip(splits[:-1], splits[1:]) if b > a)
@@ -592,3 +594,27 @@ def test_group_fixed_point_under_concentrated_beliefs(b, log_gap, n, variant, st
     F, G = tp.uniform_loss(1.0), concentrated_belief(start, width)
     q = _group_fixed_point(n, params, variant, F, G)
     assert abs(_q_update(n, q, params, variant, F, G) - q) <= 1e-12
+
+
+# sha256 of the group curve's values (GROUP_KNOTS floats): one game per
+# benchmark centre, n from 1 to 8, both variants. The q update sums with
+# np.add.reduce: with np.dot, OpenBLAS's SkylakeX, Haswell and Prescott
+# kernels gave three different sets of curves.
+PINNED_GROUP = {
+    (1.5, 6.0, 1, "consistent"): "e5b36e2a8dd2d4930517e8228013f3ccda73e0c82bffa4ca1a975fa17c2e11ee",
+    (1.5, 6.0, 1, "as_printed"): "235ed5d5e359917b22e2c98ad4d6c34728e0442b9335b687955a55b0c4bc218b",
+    (2.0, 8.0, 4, "consistent"): "e3ec7fa36f9318b3689df42af1d22d9c9ebd60f1581c149e0c1cce5cbc089561",
+    (2.0, 8.0, 4, "as_printed"): "fb7aee98f492baf727c8fcfaa24e0ac088b4f0ca1d5f97cff6f85a9d347f810d",
+    (3.0, 20.0, 2, "consistent"): "59691b959fa92a79ad2b11a8a36aca7aa5b6e0f63a14e8cc625fd0eb159165d6",
+    (3.0, 20.0, 2, "as_printed"): "2777d3e7ce06e95668c70b633160f8b6df68cba86a1f354cb78b15f5ee0210d5",
+    (4.0, 40.0, 8, "consistent"): "18b74c5f82f7a5e4cc2743a4a739510f26a0db4b96095eca68c11ce1fad54548",
+    (4.0, 40.0, 8, "as_printed"): "8fdd84c6f169099981ab42db3dad1c1b12753a5bc47bc4083c6440338ecc9656",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GROUP))
+def test_group_diverse_pinned_bits(case, unit_loss, unit_belief):
+    b, m, n, variant = case
+    curve = tp.solve_group_diverse(n, tp.validate_params(b, m), unit_loss, unit_belief,
+                                   variant=variant)
+    assert hashlib.sha256(curve.values.tobytes()).hexdigest() == PINNED_GROUP[case]

@@ -389,10 +389,13 @@ def test_simulate_blocks_of_any_size_give_the_same_bits(case, monkeypatch):
 def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
     # per-match arrays took 29.6 MB at 10^6 matches and 118 MB at 4 * 10^6;
     # each thread's workspace takes 1.0 MB, and the CD and DC gathers about
-    # 0.5 B a match: 3.7 MB at 10^6 matches (5.1 MB in a call that first
-    # imports the thread pool) and 5.0-5.3 MB at 4 * 10^6
+    # 0.5 B a match: 3.7 MB at 10^6 matches and 5.0-5.3 MB at 4 * 10^6. An
+    # untraced call first, so that neither traced one imports the thread
+    # pool (5.1 MB at 10^6 in a process's first simulate)
     params = tp.validate_params(2.5, 20.0)
     curve = tp.solve_diverse_threshold(params, unit_loss, unit_belief).threshold
+    tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="diverse", strategy=curve),
+                params, unit_loss, unit_belief)
     peaks = []
     for n in (10 ** 6, 4 * 10 ** 6):
         cfg = tp.SimConfig(n_samples=n, seed=3, scenario="diverse", strategy=curve)

@@ -66,12 +66,12 @@ class TestScanSignChanges:
 
 class TestBracketRoots:
     def test_refines_every_bracket_in_grid_order(self):
-        roots = bracket_roots(np.sin, np.linspace(0.5, 10.0, 40), zero_tol=0.0, ftol=1e-13)
+        roots = bracket_roots(np.sin, np.linspace(0.5, 10.0, 40), tol=1e-13)
         assert roots == pytest.approx([np.pi, 2 * np.pi, 3 * np.pi], abs=1e-12)
         assert all(abs(np.sin(r)) <= 1e-13 for r in roots)
         # a grid zero at 0.25 sorts between the refined roots -sqrt(2) and sqrt(2)
         roots = bracket_roots(lambda x: (x * x - 2.0) * (x - 0.25), np.linspace(-2.0, 2.0, 17),
-                              zero_tol=0.0, ftol=1e-13)
+                              tol=1e-13)
         assert roots[1] == 0.25
         assert roots == pytest.approx([-np.sqrt(2.0), 0.25, np.sqrt(2.0)], abs=1e-12)
 
@@ -85,7 +85,7 @@ class TestBracketRoots:
             calls.append(np.array(x, dtype=float, copy=True))
             return x * x - 2.0
 
-        roots = bracket_roots(f, grid, zero_tol=1e-12, ftol=1e-12)
+        roots = bracket_roots(f, grid, tol=1e-12)
         assert roots == pytest.approx([np.sqrt(2.0)], abs=1e-12)
         np.testing.assert_array_equal(calls[0], grid)
         assert all(np.ndim(x) == 0 and 1.4 < x < 1.6 for x in calls[1:])
@@ -96,16 +96,15 @@ class TestBracketRoots:
                 raise AssertionError(f"refined at {x}")
             return x - 1.0
 
-        assert bracket_roots(f, np.linspace(0.0, 2.0, 5), zero_tol=0.0, ftol=1e-12) == [1.0]
+        assert bracket_roots(f, np.linspace(0.0, 2.0, 5), tol=1e-12) == [1.0]
 
     def test_roots_on_grid_endpoints(self):
         grid = np.linspace(0.0, 1.0, 11)
-        assert bracket_roots(lambda x: x, grid, zero_tol=0.0, ftol=1e-12) == [0.0]
-        assert bracket_roots(lambda x: 1.0 - x, grid, zero_tol=0.0, ftol=1e-12) == [1.0]
+        assert bracket_roots(lambda x: x, grid, tol=1e-12) == [0.0]
+        assert bracket_roots(lambda x: 1.0 - x, grid, tol=1e-12) == [1.0]
 
     def test_no_sign_change(self):
-        assert bracket_roots(lambda x: x + 1.0, np.linspace(0.0, 1.0, 11),
-                             zero_tol=1e-10, ftol=1e-10) == []
+        assert bracket_roots(lambda x: x + 1.0, np.linspace(0.0, 1.0, 11), tol=1e-10) == []
 
 
 @st.composite
