@@ -54,6 +54,17 @@ def _clamp_belief(pi: float) -> float:
     return min(pi, 1.0 - BELIEF_EPS)
 
 
+def _psi_of_cdf(pi: float, params: GameParams):
+    """psi at belief pi as a function of F(l), a float or an array:
+    (K - (b-1) F)/(1 - F), K = (1+m-b) pi/(1-pi), with pi checked and
+    clamped to 1 - BELIEF_EPS here. The one place psi's arithmetic is written.
+    """
+    pi = _clamp_belief(pi)
+    k = params.coop_premium * (pi / (1.0 - pi))
+    b1 = params.b - 1.0
+    return lambda big_f: (k - b1 * big_f) / (1.0 - big_f)
+
+
 def psi(ell, pi: float, params: GameParams, dist: LossDistribution):
     """Reduced-form best-response threshold to a partner playing threshold ell.
 
@@ -64,10 +75,7 @@ def psi(ell, pi: float, params: GameParams, dist: LossDistribution):
         raise ParameterError(
             f"psi is defined on [0, ell_bar); got l={ell}, ell_bar={dist.ell_bar}"
         )
-    pi = _clamp_belief(pi)
-    big_f = float_or_array(dist.cdf(ell))
-    ratio = pi / (1.0 - pi)
-    return (params.coop_premium * ratio - (params.b - 1.0) * big_f) / (1.0 - big_f)
+    return _psi_of_cdf(pi, params)(float_or_array(dist.cdf(ell)))
 
 
 def psi_dl(ell: float, pi: float, params: GameParams, dist: LossDistribution) -> float:
@@ -100,22 +108,40 @@ def best_response_threshold(
     Beyond `chi_bound` psi's numerator is negative, so the clamp gives 0. The
     opponent threshold may be a scalar (returns a float) or an array.
     """
-    if not 0.0 <= pi <= 1.0:
-        raise ParameterError(f"belief must lie in [0, 1], got {pi}")
-    big_l = dist.ell_bar
+    best_response = _best_response(pi, params, dist)
     opp = float_or_array(opponent_threshold)
-    if not all_within(opp, 0.0, big_l):
+    if not all_within(opp, 0.0, dist.ell_bar):
         raise ParameterError(
-            f"opponent threshold {opponent_threshold} outside [0, {big_l}]"
+            f"opponent threshold {opponent_threshold} outside [0, {dist.ell_bar}]"
         )
+    return best_response(opp)
+
+
+def _best_response(pi: float, params: GameParams, dist: LossDistribution):
+    """`best_response_threshold` at belief pi as a function of the opponent
+    threshold alone, a float or an array in [0, ell_bar], which it does not
+    check. The belief's check and clamp, K and the corner are settled here,
+    once, so that a root solver's step pays only for F and psi's arithmetic.
+    """
+    psi_at = _psi_of_cdf(pi, params)
+    big_l, cdf = dist.ell_bar, dist.cdf
     if pi >= 1.0:
-        return float_or_array(np.full(np.shape(opp), big_l))
+        return lambda opp: float_or_array(np.full(np.shape(opp), big_l))
     corner = 0.0 if pi < params.pi_low else big_l
-    use_psi = opp < big_l
-    best = psi(select(use_psi, opp, 0.0), pi, params, dist)
-    best = select(0.0 > best, 0.0, best)
-    best = select(big_l < best, big_l, best)
-    return select(use_psi, best, corner)
+
+    def best_response(opp):
+        if isinstance(opp, np.ndarray) and opp.ndim:
+            use_psi = opp < big_l
+            best = psi_at(cdf(np.where(use_psi, opp, 0.0)))
+            best = np.where(0.0 > best, 0.0, best)
+            best = np.where(big_l < best, big_l, best)
+            return np.where(use_psi, best, corner)
+        if not opp < big_l:
+            return corner
+        best = psi_at(float(cdf(opp)))
+        return 0.0 if best < 0.0 else big_l if best > big_l else best
+
+    return best_response
 
 
 @dataclass(frozen=True)

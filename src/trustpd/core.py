@@ -138,12 +138,15 @@ def uniform_loss(ell_bar: float) -> LossDistribution:
     density = 1.0 / ell_bar
 
     def cdf(x):
-        if _is_array(x):
+        if isinstance(x, np.ndarray) and x.ndim:
             return (np.asarray(x, dtype=float) / ell_bar).clip(0.0, 1.0)
-        return min(max(float(x) / ell_bar, 0.0), 1.0)
+        u = float(x) / ell_bar
+        return 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
 
     def pdf(x):
-        return np.full_like(np.asarray(x, dtype=float), density) if _is_array(x) else density
+        if isinstance(x, np.ndarray) and x.ndim:
+            return np.full_like(np.asarray(x, dtype=float), density)
+        return density
 
     return LossDistribution(
         cdf=cdf,
@@ -157,12 +160,15 @@ def uniform_loss(ell_bar: float) -> LossDistribution:
 def uniform_belief() -> BeliefDistribution:
     """Uniform belief distribution on [0, 1]."""
     def cdf(x):
-        if _is_array(x):
+        if isinstance(x, np.ndarray) and x.ndim:
             return np.asarray(x, dtype=float).clip(0.0, 1.0)
-        return min(max(float(x), 0.0), 1.0)
+        u = float(x)
+        return 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
 
     def pdf(x):
-        return np.ones_like(np.asarray(x, dtype=float)) if _is_array(x) else 1.0
+        if isinstance(x, np.ndarray) and x.ndim:
+            return np.ones_like(np.asarray(x, dtype=float))
+        return 1.0
 
     return BeliefDistribution(
         cdf=cdf,
@@ -238,7 +244,10 @@ def hazard(dist: LossDistribution, ell: float) -> float:
 
 # Scalar helpers for the kernels that accept a scalar or an array. The root
 # solvers call those kernels with scalars at every bisection step, so a scalar
-# stays a Python float throughout instead of passing through 0-d arrays.
+# stays a Python float throughout instead of passing through 0-d arrays. The
+# uniform distributions' cdf and pdf, called at every step, inline the array
+# test and clamp by comparisons instead: there a call to `_is_array`, `min` or
+# `max` costs more than the arithmetic it guards.
 
 
 def _is_array(x) -> bool:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .common_eq import best_response_threshold, psi_dl, solve_common_equilibria
+from .common_eq import _best_response, psi_dl, solve_common_equilibria
 from .core import (
     BeliefDistribution,
     ConvergenceError,
@@ -79,12 +79,10 @@ def solve_asymmetric(
     whether the scan found only one.
     """
     big_l = dist.ell_bar
-
-    def br1(l2):
-        return best_response_threshold(pi1, l2, params, dist)
-
-    def br2(l1):
-        return best_response_threshold(pi2, l1, params, dist)
+    # both beliefs are checked here, before F is evaluated, and each step
+    # evaluates only F and psi's arithmetic
+    br1 = _best_response(pi1, params, dist)
+    br2 = _best_response(pi2, params, dist)
 
     def gap(l1):
         return br1(br2(l1)) - l1
@@ -183,12 +181,15 @@ def _group_loss(n: int, pi: float, F: LossDistribution) -> LossDistribution:
     K~ = (1+m-b) pi^n/(1 - pi^n) and phi~ = (b-1) F~ + t (1 - F~): the
     two-player g at belief pi^n under F~. F~'s hazard is F's times
     n/sum_{j<n} P^-j, nondecreasing in t, so F~ keeps F's `monotone_hazard`
-    and its knots.
+    and its knots. A scalar t is taken in Python floats, with `**`, as in
+    `_gap_terms`.
     """
     c = float(np.float_power(pi, n))
 
     def power(t, k):
-        return np.float_power(pi + (1.0 - pi) * F.cdf(t), k)
+        if _is_array(t):
+            return np.float_power(pi + (1.0 - pi) * F.cdf(t), k)
+        return (pi + (1.0 - pi) * float(F.cdf(t))) ** k
 
     return LossDistribution(
         cdf=lambda t: (power(t, n) - c) / (1.0 - c),

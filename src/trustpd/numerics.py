@@ -14,7 +14,12 @@ one side of (b-1)/m, and `extensions.solve_group_common` under `as_printed`.
 `bisect_root` refines by ITP (interpolate, truncate, project; Oliveira and
 Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst
 case within one step, and superlinear convergence on the smooth functions the
-solvers bracket, about a quarter of bisection's evaluations.
+solvers bracket, about a quarter of bisection's evaluations. A step calls
+nothing but f and `math.copysign`: |x| and the projection's clamp are
+comparisons, which give what abs, min and max give, NaN and signed zeros
+included, and the sign of f(lo), which never changes, is read once. The
+solvers' closures are built the same way, with their checks and constants
+settled once per solve, so that a step pays only for its arithmetic.
 
 Quadrature and curve interpolation deliberately share grids elsewhere in the
 package, so the composite rule here works directly on a supplied knot vector.
@@ -82,6 +87,8 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     eps = max(0.5 * math.ulp(max(abs(lo), abs(hi))), math.ulp(0.0))
     mant, n_half = math.frexp(width / (2.0 * eps))
     reach = eps * 2.0 ** (max(n_half - (mant == 0.5), 0) + ITP_N0)
+    lo_negative = flo < 0  # f(lo) keeps its sign as lo moves
+    neg_ftol = -ftol
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -92,19 +99,27 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
         # truncate: k1 w^2 towards the midpoint
         toward = mid - x
         delta = k1 * w * w
-        x = x + math.copysign(delta, toward) if delta <= abs(toward) else mid
+        if delta <= (toward if toward >= 0 else -toward):
+            x = x + math.copysign(delta, toward)
+        else:
+            x = mid
         # project: keep both parts of the bracket within reach. The window
         # ends are pulled in by eps, which absorbs their rounding: a sum
         # rounds by at most eps at magnitudes up to the larger end
         lower, upper = hi - (reach - eps), lo + (reach - eps)
-        x = mid if lower > upper else min(max(x, lower), upper)
+        if lower > upper:
+            x = mid
+        elif lower > x:
+            x = lower
+        elif upper < x:
+            x = upper
         reach *= 0.5
         if not lo < x < hi:
             x = mid
         fx = f(x)
-        if abs(fx) <= ftol:
+        if neg_ftol <= fx <= ftol:
             return x
-        if (flo < 0) != (fx < 0):
+        if lo_negative != (fx < 0):
             hi, fhi = x, fx
         else:
             lo, flo = x, fx

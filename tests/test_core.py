@@ -126,6 +126,19 @@ class TestDistributions:
         assert float(dist.cdf(0.0)) == 0.0
         assert float(dist.cdf(2.0)) == 1.0
 
+    @pytest.mark.parametrize("x", [math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                   1e-310, 0.3, 1.0, 2.5, 3.0, 3.5, -1.0])
+    def test_uniform_scalar_cdf_and_pdf_bits(self, x):
+        # a scalar is clamped by comparisons: the float min(max(x/L, 0), 1)
+        # gives, NaN, signed zeros, infinities and subnormals included, for a
+        # Python float, a numpy float or a 0-d array
+        for dist, scale in ((tp.uniform_loss(3.0), 3.0), (tp.uniform_belief(), 1.0)):
+            want = min(max(x / scale, 0.0), 1.0)
+            for arg in (x, np.float64(x), np.array(x)):
+                got, density = dist.cdf(arg), dist.pdf(arg)
+                assert type(got) is float and got.hex() == want.hex()
+                assert type(density) is float and density == 1.0 / scale
+
     def test_belief_distribution_bounds(self):
         g = tp.uniform_belief()
         assert float(g.cdf(0.0)) == 0.0

@@ -130,6 +130,82 @@ def test_straddling_asymmetric_solve(b, log_gap, ell_bar, log_below, log_above, 
         assert min(abs(Decimal(sol.ell1_hat) - r) for r in roots) <= Decimal(1e-10 * ell_bar)
 
 
+@given(b=st.floats(1.05, 8.0), log_gap=st.floats(-2.0, 3.0), excess=st.floats(1.0, 10.0),
+       log_d=st.floats(-3.0, 0.0, exclude_max=True))
+@settings(max_examples=150, deadline=None)
+def test_same_side_asymmetric_solve(b, log_gap, excess, log_d):
+    """Both beliefs at pi = pi' - d (pi' - (b-1)/m), d log-uniform in
+    [1e-3, 1): the shared low root, within 1e-9 ell_bar of the uniform
+    quadratic's, and unique=False, as the high root and the corner are
+    intersections too. ell_bar is (b-1) plus 1 to 10, as the benchmark draws
+    it. The scan misses the two interior roots when both fall in one cell of
+    its 2001-point grid, which they do below about d = 1e-5 (4 of 300
+    benchmark-like games at 1e-5, 257 at 1e-8): that defect is not tested
+    here."""
+    params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
+    ell_bar = b - 1.0 + excess
+    # at pi' the uniform quadratic's discriminant vanishes:
+    # (L + b - 1)^2 = 4 (1+m-b) L pi'/(1 - pi')
+    ratio = (ell_bar + b - 1.0) ** 2 / (4.0 * params.coop_premium * ell_bar)
+    pi_prime = ratio / (1.0 + ratio)
+    pi = pi_prime - 10.0 ** log_d * (pi_prime - params.pi_low)
+    assume(params.pi_low <= pi < pi_prime)
+    sol = tp.solve_asymmetric(pi, pi, params, tp.uniform_loss(ell_bar))
+    low = uniform_fixed_points(b, params.m, ell_bar, pi)[0]
+    assert not sol.unique
+    assert abs(sol.ell1_hat - low) <= 1e-9 * ell_bar
+    assert abs(sol.ell2_hat - low) <= 1e-9 * ell_bar
+
+
+# float.hex of (ell1_hat, ell2_hat) and `unique` from solve_asymmetric on the
+# figure game (3, 50), uniform on [0, 8] unless a loss support is given:
+# straddling beliefs both ways round, a belief at (b-1)/m = 0.04, beliefs of 0
+# and 1, and same-side beliefs, which the scan solves. Recorded before the
+# per-solve best responses, whose steps must keep these bits.
+PINNED_ASYMMETRIC = {
+    (0.03, 0.1): ("0x1.6e22ee0122c5cp-2", "0x1.5f507125dcd20p+2", True),
+    (0.1, 0.03): ("0x1.5f507125dcdb8p+2", "0x1.6e22ee0123047p-2", True),
+    (0.03, 0.04): ("0x1.500e135a9c975p+0", "0x1.0000000000000p+1", True),
+    (0.04, 0.03): ("0x1.ffffffffffffep+0", "0x1.500e135a9c976p+0", True),
+    (0.04, 0.1): ("0x1.0000000000000p+1", "0x1.9c71c71c71c73p+2", False),
+    (0.03, 0.0): ("0x1.7c0a8e83f56bbp+0", "0x0.0p+0", True),
+    (0.0, 0.1): ("0x0.0p+0", "0x1.5555555555556p+2", True),
+    (0.03, 1.0): ("0x0.0p+0", "0x1.0000000000000p+3", True),
+    (1.0, 0.03): ("0x1.0000000000000p+3", "0x0.0p+0", True),
+    (0.1, 1.0): ("0x1.0000000000000p+3", "0x1.0000000000000p+3", True),
+    (0.03, 0.03): ("0x1.6098f07b54377p+0", "0x1.6098f07b53d06p+0", True),
+    (0.05, 0.05): ("0x1.67dfaba2857f8p+1", "0x1.67dfaba2857e5p+1", False),
+    (0.03, 0.03, 1.0): ("0x0.0p+0", "0x1.0000000000000p+0", False),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ASYMMETRIC)
+def test_asymmetric_pinned_bits(case, fig_params):
+    pi1, pi2, *support = case
+    assert fig_params.pi_low == 0.04
+    ell_bar = support[0] if support else 8.0
+    sol = tp.solve_asymmetric(pi1, pi2, fig_params, tp.uniform_loss(ell_bar))
+    assert (sol.ell1_hat.hex(), sol.ell2_hat.hex(), sol.unique) == PINNED_ASYMMETRIC[case]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_asymmetric_checks_beliefs_before_evaluating_f(bad, slot, fig_params, fig_dist):
+    calls = []
+
+    def cdf(x):
+        calls.append(x)
+        return fig_dist.cdf(x)
+
+    dist = tp.LossDistribution(cdf=cdf, pdf=fig_dist.pdf, ppf=fig_dist.ppf, ell_bar=8.0,
+                               monotone_hazard=True)
+    beliefs = [0.03, 0.1]
+    beliefs[slot] = bad
+    with pytest.raises(tp.ParameterError, match=rf"^belief must lie in \[0, 1\], got {bad}$"):
+        tp.solve_asymmetric(*beliefs, fig_params, dist)
+    assert calls == []
+
+
 class TestAsymmetricSensitivity:
     def test_negative_across_sampled_configurations(self, fig_params, fig_dist):
         for pi1 in (0.02, 0.03):

@@ -207,6 +207,116 @@ class TestRootRefinement:
             bisect_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, ftol=0.0, max_iter=10)
 
 
+def itp_reference(f, lo, hi, *, ftol, max_iter=200, flo=None, fhi=None):
+    """`bisect_root` as it was written with abs, min and max in every step
+    and the sign of f(lo) read at each: the oracle the leaner step must
+    match, float for float and evaluation for evaluation."""
+    if flo is None:
+        flo = f(lo)
+    if fhi is None:
+        fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0) == (fhi < 0):
+        raise tp.ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
+    width = hi - lo
+    k1 = 0.2 / width
+    eps = max(0.5 * math.ulp(max(abs(lo), abs(hi))), math.ulp(0.0))
+    mant, n_half = math.frexp(width / (2.0 * eps))
+    reach = eps * 2.0 ** (max(n_half - (mant == 0.5), 0) + 1)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        w = hi - lo
+        x = lo + w * (flo / (flo - fhi))
+        toward = mid - x
+        delta = k1 * w * w
+        x = x + math.copysign(delta, toward) if delta <= abs(toward) else mid
+        lower, upper = hi - (reach - eps), lo + (reach - eps)
+        x = mid if lower > upper else min(max(x, lower), upper)
+        reach *= 0.5
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x
+        if (flo < 0) != (fx < 0):
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+    raise tp.ConvergenceError(
+        f"root refinement still at [{lo}, {hi}] after {max_iter} steps, ftol={ftol:.1e}"
+    )
+
+
+@st.composite
+def itp_cases(draw):
+    """(f, lo, hi): a smooth, steep or step f, or one that is NaN on part of
+    the bracket, on a bracket of normal floats, or x - r on subnormals. A NaN
+    or a root at an end leaves no sign change, so that error is drawn too.
+    """
+    kind = draw(st.sampled_from(["smooth", "steep", "step", "nan", "subnormal"]))
+    if kind == "subnormal":
+        tiny = math.ulp(0.0)
+        start, width = draw(st.integers(-2000, 2000)), draw(st.integers(1, 4000))
+        lo, hi = start * tiny, (start + width) * tiny
+        r = draw(st.floats(lo - tiny, hi + tiny))
+        return (lambda x: x - r), lo, hi
+    lo = draw(st.floats(-1e3, 1e3))
+    hi = lo + draw(st.floats(1e-12, 1e3)) * max(1.0, abs(lo))
+    assume(lo < hi)
+    r = draw(st.floats(lo, hi))
+    scale = draw(st.floats(0.01, 100.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "smooth":
+        def f(x):
+            return sign * (math.tanh(scale * (x - r)) + 1e-3 * (x - r))
+    elif kind == "steep":
+        def f(x):
+            return sign * math.atan(1e12 * scale * (x - r))
+    elif kind == "step":
+        def f(x):
+            return sign * (1.0 + x * x if x >= r else -scale)
+    else:
+        a, b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+
+        def f(x):
+            return math.nan if a <= x <= b else sign * (x - r)
+    return f, lo, hi
+
+
+def evaluations(impl, f, lo, hi, **kwargs):
+    """(the float.hex of impl's result or its error message, the float.hex
+    of every point impl evaluated f at, in order)."""
+    points = []
+
+    def recorded(x):
+        points.append(x.hex())
+        return f(x)
+
+    try:
+        out = impl(recorded, lo, hi, **kwargs).hex()
+    except tp.ConvergenceError as exc:
+        out = str(exc)
+    return out, points
+
+
+@given(case=itp_cases(), ftol=st.sampled_from([0.0, 1e-14, 1e-10, 1e-3]),
+       max_iter=st.sampled_from([5, 60, 200]), ends_given=st.booleans())
+@settings(max_examples=1000, deadline=None)
+def test_itp_step_matches_the_reference(case, ftol, max_iter, ends_given):
+    # the step compares where the reference called abs, min and max: the
+    # same root, from the same evaluations, and the same errors
+    f, lo, hi = case
+    ends = {"flo": f(lo), "fhi": f(hi)} if ends_given else {}
+    kwargs = dict(ftol=ftol, max_iter=max_iter, **ends)
+    assert (evaluations(bisect_root, f, lo, hi, **kwargs)
+            == evaluations(itp_reference, f, lo, hi, **kwargs))
+
+
 def test_bisect_root_with_a_subnormal_end_value():
     # f(0) * f(mid) underflows to -0.0 here; the bracket must still close on 0
     root = bisect_root(lambda x: 5e-324 - x, 0.0, 1.0, ftol=1e-12)
