@@ -39,11 +39,9 @@ from .core import (
     ParameterError,
     RegimeError,
     all_within,
-    any_of,
     check_tol,
     float_or_array,
     hazard,
-    select,
 )
 from .numerics import bisect_root
 
@@ -212,7 +210,8 @@ def solve_common_equilibria(
 
     - below (b-1)/m, K < b - 1 and both terms of g are <= 0 from l = K on, so
       [0, min(K, ell_bar)] holds the one root, `interior-low` (`corner-zero`
-      when it is 0, as at pi = 0);
+      only when it is exactly 0, as at pi = 0; a root however close to 0 is
+      reported as refined);
     - from (b-1)/m on with ell_bar <= b - 1, phi <= b - 1 <= K: no root;
     - at pi = (b-1)/m exactly, g = (l - (b-1))(1 - F) vanishes at l = b - 1;
     - otherwise g falls to its minimum at the tangency loss l' of
@@ -285,7 +284,7 @@ def solve_common_equilibria(
                 bisect_root(g, ell_prime, big_l, ftol=tol * high_slack, flo=g_prime, fhi=k_excess),
             ]
     classified = [
-        EquilibriumRoot(0.0, "corner-zero") if r <= 1e-12 * big_l else EquilibriumRoot(r, kind)
+        EquilibriumRoot(r, "corner-zero" if r == 0.0 else kind)
         for r, kind in zip(roots, ("interior-low", "interior-high"))
     ]
     if pi < params.pi_low:
@@ -307,13 +306,14 @@ def closed_form_common_uniform(pi, params: GameParams):
         raise ParameterError(f"closed form requires b >= 2, got b={params.b}")
     if not all_within(pi, 0.0, 1.0, include_hi=False):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
-    pi = select(1.0 - BELIEF_EPS < pi, 1.0 - BELIEF_EPS, float_or_array(pi))
+    pi = np.where(1.0 - BELIEF_EPS < pi, 1.0 - BELIEF_EPS, float_or_array(pi))
     below = pi < params.pi_low
     disc = params.b ** 2 / 4.0 - params.coop_premium * pi / (1.0 - pi)
     negative = below & (disc < 0.0)
-    if any_of(negative):
+    if np.any(negative):
         raise ParameterError(
             f"negative discriminant {np.min(disc, where=negative, initial=0.0)} "
             "below (b-1)/m: parameters violate b >= 2"
         )
-    return float_or_array(select(below, params.b / 2.0 - np.sqrt(select(below, disc, 0.0)), 1.0))
+    threshold = np.where(below, params.b / 2.0 - np.sqrt(np.where(below, disc, 0.0)), 1.0)
+    return float_or_array(threshold)

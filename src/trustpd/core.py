@@ -242,12 +242,12 @@ def hazard(dist: LossDistribution, ell: float) -> float:
     return float(dist.pdf(ell)) / (1.0 - float(dist.cdf(ell)))
 
 
-# Scalar helpers for the kernels that accept a scalar or an array. The root
-# solvers call those kernels with scalars at every bisection step, so a scalar
-# stays a Python float throughout instead of passing through 0-d arrays. The
-# uniform distributions' cdf and pdf, called at every step, inline the array
-# test and clamp by comparisons instead: there a call to `_is_array`, `min` or
-# `max` costs more than the arithmetic it guards.
+# Scalar helpers. Some kernels that accept a scalar or an array are called
+# with a scalar at every root-solver step (`_group_loss`'s cdf in the shared
+# solver, `_payoff_gap` in `_kink_beliefs`), so a scalar stays a Python float
+# there instead of passing through 0-d arrays. The uniform distributions' cdf
+# and pdf inline the array test and clamp by comparisons instead: there a
+# call to `_is_array`, `min` or `max` costs more than the arithmetic it guards.
 
 
 def _is_array(x) -> bool:
@@ -259,23 +259,9 @@ def float_or_array(x):
     return x if _is_array(x) else float(x)
 
 
-def select(cond, a, b):
-    """np.where(cond, a, b), or plain `a if cond else b` for a scalar cond."""
-    if _is_array(cond):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
-def any_of(cond) -> bool:
-    """Whether a scalar condition holds, or any element of an array one does."""
-    return bool(cond.any()) if _is_array(cond) else bool(cond)
-
-
 def all_within(x, lo: float, hi: float, *, include_hi: bool = True) -> bool:
     """Whether x, a scalar or every element of an array, lies in [lo, hi]
     ([lo, hi) when include_hi is false). NaN never does."""
-    if not _is_array(x):
-        return lo <= x <= hi if include_hi else lo <= x < hi
     return bool(np.all((lo <= x) & ((x <= hi) if include_hi else (x < hi))))
 
 

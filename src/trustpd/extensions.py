@@ -76,7 +76,12 @@ def solve_asymmetric(
     refines. With both on one side, as at (3, 50) on [0, 1] with
     pi1 = pi2 = 0.03, there can be three intersections: `bracket_roots` scans
     a 2001-point grid for them, the lowest is returned, and `unique` says
-    whether the scan found only one.
+    whether the scan found only one. A root pair inside one cell goes
+    unseen, and `unique` is then set on what is left: at (7.8839, 650.35),
+    uniform on [0, 6.9161], pi1 = pi2 = 0.01058497274, 1.7e-3 of the way
+    from the tangency belief pi' down to (b-1)/m, the shared low and high
+    roots 6.8993 and 6.9007 lie in one 0.0035-wide cell, and the corner
+    (6.9161, 6.9161) is returned with `unique=True`.
     """
     big_l = dist.ell_bar
     # both beliefs are checked here, before F is evaluated, and each step
@@ -214,12 +219,10 @@ def solve_group_common(
     `consistent`: the lowest equilibrium `solve_common_equilibria` finds at
     belief pi^n under F~ (`_group_loss`), near-tangency pairs included; it
     needs `F.monotone_hazard`. Its |psi~(l) - l| <= SOLVE_TOL gives
-    |gap| = (1 - pi^n)(1 - F~)|psi~(l) - l| <= SOLVE_TOL. A root within
-    1e-12 ell_bar of 0, which that solver reports as 0, is reported as 0 only
-    when |gap(0)| <= SOLVE_TOL too, and is otherwise refined on the gap
-    itself. `corner` means ell_bar. As for the two-player solver, the bound
-    is on the residual: near the tangency belief of the reduced game the
-    slope of the gap at a root tends to 0, and the root may lie about
+    |gap| = (1 - pi^n)(1 - F~)|psi~(l) - l| <= SOLVE_TOL, a root next to 0
+    included. `corner` means ell_bar. As for the two-player solver, the
+    bound is on the residual: near the tangency belief of the reduced game
+    the slope of the gap at a root tends to 0, and the root may lie about
     SOLVE_TOL/|gap'| from the exact one.
 
     `as_printed`: the gap has no one-peak shape (at n = 1, uniform on
@@ -240,14 +243,6 @@ def solve_group_common(
     if variant == "consistent":
         value = solve_common_equilibria(float(np.float_power(pi, n)), params,
                                         _group_loss(n, pi, F), tol=SOLVE_TOL).lowest
-        if value == 0.0 and gap(0.0) > SOLVE_TOL:
-            # a root within 1e-12 ell_bar of 0, which the shared solver reports
-            # as 0. The gap is positive at 0 and falls through it, so doubling
-            # 1e-12 ell_bar until the gap is not positive brackets it
-            hi = 1e-12 * big_l
-            while gap(hi) > 0.0 and hi < big_l:
-                hi *= 2.0
-            value = bisect_root(gap, 0.0, min(hi, big_l), ftol=SOLVE_TOL)
         corner = value == big_l
     else:
         roots = bracket_roots(gap, np.linspace(0.0, big_l, 1001), tol=SOLVE_TOL)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .common_eq import solve_common_equilibria
 from .core import (
+    BELIEF_EPS,
     BeliefDistribution,
     GameParams,
     LossDistribution,
@@ -336,6 +337,6 @@ def deviation_check(
         return max(gain(config.pi1, float(F.cdf(t2)), losses <= t1, losses),
                    gain(config.pi2, float(F.cdf(t1)), losses <= t2, losses))
     # diverse: the (loss, belief) mesh against the cutoff curve, losses down rows
-    beliefs = np.linspace(0.0, 1.0 - 1e-9, DEVIATION_GRID)
+    beliefs = np.linspace(0.0, 1.0 - BELIEF_EPS, DEVIATION_GRID)
     return gain(beliefs, cooperation_prob_given_strategy(strategy, F, G),
                 beliefs >= strategy(losses)[:, None], losses[:, None])

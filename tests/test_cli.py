@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -443,6 +444,46 @@ class TestWritersMatchTheStandardLibrary:
                      "--pi-grid", "20", "--out", str(out)]) == 0
         assert any(r["ell_high"] == r["ell_corner"] == "" for r in read_csv(out))
         assert out.read_bytes() == stdlib_rendering(out)
+
+
+# sha256 of every data file `reproduce-all` writes; the manifests hold the
+# output paths, so they are left out. A change that moves any bit of the
+# published results shows here, on every machine the pinned reruns cover.
+PINNED_REPRODUCE_ALL = {
+    "asymmetric_sweep.csv":
+        "8c63dd1046fd0469038d4060ba1e94c8b8fa8fdea8c59bc5f6ec02131735ae40",
+    "crossing_belief_sensitivity.json":
+        "29cea1d3fde5831ffd01bf279ebabcbf182ad8ea6efb30ab144255c0a33cf0fb",
+    "crossing_belief_vs_b.csv":
+        "aeb952effe14f95f6eae618ed6b7445adce7f1e7fe565fe154950fd1f1e6b59d",
+    "crossing_belief_vs_m.csv":
+        "a61025813914e6409add6fc2d531914289a5f2b1963401a5f96a87399f2b1c9f",
+    "cutoff_dispersed_belief.csv":
+        "5d22ce8ddd2d5db31801f1c36d7159499ae72912766446eca1de10d5b8a887e9",
+    "cutoff_dispersed_belief.summary.json":
+        "e8cf135ecc821649264d42bc31e775bb5326de8c0c9d5f31eb9449e8ea17c042",
+    "exante_region.csv":
+        "afedac4833a78fd17f47c09cd88119b9b716f2f94241205d0e2663fb0d5fb391",
+    "exante_single_pair.csv":
+        "7bf451e971c13a53992f3c72d252bbfe336339f2c68cf411db6c9bcdb0a17e86",
+    "group_thresholds.csv":
+        "1d7dce35627e749e7ea8407f8e39757e8f5f54ec68a8014e55516af531da3805",
+    "regimes_shared_belief.csv":
+        "94e81b791e78631866e8342f6ba62b8c34c12116052fa2557addbfbd68f26a16",
+    "simulation_common.json":
+        "aa6729c0b3840a718b942c3769caec1bdbc999c7f94e17d0d84323618b236c1f",
+    "threshold_comparison.csv":
+        "3ef22fc72f840b232df2136dd621168d071e5b5c4a975f00f3d8b50b17923b46",
+    "threshold_comparison.summary.json":
+        "641aa9753b29e88041df37dbf63ffecf4adc57a8665204a74941f052717c4be3",
+}
+
+
+def test_reproduce_all_pinned_bits(tmp_path):
+    assert main(["reproduce-all", "--outdir", str(tmp_path)]) == 0
+    data = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")}
+    assert data == PINNED_REPRODUCE_ALL
 
 
 class TestReproducibility:

@@ -171,6 +171,15 @@ class TestSolveCommonEquilibria:
         assert eqs.ell_low == 0.0
         assert eqs.roots[0].kind == "corner-zero"
 
+    def test_root_next_to_zero_is_reported_as_refined(self, fig_params, fig_dist):
+        # the root lies about 4.8e-12 from 0, where |psi(0)| = 4.8e-12 breaks
+        # the contract at tol = 1e-12: only an exact 0 is `corner-zero`
+        eqs = tp.solve_common_equilibria(1e-13, fig_params, fig_dist, tol=1e-12)
+        (root,) = eqs.roots
+        assert root.kind == "interior-low"
+        assert 0.0 < root.value == eqs.ell_low
+        assert abs(psi(root.value, 1e-13, fig_params, fig_dist) - root.value) <= 1e-12
+
     def test_residual_invariant(self, fig_params, fig_dist):
         for pi in (0.01, 0.03, 0.045, 0.055):
             eqs = tp.solve_common_equilibria(pi, fig_params, fig_dist, tol=1e-11)
@@ -393,6 +402,14 @@ def convex_tables(draw):
     return np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum(), mass / mass[-1]
 
 
+def make_shared_game(b, excess_m, big_l, family):
+    """`make_game`, or a tabulated loss from a `convex_tables` draw."""
+    if isinstance(family, tuple):
+        return (tp.validate_params(b, b - 1.0 + excess_m),
+                tp.tabulated_loss(family[0] * big_l, family[1]))
+    return make_game(b, excess_m, big_l, family)
+
+
 shared_games = st.tuples(
     st.floats(1.05, 6.0),  # b
     st.floats(0.05, 80.0),  # m - (b - 1)
@@ -404,12 +421,8 @@ shared_games = st.tuples(
 @given(game=shared_games, belief=st.one_of(st.floats(0.0, 0.999), close_to_edge))
 @settings(max_examples=400, deadline=None)
 def test_brackets_from_the_shape_of_phi(game, belief):
-    b, excess_m, big_l, family = game
-    if isinstance(family, tuple):
-        params = tp.validate_params(b, b - 1.0 + excess_m)
-        dist = tp.tabulated_loss(family[0] * big_l, family[1])
-    else:
-        params, dist = make_game(*game)
+    big_l, family = game[2:]
+    params, dist = make_shared_game(*game)
     try:
         pi_prime = tp.critical_pair(params, dist).pi_prime
     except tp.RegimeError:
@@ -441,6 +454,22 @@ def test_brackets_from_the_shape_of_phi(game, belief):
         want = uniform_fixed_points(params.b, params.m, big_l, pi) + (big_l,)
         for root in eqs.interior():
             assert min(abs(root - w) for w in want) <= bound
+
+
+@given(game=shared_games, belief=st.one_of(st.just(0.0), st.floats(-16.0, -8.0)),
+       tol=st.sampled_from([1e-10, 1e-12]))
+@settings(max_examples=300, deadline=None)
+def test_tiny_belief_roots_meet_the_residual_contract(game, belief, tol):
+    # pi log-uniform in [1e-16, 1e-8], or 0: the low root lies about
+    # (1+m-b) pi from 0, and is reported as refined, however close to 0
+    params, dist = make_shared_game(*game)
+    pi = belief and 10.0**belief
+    eqs = tp.solve_common_equilibria(pi, params, dist, tol=tol)
+    for root in eqs.roots:
+        if root.kind != "corner-upper":
+            assert abs(psi(root.value, pi, params, dist) - root.value) <= tol
+            assert (root.value == 0.0) == (pi == 0.0)
+            assert (root.kind == "corner-zero") == (root.value == 0.0)
 
 
 class TestCriticalPair:
