@@ -109,21 +109,19 @@ def ex_ante_p_common(params: GameParams, method: str = "closed_form") -> float:
     raise ParameterError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 
-def ex_ante_p_diverse(params: GameParams, ab: AlphaBeta | None = None,
-                      method: str = "closed_form") -> float:
+def ex_ante_p_diverse(params: GameParams, method: str = "closed_form") -> float:
     """Ex-ante cooperation probability under dispersed beliefs.
 
     closed_form is the log expression in gamma (the integral of the
-    approximate cutoff, exact as m grows), and ignores ab; quadrature
-    integrates the cutoff 1 - (1+m-b)/(alpha + beta*l) for the supplied
-    coefficient pair and returns one minus that mass.
+    approximate cutoff, exact as m grows); quadrature integrates that
+    cutoff, 1 - (1+m-b)/(alpha + beta*l) for the approximate coefficient
+    pair, and returns one minus that mass.
     """
     a = params.coop_premium
     if method == "closed_form":
         return float(_p_diverse_closed(params.b, a))
     if method == "quadrature":
-        if ab is None:
-            ab = solve_alpha_beta(params, mode="approximate")
+        ab = solve_alpha_beta(params, mode="approximate")
         cutoff_mass = adaptive_simpson(
             lambda l: 1.0 - a / (ab.alpha + ab.beta * l), 0.0, 1.0, tol=1e-12
         )

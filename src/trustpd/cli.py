@@ -228,11 +228,7 @@ def cmd_group(args) -> None:
 
 def cmd_simulate(args) -> None:
     params = validate_params(args.b, args.m)
-    if args.scenario == "diverse":
-        F = uniform_loss(1.0)
-    else:
-        F = uniform_loss(args.ell_bar)
-    G = uniform_belief()
+    F, G = uniform_loss(args.ell_bar), uniform_belief()
     config = SimConfig(
         n_samples=args.n_samples,
         seed=args.seed,
@@ -252,7 +248,6 @@ def cmd_reproduce_all(args) -> None:
     """Regenerate the data behind every illustration in one sweep."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    run = main  # re-enter through the parser so every artifact gets a manifest
 
     specs = [
         ["common", "--b", "3", "--m", "50", "--ell-bar", "8",
@@ -277,9 +272,8 @@ def cmd_reproduce_all(args) -> None:
          "--out", str(outdir / "simulation_common.json")],
     ]
     for spec in specs:
-        code = run(spec)
-        if code != 0:
-            raise ConvergenceError(f"sub-command failed with exit code {code}: {spec}")
+        sub = build_parser().parse_args(spec)
+        sub.func(sub)
 
     # crossing-belief sensitivity sweeps (no dedicated sub-command)
     rows_b = []

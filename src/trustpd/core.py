@@ -11,7 +11,7 @@ facing a committed partner prefers to cooperate.
 
 from __future__ import annotations
 
-import weakref
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -325,40 +325,15 @@ class EquilibriumSet:
         return min(r.value for r in self.roots)
 
 
-def _curve_knots(knots) -> np.ndarray:
-    """knots as a read-only float array, raising ParameterError unless they
-    are 1-d, at least two, strictly increasing and finite."""
-    knots = np.ascontiguousarray(knots, dtype=float)
-    if knots.ndim != 1 or knots.size < 2:
-        raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
-    if not (knots[1:] > knots[:-1]).all():
-        raise ParameterError("curve knots must be strictly increasing")
-    if not (np.isfinite(knots[0]) and np.isfinite(knots[-1])):
-        raise ParameterError("curve knots must be finite")
-    knots.setflags(write=False)
-    return knots
-
-
-# Knot grids that many curves share, checked once by `shared_knots`, by id;
-# an entry goes when its array does, so an id names no other array. An entry
-# only spares a curve's knot checks, so no result depends on what it holds.
-_SHARED_KNOTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def shared_knots(knots) -> np.ndarray:
-    """`_curve_knots(knots)`, after which a `ThresholdCurve` on the returned
-    array checks only its values."""
-    knots = _curve_knots(knots)
-    _SHARED_KNOTS[id(knots)] = knots
-    return knots
-
-
 @dataclass(frozen=True)
 class ThresholdCurve:
     """Piecewise-linear monotone-capable curve on a strictly increasing grid.
 
     Houses both parameterizations of a threshold strategy: loss thresholds as
     a function of belief, or belief thresholds as a function of loss.
+    `knots` and `values` are taken as float arrays without a copy where they
+    already are one, and made read-only: a caller's own arrays become
+    read-only too.
     """
 
     knots: np.ndarray
@@ -367,22 +342,30 @@ class ThresholdCurve:
     monotone: bool = False
 
     def __post_init__(self):
-        knots = self.knots
-        if _SHARED_KNOTS.get(id(knots)) is not knots:
-            knots = _curve_knots(knots)
+        knots = np.ascontiguousarray(self.knots, dtype=float)
+        if knots.ndim != 1 or knots.size < 2:
+            raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
+        if not (knots[1:] > knots[:-1]).all():
+            raise ParameterError("curve knots must be strictly increasing")
+        if not (math.isfinite(knots[0]) and math.isfinite(knots[-1])):
+            raise ParameterError("curve knots must be finite")
         values = np.ascontiguousarray(self.values, dtype=float)
         if knots.shape != values.shape:
             raise ParameterError("curve needs equal-length 1-d knots and values, N >= 2")
         lo, hi = self.codomain
         tol = 1e-12 * max(1.0, abs(hi - lo))
-        vmin, vmax = values.min(), values.max()
-        # written so that a NaN value, whose min and max are NaN, fails
+        # a nondecreasing array holds no NaN, which fails every comparison,
+        # so its ends are its min and max
+        rising = self.monotone and (values[1:] >= values[:-1]).all()
+        vmin, vmax = (values[0], values[-1]) if rising else (values.min(), values.max())
+        # written so that a NaN value, whose min and max are NaN, fails; the
+        # message gives min and max, which may differ from the ends in the sign of a zero
         if not (lo - tol <= vmin and vmax <= hi + tol):
-            raise ParameterError(
-                f"curve values leave the codomain [{lo}, {hi}]: range [{vmin}, {vmax}]"
-            )
-        if self.monotone and not (values[1:] >= values[:-1]).all():
+            raise ParameterError(f"curve values leave the codomain [{lo}, {hi}]: "
+                                 f"range [{values.min()}, {values.max()}]")
+        if self.monotone and not rising:
             raise ParameterError("curve flagged monotone but values decrease")
+        knots.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)

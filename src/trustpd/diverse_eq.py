@@ -37,7 +37,6 @@ from .core import (
     all_within,
     check_tol,
     float_or_array,
-    shared_knots,
 )
 from .numerics import bisect_root, composite_simpson
 
@@ -163,10 +162,9 @@ def _density_sup(G: BeliefDistribution) -> float:
 def _simpson_grid(ell_bar: float, n_knots: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform grid of n_knots losses on [0, ell_bar] and its composite
     Simpson weights h/3 (1, 4, 2, 4, ..., 2, 4, 1), both read-only, shared by
-    every solve on that support and knot count. The knots pass a curve's
-    knot checks here, once, so the solver's curves on them check only their
-    values."""
-    knots = shared_knots(np.linspace(0.0, ell_bar, n_knots))
+    every solve on that support and knot count."""
+    knots = np.linspace(0.0, ell_bar, n_knots)
+    knots.setflags(write=False)
     weights = np.full(n_knots, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
@@ -191,21 +189,19 @@ def solve_diverse_threshold(
     built in one array, and the residual as one max. w is the composite
     Simpson weights times F's density at the knots; the knots and the
     weights are built once per (ell_bar, n_knots) and cached read-only, and
-    `coop_prob` and the damped path's M come from the same w. Only the
-    returned curve's values are validated, once: the cached knots passed the
-    `ThresholdCurve` knot checks when the grid was built. The sum is one
-    multiply and one `np.add.reduce`, not `np.dot`: BLAS picks its summation
-    order by CPU, so `np.dot` gives other bits on other machines.
+    `coop_prob` and the damped path's M come from the same w. The returned
+    curve is validated once, knots and values, when it is built. The sum is
+    one multiply and one `np.add.reduce`, not `np.dot`: BLAS picks its
+    summation order by CPU, so `np.dot` gives other bits on other machines.
 
     A step makes nine numpy calls on the knots besides G's cdf, and at the
     default 1001 knots their per-call overhead, not the arithmetic, sets its
     time. On a 2-vCPU Xeon (best of 40 runs) a solve at (2.5, 20) takes
-    about 117 us, 7 steps of 11 us and 37 us to set up and finish; with
-    `np.linspace`, a grid check and two slice sums per step it took 177 us,
-    7 steps of 16 us and 68 us. The steps are Picard's, stopped by the rule
-    below: a secant step on I would take fewer, but `reproduce-all` writes
-    the count, 8 at (2, 8), and a count that moves fails the comparison of
-    its outputs with the recorded ones.
+    about 117 us, 7 steps of 11 us and 37 us to set up and finish. The
+    steps are Picard's, stopped by the rule below: a secant step on I would
+    take fewer, but `reproduce-all` writes the count, 8 at (2, 8), and a
+    count that moves fails the comparison of its outputs with the recorded
+    ones.
 
     The contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
     the G factor must be the Lipschitz constant of the belief cdf (the sup of

@@ -133,13 +133,12 @@ def test_criterion_5_single_crossing():
 def test_criterion_6_ex_ante():
     for b, m in PAIRS_B_ABOVE_2:
         params = tp.validate_params(b, m)
-        ab = tp.solve_alpha_beta(params, "approximate")
         assert abs(tp.ex_ante_p_common(params, "closed_form")
                    - tp.ex_ante_p_common(params, "quadrature")) <= 1e-8
-        assert abs(tp.ex_ante_p_diverse(params, ab, "closed_form")
-                   - tp.ex_ante_p_diverse(params, ab, "quadrature")) <= 1e-8
+        assert abs(tp.ex_ante_p_diverse(params, "closed_form")
+                   - tp.ex_ante_p_diverse(params, "quadrature")) <= 1e-8
         assert 0 < tp.ex_ante_p_common(params) < 1
-        assert 0 < tp.ex_ante_p_diverse(params, ab) < 1
+        assert 0 < tp.ex_ante_p_diverse(params) < 1
 
     start = time.monotonic()
     region = tp.diversity_region(np.linspace(2, 6, 100), np.linspace(1.2, 60, 100))

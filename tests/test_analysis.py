@@ -215,9 +215,8 @@ class TestExAnteDiverse:
     @pytest.mark.parametrize("b,m", [(2, 8), (3, 20), (2.5, 12)])
     def test_closed_form_is_integral_of_approximate_cutoff(self, b, m):
         params = tp.validate_params(b, m)
-        ab = tp.solve_alpha_beta(params, "approximate")
-        closed = tp.ex_ante_p_diverse(params, ab, "closed_form")
-        quad = tp.ex_ante_p_diverse(params, ab, "quadrature")
+        closed = tp.ex_ante_p_diverse(params, "closed_form")
+        quad = tp.ex_ante_p_diverse(params, "quadrature")
         assert closed == pytest.approx(quad, abs=1e-8)
 
     def test_converged_curve_approaches_closed_form_at_large_m(self, unit_loss, unit_belief):

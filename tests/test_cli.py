@@ -295,6 +295,17 @@ class TestSimulateCommand:
         assert manifest["seed"] == 99
         assert manifest["parameters"]["n_samples"] == 20000
 
+    def test_diverse_scenario_honours_ell_bar(self, tmp_path):
+        out = tmp_path / "sd.json"
+        code = main(["simulate", "--scenario", "diverse", "--b", "2.5", "--m", "20",
+                     "--ell-bar", "2", "--n-samples", "10000", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 0
+        config = trustpd.SimConfig(n_samples=10000, seed=3, scenario="diverse")
+        expected = trustpd.simulate(config, trustpd.validate_params(2.5, 20),
+                                    trustpd.uniform_loss(2.0), trustpd.uniform_belief())
+        assert json.loads(out.read_text()) == json.loads(json.dumps(expected.to_dict()))
+
     def test_empty_payoff_cell_is_null_in_strict_json(self, tmp_path):
         # at pi = 0 no partner is committed and the shared threshold is 0, so
         # nobody cooperates: every cell but DD is empty
@@ -398,6 +409,14 @@ class TestExitCodes:
         code = main(["common", "--b", "3", "--m", "50", "--pi", "0.05",
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])
         assert code == 4
+
+    def test_reproduce_all_exits_with_a_failing_sub_commands_code(self, tmp_path, capsys):
+        # the first sub-command's output path is a directory: an I/O error,
+        # reported once, not as a solver error
+        (tmp_path / "regimes_shared_belief.csv").mkdir()
+        assert main(["reproduce-all", "--outdir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("trustpd:") == 1 and "trustpd: I/O error:" in err
 
 
 class TestCachedParser:

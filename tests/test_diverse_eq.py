@@ -3,11 +3,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
-from trustpd import core, diverse_eq, numerics
+from trustpd import diverse_eq, numerics
 from trustpd.numerics import composite_simpson
 
 
@@ -414,24 +414,11 @@ def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
     assert counts["curve"] == 1 and counts["grid"] == 0
 
 
-def test_grid_knots_are_checked_once_and_a_callers_knots_always(monkeypatch, p28, unit_loss,
-                                                                unit_belief):
-    # the cached grid passes the knot checks when it is built, so a solve's
-    # curve checks only its values; a curve on any other array checks both
-    checked = []
-    curve_knots = core._curve_knots
-
-    def counted(knots):
-        checked.append(np.size(knots))
-        return curve_knots(knots)
-
-    monkeypatch.setattr(core, "_curve_knots", counted)
+def test_solver_curves_share_the_grid_and_check_knots_and_values(p28, unit_loss, unit_belief):
     diverse_eq._simpson_grid.cache_clear()
     first = tp.solve_diverse_threshold(p28, unit_loss, unit_belief).threshold
     second = tp.solve_diverse_threshold(p28, unit_loss, unit_belief).threshold
-    assert checked == [1001] and second.knots is first.knots
-    tp.ThresholdCurve(first.knots.copy(), first.values)
-    assert checked == [1001, 1001]
+    assert second.knots is first.knots
     with pytest.raises(tp.ParameterError, match="codomain"):
         tp.ThresholdCurve(first.knots, np.full(first.knots.size, np.nan))
     with pytest.raises(tp.ParameterError, match="values decrease"):
@@ -440,6 +427,80 @@ def test_grid_knots_are_checked_once_and_a_callers_knots_always(monkeypatch, p28
     knots[5] = knots[4]
     with pytest.raises(tp.ParameterError, match="strictly increasing"):
         tp.ThresholdCurve(knots, first.values)
+
+
+def reference_curve_checks(knots, values, codomain, monotone):
+    """A curve's checks in their order, with the extremes always taken as
+    min and max: the ParameterError message, or the (floor, ceiling) pair
+    as float.hex."""
+    knots = np.ascontiguousarray(knots, dtype=float)
+    if knots.ndim != 1 or knots.size < 2:
+        return "curve needs equal-length 1-d knots and values, N >= 2"
+    if not (knots[1:] > knots[:-1]).all():
+        return "curve knots must be strictly increasing"
+    if not (np.isfinite(knots[0]) and np.isfinite(knots[-1])):
+        return "curve knots must be finite"
+    values = np.ascontiguousarray(values, dtype=float)
+    if knots.shape != values.shape:
+        return "curve needs equal-length 1-d knots and values, N >= 2"
+    lo, hi = codomain
+    tol = 1e-12 * max(1.0, abs(hi - lo))
+    vmin, vmax = values.min(), values.max()
+    if not (lo - tol <= vmin and vmax <= hi + tol):
+        return f"curve values leave the codomain [{lo}, {hi}]: range [{vmin}, {vmax}]"
+    if monotone and not (values[1:] >= values[:-1]).all():
+        return "curve flagged monotone but values decrease"
+    pad = 1e-12 * max(1.0, -vmin, vmax)
+    return float(vmin - pad).hex(), float(vmax + pad).hex()
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, 0.5, 1.0])
+_entries = st.one_of(_SPECIAL, st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.floats())
+
+
+@st.composite
+def curve_inputs(draw):
+    """(knots, values, codomain, monotone): mostly a valid grid and values
+    of its length, some bad; values with NaN, infinities, signed zeros and
+    ties, sorted or not."""
+    if draw(st.integers(0, 3)):
+        steps = draw(st.lists(st.floats(1e-6, 10.0), min_size=2, max_size=8))
+        knots = np.cumsum(steps) - draw(st.floats(0.0, 10.0))
+    else:
+        n = draw(st.integers(0, 8))
+        knots = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+        if n and n % 2 == 0 and draw(st.booleans()):
+            knots = knots.reshape(2, -1)
+    size = knots.size if draw(st.integers(0, 9)) else draw(st.integers(0, 8))
+    values = draw(st.lists(_entries, min_size=size, max_size=size))
+    if draw(st.integers(0, 2)):
+        values.sort(key=lambda v: (math.isnan(v), v))
+    codomain = draw(st.one_of(
+        st.just((0.0, 1.0)),
+        st.just((-np.inf, np.inf)),
+        st.tuples(st.floats(-2.0, 1.0), st.floats(0.0, 3.0)),
+        st.tuples(_entries, _entries),
+    ))
+    return knots, np.array(values, dtype=float), codomain, draw(st.booleans())
+
+
+@given(curve_inputs())
+# signed zeros at the ends of a nondecreasing curve: numpy's min and max of
+# [0.0, -0.0] are -0.0, -0.0
+@example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (1.0, 2.0), True))
+@example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (0.0, 1.0), True))
+@settings(max_examples=600, deadline=None)
+def test_curve_checks_match_the_reference(inputs):
+    knots, values, codomain, monotone = inputs
+    # infinite values make inf - inf in the pad, a NaN floor on both sides
+    with np.errstate(invalid="ignore"):
+        expected = reference_curve_checks(knots.copy(), values.copy(), codomain, monotone)
+        try:
+            curve = tp.ThresholdCurve(knots, values, codomain, monotone)
+        except tp.ParameterError as exc:
+            assert str(exc) == expected
+        else:
+            assert tuple(float(v).hex() for v in curve._floor_ceiling) == expected
 
 
 class TestCooperationProb:
