@@ -1,11 +1,12 @@
 """Command-line front end: equilibrium curves, regime comparisons, ex-ante
 probability grids, and simulation reports as CSV/JSON artifacts.
 
-Every command writes a `<output>.manifest.json` next to its output recording
-the command, the full parameter set, grid sizes, tolerances, and the library
-version; re-running the same invocation reproduces every output byte for
-byte. Exit codes: 0 success, 2 parameter validation, 3 solver convergence,
-4 I/O.
+Every command returns the paths it wrote. One runner, `_run`, calls the
+command and writes a `<output>.manifest.json` next to the first of those
+paths, recording the command, the full parameter set, grid sizes,
+tolerances, the library version and the paths; re-running the same
+invocation reproduces every output byte for byte. Exit codes: 0 success,
+2 parameter validation, 3 solver convergence, 4 I/O.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(command: str, args: argparse.Namespace, outputs: list[Path]) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "seed": params.get("seed"),
         "grid_sizes": {k: v for k, v in params.items() if "grid" in k or k in ("cells", "n_samples")},
@@ -91,11 +92,16 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[Path])
     _write_json(Path(str(outputs[0]) + ".manifest.json"), manifest)
 
 
+def _run(args: argparse.Namespace) -> None:
+    """Run a parsed command, then write its manifest from the paths it returns."""
+    _write_manifest(args, args.func(args))
+
+
 def _summary_path(out: Path) -> Path:
     return out.with_name(out.stem + ".summary.json")
 
 
-def cmd_common(args) -> None:
+def cmd_common(args) -> list[Path]:
     params = validate_params(args.b, args.m)
     dist = uniform_loss(args.ell_bar)
     if args.pi is not None:
@@ -108,10 +114,10 @@ def cmd_common(args) -> None:
         rows.append([float(pi), eqs.regime, eqs.ell_low, eqs.ell_high, eqs.ell_corner])
     out = Path(args.out)
     _write_csv(out, ["pi", "regime", "ell_low", "ell_high", "ell_corner"], _cells(rows))
-    _write_manifest("common", args, [out])
+    return [out]
 
 
-def cmd_diverse(args) -> None:
+def cmd_diverse(args) -> list[Path]:
     params = validate_params(args.b, args.m)
     F, G = uniform_loss(1.0), uniform_belief()
     sol = solve_diverse_threshold(
@@ -131,10 +137,10 @@ def cmd_diverse(args) -> None:
         "p_coop": sol.coop_prob,
     }
     _write_json(_summary_path(out), summary)
-    _write_manifest("diverse", args, [out, _summary_path(out)])
+    return [out, _summary_path(out)]
 
 
-def cmd_compare(args) -> None:
+def cmd_compare(args) -> list[Path]:
     params = validate_params(args.b, args.m)
     ab = solve_alpha_beta(params, mode="exact" if args.alpha_beta == "exact" else "approximate")
     pi_dagger = solve_pi_dagger(params, ab, tol=args.tol)
@@ -149,10 +155,10 @@ def cmd_compare(args) -> None:
         {"pi_dagger": pi_dagger, "alpha": ab.alpha, "beta": ab.beta,
          "alpha_beta_mode": ab.mode},
     )
-    _write_manifest("compare", args, [out, _summary_path(out)])
+    return [out, _summary_path(out)]
 
 
-def cmd_exante(args) -> None:
+def cmd_exante(args) -> list[Path]:
     out = Path(args.out)
     if args.b_range is not None or args.m_range is not None:
         if args.b_range is None or args.m_range is None:
@@ -182,7 +188,7 @@ def cmd_exante(args) -> None:
                  ex_ante_p_diverse(params, method="quadrature")]]
         _write_csv(out, ["b", "m", "p_c_closed", "p_c_quadrature",
                          "p_d_closed", "p_d_quadrature"], _cells(rows))
-    _write_manifest("exante", args, [out])
+    return [out]
 
 
 def _asymmetric_row(pi1, pi2, params, dist):
@@ -194,7 +200,7 @@ def _asymmetric_row(pi1, pi2, params, dist):
     return [pi1, pi2, sol.ell1_hat, sol.ell2_hat, deriv]
 
 
-def cmd_asymmetric(args) -> None:
+def cmd_asymmetric(args) -> list[Path]:
     params = validate_params(args.b, args.m)
     dist = uniform_loss(args.ell_bar)
     if args.sweep_pi2 is not None:
@@ -208,10 +214,10 @@ def cmd_asymmetric(args) -> None:
     rows = [_asymmetric_row(args.pi1, float(p2), params, dist) for p2 in pi2s]
     out = Path(args.out)
     _write_csv(out, ["pi1", "pi2", "ell1_hat", "ell2_hat", "d_ell1_d_pi2"], _cells(rows))
-    _write_manifest("asymmetric", args, [out])
+    return [out]
 
 
-def cmd_group(args) -> None:
+def cmd_group(args) -> list[Path]:
     params = validate_params(args.b, args.m)
     F, G = uniform_loss(1.0), uniform_belief()
     variant = args.variant.replace("-", "_")
@@ -223,10 +229,10 @@ def cmd_group(args) -> None:
         rows.append([args.n, float(pi), common.value, float(ell_diverse)])
     out = Path(args.out)
     _write_csv(out, ["n", "pi", "ell_n_common", "ell_n_diverse"], _cells(rows))
-    _write_manifest("group", args, [out])
+    return [out]
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> list[Path]:
     params = validate_params(args.b, args.m)
     F, G = uniform_loss(args.ell_bar), uniform_belief()
     config = SimConfig(
@@ -241,10 +247,10 @@ def cmd_simulate(args) -> None:
     report = simulate(config, params, F, G)
     out = Path(args.out)
     _write_json(out, report.to_dict())
-    _write_manifest("simulate", args, [out])
+    return [out]
 
 
-def cmd_reproduce_all(args) -> None:
+def cmd_reproduce_all(args) -> list[Path]:
     """Regenerate the data behind every illustration in one sweep."""
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -273,30 +279,26 @@ def cmd_reproduce_all(args) -> None:
     ]
     for spec in specs:
         sub = build_parser().parse_args(spec)
-        sub.func(sub)
+        try:
+            _run(sub)
+        except (ParameterError, RegimeError, ConvergenceError, InvariantViolation, OSError) as exc:
+            raise type(exc)(f"{sub.command}: {exc}") from exc  # same type, same exit code
 
     # crossing-belief sensitivity sweeps (no dedicated sub-command)
-    rows_b = []
-    for b in np.linspace(2.2, 5.0, 15):
-        params = validate_params(float(b), 20.0)
-        ab = solve_alpha_beta(params, mode="approximate")
-        rows_b.append([float(b), 20.0, solve_pi_dagger(params, ab)])
-    path_b = outdir / "crossing_belief_vs_b.csv"
-    _write_csv(path_b, ["b", "m", "pi_dagger"], _cells(rows_b))
-
-    rows_m = []
-    for m in np.linspace(5.0, 60.0, 15):
-        params = validate_params(3.0, float(m))
-        ab = solve_alpha_beta(params, mode="approximate")
-        rows_m.append([3.0, float(m), solve_pi_dagger(params, ab)])
-    path_m = outdir / "crossing_belief_vs_m.csv"
-    _write_csv(path_m, ["b", "m", "pi_dagger"], _cells(rows_m))
+    outputs = []
+    for name, pairs in (("b", [(b, 20.0) for b in np.linspace(2.2, 5.0, 15).tolist()]),
+                        ("m", [(3.0, m) for m in np.linspace(5.0, 60.0, 15).tolist()])):
+        games = [validate_params(b, m) for b, m in pairs]
+        rows = [[g.b, g.m, solve_pi_dagger(g, solve_alpha_beta(g, mode="approximate"))]
+                for g in games]
+        outputs.append(outdir / f"crossing_belief_vs_{name}.csv")
+        _write_csv(outputs[-1], ["b", "m", "pi_dagger"], _cells(rows))
 
     sens = pi_dagger_sensitivity(validate_params(3.0, 20.0))
-    path_s = outdir / "crossing_belief_sensitivity.json"
-    _write_json(path_s, {"b": 3.0, "m": 20.0,
-                         "d_pi_dagger_db": sens[0], "d_pi_dagger_dm": sens[1]})
-    _write_manifest("reproduce-all", args, [path_b, path_m, path_s])
+    outputs.append(outdir / "crossing_belief_sensitivity.json")
+    _write_json(outputs[-1], {"b": 3.0, "m": 20.0,
+                              "d_pi_dagger_db": sens[0], "d_pi_dagger_dm": sens[1]})
+    return outputs
 
 
 def grid_size(text: str) -> int:
@@ -319,38 +321,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
-        p = sub.add_parser(name, help=help_)
+    # flags shared by several commands, declared once as parent parsers; a
+    # parent's actions are shared, so no command may set_defaults their dests.
+    # Every command but reproduce-all takes --out.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--b", type=float, required=True)
+    pair.add_argument("--m", type=float, required=True)
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("--b", type=float, default=3.0)
+    game.add_argument("--m", type=float, default=50.0)
+    game.add_argument("--ell-bar", type=float, default=8.0)
+
+    def add(name, func, help_, *parents):
+        p = sub.add_parser(name, help=help_, parents=[*parents, out])
         p.set_defaults(func=func)
         return p
 
-    p = add("common", cmd_common, "equilibrium thresholds under a shared belief")
-    p.add_argument("--b", type=float, default=3.0)
-    p.add_argument("--m", type=float, default=50.0)
-    p.add_argument("--ell-bar", type=float, default=8.0)
+    p = add("common", cmd_common, "equilibrium thresholds under a shared belief", game)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pi", type=float)
     group.add_argument("--pi-grid", type=grid_size)
     p.add_argument("--pi-max", type=float, default=1.0, help="upper end of the belief grid")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", required=True)
 
-    p = add("diverse", cmd_diverse, "belief cutoff under dispersed beliefs (uniform case)")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
+    p = add("diverse", cmd_diverse, "belief cutoff under dispersed beliefs (uniform case)", pair)
     p.add_argument("--grid-n", type=grid_size, default=1001)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--alpha-beta", choices=("exact", "approx"), default="exact")
-    p.add_argument("--out", required=True)
 
-    p = add("compare", cmd_compare, "shared vs dispersed thresholds and the crossing belief")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
+    p = add("compare", cmd_compare, "shared vs dispersed thresholds and the crossing belief", pair)
     p.add_argument("--alpha-beta", choices=("exact", "approx"), default="approx")
     p.add_argument("--grid", type=grid_size, default=500)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", required=True)
 
     p = add("exante", cmd_exante, "ex-ante cooperation probabilities (single pair or region grid)")
     p.add_argument("--b", type=float)
@@ -358,50 +363,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--m-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--cells", type=grid_size, default=100)
-    p.add_argument("--out", required=True)
 
-    p = add("asymmetric", cmd_asymmetric, "equilibrium under asymmetric known beliefs")
-    p.add_argument("--b", type=float, default=3.0)
-    p.add_argument("--m", type=float, default=50.0)
-    p.add_argument("--ell-bar", type=float, default=8.0)
+    p = add("asymmetric", cmd_asymmetric, "equilibrium under asymmetric known beliefs", game)
     p.add_argument("--pi1", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pi2", type=float)
     group.add_argument("--sweep-pi2", nargs=3, metavar=("LO", "HI", "N"))
-    p.add_argument("--out", required=True)
 
-    p = add("group", cmd_group, "group-game thresholds against n possibly-honest others")
+    p = add("group", cmd_group, "group-game thresholds against n possibly-honest others", pair)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
     p.add_argument("--variant", choices=("consistent", "as-printed"), default="consistent")
     p.add_argument("--pi-grid", type=grid_size, default=101)
-    p.add_argument("--out", required=True)
 
-    p = add("simulate", cmd_simulate, "Monte Carlo validation of a scenario")
+    p = add("simulate", cmd_simulate, "Monte Carlo validation of a scenario", pair)
     p.add_argument("--scenario", choices=("common", "diverse", "asymmetric"), required=True)
     p.add_argument("--n-samples", type=int, default=1000000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
     p.add_argument("--ell-bar", type=float, default=1.0)
     p.add_argument("--pi", type=float)
     p.add_argument("--pi1", type=float)
     p.add_argument("--pi2", type=float)
     p.add_argument("--equilibrium", choices=EQUILIBRIA, default="lowest")
-    p.add_argument("--out", required=True)
 
-    p = add("reproduce-all", cmd_reproduce_all, "regenerate every illustration's data")
+    p = sub.add_parser("reproduce-all", help="regenerate every illustration's data")
+    p.set_defaults(func=cmd_reproduce_all)
     p.add_argument("--outdir", required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        _run(args)
     except (ParameterError, RegimeError) as exc:
         print(f"trustpd: parameter error: {exc}", file=sys.stderr)
         return 2

@@ -412,11 +412,12 @@ class TestExitCodes:
 
     def test_reproduce_all_exits_with_a_failing_sub_commands_code(self, tmp_path, capsys):
         # the first sub-command's output path is a directory: an I/O error,
-        # reported once, not as a solver error
+        # reported once, not as a solver error, naming the sub-command
         (tmp_path / "regimes_shared_belief.csv").mkdir()
         assert main(["reproduce-all", "--outdir", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.count("trustpd:") == 1 and "trustpd: I/O error:" in err
+        assert "common" in err
 
 
 class TestCachedParser:
@@ -465,43 +466,63 @@ class TestWritersMatchTheStandardLibrary:
         assert out.read_bytes() == stdlib_rendering(out)
 
 
-# sha256 of every data file `reproduce-all` writes; the manifests hold the
-# output paths, so they are left out. A change that moves any bit of the
-# published results shows here, on every machine the pinned reruns cover.
+# sha256 of every file `reproduce-all --outdir out` writes, run from a fresh
+# working directory: the manifests hold the relative output paths, so they
+# are pinned too. A change that moves any bit of the published results, or
+# of a manifest, shows here, on every machine the pinned reruns cover.
 PINNED_REPRODUCE_ALL = {
     "asymmetric_sweep.csv":
         "8c63dd1046fd0469038d4060ba1e94c8b8fa8fdea8c59bc5f6ec02131735ae40",
+    "asymmetric_sweep.csv.manifest.json":
+        "d6be84499b8f4ff0f04b5be96ec5ed58370011627d4cedd27e715856ded7f8e5",
     "crossing_belief_sensitivity.json":
         "29cea1d3fde5831ffd01bf279ebabcbf182ad8ea6efb30ab144255c0a33cf0fb",
     "crossing_belief_vs_b.csv":
         "aeb952effe14f95f6eae618ed6b7445adce7f1e7fe565fe154950fd1f1e6b59d",
+    "crossing_belief_vs_b.csv.manifest.json":
+        "db700ceb4d317c4f46646091f69d9f471da8243b61851d4c2406ff3825a7dcd6",
     "crossing_belief_vs_m.csv":
         "a61025813914e6409add6fc2d531914289a5f2b1963401a5f96a87399f2b1c9f",
     "cutoff_dispersed_belief.csv":
         "5d22ce8ddd2d5db31801f1c36d7159499ae72912766446eca1de10d5b8a887e9",
+    "cutoff_dispersed_belief.csv.manifest.json":
+        "a3fb734886dcf70bc5747ac2f95bc62ed6840b364adc2c5d14ba6fa3f8062303",
     "cutoff_dispersed_belief.summary.json":
         "e8cf135ecc821649264d42bc31e775bb5326de8c0c9d5f31eb9449e8ea17c042",
     "exante_region.csv":
         "afedac4833a78fd17f47c09cd88119b9b716f2f94241205d0e2663fb0d5fb391",
+    "exante_region.csv.manifest.json":
+        "ad6150cbd7a20077c977afb0d982b70b455d1cea915883e8ab38ae9c218d9e4f",
     "exante_single_pair.csv":
         "7bf451e971c13a53992f3c72d252bbfe336339f2c68cf411db6c9bcdb0a17e86",
+    "exante_single_pair.csv.manifest.json":
+        "4b2753b5fc2b85e1acf206fd66932633685394438c34b30af135688b295ce03b",
     "group_thresholds.csv":
         "1d7dce35627e749e7ea8407f8e39757e8f5f54ec68a8014e55516af531da3805",
+    "group_thresholds.csv.manifest.json":
+        "3f0066aa41af7be386f941915b19b2e47a455989b705b92f6c8155197ad0d3fc",
     "regimes_shared_belief.csv":
         "94e81b791e78631866e8342f6ba62b8c34c12116052fa2557addbfbd68f26a16",
+    "regimes_shared_belief.csv.manifest.json":
+        "3f79f494685d984074bc6c65c11a97f42be2f097bae39009273aa792775464f6",
     "simulation_common.json":
         "aa6729c0b3840a718b942c3769caec1bdbc999c7f94e17d0d84323618b236c1f",
+    "simulation_common.json.manifest.json":
+        "7b4e9af1a8d10d1261a2d27db5ba12118c63f616e686a56b687ec49d55eec567",
     "threshold_comparison.csv":
         "3ef22fc72f840b232df2136dd621168d071e5b5c4a975f00f3d8b50b17923b46",
+    "threshold_comparison.csv.manifest.json":
+        "c1514dda008696e28e3e6ac155a8ebec63661f05d0e1c2de8768e2cdaf7aac50",
     "threshold_comparison.summary.json":
         "641aa9753b29e88041df37dbf63ffecf4adc57a8665204a74941f052717c4be3",
 }
 
 
-def test_reproduce_all_pinned_bits(tmp_path):
-    assert main(["reproduce-all", "--outdir", str(tmp_path)]) == 0
+def test_reproduce_all_pinned_bits(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce-all", "--outdir", "out"]) == 0
     data = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")}
+            for p in (tmp_path / "out").iterdir()}
     assert data == PINNED_REPRODUCE_ALL
 
 

@@ -157,6 +157,20 @@ def test_same_side_asymmetric_solve(b, log_gap, excess, log_d):
     assert abs(sol.ell2_hat - low) <= 1e-9 * ell_bar
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP 1: same-side scan misses a root pair inside one cell")
+def test_same_side_root_pair_inside_one_scan_cell():
+    """A same-side game whose two interior roots, 0.0013 apart, fall in one
+    cell of the scan's grid: the shared low root, as the common solver finds
+    it, and unique=False. The scan sees no sign change there and returns the
+    corner (6.9161, 6.9161, unique=True)."""
+    pi, params, dist = 0.01058497274, tp.validate_params(7.8839, 650.35), tp.uniform_loss(6.9161)
+    sol = tp.solve_asymmetric(pi, pi, params, dist)
+    low = tp.solve_common_equilibria(pi, params, dist, tol=1e-12).ell_low
+    assert abs(sol.ell1_hat - low) <= 1e-6 * dist.ell_bar
+    assert sol.unique is False
+
+
 # float.hex of (ell1_hat, ell2_hat) and `unique` from solve_asymmetric on the
 # figure game (3, 50), uniform on [0, 8] unless a loss support is given:
 # straddling beliefs both ways round, a belief at (b-1)/m = 0.04, beliefs of 0

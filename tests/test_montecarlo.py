@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import tracemalloc
 
@@ -384,6 +385,56 @@ def test_simulate_blocks_of_any_size_give_the_same_bits(case, monkeypatch):
     one_block = reports()
     monkeypatch.setattr(montecarlo, "BLOCK", 7)
     assert reports() == one_block
+
+
+# Calibration over many seeds: z = (rate - prediction) / (half_width_95 / 1.96)
+# is about standard normal when the reported half-width is honest. Each bound
+# is 4.5 standard errors of its statistic at n seeds, derived from n and not
+# from the present draws, so a change to the draws keeps passing it while a
+# biased rate or a wrong half-width does not. The scenarios: common (3, 50)
+# on [0, 8] at pi 0.03, diverse (2.5, 20) on [0, 1], and asymmetric
+# (0.03, 0.06) on (3, 50, 8).
+CALIBRATION = {
+    "common": ({"pi": 0.03}, (3.0, 50.0), 8.0),
+    "diverse": ({}, (2.5, 20.0), 1.0),
+    "asymmetric": ({"pi1": 0.03, "pi2": 0.06}, (3.0, 50.0), 8.0),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(CALIBRATION))
+def test_simulate_half_width_is_calibrated(scenario):
+    beliefs, (b, m), ell_bar = CALIBRATION[scenario]
+    params, F, G = tp.validate_params(b, m), tp.uniform_loss(ell_bar), tp.uniform_belief()
+    z = []
+    for seed in range(300):
+        cfg = tp.SimConfig(n_samples=20_000, seed=seed, scenario=scenario, **beliefs)
+        report = tp.simulate(cfg, params, F, G)
+        z.append((report.coop_rate_strategic - report.analytic_prediction)
+                 / (report.half_width_95 / 1.96))
+    z = np.array(z)
+    n = len(z)
+    # the mean of n standard normals has standard error 1/sqrt(n)
+    assert abs(z.mean()) <= 4.5 / math.sqrt(n)
+    # their sample sd has standard error about 1/sqrt(2(n-1))
+    assert abs(z.std(ddof=1) - 1.0) <= 4.5 / math.sqrt(2 * (n - 1))
+    # coverage is a binomial proportion with p = 0.95
+    coverage = np.mean(np.abs(z) <= 1.96)
+    assert abs(coverage - 0.95) <= 4.5 * math.sqrt(0.95 * 0.05 / n)
+
+
+@pytest.mark.parametrize("equilibrium", ["corner", "highest"])
+@pytest.mark.parametrize("pi", [0.04, 0.05, 0.5])
+def test_simulate_at_the_support_end_has_no_spread(equilibrium, pi):
+    # from (b-1)/m = 0.04 on, both selectors put the threshold at ell_bar:
+    # every strategic player cooperates, the half-width is 0 and a z-score
+    # would be 0/0, so these are checked exactly instead
+    params, F = tp.validate_params(3.0, 50.0), tp.uniform_loss(8.0)
+    for seed in range(10):
+        cfg = tp.SimConfig(n_samples=2000, seed=seed, scenario="common", pi=pi,
+                           equilibrium=equilibrium)
+        report = tp.simulate(cfg, params, F)
+        assert report.coop_rate_strategic == report.analytic_prediction == 1.0
+        assert report.half_width_95 == 0.0
 
 
 def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
