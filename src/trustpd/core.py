@@ -370,7 +370,10 @@ class ThresholdCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         # np.interp returns a value between a segment's end values, up to a
-        # rounding that the pad 1e-12 max(1, max|value|) covers
+        # rounding that the pad 1e-12 max(1, max|value|) covers. It is added
+        # in Python floats, which overflow to inf near the float maximum
+        # without the warning numpy scalars give
+        vmin, vmax = float(vmin), float(vmax)
         pad = 1e-12 * max(1.0, -vmin, vmax)
         object.__setattr__(self, "_floor_ceiling", (vmin - pad, vmax + pad))
 

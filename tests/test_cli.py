@@ -472,7 +472,7 @@ class TestWritersMatchTheStandardLibrary:
 # of a manifest, shows here, on every machine the pinned reruns cover.
 PINNED_REPRODUCE_ALL = {
     "asymmetric_sweep.csv":
-        "8c63dd1046fd0469038d4060ba1e94c8b8fa8fdea8c59bc5f6ec02131735ae40",
+        "5a83779fe0def1b7513d3d44c9f891c8fcd2118b02ff70d540ff32729cd07293",
     "asymmetric_sweep.csv.manifest.json":
         "d6be84499b8f4ff0f04b5be96ec5ed58370011627d4cedd27e715856ded7f8e5",
     "crossing_belief_sensitivity.json":
@@ -498,15 +498,15 @@ PINNED_REPRODUCE_ALL = {
     "exante_single_pair.csv.manifest.json":
         "4b2753b5fc2b85e1acf206fd66932633685394438c34b30af135688b295ce03b",
     "group_thresholds.csv":
-        "1d7dce35627e749e7ea8407f8e39757e8f5f54ec68a8014e55516af531da3805",
+        "6c65d7a176869070de146a0e10a87bb487f066975ca45547aaf8b5cf41b7d1bc",
     "group_thresholds.csv.manifest.json":
         "3f0066aa41af7be386f941915b19b2e47a455989b705b92f6c8155197ad0d3fc",
     "regimes_shared_belief.csv":
-        "94e81b791e78631866e8342f6ba62b8c34c12116052fa2557addbfbd68f26a16",
+        "fefa8ed57a6de53c79c6fca064f84af5bcd00bf4755d5b275e77ad723a13a761",
     "regimes_shared_belief.csv.manifest.json":
         "3f79f494685d984074bc6c65c11a97f42be2f097bae39009273aa792775464f6",
     "simulation_common.json":
-        "aa6729c0b3840a718b942c3769caec1bdbc999c7f94e17d0d84323618b236c1f",
+        "7321bf7c606cf54c36998eb334f2c78e2b86a0f43491c031f21f7493619b0ade",
     "simulation_common.json.manifest.json":
         "7b4e9af1a8d10d1261a2d27db5ba12118c63f616e686a56b687ec49d55eec567",
     "threshold_comparison.csv":

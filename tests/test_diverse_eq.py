@@ -193,7 +193,7 @@ def steep_belief(lo, width, mass):
 # two-cycle at (4, 3.0625), 5 substitution steps before the root solve on I:
 # the fifth shrinks the residual by a ratio of 0.915, less than a tenth. The
 # root solve starts from the bracket [0, M] whatever step hands over, so its
-# 14 steps and the curve do not depend on the handover step.
+# 11 steps and the curve do not depend on the handover step.
 DAMPED_GAMES = {
     "steep-G": ((3.0, 20.0), tp.tabulated_belief([0.0, 0.075, 0.085, 1.0],
                                                  [0.0, 1e-6, 1 - 1e-6, 1.0])),
@@ -203,21 +203,20 @@ PINNED_DAMPED = {
     "steep-G": (
         10,
         ["0x1.99997c434686ep-4", "0x1.999990f8679f0p-4", "0x1.7e4901778aeaap-5",
-         "0x1.7f7889c9d116cp-6", "0x1.0065f0bed445cp-6", "0x1.c59164d5329c0p-10",
-         "0x1.bcfeb5601c000p-17", "0x1.88c1b88630000p-20", "0x1.0c4d468000000p-31",
-         "0x1.3df3640000000p-34"],
-        "0x1.585f169bed205p-1",
-        ["0x1.1cd27cd6ccb26p-4", "0x1.2ce122e6edaf2p-4", "0x1.3ccd4adda1bf3p-4",
-         "0x1.4c976367fd852p-4", "0x1.5c3fd95b8dbffp-4"],
+         "0x1.7f7889c9d116cp-6", "0x1.dec912ae0a4d0p-7", "0x1.90b956b463aa0p-9",
+         "0x1.bd1f3c82e6000p-14", "0x1.24eb23c010000p-20", "0x1.5360594000000p-30",
+         "0x1.8100000000000p-46"],
+        "0x1.585f16a11aa66p-1",
+        ["0x1.1cd27cd5d1590p-4", "0x1.2ce122e6139a8p-4", "0x1.3ccd4adce862bp-4",
+         "0x1.4c97636764572p-4", "0x1.5c3fd95b14393p-4"],
     ),
     "two-cycle": (
-        19,
+        16,
         ["0x1.c78b196c52e5bp-1", "0x1.5b3341e082ee7p-1", "0x1.c3d82b118741ap-2",
          "0x1.71073021cf79cp-2", "0x1.51ce0a316dc0cp-2", "0x1.c78b196c52e5bp-1",
-         "0x1.909ef59015cb6p-1", "0x1.74485f888735dp-1", "0x1.d6b8a651b68e8p-2",
-         "0x1.214a133000462p-2", "0x1.83cdf9bd4b8b6p-3", "0x1.0ebaf24e3f014p-3",
-         "0x1.1b4154cd4bde0p-4", "0x1.4969181b09f30p-3", "0x1.3cbfa1d9c4c00p-12",
-         "0x1.0216387230000p-16", "0x1.4bfca30000000p-30", "0x1.91d0500000000p-32",
+         "0x1.909ef59015cb6p-1", "0x1.74485f888735dp-1", "0x1.8a8dd23bf95e7p-2",
+         "0x1.a41a421768e56p-3", "0x1.234e9874f9b6cp-3", "0x1.863c3126cbaf4p-4",
+         "0x1.8c1e6514fb680p-9", "0x1.339babc3ce000p-15", "0x1.6d8fbd5000000p-26",
          "0x1.1000000000000p-48"],
         "0x1.3c5c26add6cbap-6",
         ["0x1.ec8f0bc51863fp-2", "0x1.a878fef711dc4p-1", "0x1.cb9b7b520fbd8p-1",
@@ -288,11 +287,12 @@ class TestDampedBisection:
     ], ids=["narrow-spike", "steep-G", "bound-above-one"])
     def test_root_on_I_takes_few_evaluations(self, unit_loss, b, m, G, tol):
         # damped from the start; the halving this replaced took 28, 28 and 24
-        # steps on these games, ITP on the same bracket about 10
+        # steps on these games, ITP 10, 10 and 9, and with inverse-quadratic
+        # steps 10, 10 and 7
         params = tp.validate_params(b, m)
         sol = tp.solve_diverse_threshold(params, unit_loss, G, tol=tol)
         assert sol.damped and sol.contraction_gamma >= 1.0
-        assert sol.iterations == len(sol.residual_history) <= 12
+        assert sol.iterations == len(sol.residual_history) <= 10
         assert sol.residual <= tol
         assert_fixed_point(sol, params, unit_loss, G)
 
@@ -450,8 +450,9 @@ def reference_curve_checks(knots, values, codomain, monotone):
         return f"curve values leave the codomain [{lo}, {hi}]: range [{vmin}, {vmax}]"
     if monotone and not (values[1:] >= values[:-1]).all():
         return "curve flagged monotone but values decrease"
+    vmin, vmax = float(vmin), float(vmax)
     pad = 1e-12 * max(1.0, -vmin, vmax)
-    return float(vmin - pad).hex(), float(vmax + pad).hex()
+    return (vmin - pad).hex(), (vmax + pad).hex()
 
 
 _SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, 0.5, 1.0])
@@ -489,18 +490,20 @@ def curve_inputs(draw):
 # [0.0, -0.0] are -0.0, -0.0
 @example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (1.0, 2.0), True))
 @example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (0.0, 1.0), True))
+# a value near the float maximum: the ceiling overflows to inf, without a warning
+@example((np.array([0.0, 1.0]), np.array([0.0, 1.7976931348623157e308]), (-np.inf, np.inf),
+          False))
 @settings(max_examples=600, deadline=None)
 def test_curve_checks_match_the_reference(inputs):
     knots, values, codomain, monotone = inputs
-    # infinite values make inf - inf in the pad, a NaN floor on both sides
-    with np.errstate(invalid="ignore"):
-        expected = reference_curve_checks(knots.copy(), values.copy(), codomain, monotone)
-        try:
-            curve = tp.ThresholdCurve(knots, values, codomain, monotone)
-        except tp.ParameterError as exc:
-            assert str(exc) == expected
-        else:
-            assert tuple(float(v).hex() for v in curve._floor_ceiling) == expected
+    # infinite values make inf - inf in the pad: a NaN floor on both sides
+    expected = reference_curve_checks(knots.copy(), values.copy(), codomain, monotone)
+    try:
+        curve = tp.ThresholdCurve(knots, values, codomain, monotone)
+    except tp.ParameterError as exc:
+        assert str(exc) == expected
+    else:
+        assert tuple(float(v).hex() for v in curve._floor_ceiling) == expected
 
 
 class TestCooperationProb:

@@ -237,13 +237,16 @@ class TestDeviationCheckMatchesLoops:
 # the shared solver took its brackets from the shape of phi, of
 # diverse-tabulated when the cutoff lost its cancellation, and of the
 # asymmetric cases (0x1.57b055c12472dp-2 -> 0x1.57b055c1247b3p-2) when beliefs
-# on opposite sides of (b-1)/m became one bisect_root on [0, ell_bar]
+# on opposite sides of (b-1)/m became one bisect_root on [0, ell_bar], and of
+# the common (0x1.67dfaba28642ep-2 -> 0x1.67dfaba2857e0p-2) and asymmetric
+# (-> 0x1.57b055c1247c2p-2) cases when root refinement took inverse-quadratic
+# steps
 PINNED_SIM = {
     "common": {
         "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
         "coop_rate_strategic": "0x1.67e7554623f2cp-2",
         "half_width_95": "0x1.8e25bc978cb45p-9",
-        "analytic_prediction": "0x1.67dfaba28642ep-2",
+        "analytic_prediction": "0x1.67dfaba2857e0p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.687056f3d36b1p+0",
                          "DC": "-0x1.c192472a236b8p+1", "DD": "0x0.0p+0"},
@@ -261,7 +264,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 9, "n_samples": 50000, "n_strategic": 94597,
         "coop_rate_strategic": "0x1.5789ba3d38547p-2",
         "half_width_95": "0x1.8a61b329a21d3p-9",
-        "analytic_prediction": "0x1.57b055c1247b3p-2",
+        "analytic_prediction": "0x1.57b055c1247c2p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.0863c3e37b264p+1",
                          "DC": "-0x1.21d87861bd4cap+1", "DD": "0x0.0p+0"},
@@ -280,7 +283,7 @@ PINNED_SIM = {
         "scenario": "common", "seed": 17, "n_samples": 50001, "n_strategic": 94901,
         "coop_rate_strategic": "0x1.67edada210e46p-2",
         "half_width_95": "0x1.8e26452787278p-9",
-        "analytic_prediction": "0x1.67dfaba28642ep-2",
+        "analytic_prediction": "0x1.67dfaba2857e0p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.68811cb1f360ep+0",
                          "DC": "-0x1.de8a4f719be46p+1", "DD": "0x0.0p+0"},
@@ -289,7 +292,7 @@ PINNED_SIM = {
         "scenario": "common", "seed": 3, "n_samples": 37, "n_strategic": 69,
         "coop_rate_strategic": "0x1.28cfc4a33f129p-2",
         "half_width_95": "0x1.b67c55f03a862p-4",
-        "analytic_prediction": "0x1.67dfaba28642ep-2",
+        "analytic_prediction": "0x1.67dfaba2857e0p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.a7ac674db886ep+0",
                          "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},
@@ -316,7 +319,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 9, "n_samples": 50001, "n_strategic": 94599,
         "coop_rate_strategic": "0x1.57cfeabd8b7a7p-2",
         "half_width_95": "0x1.8a749010885ecp-9",
-        "analytic_prediction": "0x1.57b055c1247b3p-2",
+        "analytic_prediction": "0x1.57b055c1247c2p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.08a6156b979ebp+1",
                          "DC": "-0x1.398c5ec56b08ap+1", "DD": "0x0.0p+0"},
@@ -325,7 +328,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 3, "n_samples": 37, "n_strategic": 67,
         "coop_rate_strategic": "0x1.31abf0b7672a0p-2",
         "half_width_95": "0x1.c0d0bd801445cp-4",
-        "analytic_prediction": "0x1.57b055c1247b3p-2",
+        "analytic_prediction": "0x1.57b055c1247c2p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.40b25b9a67c52p+1",
                          "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},
