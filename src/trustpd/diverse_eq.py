@@ -328,38 +328,58 @@ def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
 
     Approximate mode returns the large-m closed forms. Exact mode solves the
     defining scalar system; substituting alpha = m - (b-1) beta reduces it to
-    one equation in beta, refined to adjacent floats, after which both
-    original equations are verified, each to 1e-9 of its largest term.
+    one equation, refined to adjacent floats, after which both original
+    equations are verified, each to 1e-9 of its largest term.
 
     The reduced equation beta - 1 + (a/beta) log1p(beta/alpha) = 0, a = 1+m-b,
-    is solved as beta + L - (b-1)(1-beta)(1+L)/alpha = 0 with x = beta/alpha
-    and L = log1p(x)/x - 1, using a/alpha = 1 - (b-1)(1-beta)/alpha. Its terms
-    are then of the size of beta rather than 1, which keeps beta to a few ulps
-    when it is small, about (b-1)/m at large m. The left side is -(b-1)/m
-    at beta = 0 and 1 + L > 0 at beta = 1, so the bracket runs from the
-    smallest positive float to 1, whatever the size of beta.
+    is solved in beta when its root is at most 1/2, and in c = 1 - beta
+    otherwise; its sign at 1/2 tells which. a is formed as m - (b-1), which
+    rounds once (b - 1 is exact), where 1 + m - b would lose the digits of a
+    small a to the rounding of 1 + m.
+
+    In beta it is solved as beta + L - (b-1)(1-beta)(1+L)/alpha = 0 with
+    x = beta/alpha and L = log1p(x)/x - 1, using a/alpha = 1 -
+    (b-1)(1-beta)/alpha. Its terms are then of the size of beta rather than
+    1, which keeps beta to a few ulps when it is small, about (b-1)/m at
+    large m; the left side is -(b-1)/m at beta = 0. In c it is solved as
+    (a/beta) log1p(beta/alpha) - c = 0 with alpha = a + (b-1) c, the same
+    function, a log1p(1/a) > 0 at c = 0. Its terms are of the size of c,
+    about a log(1/a) at small a, where alpha = m - (b-1) beta would cancel.
+
+    With t = (a/beta) log1p(beta/alpha), the two original equations are
+    alpha - a = (b-1) t and 1 - beta = t. They are verified as
+    (b-1) c = (b-1) t and c = t, in terms of the size of c; written with
+    alpha and beta themselves, they would subtract terms of the size of m
+    and of 1 that cancel as a -> 0.
     """
     if mode not in ("exact", "approximate"):
         raise ParameterError(f"mode must be 'exact' or 'approximate', got {mode!r}")
-    a = params.coop_premium
     if mode == "approximate":
         alpha, beta = _approximate_alpha_beta(params)
         return AlphaBeta(alpha=alpha, beta=beta, mode="approximate")
     b1 = params.b - 1.0
+    a = params.m - b1
 
     def reduced(beta):
         alpha = params.m - b1 * beta
         big_l = _log1p_ratio_minus_one(beta / alpha)
         return beta + big_l - b1 * (1.0 - beta) * (1.0 + big_l) / alpha
 
-    beta = bisect_root(reduced, math.ulp(0.0), 1.0, ftol=0.0, max_iter=300)
-    alpha = params.m - b1 * beta
-    log_term = math.log1p(beta / alpha)
-    t1 = a * (1.0 + b1 / beta * log_term)
-    t2 = a / beta * log_term
-    r1 = alpha - t1
-    r2 = beta - 1.0 + t2
-    if abs(r1) > 1e-9 * max(alpha, t1) or abs(r2) > 1e-9 * max(1.0, t2):
+    def reduced_in_c(c):
+        beta = 1.0 - c
+        return a / beta * math.log1p(beta / (a + b1 * c)) - c
+
+    half = reduced(0.5)
+    if half >= 0.0:
+        beta = bisect_root(reduced, math.ulp(0.0), 0.5, ftol=0.0, max_iter=300, fhi=half)
+        alpha, c = params.m - b1 * beta, 1.0 - beta
+    else:
+        c = bisect_root(reduced_in_c, math.ulp(0.0), 0.5, ftol=0.0, max_iter=300, fhi=half)
+        alpha, beta = a + b1 * c, 1.0 - c
+    t = a / beta * math.log1p(beta / alpha)
+    r1 = b1 * c - b1 * t
+    r2 = c - t
+    if abs(r1) > 1e-9 * b1 * max(c, t) or abs(r2) > 1e-9 * max(c, t):
         raise ConvergenceError(
             f"exact coefficient system residuals too large: {r1:.3e}, {r2:.3e}"
         )

@@ -498,15 +498,15 @@ PINNED_REPRODUCE_ALL = {
     "exante_single_pair.csv.manifest.json":
         "4b2753b5fc2b85e1acf206fd66932633685394438c34b30af135688b295ce03b",
     "group_thresholds.csv":
-        "6c65d7a176869070de146a0e10a87bb487f066975ca45547aaf8b5cf41b7d1bc",
+        "056f09b92c7ee29ffae34cec5ae7ff56d40480abd57b93f0b920689b3e5f0008",
     "group_thresholds.csv.manifest.json":
         "3f0066aa41af7be386f941915b19b2e47a455989b705b92f6c8155197ad0d3fc",
     "regimes_shared_belief.csv":
-        "fefa8ed57a6de53c79c6fca064f84af5bcd00bf4755d5b275e77ad723a13a761",
+        "333268bf3b8e109959d0517e13e996bc8da63af74fe4bbb62f4d45b37b999d90",
     "regimes_shared_belief.csv.manifest.json":
         "3f79f494685d984074bc6c65c11a97f42be2f097bae39009273aa792775464f6",
     "simulation_common.json":
-        "7321bf7c606cf54c36998eb334f2c78e2b86a0f43491c031f21f7493619b0ade",
+        "48b55c15664931397fbbfdb9bd06067b580639e0bcc40f6adc63d4e4f43e5faa",
     "simulation_common.json.manifest.json":
         "7b4e9af1a8d10d1261a2d27db5ba12118c63f616e686a56b687ec49d55eec567",
     "threshold_comparison.csv":

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import random
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,9 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_vectorized import games, make_game
 
+import reference
 import trustpd as tp
+from trustpd import common_eq
 from trustpd.common_eq import psi, psi_dl
 from trustpd.numerics import bisect_root
+
+EPS = 2.0**-52
 
 
 def uniform_fixed_points(b, m, big_l, pi):
@@ -470,6 +477,129 @@ def test_tiny_belief_roots_meet_the_residual_contract(game, belief, tol):
             assert abs(psi(root.value, pi, params, dist) - root.value) <= tol
             assert (root.value == 0.0) == (pi == 0.0)
             assert (root.kind == "corner-zero") == (root.value == 0.0)
+
+
+@st.composite
+def uniform_games_near_edges(draw):
+    """(b, m, ell_bar, pi): b - 1 log-uniform on [1e-3, 10], m - (b-1) on
+    [1e-3, 1e3], ell_bar below or above b - 1 at a relative distance
+    log-uniform down to 1e-9, and pi at 0, subnormal, 1e-300, or at a
+    relative offset log-uniform in [1e-12, 1e-1] on either side of (b-1)/m
+    or of pi' (of (b-1)/m when ell_bar <= b - 1), or uniform in [0, 1)."""
+    b = 1.0 + 10.0 ** draw(st.floats(-3.0, 1.0))
+    b1 = b - 1.0
+    m = b1 + 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        ell_bar = b1 * (1.0 - 10.0 ** draw(st.floats(-9.0, -0.1)))
+    else:
+        ell_bar = b1 * (1.0 + 10.0 ** draw(st.floats(-9.0, 1.0)))
+    pi_low, _, pi_prime = reference.shared_uniform_criticals(b, m, ell_bar)
+    edge = float(pi_low if pi_prime is None or draw(st.booleans()) else pi_prime)
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -1.0))
+    pi = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]),
+                        st.just(edge * (1.0 + offset)), st.floats(0.0, 0.999)))
+    return b, m, ell_bar, pi
+
+
+@given(game=uniform_games_near_edges(), tol=st.sampled_from([1e-10, 1e-12]))
+@settings(max_examples=600, deadline=None)
+def test_uniform_roots_match_the_exact_reference(game, tol):
+    b, m, ell_bar, pi = game
+    assume(pi < 1.0)
+    params, dist = tp.validate_params(b, m), tp.uniform_loss(ell_bar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eqs = tp.solve_common_equilibria(pi, params, dist, tol=tol)
+    pi_low, _, pi_prime = reference.shared_uniform_criticals(b, m, ell_bar)
+    want = reference.shared_uniform_roots(b, m, ell_bar, pi)
+    exact_pi = Decimal(pi)
+    if exact_pi < pi_low:
+        regime, n_interior = "unique-interior", 1
+    elif pi_prime is None or exact_pi > pi_prime:
+        regime, n_interior = "unique-corner", 0
+    else:
+        regime, n_interior = "triple", 2
+    roots = [r.value for r in eqs.roots if r.kind != "corner-upper"]
+    assert eqs.regime == regime
+    assert len(roots) == len(want) == n_interior
+    # |psi(l) - l| <= tol, up to the rounding of psi's terms and of the
+    # coop premium 1 + m - b in K, which the pole at ell_bar amplifies by
+    # 1/(1 - F); next to the pole these reach 1e-8 with tol = 1e-12
+    k = params.coop_premium * pi / (1.0 - pi)
+    for root in roots:
+        rounding = 4.0 * EPS * (max(k, b - 1.0, root) + (1.0 + m) * pi / (1.0 - pi))
+        assert abs(psi(root, pi, params, dist) - root) <= tol + rounding / (1.0 - root / ell_bar)
+    # where g' vanishes, at pi', a residual within tol leaves the root only
+    # within about sqrt(tol) of the exact one
+    if pi_prime is None or abs(exact_pi / pi_prime - 1) > Decimal(1e-6):
+        for root, exact in zip(roots, want):
+            assert abs(Decimal(root) - exact) <= Decimal(1e-9 * ell_bar)
+
+
+def test_uniform_roots_seldom_reach_root_refinement(monkeypatch):
+    # draws like the benchmark's shared solves: seven beliefs inside the
+    # three regimes, 2% of a regime's width off its edges, and one uniform
+    # [0, 1] game with b >= 2 and a belief below 1.5 (b-1)/m. The model
+    # starts are exact for uniform losses, so a root reaches bisect_root
+    # only where its ftol rounds below g's rounding: on [0, ell_bar], where
+    # ftol is 0, and next to the pole
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bisect_root(*args, **kwargs)
+
+    monkeypatch.setattr(common_eq, "bisect_root", counting)
+    rng = random.Random(2)
+    roots = 0
+    for j in range(2400):
+        if j % 8 == 7:
+            b = rng.uniform(2.0, 4.0)
+            params, big_l = tp.validate_params(b, rng.uniform(2.0 * b, 60.0)), 1.0
+            pi = rng.uniform(0.0, 1.5 * params.pi_low)
+        else:
+            b = rng.uniform(1.5, 4.0)
+            params = tp.validate_params(b, rng.uniform(max(8.0, 2.0 * b), 80.0))
+            big_l = b - 1.0 + rng.uniform(1.0, 10.0)
+            pi_low, _, pi_prime = (float(x) for x in reference.shared_uniform_criticals(
+                params.b, params.m, big_l))
+            u = rng.uniform(0.02, 0.98)
+            pi = (u * pi_low, pi_low + u * (pi_prime - pi_low),
+                  pi_prime + u * min(0.3, 1.0 - pi_prime))[j % 3]
+        roots += len(tp.solve_common_equilibria(pi, params, tp.uniform_loss(big_l)).interior())
+    assert roots > 2000
+    assert len(calls) < 0.05 * roots
+
+
+def test_roots_at_zero_ftol_take_few_calls(unit_loss):
+    # below (b-1)/m with K >= ell_bar the root's bracket is [0, ell_bar],
+    # where 1 - F vanishes, so ftol = 0 and the model's one evaluation seldom
+    # lands on g = 0 exactly. The step past the root, by at least four float
+    # spacings, brackets it within a few floats: on these 165 games a solve
+    # makes at most 7 cdf and pdf calls, where refining [x, ell_bar] without
+    # that step made up to 25, and the whole bracket up to 34
+    calls = [0]
+
+    def counted(name):
+        def call(x):
+            calls[0] += 1
+            return getattr(unit_loss, name)(x)
+        return call
+
+    dist = dataclasses.replace(unit_loss, cdf=counted("cdf"), pdf=counted("pdf"))
+    rng = random.Random(3)
+    most, solves = 0, 0
+    for _ in range(400):
+        b = rng.uniform(2.0, 4.0)
+        params = tp.validate_params(b, rng.uniform(2.0 * b, 60.0))
+        pi = rng.uniform(0.0, params.pi_low)
+        if params.coop_premium * pi / (1.0 - pi) < 1.0:
+            continue
+        calls[0] = 0
+        tp.solve_common_equilibria(pi, params, dist)
+        most, solves = max(most, calls[0]), solves + 1
+    assert solves > 100
+    assert most <= 8
 
 
 class TestCriticalPair:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 import trustpd as tp
 from trustpd import diverse_eq, numerics
 from trustpd.numerics import composite_simpson
@@ -577,7 +578,7 @@ class TestAlphaBeta:
     def test_exact_beta_matches_the_decimal_oracle(self, b, log_gap):
         params = tp.validate_params(b, b - 1.0 + 10.0 ** log_gap)
         beta = tp.solve_alpha_beta(params, "exact").beta
-        want = exact_beta_oracle(params.b, params.m)
+        want = reference.alpha_beta(params.b, params.m)[1]
         assert abs(Decimal(beta) - want) <= Decimal(1e-13) * want
 
     @pytest.mark.parametrize("b, m", [(1.0 + 1e-13, 1.0), (1.5, 1e12), (2.0, 1e13)])
@@ -585,32 +586,18 @@ class TestAlphaBeta:
         # beta is about (b-1)/m; the bracket used to start at 1e-12
         params = tp.validate_params(b, m)
         beta = tp.solve_alpha_beta(params, "exact").beta
-        want = exact_beta_oracle(params.b, params.m)
+        want = reference.alpha_beta(params.b, params.m)[1]
         assert abs(Decimal(beta) - want) <= Decimal(1e-13) * want
 
-
-def exact_beta_oracle(b: float, m: float) -> Decimal:
-    """Exact-mode beta by bisection at 60 digits of the exact system itself:
-    beta = 1 - (a/beta) ln(1 + beta/alpha), a = 1+m-b, alpha = m - (b-1) beta
-    (which the first equation gives once the second holds). The residual
-    beta - 1 + (a/beta) ln(1 + beta/alpha) rises from -(b-1)/m at 0+ to
-    a ln(1 + 1/a) > 0 at 1."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        b, m = Decimal(b), Decimal(m)
-        a = 1 + m - b
-
-        def residual(beta):
-            return beta - 1 + a / beta * (1 + beta / (m - (b - 1) * beta)).ln()
-
-        lo, hi = Decimal("1e-30"), Decimal(1)
-        for _ in range(160):
-            mid = (lo + hi) / 2
-            if residual(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+    @pytest.mark.parametrize("b1, a", [(6.6e-5, 4e-12), (2.0, 1e-12), (1.0, 1e-9)])
+    def test_exact_coefficients_at_small_a(self, b1, a):
+        # a = m - (b-1) small: beta -> 1 and alpha = m - (b-1) beta cancels,
+        # so the solve runs in c = 1 - beta; it raised ConvergenceError here
+        params = tp.validate_params(1.0 + b1, b1 + a)
+        ab = tp.solve_alpha_beta(params, "exact")
+        alpha, beta = reference.alpha_beta(params.b, params.m)
+        assert abs(Decimal(ab.alpha) - alpha) <= Decimal(1e-14) * alpha
+        assert abs(Decimal(ab.beta) - beta) <= Decimal(2.0**-52)
 
 
 def inverse_cutoff_oracle(pi: float, b: float, ab) -> Decimal:

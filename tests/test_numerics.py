@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trustpd as tp
-from trustpd import common_eq
 from trustpd.numerics import (
     ITP_N0, _simpson_step, bisect_root, bracket_roots, scan_sign_changes,
 )
@@ -411,16 +411,17 @@ class TestSimpsonStep:
 
 # float.hex of solve_common_equilibria at the worked example (b, m, ell_bar) =
 # (3, 50, 8), two beliefs per regime, recorded from the pole-free solver of
-# g = K - phi with brackets from the shape of phi and root refinement by ITP
-# with inverse-quadratic steps (the interior roots moved by at most 1.5e-11
-# from ITP's step alone): any change in the solver's bits shows here.
+# g = K - phi with brackets from the shape of phi, each root started from its
+# uniform-loss model (the interior roots moved by at most 1.5e-11 from
+# refinement by bisect_root, and each now lies within 1e-16 of the exact
+# root): any change in the solver's bits shows here.
 PINNED_COMMON = {
-    0.01: ("unique-interior", [("0x1.9deb534d3cc8ep-2", "interior-low")]),
-    0.03: ("unique-interior", [("0x1.6098f07b64c7fp+0", "interior-low")]),
-    0.05: ("triple", [("0x1.67dfaba2857e0p+1", "interior-low"),
+    0.01: ("unique-interior", [("0x1.9deb534d3cc6fp-2", "interior-low")]),
+    0.03: ("unique-interior", [("0x1.6098f07b53d93p+0", "interior-low")]),
+    0.05: ("triple", [("0x1.67dfaba2857e1p+1", "interior-low"),
                       ("0x1.cc102a2ebd40fp+2", "interior-high"),
                       ("0x1.0000000000000p+3", "corner-upper")]),
-    0.055: ("triple", [("0x1.af9992cfb7a7dp+1", "interior-low"),
+    0.055: ("triple", [("0x1.af9992cfb7a84p+1", "interior-low"),
                        ("0x1.a8333698242bep+2", "interior-high"),
                        ("0x1.0000000000000p+3", "corner-upper")]),
     0.07: ("unique-corner", [("0x1.0000000000000p+3", "corner-upper")]),
@@ -435,22 +436,21 @@ def test_common_equilibria_pinned_bits(pi, fig_params, fig_dist):
     assert got == PINNED_COMMON[pi]
 
 
-def test_common_sweep_evaluation_count(fig_params, fig_dist, monkeypatch):
+def test_common_sweep_distribution_calls(fig_params, fig_dist):
     # reproduce-all's shared-belief sweep, 240 beliefs on [0, 0.12) at
-    # (3, 50, 8): its 323 root solves take 1136 evaluations with the
-    # inverse-quadratic step, 2417 with ITP's regula falsi step alone
-    calls = []
+    # (3, 50, 8): each root and the tangency start from their uniform-loss
+    # models and take one evaluation, so the sweep makes 879 cdf and 557 pdf
+    # calls, against 1852 and 636 when every bracket was refined by
+    # bisect_root
+    calls = {"cdf": 0, "pdf": 0}
 
-    def counting(f, lo, hi, **kwargs):
-        calls.append(0)
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(fig_dist, name)(x)
+        return call
 
-        def counted_f(x):
-            calls[-1] += 1
-            return f(x)
-        return bisect_root(counted_f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(common_eq, "bisect_root", counting)
+    dist = dataclasses.replace(fig_dist, cdf=counted("cdf"), pdf=counted("pdf"))
     for pi in np.linspace(0.0, 0.12, 240, endpoint=False).tolist():
-        tp.solve_common_equilibria(pi, fig_params, fig_dist)
-    assert len(calls) == 323
-    assert sum(calls) <= 1136
+        tp.solve_common_equilibria(pi, fig_params, dist)
+    assert calls["cdf"] + calls["pdf"] <= 1436
