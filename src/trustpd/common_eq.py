@@ -306,12 +306,15 @@ def solve_common_equilibria(
     a discriminant that is not positive gives NaN), the bracket is refined
     by `bisect_root` (`_refine_from`).
 
-    Every root meets |g| <= ftol with ftol = tol times a lower bound on
-    1 - F at any root in the bracket. Since psi(l) - l = g(l)/(1 - F(l)),
-    every interior root has |psi(l) - l| <= tol. On [0, hi] the bound is
+    The root contract: every interior root meets |g| <= ftol, or is the
+    lower end of a sign-change bracket of two adjacent floats, within one
+    ulp of an exact root of g. ftol is tol times a lower bound on 1 - F at
+    any root in the bracket; since psi(l) - l = g(l)/(1 - F(l)), a root
+    that meets it has |psi(l) - l| <= tol. On [0, hi] the bound is
     1 - F(hi). On [l', ell_bar] a root l > K solves
     (l - K)(1 - F) = (K - (b-1)) F, so 1 - F >= (K - (b-1)) F(l')/(ell_bar - K).
-    Only where the bound is 0 is the bracket refined to adjacent floats.
+    The second case comes only where ftol lies below the rounding of g:
+    next to the pole at ell_bar, and where the bound is 0.
     The contract bounds the residual, not the error in l: near pi' the slope
     of g at a root tends to 0, as g'(l') = 0, so a root may lie about
     ftol/|g'| from the exact one. At (4, 4), uniform on [0, 5], 1e-9

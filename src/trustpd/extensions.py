@@ -66,10 +66,13 @@ def solve_asymmetric(
     """Solve the two-threshold system through the composed best response.
 
     l1 is a fixed point of BR1(BR2(.)), a continuous map of [0, ell_bar] into
-    itself, so the gap BR1(BR2(l1)) - l1 is >= 0 at 0 and <= 0 at ell_bar,
-    and its roots are refined to |gap| <= SOLVE_TOL; this avoids the cobweb
-    divergence plain alternation suffers when the partner's reaction curve is
-    steep. With the beliefs on opposite sides of (b-1)/m (a belief at it
+    itself, so the gap BR1(BR2(l1)) - l1 is >= 0 at 0 and <= 0 at ell_bar;
+    solving for its roots avoids the cobweb divergence plain alternation
+    suffers when the partner's reaction curve is steep. The root contract:
+    the returned l1 meets |gap| <= SOLVE_TOL, or is the lower end of a
+    sign-change bracket of two adjacent floats, within one ulp of a root of
+    the gap. The second case comes next to ell_bar, where the best
+    responses' 1/(1 - F) pole leaves no float that meets the bound. With the beliefs on opposite sides of (b-1)/m (a belief at it
     counts as above), one best response is nonincreasing and the other
     nondecreasing, so the composed one is nonincreasing, the gap strictly
     decreasing, and [0, ell_bar] brackets its one root, which `bisect_root`

@@ -16,15 +16,19 @@ thread allocates one workspace per call, 32 bytes a match of a block: the
 draws fill it through `Generator.random(out=...)`, and the cooperation rule
 and the tallies write into it, so a block allocates only what the loss
 quantile function returns, the few beliefs near the cutoff curve and its
-gathers. A block keeps only counts (strategic players, their cooperations,
-CC and DD outcomes) and, per player, its CD losses and its DC partners'
-honesty, which are averaged in the order of one serial pass. Under
-dispersed beliefs a belief at or above the cutoff curve's ceiling, or below
-its floor, is settled by one comparison, and only the others, 0.06% to 2.6%
-of uniform beliefs on games drawn as the benchmark draws them, are compared
-with the interpolated curve. One (2.5, 20) diverse run of 10^6 matches
-takes about 55 ms (2-vCPU Xeon), most of it the six draws; its traced
-allocation peak is 3.7 MB, and 5.0-5.3 MB at 4 * 10^6 matches.
+CD losses. A block keeps only plain numbers: counts (strategic players,
+their cooperations, CC, DD, CD and DC outcomes, DC outcomes with an honest
+partner) and one sum of its CD losses, so no array outlives its block and
+memory stays flat in n. The sums follow the blocks, so the CD mean may
+move in its last bits with BLOCK; every other field is exact in counts or
+the same for any partition. Under dispersed beliefs a belief at or above
+the cutoff curve's ceiling, or below its floor, is settled by one
+comparison, and only the others, 0.06% to 2.6% of uniform beliefs on games
+drawn as the benchmark draws them, are compared with the interpolated
+curve. One (2.5, 20) diverse run of 10^6 matches takes about 47 ms (2-vCPU
+Xeon), most of it the six draws; its traced allocation peak is 3.2 MB at
+10^6 and at 4 * 10^6 matches, and a common (3, 50) run's is 3.3 MB from
+10^6 to 10^7 matches.
 """
 
 from __future__ import annotations
@@ -162,7 +166,13 @@ def simulate(
     F: LossDistribution,
     G: BeliefDistribution | None = None,
 ) -> SimReport:
-    """Play n sampled matches under the configured scenario and tally outcomes."""
+    """Play n sampled matches under the configured scenario and tally outcomes.
+
+    Each half of the matches returns counts and one sum of CD losses (see
+    `_play_matches`), so memory does not grow with n. A payoff mean is a
+    cell's payoff sum over its count: the CD losses' sum, negated, and b for
+    each DC outcome less m for each with an honest partner.
+    """
     if config.scenario == "diverse" and G is None:
         raise ParameterError("diverse scenario requires a belief distribution")
     strategy, prediction = _resolve_strategy(config, params, F, G)
@@ -179,18 +189,16 @@ def simulate(
         first = _play_matches(config.seed, n, 0, n // 2, players, F)
         second = second.result()
 
-    n_strat, n_coop, n_cc, n_dd = (int(a + b) for a, b in zip(first[0], second[0]))
+    *counts, cd_loss = (a + b for a, b in zip(first, second))
+    n_strat, n_coop, n_cc, n_dd, n_cd, n_dc, n_dc_honest = map(int, counts)
     if n_strat == 0:
         raise ParameterError("no strategic players sampled; increase n_samples")
-    # each gather in the order of one serial pass over the 2n players: player
-    # 1's blocks over all n matches, then player 2's
-    cd, dc_honest = (np.concatenate(first[k][0] + second[k][0] + first[k][1] + second[k][1])
-                     for k in (1, 2))
-    del first, second  # the blocks' gathers, copied now, are freed before the payoffs
     payoff_means = {  # every CC outcome pays 1 and every DD outcome 0
         "CC": 1.0 if n_cc else float("nan"),
-        "CD": _mean(-cd),  # a CD outcome pays -loss
-        "DC": _mean(np.where(dc_honest, params.b - params.m, params.b)),
+        "CD": -cd_loss / n_cd if n_cd else float("nan"),  # a CD outcome pays -loss
+        # a DC outcome pays b, and b - m where the partner is honest
+        "DC": ((params.b * (n_dc - n_dc_honest) + (params.b - params.m) * n_dc_honest) / n_dc
+               if n_dc else float("nan")),
         "DD": 0.0 if n_dd else float("nan"),
     }
     # a count over a count: the mean of the strategic players' cooperation flags
@@ -209,11 +217,6 @@ def simulate(
         seed=config.seed,
         n_samples=config.n_samples,
     )
-
-
-def _mean(payoffs: np.ndarray) -> float:
-    """The payoffs' mean; NaN when no outcome fell in the cell."""
-    return float(payoffs.mean()) if payoffs.size else float("nan")
 
 
 def _players(config: SimConfig, strategy, G):
@@ -254,9 +257,11 @@ def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDist
     Each draw replays its slot of the serial stream from the match at start
     on (see `_players`). The draws, the cooperation rules and the tallies
     write into one workspace, allocated here and reused by every block.
-    Returns the counts (strategic players, their cooperations, CC outcomes,
-    DD outcomes) and, per player and block in draw order, its CD losses and
-    its DC partners' honesty.
+    Returns plain numbers only: the counts of strategic players, their
+    cooperations, CC, DD, CD and DC outcomes and DC outcomes with an honest
+    partner, and the sum of the CD losses, a Python float to which each
+    block adds each player's `np.add.reduce`. The only gathers, the CD
+    losses, are spent within their block.
     """
     streams = [[None if slot is None else _stream(seed, slot * n + start) for slot in slots]
                for _, _, slots in players]
@@ -269,8 +274,9 @@ def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDist
     workspace = np.empty((4, size))
     beliefs_u, *losses_u = workspace[:3]
     flags = workspace[3].view(bool).reshape(4, 2, size)
-    counts = [0, 0, 0, 0]
-    cd, dc_honest = ([], []), ([], [])
+    # strategic players, their cooperations, CC, DD, CD and DC outcomes, DC
+    # outcomes with an honest partner, and the sum of the CD losses
+    tally = [0, 0, 0, 0, 0, 0, 0, 0.0]
     for block_start in range(start, stop, BLOCK):
         m = min(BLOCK, stop - block_start)
         honest, strat, coop, work = flags[:, :, :m]
@@ -291,19 +297,20 @@ def _play_matches(seed: int, n: int, start: int, stop: int, players, F: LossDist
         np.greater(strat, honest, out=strat)
         # each count over both rows, so once per player as in a serial pass;
         # a DD outcome is one where neither player cooperates
-        counts[0] += honest.size - np.count_nonzero(honest)
-        counts[1] += np.count_nonzero(strat)
-        counts[2] += np.count_nonzero(np.logical_and(strat, partner_coop, out=work))
-        counts[3] += honest.size - np.count_nonzero(np.logical_or(coop, partner_coop, out=work))
+        tally[0] += honest.size - np.count_nonzero(honest)
+        tally[1] += np.count_nonzero(strat)
+        tally[2] += np.count_nonzero(np.logical_and(strat, partner_coop, out=work))
+        tally[3] += honest.size - np.count_nonzero(np.logical_or(coop, partner_coop, out=work))
+        np.greater(strat, partner_coop, out=work)  # CD: cooperates, partner defects
+        tally[4] += np.count_nonzero(work)
         # np.compress: on these masks, 3-10% set, boolean indexing takes 1.4
         # to 2.5 times as long
-        np.greater(strat, partner_coop, out=work)  # CD: cooperates, partner defects
         for p in (0, 1):
-            cd[p].append(np.compress(work[p], loss[p]))
+            tally[7] += float(np.add.reduce(np.compress(work[p], loss[p])))
         np.greater(partner_coop, coop, out=work)  # DC: defects, partner cooperates
-        for p in (0, 1):
-            dc_honest[p].append(np.compress(work[p], honest[1 - p]))
-    return counts, cd, dc_honest
+        tally[5] += np.count_nonzero(work)
+        tally[6] += np.count_nonzero(np.logical_and(work, honest[::-1], out=work))
+    return tally
 
 
 def deviation_check(

@@ -506,7 +506,7 @@ PINNED_REPRODUCE_ALL = {
     "regimes_shared_belief.csv.manifest.json":
         "3f79f494685d984074bc6c65c11a97f42be2f097bae39009273aa792775464f6",
     "simulation_common.json":
-        "48b55c15664931397fbbfdb9bd06067b580639e0bcc40f6adc63d4e4f43e5faa",
+        "c67bd6db1304fa00b0f48ba94921da0efcf160dc3bd361a41ba3eb332bfbe4f0",
     "simulation_common.json.manifest.json":
         "7b4e9af1a8d10d1261a2d27db5ba12118c63f616e686a56b687ec49d55eec567",
     "threshold_comparison.csv":

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_vectorized import games, make_game
 
@@ -502,6 +502,7 @@ def uniform_games_near_edges(draw):
 
 
 @given(game=uniform_games_near_edges(), tol=st.sampled_from([1e-10, 1e-12]))
+@example(game=(2.0, 2.0, 2.0, 0.5), tol=1e-10)  # pi = (b-1)/m exactly
 @settings(max_examples=600, deadline=None)
 def test_uniform_roots_match_the_exact_reference(game, tol):
     b, m, ell_bar, pi = game
@@ -515,6 +516,11 @@ def test_uniform_roots_match_the_exact_reference(game, tol):
     exact_pi = Decimal(pi)
     if exact_pi < pi_low:
         regime, n_interior = "unique-interior", 1
+    elif exact_pi == pi_low:
+        # the quadratic is (l - (b-1))(l - ell_bar)/ell_bar: its high root is
+        # the corner, reported once as `corner-upper`, beside the low root
+        # b - 1 when ell_bar > b - 1, under `unique-corner` (as documented)
+        regime, n_interior = "unique-corner", 1 if ell_bar > b - 1.0 else 0
     elif pi_prime is None or exact_pi > pi_prime:
         regime, n_interior = "unique-corner", 0
     else:

@@ -241,7 +241,9 @@ class TestDeviationCheckMatchesLoops:
 # the common (0x1.67dfaba28642ep-2 -> 0x1.67dfaba2857e0p-2) and asymmetric
 # (-> 0x1.57b055c1247c2p-2) cases when root refinement took inverse-quadratic
 # steps, and of the common cases (-> 0x1.67dfaba2857e1p-2) when the shared
-# solver started each root from its uniform-loss model
+# solver started each root from its uniform-loss model; the CD mean of the
+# diverse case (-0x1.f6fadc69d83dfp-2 -> ...e1p-2) re-recorded when each
+# block kept one sum of its CD losses in place of the losses
 PINNED_SIM = {
     "common": {
         "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
@@ -258,7 +260,7 @@ PINNED_SIM = {
         "half_width_95": "0x1.7215c51d79ca4p-9",
         "analytic_prediction": "0x1.c35993c92cf98p-1",
         "max_deviation_gain": "0x0.0p+0",
-        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.f6fadc69d83dfp-2",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.f6fadc69d83e1p-2",
                          "DC": "0x1.74dcc6d4a81b3p+0", "DD": "0x0.0p+0"},
     },
     "asymmetric": {
@@ -378,17 +380,86 @@ def test_simulate_blocks_of_any_size_give_the_same_bits(case, monkeypatch):
     beliefs, (b, m), ell_bar, belief = SIM_CASES[case]
     G = sim_distributions(belief)
     scenario = "diverse" if belief else case
+    sizes = (1, 8, 1003)
 
     def reports():
-        return [hexed(tp.simulate(tp.SimConfig(n_samples=n, seed=8, scenario=scenario,
-                                               **beliefs),
-                                  tp.validate_params(b, m), tp.uniform_loss(ell_bar),
-                                  G).to_dict())
-                for n in (1, 8, 1003)]
+        return [tp.simulate(tp.SimConfig(n_samples=n, seed=8, scenario=scenario, **beliefs),
+                            tp.validate_params(b, m), tp.uniform_loss(ell_bar), G).to_dict()
+                for n in sizes]
 
     one_block = reports()
     monkeypatch.setattr(montecarlo, "BLOCK", 7)
-    assert reports() == one_block
+    for n, got, want in zip(sizes, reports(), one_block):
+        got_cd, want_cd = got["payoff_means"].pop("CD"), want["payoff_means"].pop("CD")
+        assert hexed(got) == hexed(want)
+        # the CD mean is a sum of the CD losses, at most 2n nonnegative
+        # floats, over their count, and the blocks decide the order of the
+        # additions. A sum of k + 1 such floats in any order errs by at most
+        # gamma_k = k u/(1 - k u) of itself (Higham 2002, section 4.2), and
+        # each division adds u, so the two means lie within 2 gamma_{2n} of
+        # each other (to first order in u)
+        assert (got_cd is None) == (want_cd is None)
+        if want_cd is not None:
+            u = 2.0 ** -53
+            gamma = 2 * n * u / (1 - 2 * n * u)
+            assert abs(got_cd - want_cd) <= 2 * gamma * abs(want_cd)
+
+
+def replay_matches(cfg, params, F, G):
+    """Each player's honesty flags, losses and cooperation rule's answers
+    over all n matches, drawn slot by slot from the serial stream with plain
+    numpy: the rule is `loss <= threshold`, or `belief >= curve(loss)` under
+    dispersed beliefs."""
+    strategy, _ = montecarlo._resolve_strategy(cfg, params, F, G)
+    n = cfg.n_samples
+    honest, loss, strat = [None, None], [None, None], [None, None]
+    for p, (belief, _, slots) in enumerate(montecarlo._players(cfg, strategy, G)):
+        beliefs_u, honesty_u, loss_u = (None if k is None else
+                                        montecarlo._stream(cfg.seed, k * n).random(n)
+                                        for k in slots)
+        own = belief if beliefs_u is None else belief.ppf(beliefs_u)
+        honest[1 - p] = honesty_u < own
+        loss[p] = F.ppf(loss_u)
+        if cfg.scenario == "diverse":
+            strat[p] = own >= strategy(loss[p])
+        else:
+            strat[p] = loss[p] <= (strategy if cfg.scenario == "common" else strategy[p])
+    return honest, loss, strat
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+def test_simulate_payoff_means_match_a_replay_of_the_matches(case):
+    beliefs, (b, m), ell_bar, belief = SIM_CASES[case]
+    params, F, G = tp.validate_params(b, m), tp.uniform_loss(ell_bar), sim_distributions(belief)
+    cfg = tp.SimConfig(n_samples=1003, seed=8, scenario="diverse" if belief else case,
+                       **beliefs)
+    honest, loss, strat = replay_matches(cfg, params, F, G)
+    coop = [honest[p] | strat[p] for p in (0, 1)]
+    strategic = [~h for h in honest]
+    cells = {"CC": [], "CD": [], "DC": [], "DD": []}  # per-match payoffs
+    for p, q in ((0, 1), (1, 0)):
+        s = strategic[p]
+        cells["CC"].append(np.ones(np.count_nonzero(s & coop[p] & coop[q])))
+        cells["CD"].append(-loss[p][s & coop[p] & ~coop[q]])
+        cells["DC"].append(np.where(honest[q], b - m, b)[s & ~coop[p] & coop[q]])
+        cells["DD"].append(np.zeros(np.count_nonzero(s & ~coop[p] & ~coop[q])))
+    cells = {cell: np.concatenate(payoffs) for cell, payoffs in cells.items()}
+    report = tp.simulate(cfg, params, F, G)
+    n_strategic = sum(np.count_nonzero(s) for s in strategic)
+    assert report.n_strategic == n_strategic
+    assert report.coop_rate_strategic == sum(
+        np.count_nonzero(s & c) for s, c in zip(strategic, strat)) / n_strategic
+    assert sum(cells[cell].size for cell in cells) == n_strategic
+    assert all(cells[cell].size for cell in cells)
+    assert report.payoff_means["CC"] == 1.0 and report.payoff_means["DD"] == 0.0
+    # np.mean adds the payoffs pairwise; simulate adds a pairwise sum per
+    # thread and player, or counts the b and b - m payoffs. The two differ
+    # by a few ulps at these sizes (at most 4 over 30 seeds of these cases),
+    # while one payoff put in the wrong cell moves a mean by about its
+    # cell's spread over the cell's size, 1e-4 or more here
+    for cell in ("CD", "DC"):
+        want = cells[cell].mean()
+        assert abs(report.payoff_means[cell] - want) <= 8 * np.spacing(abs(want))
 
 
 # Calibration over many seeds: z = (rate - prediction) / (half_width_95 / 1.96)
@@ -443,10 +514,9 @@ def test_simulate_at_the_support_end_has_no_spread(equilibrium, pi):
 
 def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
     # per-match arrays took 29.6 MB at 10^6 matches and 118 MB at 4 * 10^6;
-    # each thread's workspace takes 1.0 MB, and the CD and DC gathers about
-    # 0.5 B a match: 3.7 MB at 10^6 matches and 5.0-5.3 MB at 4 * 10^6. An
-    # untraced call first, so that neither traced one imports the thread
-    # pool (5.1 MB at 10^6 in a process's first simulate)
+    # each thread's workspace takes 1.0 MB, and a block keeps only counts and
+    # one sum: 3.2 MB at both sizes. An untraced call first, so that neither
+    # traced one imports the thread pool
     params = tp.validate_params(2.5, 20.0)
     curve = tp.solve_diverse_threshold(params, unit_loss, unit_belief).threshold
     tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="diverse", strategy=curve),
@@ -462,6 +532,25 @@ def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
             tracemalloc.stop()
     assert peaks[0] < 8e6
     assert peaks[1] - peaks[0] < 3e6
+
+
+def test_simulate_memory_is_flat_in_n(fig_params, fig_dist):
+    # common (3, 50) on [0, 8] at pi 0.03: keeping each block's CD losses
+    # and DC partners' honesty took about 4.4 B a match, a traced peak of
+    # 3.6 MB at 2.5 * 10^5 matches and 20.0 MB at 4 * 10^6. With counts and
+    # one sum per block the two peaks lie 0.1 MB apart; the bound is 1 MB
+    def traced_peak(n):
+        cfg = tp.SimConfig(n_samples=n, seed=3, scenario="common", pi=0.03)
+        tracemalloc.start()
+        try:
+            tp.simulate(cfg, fig_params, fig_dist)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="common", pi=0.03),
+                fig_params, fig_dist)  # warm: the thread pool is imported untraced
+    assert abs(traced_peak(4 * 10 ** 6) - traced_peak(250_000)) <= 1e6
 
 
 def test_diverse_simulate_interpolates_only_beliefs_near_the_cutoff(monkeypatch, p28, unit_loss,
