@@ -31,6 +31,7 @@ from .analysis import (
 from .common_eq import closed_form_common_uniform, solve_common_equilibria
 from .core import (
     ConvergenceError,
+    DEFAULT_GRID_SIZE,
     InvariantViolation,
     ParameterError,
     RegimeError,
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = add("diverse", cmd_diverse, "belief cutoff under dispersed beliefs (uniform case)", pair)
-    p.add_argument("--grid-n", type=grid_size, default=1001)
+    p.add_argument("--grid-n", type=grid_size, default=DEFAULT_GRID_SIZE)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--alpha-beta", choices=("exact", "approx"), default="exact")

@@ -28,10 +28,7 @@ built from values the solver already holds: one evaluation meets the
 residual tolerance, and `bisect_root` refines only a miss, on a sub-bracket
 that a step past the root by twice the model's Newton correction (at least
 four float spacings) cuts about it. On other losses the models are
-approximate and the same miss path applies. Over the 2400 shared solves of
-300 `shared_solves` benchmark rounds (seed 1) this halves the calls of F's
-cdf and pdf, 27725 to 14114, and no solve makes more calls than when each
-bracket went to `bisect_root` whole.
+approximate and the same miss path applies.
 """
 
 from __future__ import annotations
@@ -322,12 +319,13 @@ def solve_common_equilibria(
     stop 3.6e-10 and 5.2e-10 from the exact roots of the uniform quadratic;
     the models' one evaluation lands within 8.1e-13 of them.
 
-    The corner ell_bar is an equilibrium exactly when pi >= (b-1)/m. The
-    regime is `unique-interior` below (b-1)/m, `triple` when two interior
-    roots join the corner, and `unique-corner` otherwise. At pi = (b-1)/m
-    exactly, the high root coincides with ell_bar and is reported once, as
-    `corner-upper`, beside the low root l = b - 1 if ell_bar > b - 1, under
-    `unique-corner`.
+    The corner ell_bar is an equilibrium exactly when pi >= (b-1)/m, and
+    the roots then end with it. The regime follows from the roots
+    (`EquilibriumSet.regime`): `unique-interior` below (b-1)/m, `triple`
+    when two interior roots join the corner, and `unique-corner` otherwise.
+    At pi = (b-1)/m exactly, the high root coincides with ell_bar and is
+    reported once, as `corner-upper`, beside the low root l = b - 1 if
+    ell_bar > b - 1, under `unique-corner`.
 
     Requires a nondecreasing hazard rate (`dist.monotone_hazard`).
     """
@@ -389,12 +387,9 @@ def solve_common_equilibria(
         EquilibriumRoot(r, "corner-zero" if r == 0.0 else kind)
         for r, kind in zip(roots, ("interior-low", "interior-high"))
     ]
-    if pi < params.pi_low:
-        regime = "unique-interior"
-    else:
+    if pi >= params.pi_low:
         classified.append(EquilibriumRoot(big_l, "corner-upper"))
-        regime = "triple" if len(roots) == 2 else "unique-corner"
-    return EquilibriumSet(pi=pi, roots=tuple(classified), regime=regime)
+    return EquilibriumSet(pi=pi, roots=tuple(classified))
 
 
 def closed_form_common_uniform(pi, params: GameParams):

@@ -12,7 +12,7 @@ facing a committed partner prefers to cooperate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -299,7 +299,13 @@ class EquilibriumSet:
 
     pi: float
     roots: tuple[EquilibriumRoot, ...]
-    regime: str  # "unique-interior" | "triple" | "unique-corner"
+
+    @property
+    def regime(self) -> str:
+        """`unique-interior` without the full-cooperation corner, `triple` when
+        two interior roots join it, and `unique-corner` otherwise."""
+        return ("unique-interior" if self.ell_corner is None
+                else "triple" if len(self.roots) == 3 else "unique-corner")
 
     def interior(self) -> tuple[float, ...]:
         return tuple(r.value for r in self.roots if r.kind.startswith("interior"))
@@ -327,19 +333,19 @@ class EquilibriumSet:
 
 @dataclass(frozen=True)
 class ThresholdCurve:
-    """Piecewise-linear monotone-capable curve on a strictly increasing grid.
+    """Piecewise-linear curve on a strictly increasing grid.
 
     Houses both parameterizations of a threshold strategy: loss thresholds as
     a function of belief, or belief thresholds as a function of loss.
     `knots` and `values` are taken as float arrays without a copy where they
     already are one, and made read-only: a caller's own arrays become
-    read-only too.
+    read-only too. `monotone` is whether the values are nondecreasing.
     """
 
     knots: np.ndarray
     values: np.ndarray
     codomain: tuple[float, float] = (0.0, 1.0)
-    monotone: bool = False
+    monotone: bool = field(init=False)
 
     def __post_init__(self):
         knots = np.ascontiguousarray(self.knots, dtype=float)
@@ -356,19 +362,18 @@ class ThresholdCurve:
         tol = 1e-12 * max(1.0, abs(hi - lo))
         # a nondecreasing array holds no NaN, which fails every comparison,
         # so its ends are its min and max
-        rising = self.monotone and (values[1:] >= values[:-1]).all()
+        rising = bool((values[1:] >= values[:-1]).all())
         vmin, vmax = (values[0], values[-1]) if rising else (values.min(), values.max())
         # written so that a NaN value, whose min and max are NaN, fails; the
         # message gives min and max, which may differ from the ends in the sign of a zero
         if not (lo - tol <= vmin and vmax <= hi + tol):
             raise ParameterError(f"curve values leave the codomain [{lo}, {hi}]: "
                                  f"range [{values.min()}, {values.max()}]")
-        if self.monotone and not rising:
-            raise ParameterError("curve flagged monotone but values decrease")
         knots.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "monotone", rising)
         # np.interp returns a value between a segment's end values, up to a
         # rounding that the pad 1e-12 max(1, max|value|) covers. It is added
         # in Python floats, which overflow to inf near the float maximum
@@ -423,13 +428,13 @@ class ThresholdCurve:
         return x
 
     def invert(self, y: float) -> float:
-        """Smallest preimage of y on a monotone curve.
+        """Smallest preimage of y on a nondecreasing curve.
 
         Unique on strictly increasing segments; the left endpoint of any flat
         segment otherwise.
         """
         if not self.monotone:
-            raise ParameterError("inversion requires a curve flagged monotone")
+            raise ParameterError("inversion requires a nondecreasing curve")
         y = float(y)
         vmin, vmax = float(self.values[0]), float(self.values[-1])
         pad = 1e-12 * max(1.0, vmax - vmin)
@@ -448,6 +453,6 @@ class ThresholdCurve:
 
 
 def constant_curve(knots, value: float, codomain=(0.0, 1.0)) -> ThresholdCurve:
-    """Curve with a single value everywhere (nondecreasing, hence monotone)."""
+    """Curve with a single value everywhere."""
     knots = np.asarray(knots, dtype=float)
-    return ThresholdCurve(knots, np.full(knots.shape, float(value)), codomain, monotone=True)
+    return ThresholdCurve(knots, np.full(knots.shape, float(value)), codomain)

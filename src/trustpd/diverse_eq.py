@@ -45,25 +45,32 @@ from .numerics import bisect_root, composite_simpson
 class DiverseSolution:
     """Converged belief-cutoff curve with solver diagnostics.
 
-    `iterations` counts solver steps, each one Simpson-and-cutoff pass, and
-    `residual_history` holds each step's max|T(s) - s|, `residual` that of
-    the returned curve. `contraction_gamma` is the bound (1+m-b) sup g / m^2,
-    with the exact sup of the belief density. It bounds T's Lipschitz
-    constant only where |l - (b-1)| <= 1 and m + (l-(b-1)) I >= m; elsewhere
-    T need not contract though it reads below one (0.77 at (4, 3.0625) with
-    a steep belief, where the iterates two-cycle). `damped` is set when the
-    fixed point was found as a root of the scalar equation in I rather than
-    by iterating T: when the bound is at least one, or when an iteration
-    step shrank the residual by less than a tenth.
+    `residual_history` holds each solver step's max|T(s) - s|, a step being
+    one Simpson-and-cutoff pass; `iterations` is their count and `residual`
+    the last, that of the returned curve. `contraction_gamma` is the bound
+    (1+m-b) sup g / m^2, with the exact sup of the belief density. It bounds
+    T's Lipschitz constant only where |l - (b-1)| <= 1 and
+    m + (l-(b-1)) I >= m; elsewhere T need not contract though it reads
+    below one (0.77 at (4, 3.0625) with a steep belief, where the iterates
+    two-cycle). `damped` is set when the fixed point was found as a root of
+    the scalar equation in I rather than by iterating T: when the bound is
+    at least one, or when an iteration step shrank the residual by less than
+    a tenth.
     """
 
     threshold: ThresholdCurve
     coop_prob: float
-    iterations: int
-    residual: float
     contraction_gamma: float
     residual_history: tuple[float, ...]
     damped: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def residual(self) -> float:
+        return self.residual_history[-1]
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,7 @@ def apply_T(
     _check_unit_curve(curve, F)
     k = curve.knots
     big_i = composite_simpson(np.asarray(G.cdf(curve.values)) * np.asarray(F.pdf(k)), k)
-    vals = _cutoff(big_i, k - (params.b - 1.0), params)
-    return ThresholdCurve(k, vals, codomain=(0.0, 1.0),
-                          monotone=bool((vals[1:] >= vals[:-1]).all()))
+    return ThresholdCurve(k, _cutoff(big_i, k - (params.b - 1.0), params), codomain=(0.0, 1.0))
 
 
 def cooperation_prob_given_strategy(
@@ -193,15 +198,9 @@ def solve_diverse_threshold(
     curve is validated once, knots and values, when it is built. The sum is
     one multiply and one `np.add.reduce`, not `np.dot`: BLAS picks its
     summation order by CPU, so `np.dot` gives other bits on other machines.
-
-    A step makes nine numpy calls on the knots besides G's cdf, and at the
-    default 1001 knots their per-call overhead, not the arithmetic, sets its
-    time. On a 2-vCPU Xeon (best of 40 runs) a solve at (2.5, 20) takes
-    about 117 us, 7 steps of 11 us and 37 us to set up and finish. The
-    steps are Picard's, stopped by the rule below: a secant step on I would
-    take fewer, but `reproduce-all` writes the count, 8 at (2, 8), and a
-    count that moves fails the comparison of its outputs with the recorded
-    ones.
+    The steps are Picard's, stopped by the rule below: a secant step on I
+    would take fewer, but `reproduce-all` writes the count, and its recorded
+    outputs pin it.
 
     The contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
     the G factor must be the Lipschitz constant of the belief cdf (the sup of
@@ -218,18 +217,13 @@ def solve_diverse_threshold(
       of successive steps stays near 1, and 10000 steps end at a residual
       of 1.9e-2. So a step that shrinks the residual by less than a tenth
       (a ratio of 0.9 or more) hands over to the root solve below. Where T
-      does contract, the ratio is far below that: 0.056 at (2, 8), and at
-      most 0.26 over 600 games drawn like the benchmark's.
+      does contract, the ratio is far below that.
     - gamma >= 1, or after such a step (`damped`): one `bisect_root` call
       on [0, M], M the Simpson mass of F's density, solves Phi(I) = I, where
       Phi(I) = I[s_I] and s_I is the cutoff at I; Phi(0) >= 0 and
       Phi(M) <= M. Each evaluation is a step that records max|T(s_I) - s_I|.
       Its excess is 0 once that is at most tol and Phi(I) - I otherwise, so
-      every bracket holds a zero, and s_I is returned there. With its
-      inverse-quadratic steps the root solve takes 7 to 10 evaluations on
-      games damped from the start, where ITP's step alone took 9 or 10 and
-      halving 24 to 28, and 11 at the two-cycle (4, 3.0625) after its 5
-      substitution steps, where ITP's step alone took 14.
+      every bracket holds a zero, and s_I is returned there.
 
     Raises ParameterError unless n_knots - 1 is an even count of at least 2
     (Simpson's rule), tol is positive and finite and max_iter at least 1, and
@@ -273,34 +267,33 @@ def solve_diverse_threshold(
         # a step that shrinks the residual by less than a tenth: T contracts
         # too slowly here, or not at all
         damped = len(history) > 1 and history[-1] >= 0.9 * history[-2]
-    if not damped:
-        residual = history[-1]
-    else:
-        evaluated = {}
-
+    if damped:
         def excess(big_i):
-            cut = _cutoff(big_i, shift, params)
-            phi = image(cut)[0]
-            evaluated[big_i] = cut, history[-1]
+            nonlocal vals
+            vals = _cutoff(big_i, shift, params)
+            phi = image(vals)[0]
             return 0.0 if history[-1] <= tol else phi - big_i
 
-        # image() enforces the step budget, so bisect_root's cap never binds
-        root = bisect_root(excess, 0.0, float(w.sum()), ftol=0.0, max_iter=max_iter)
-        vals, residual = evaluated[root]
-        if residual > tol:
-            raise ConvergenceError(
-                f"bisection on I collapsed at {root!r} (last residual {residual:.3e})"
-            )
+        # bisect_root evaluates both ends before it returns either, so the
+        # end I = 0 is settled here. Its root is then its last evaluation,
+        # where the excess is 0, unless the bracket collapsed onto two floats
+        # first. image() enforces the step budget, so its cap never binds
+        flo = excess(0.0)
+        root = 0.0 if flo == 0.0 else bisect_root(excess, 0.0, float(w.sum()), ftol=0.0,
+                                                  max_iter=max_iter, flo=flo)
+        if history[-1] > tol:
+            raise ConvergenceError(f"bisection on I collapsed at {root!r} "
+                                   f"(last residual {history[-1]:.3e})")
 
     try:
-        threshold = ThresholdCurve(knots, vals, codomain=(0.0, 1.0), monotone=True)
+        threshold = ThresholdCurve(knots, vals, codomain=(0.0, 1.0))
     except ParameterError as exc:
         raise ConvergenceError(f"converged cutoff curve is no threshold: {exc}") from None
+    if not threshold.monotone:
+        raise ConvergenceError("converged cutoff curve is no threshold: its values decrease")
     return DiverseSolution(
         threshold=threshold,
         coop_prob=float(np.add.reduce((1.0 - np.asarray(G.cdf(vals))) * w)),
-        iterations=len(history),
-        residual=residual,
         contraction_gamma=gamma,
         residual_history=tuple(history),
         damped=damped,

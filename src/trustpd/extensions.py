@@ -72,8 +72,9 @@ def solve_asymmetric(
     the returned l1 meets |gap| <= SOLVE_TOL, or is the lower end of a
     sign-change bracket of two adjacent floats, within one ulp of a root of
     the gap. The second case comes next to ell_bar, where the best
-    responses' 1/(1 - F) pole leaves no float that meets the bound. With the beliefs on opposite sides of (b-1)/m (a belief at it
-    counts as above), one best response is nonincreasing and the other
+    responses' 1/(1 - F) pole leaves no float that meets the bound. With
+    the beliefs on opposite sides of (b-1)/m (a belief at it counts as
+    above), one best response is nonincreasing and the other
     nondecreasing, so the composed one is nonincreasing, the gap strictly
     decreasing, and [0, ell_bar] brackets its one root, which `bisect_root`
     refines. With both on one side, as at (3, 50) on [0, 1] with
@@ -153,9 +154,9 @@ def _gap_terms(n: int, pi, coop_prob, params: GameParams, variant: str):
     has a = (1-b) s + m pi^n and slope s - 1, `as_printed` a = s - b + m pi^n
     and slope -(1 + s). Elementwise over arrays of pi or coop_prob, with
     float_power; scalars, 0-d arrays included, are taken as Python floats and
-    raised with the float `**`: about 1 us a call, against 4.7 us through
-    float_power (2-vCPU Xeon). float_power is the scalar pow, so a belief
-    gives the same terms alone or as an array element.
+    raised with the float `**`, which costs a fraction of float_power on
+    numpy scalars. float_power is the scalar pow, so a belief gives the same
+    terms alone or as an array element.
     """
     if _is_array(pi) or _is_array(coop_prob):
         power = np.float_power
@@ -304,8 +305,8 @@ GROUP_KNOTS = 2001  # beliefs, equally spaced on [0, 1], on solve_group_diverse'
 def _gauss_legendre():
     """GAUSS_NODES-point Gauss-Legendre nodes and weights on [-1, 1].
 
-    Imported on first use: numpy.polynomial takes about 4 ms and 1.6 MB to
-    load, and only the group solver needs it.
+    Imported on first use: only the group solver needs numpy.polynomial, and
+    no other command pays for loading it.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -368,5 +369,4 @@ def solve_group_diverse(
     q = _group_fixed_point(n, params, variant, F, G)
     pis = np.linspace(0.0, 1.0, GROUP_KNOTS)
     t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)
-    return ThresholdCurve(pis, t, codomain=(0.0, F.ell_bar),
-                          monotone=bool(np.all(np.diff(t) >= 0)))
+    return ThresholdCurve(pis, t, codomain=(0.0, F.ell_bar))

@@ -23,12 +23,8 @@ memory stays flat in n. The sums follow the blocks, so the CD mean may
 move in its last bits with BLOCK; every other field is exact in counts or
 the same for any partition. Under dispersed beliefs a belief at or above
 the cutoff curve's ceiling, or below its floor, is settled by one
-comparison, and only the others, 0.06% to 2.6% of uniform beliefs on games
-drawn as the benchmark draws them, are compared with the interpolated
-curve. One (2.5, 20) diverse run of 10^6 matches takes about 47 ms (2-vCPU
-Xeon), most of it the six draws; its traced allocation peak is 3.2 MB at
-10^6 and at 4 * 10^6 matches, and a common (3, 50) run's is 3.3 MB from
-10^6 to 10^7 matches.
+comparison, and only the others, a few percent of uniform beliefs at most
+on an equilibrium cutoff curve, are compared with the interpolated curve.
 """
 
 from __future__ import annotations

@@ -15,12 +15,7 @@ one side of (b-1)/m, and `extensions.solve_group_common` under `as_printed`.
 Takahashi, ACM TOMS 47(1), 2020), interpolating inverse-quadratically
 (Chandrupatla, Adv. Eng. Software 28(3), 1997) where three points allow it:
 bisection's bracket, contract and worst case within one step, and
-superlinear convergence on the smooth functions the solvers bracket: on
-whole shared-belief brackets a root took 3.4 evaluations of f, against 7.6
-with ITP's regula falsi step alone. The shared-belief solver now starts each
-root and the tangency loss from a model that is exact under uniform losses
-(`common_eq`), so on the benchmark's shared solves bisect_root sees only the
-few its one evaluation misses, on a sub-bracket about the miss. A step
+superlinear convergence on the smooth functions the solvers bracket. A step
 calls nothing but f and `math.copysign`: |x| and the projection's clamp are
 comparisons, which give what abs, min and max give, NaN and signed zeros
 included, and the sign of f(lo), which never changes, is read once. The
@@ -77,13 +72,8 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     to bring the bracket to one float spacing of its larger end,
     n_half + ITP_N0 steps do that; further steps are midpoints. So it takes
     at most ITP_N0 steps more than bisection's worst case for the bracket,
-    and on a smooth f its steps converge superlinearly: over the 2128 roots
-    of 1000 `shared_solves` ops, refined from their whole brackets, 3.4
-    evaluations a root, against 7.6 with ITP's estimate alone (the shared
-    solver now starts those roots from its models, and calls this only on a
-    miss: 24 calls on a traced `shared_solves` run at seed 1, against 287).
-    The name is kept from the plain halving it replaced: the bracket, the
-    contract and the worst case are still bisection's.
+    and on a smooth f its steps converge superlinearly. The bracket, the
+    contract and the worst case are bisection's, hence the name.
     """
     if flo is None:
         flo = f(lo)

@@ -39,7 +39,9 @@ def shared_uniform_roots(b: float, m: float, ell_bar: float, pi: float):
 
     which is g = K - phi for uniform F. A double root is listed once. The low
     root is written 2 K ell_bar/(s + sqrt(disc)), s = ell_bar + b - 1, which
-    does not cancel at small K."""
+    does not cancel at small K. A root within DIGITS - 5 digits of ell_bar is
+    the corner, and is not listed: at pi = (b-1)/m with ell_bar < b - 1 the
+    low root is exactly ell_bar, and its rounding may land just below it."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         b, m, big_l, pi = Decimal(b), Decimal(m), Decimal(ell_bar), Decimal(pi)
@@ -50,7 +52,8 @@ def shared_uniform_roots(b: float, m: float, ell_bar: float, pi: float):
             return []
         root = disc.sqrt()
         low, high = 2 * k * big_l / (s + root), (s + root) / 2
-        return [x for x in sorted({low, high}) if x < big_l]
+        corner = big_l * (1 - Decimal(10) ** (5 - DIGITS))
+        return [x for x in sorted({low, high}) if x < corner]
 
 
 def alpha_beta(b: float, m: float):

@@ -247,6 +247,26 @@ class TestSolveCommonEquilibria:
         assert [r.kind for r in eqs.roots] == ["corner-upper"]
         assert eqs.ell_corner == 1.0
 
+    def test_exactly_at_pi_prime_with_g_zero_at_the_tangency(self, monkeypatch):
+        # at (2, 4), uniform on [0, 5], pi' = 3/8 and l' = 3, and g(l') is
+        # exactly 0 in floats: the double root l' is reported as it stands
+        # beside the corner, and only the tangency loss is refined
+        params, dist = tp.validate_params(2.0, 4.0), tp.uniform_loss(5.0)
+        crit = tp.critical_pair(params, dist)
+        assert (crit.ell_prime, crit.pi_prime) == (3.0, 0.375)
+        refine, ftols = common_eq._refine_from, []
+
+        def recorded(*args):
+            ftols.append(args[-1])
+            return refine(*args)
+
+        monkeypatch.setattr(common_eq, "_refine_from", recorded)
+        eqs = tp.solve_common_equilibria(crit.pi_prime, params, dist)
+        assert ftols == [common_eq.TANGENCY_TOL]
+        assert eqs.roots == (tp.EquilibriumRoot(3.0, "interior-low"),
+                             tp.EquilibriumRoot(5.0, "corner-upper"))
+        assert eqs.regime == "unique-corner"
+
     def test_high_root_next_to_upper_support(self, fig_params, fig_dist):
         # just above (b-1)/m the high root sits within one grid cell of ell_bar
         pi = fig_params.pi_low + 1e-9
@@ -503,6 +523,9 @@ def uniform_games_near_edges(draw):
 
 @given(game=uniform_games_near_edges(), tol=st.sampled_from([1e-10, 1e-12]))
 @example(game=(2.0, 2.0, 2.0, 0.5), tol=1e-10)  # pi = (b-1)/m exactly
+# pi = (b-1)/m exactly with ell_bar < b - 1: the low root of the quadratic is
+# ell_bar itself, the corner
+@example(game=(4.16227766016838, 6.32455532033676, 3.130654883566696, 0.5), tol=1e-10)
 @settings(max_examples=600, deadline=None)
 def test_uniform_roots_match_the_exact_reference(game, tol):
     b, m, ell_bar, pi = game

@@ -195,16 +195,16 @@ class TestPayoffs:
 
 class TestThresholdCurve:
     def test_identity_eval(self):
-        curve = tp.ThresholdCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), monotone=True)
+        curve = tp.ThresholdCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert curve(0.5) == pytest.approx(0.5)
 
     def test_identity_invert(self):
-        curve = tp.ThresholdCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), monotone=True)
+        curve = tp.ThresholdCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert curve.invert(0.25) == pytest.approx(0.25)
 
     def test_flat_curve_inverts_to_left_endpoint(self):
         curve = tp.ThresholdCurve(np.array([2.0, 5.0]), np.array([1.0, 1.0]),
-                                  codomain=(0.0, 1.0), monotone=True)
+                                  codomain=(0.0, 1.0))
         assert curve.invert(1.0) == pytest.approx(2.0)
 
     def test_out_of_domain_query(self):
@@ -258,7 +258,7 @@ class TestThresholdCurve:
         knots = np.sort(np.unique(np.array([0.0, 1.0] + raw)))
         values = np.cumsum(np.linspace(0.1, 1.0, knots.size))
         values = (values - values[0]) / (values[-1] - values[0])
-        curve = tp.ThresholdCurve(knots, values, monotone=True)
+        curve = tp.ThresholdCurve(knots, values)
         for x in np.linspace(0.0, 1.0, 13):
             assert curve.invert(curve(float(x))) == pytest.approx(float(x), abs=1e-9)
 
@@ -316,7 +316,7 @@ def test_curve_matches_np_interp_bit_for_bit(case):
 
 @st.composite
 def curves_and_comparisons(draw):
-    """A curve (flagged monotone or not) on random, clustered or linspace
+    """A curve (nondecreasing or not) on random, clustered or linspace
     knots, or on linspace knots with some moved one ulp below the next knot,
     at an edge of N-1 equal-width cells; with queries at every knot, one ulp
     either side of it, at each cell edge, at both ends and inside the pad
@@ -340,8 +340,7 @@ def curves_and_comparisons(draw):
             knots[moved - 1] = np.nextafter(knots[moved], -np.inf)
     knots = np.unique(knots)
     values = rng.normal(size=knots.size) * draw(st.sampled_from([1e-6, 1.0, 1e6]))
-    monotone = draw(st.booleans())
-    if monotone:
+    if draw(st.booleans()):
         values = np.sort(values)
     first, last = knots[0], knots[-1]
     edges = first + np.arange(knots.size) * ((last - first) / (knots.size - 1))
@@ -358,8 +357,7 @@ def curves_and_comparisons(draw):
               np.nan, np.inf, -np.inf]
     x = np.r_[x, x, x, x, x[:3]]
     order = rng.permutation(x.size)
-    curve = tp.ThresholdCurve(knots, values, codomain=(values.min(), values.max()),
-                              monotone=monotone)
+    curve = tp.ThresholdCurve(knots, values, codomain=(values.min(), values.max()))
     return curve, x[order], y[order]
 
 
@@ -379,7 +377,7 @@ class TestAtOrAbove:
     @pytest.fixture(scope="class")
     def curve(self):
         return tp.ThresholdCurve(np.linspace(0.0, 1.0, 1001),
-                                 np.linspace(0.0, 1.0, 1001) ** 0.5, monotone=True)
+                                 np.linspace(0.0, 1.0, 1001) ** 0.5)
 
     def test_many_queries_in_one_pass(self, curve):
         rng = np.random.default_rng(3)

@@ -241,6 +241,41 @@ def assert_fixed_point(sol, params, F, G):
 
 
 class TestDampedBisection:
+    def test_fixed_point_at_the_lower_end_of_the_bracket(self, unit_loss):
+        # G puts mass 1e-15 below (b-1)/m = 0.5, so the cutoff at I = 0, the
+        # constant 0.5, is a fixed point to rounding: the root solve ends at
+        # its first evaluation, which is the last one its history records
+        G = tp.tabulated_belief([0.0, 0.9, 1.0], [0.0, 1e-15, 1.0])
+        params = tp.validate_params(2, 2)
+        sol = tp.solve_diverse_threshold(params, unit_loss, G)
+        assert sol.damped and sol.contraction_gamma >= 1.0
+        assert sol.residual_history == (sol.residual,) and sol.residual <= 1e-15
+        assert np.all(sol.threshold.values == 0.5)
+        s = sol.threshold
+        assert np.max(np.abs(tp.apply_T(s, params, unit_loss, G).values - s.values)) <= 1e-15
+
+    def test_loss_mass_above_one_clips_the_cutoff(self, monkeypatch):
+        # F's density jumps at 0.5007, between two knots, so its Simpson mass
+        # M is 1.00044: at I = M, the upper end of the bracket on I, the
+        # cutoff's numerator (b-1)(1 - I) at l = 0 is negative, and the
+        # cutoff is clipped to 0 there
+        F = tp.tabulated_loss([0.0, 0.5007, 1.0], [0.0, 0.2, 1.0])
+        G = tp.tabulated_belief([0.0, 0.5, 0.6, 1.0], [0.0, 0.1, 0.9, 1.0])
+        params = tp.validate_params(2, 2)
+        cutoff, clipped = diverse_eq._cutoff, []
+
+        def recorded(big_i, shift, params):
+            out = cutoff(big_i, shift, params)
+            if (params.b - 1.0) + shift[0] * big_i < 0.0:
+                clipped.append((big_i, out[0]))
+            return out
+
+        monkeypatch.setattr(diverse_eq, "_cutoff", recorded)
+        sol = tp.solve_diverse_threshold(params, F, G)
+        assert sol.damped and sol.contraction_gamma >= 1.0
+        assert [c for _, c in clipped] == [0.0] and clipped[0][0] > 1.0
+        assert_fixed_point(sol, params, F, G)
+
     def test_steep_belief_with_steep_fixed_point_map(self, unit_loss):
         # the belief cdf of test_point_mass_beliefs_reduce_to_common_solver at
         # (3, 20): the scalar map Phi(I) has slope about -4 at its root, where
@@ -422,15 +457,14 @@ def test_solver_curves_share_the_grid_and_check_knots_and_values(p28, unit_loss,
     assert second.knots is first.knots
     with pytest.raises(tp.ParameterError, match="codomain"):
         tp.ThresholdCurve(first.knots, np.full(first.knots.size, np.nan))
-    with pytest.raises(tp.ParameterError, match="values decrease"):
-        tp.ThresholdCurve(first.knots, first.values[::-1], monotone=True)
+    assert first.monotone and not tp.ThresholdCurve(first.knots, first.values[::-1]).monotone
     knots = first.knots.copy()
     knots[5] = knots[4]
     with pytest.raises(tp.ParameterError, match="strictly increasing"):
         tp.ThresholdCurve(knots, first.values)
 
 
-def reference_curve_checks(knots, values, codomain, monotone):
+def reference_curve_checks(knots, values, codomain):
     """A curve's checks in their order, with the extremes always taken as
     min and max: the ParameterError message, or the (floor, ceiling) pair
     as float.hex."""
@@ -449,8 +483,6 @@ def reference_curve_checks(knots, values, codomain, monotone):
     vmin, vmax = values.min(), values.max()
     if not (lo - tol <= vmin and vmax <= hi + tol):
         return f"curve values leave the codomain [{lo}, {hi}]: range [{vmin}, {vmax}]"
-    if monotone and not (values[1:] >= values[:-1]).all():
-        return "curve flagged monotone but values decrease"
     vmin, vmax = float(vmin), float(vmax)
     pad = 1e-12 * max(1.0, -vmin, vmax)
     return (vmin - pad).hex(), (vmax + pad).hex()
@@ -462,7 +494,7 @@ _entries = st.one_of(_SPECIAL, st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.flo
 
 @st.composite
 def curve_inputs(draw):
-    """(knots, values, codomain, monotone): mostly a valid grid and values
+    """(knots, values, codomain): mostly a valid grid and values
     of its length, some bad; values with NaN, infinities, signed zeros and
     ties, sorted or not."""
     if draw(st.integers(0, 3)):
@@ -483,28 +515,29 @@ def curve_inputs(draw):
         st.tuples(st.floats(-2.0, 1.0), st.floats(0.0, 3.0)),
         st.tuples(_entries, _entries),
     ))
-    return knots, np.array(values, dtype=float), codomain, draw(st.booleans())
+    return knots, np.array(values, dtype=float), codomain
 
 
 @given(curve_inputs())
 # signed zeros at the ends of a nondecreasing curve: numpy's min and max of
 # [0.0, -0.0] are -0.0, -0.0
-@example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (1.0, 2.0), True))
-@example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (0.0, 1.0), True))
+@example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (1.0, 2.0)))
+@example((np.array([0.0, 1.0]), np.array([0.0, -0.0]), (0.0, 1.0)))
 # a value near the float maximum: the ceiling overflows to inf, without a warning
-@example((np.array([0.0, 1.0]), np.array([0.0, 1.7976931348623157e308]), (-np.inf, np.inf),
-          False))
+@example((np.array([0.0, 1.0]), np.array([0.0, 1.7976931348623157e308]), (-np.inf, np.inf)))
 @settings(max_examples=600, deadline=None)
 def test_curve_checks_match_the_reference(inputs):
-    knots, values, codomain, monotone = inputs
+    knots, values, codomain = inputs
     # infinite values make inf - inf in the pad: a NaN floor on both sides
-    expected = reference_curve_checks(knots.copy(), values.copy(), codomain, monotone)
+    expected = reference_curve_checks(knots.copy(), values.copy(), codomain)
+    rising = bool((values[1:] >= values[:-1]).all())
     try:
-        curve = tp.ThresholdCurve(knots, values, codomain, monotone)
+        curve = tp.ThresholdCurve(knots, values, codomain)
     except tp.ParameterError as exc:
         assert str(exc) == expected
     else:
         assert tuple(float(v).hex() for v in curve._floor_ceiling) == expected
+        assert curve.monotone == rising
 
 
 class TestCooperationProb:

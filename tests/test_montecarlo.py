@@ -152,7 +152,7 @@ class TestDeviationCheck:
 
     def test_diverse_perturbed_curve_exploitable(self, p28, unit_loss, unit_belief, diverse_28):
         s = diverse_28.threshold
-        shifted = tp.ThresholdCurve(s.knots, np.clip(s.values + 0.1, 0, 1), monotone=True)
+        shifted = tp.ThresholdCurve(s.knots, np.clip(s.values + 0.1, 0, 1))
         cfg = tp.SimConfig(n_samples=1, seed=0, scenario="diverse")
         gain = tp.deviation_check(cfg, shifted, p28, unit_loss, unit_belief)
         assert gain > 1e-3
@@ -223,7 +223,7 @@ class TestDeviationCheckMatchesLoops:
     @pytest.mark.parametrize("shift", [0.0, 0.1])
     def test_diverse(self, shift, p28, unit_loss, unit_belief, diverse_28):
         s = diverse_28.threshold
-        curve = tp.ThresholdCurve(s.knots, np.clip(s.values + shift, 0, 1), monotone=True)
+        curve = tp.ThresholdCurve(s.knots, np.clip(s.values + shift, 0, 1))
         cfg = tp.SimConfig(n_samples=1, seed=0, scenario="diverse")
         got = tp.deviation_check(cfg, curve, p28, unit_loss, unit_belief)
         assert got == deviation_gain_reference(cfg, curve, p28, unit_loss, unit_belief)
