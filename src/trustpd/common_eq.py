@@ -52,7 +52,7 @@ from .core import (
     float_or_array,
     hazard,
 )
-from .numerics import bisect_root
+from .numerics import refine_from
 
 
 def _clamp_belief(pi: float) -> float:
@@ -168,52 +168,12 @@ class CommonCriticals:
 TANGENCY_TOL = 1e-12
 
 
-def _refine_from(f, x, dx_df, lo, hi, flo, fhi, ftol):
-    """Root of f on the sign-change bracket [lo, hi], where f(lo) = flo and
-    f(hi) = fhi, to |f| <= ftol, starting from a model's estimate x of it;
-    dx_df is the model's inverse slope at x.
-
-    x is returned when |f(x)| <= ftol. Otherwise one more point is taken on
-    the root's side of x: past the model's Newton step by as much again,
-    2 |f(x) dx_df| away, and at least four float spacings, so that where the
-    model is nearly right the two points bracket the root tightly. The part
-    of the bracket that holds the root then goes to `bisect_root` with its
-    end values, as the whole bracket does when x is not strictly inside it
-    (NaN included). Only comparisons, products and sums of Python floats:
-    nothing here divides.
-    """
-    if not lo < x < hi:
-        return bisect_root(f, lo, hi, ftol=ftol, flo=flo, fhi=fhi)
-    fx = f(x)
-    if -ftol <= fx <= ftol:
-        return x
-    step = 2.0 * fx * dx_df
-    step = step if step >= 0.0 else -step
-    spacing = 4.0 * math.ulp(x)
-    if not step >= spacing:
-        step = spacing
-    if (fx < 0) == (flo < 0):
-        lo, flo, y = x, fx, x + step
-    else:
-        hi, fhi, y = x, fx, x - step
-    if lo < y < hi:
-        fy = f(y)
-        if -ftol <= fy <= ftol:
-            return y
-        if (fy < 0) == (flo < 0):
-            lo, flo = y, fy
-        else:
-            hi, fhi = y, fy
-    return bisect_root(f, lo, hi, ftol=ftol, flo=flo, fhi=fhi)
-
-
 def _tangency_loss(params: GameParams, dist: LossDistribution) -> float:
     """The tangency loss l' of `critical_pair`, to |phi'(l')| <= TANGENCY_TOL.
 
     The estimate is the root of the secant of phi' through its values at 0
     and ell_bar, ell_bar phi'(0)/(phi'(0) - phi'(ell_bar)), which is exact
-    where phi' is affine, as under uniform losses; `_refine_from` takes it
-    from there.
+    where phi' is affine, as under uniform losses.
     """
     big_l = dist.ell_bar
     b1 = params.b - 1.0
@@ -232,8 +192,8 @@ def _tangency_loss(params: GameParams, dist: LossDistribution) -> float:
             "tangency equation does not bracket a root; hazard is not increasing"
         )
     across = dphi_lo - dphi_hi
-    return _refine_from(dphi, big_l * (dphi_lo / across), -(big_l / across), 0.0, big_l,
-                        dphi_lo, dphi_hi, TANGENCY_TOL)
+    return refine_from(dphi, big_l * (dphi_lo / across), -(big_l / across), 0.0, big_l,
+                       dphi_lo, dphi_hi, TANGENCY_TOL)
 
 
 def critical_pair(params: GameParams, dist: LossDistribution) -> CommonCriticals:
@@ -301,7 +261,7 @@ def solve_common_equilibria(
     which is the root when the residual meets ftol below; on a miss, or when
     the estimate is not a float inside its bracket (an underflowing hi^2 or
     a discriminant that is not positive gives NaN), the bracket is refined
-    by `bisect_root` (`_refine_from`).
+    by `bisect_root`.
 
     The root contract: every interior root meets |g| <= ftol, or is the
     lower end of a sign-change bracket of two adjacent floats, within one
@@ -358,8 +318,8 @@ def solve_common_equilibria(
         curve = (g_hi - k - slope * hi) / hi2 if hi2 else math.nan
         disc = slope * slope - 4.0 * curve * k
         root_slope = math.sqrt(disc) if disc > 0.0 else math.nan
-        roots = [_refine_from(g, 2.0 * k / (root_slope - slope), -1.0 / root_slope, 0.0, hi,
-                              k, g_hi, tol * (1.0 - f_hi))]
+        roots = [refine_from(g, 2.0 * k / (root_slope - slope), -1.0 / root_slope, 0.0, hi,
+                             k, g_hi, tol * (1.0 - f_hi))]
     elif big_l <= b1:
         roots = []
     elif k_excess == 0.0:
@@ -378,10 +338,10 @@ def solve_common_equilibria(
             high = ell_prime + (big_l - ell_prime) * math.sqrt(a / (k_excess + a))
             high_slack = k_excess * f_prime / (big_l - k)
             roots = [
-                _refine_from(g, low, (low - ell_prime) / (a + a), 0.0, ell_prime,
-                             k, g_prime, tol * (1.0 - f_prime)),
-                _refine_from(g, high, (high - ell_prime) / (a + a), ell_prime, big_l,
-                             g_prime, k_excess, tol * high_slack),
+                refine_from(g, low, (low - ell_prime) / (a + a), 0.0, ell_prime,
+                            k, g_prime, tol * (1.0 - f_prime)),
+                refine_from(g, high, (high - ell_prime) / (a + a), ell_prime, big_l,
+                            g_prime, k_excess, tol * high_slack),
             ]
     classified = [
         EquilibriumRoot(r, "corner-zero" if r == 0.0 else kind)

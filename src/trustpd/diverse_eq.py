@@ -274,13 +274,9 @@ def solve_diverse_threshold(
             phi = image(vals)[0]
             return 0.0 if history[-1] <= tol else phi - big_i
 
-        # bisect_root evaluates both ends before it returns either, so the
-        # end I = 0 is settled here. Its root is then its last evaluation,
-        # where the excess is 0, unless the bracket collapsed onto two floats
-        # first. image() enforces the step budget, so its cap never binds
-        flo = excess(0.0)
-        root = 0.0 if flo == 0.0 else bisect_root(excess, 0.0, float(w.sum()), ftol=0.0,
-                                                  max_iter=max_iter, flo=flo)
+        # the root is the last evaluation, where the excess is 0, unless the
+        # bracket collapsed onto two floats first; image() enforces the budget
+        root = bisect_root(excess, 0.0, float(w.sum()), ftol=0.0)
         if history[-1] > tol:
             raise ConvergenceError(f"bisection on I collapsed at {root!r} "
                                    f"(last residual {history[-1]:.3e})")
@@ -364,10 +360,10 @@ def solve_alpha_beta(params: GameParams, mode: str = "exact") -> AlphaBeta:
 
     half = reduced(0.5)
     if half >= 0.0:
-        beta = bisect_root(reduced, math.ulp(0.0), 0.5, ftol=0.0, max_iter=300, fhi=half)
+        beta = bisect_root(reduced, math.ulp(0.0), 0.5, ftol=0.0, fhi=half)
         alpha, c = params.m - b1 * beta, 1.0 - beta
     else:
-        c = bisect_root(reduced_in_c, math.ulp(0.0), 0.5, ftol=0.0, max_iter=300, fhi=half)
+        c = bisect_root(reduced_in_c, math.ulp(0.0), 0.5, ftol=0.0, fhi=half)
         alpha, beta = a + b1 * c, 1.0 - c
     t = a / beta * math.log1p(beta / alpha)
     r1 = b1 * c - b1 * t

@@ -1,6 +1,6 @@
 """Small numerical kernels used across the solvers: bracketed root
-refinement, sign-change scanning, grid root bracketing, and
-composite/adaptive Simpson quadrature.
+refinement, from a bracket or from a model's estimate, sign-change
+scanning, grid root bracketing, and composite/adaptive Simpson quadrature.
 
 A solver that sweeps a function for its roots evaluates it once on the
 whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
@@ -21,6 +21,8 @@ comparisons, which give what abs, min and max give, NaN and signed zeros
 included, and the sign of f(lo), which never changes, is read once. The
 solvers' closures are built the same way, with their checks and constants
 settled once per solve, so that a step pays only for its arithmetic.
+`refine_from` starts from a model's estimate of the root and hands only a
+miss to `bisect_root`, on a sub-bracket about it.
 
 Quadrature and curve interpolation deliberately share grids elsewhere in the
 package, so the composite rule here works directly on a supplied knot vector.
@@ -43,7 +45,7 @@ ITP_N0 = 1
 SIMPSON_MAX_DEPTH = 50  # halvings `adaptive_simpson` allows below the whole interval
 
 
-def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
+def bisect_root(f, lo: float, hi: float, *, ftol: float,
                 flo: float | None = None, fhi: float | None = None) -> float:
     """Root of f on a sign-change bracket lo < hi, refined until |f(x)| <= ftol.
 
@@ -52,9 +54,10 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     equilibrium solvers expose, so iteration continues past the usual width
     stop while the residual is still large. A bracket that shrinks to two
     adjacent floats first is returned as its lower end, within one ulp of
-    the root. Raises ConvergenceError when f has no sign change on [lo, hi],
-    or when max_iter steps do not get that far. flo and fhi, when given, are
-    f(lo) and f(hi), which a caller that scanned a grid already has.
+    the root. Raises ConvergenceError when f has no sign change on [lo, hi].
+    flo and fhi, when given, are f(lo) and f(hi), which a caller that
+    scanned a grid already has. f(lo) is settled first: an exact zero there
+    is returned before f(hi) is evaluated.
 
     Each step starts from an estimate of the root. Once a step has replaced
     an end c of the bracket, a being the end that replaced it and b the
@@ -72,15 +75,16 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     to bring the bracket to one float spacing of its larger end,
     n_half + ITP_N0 steps do that; further steps are midpoints. So it takes
     at most ITP_N0 steps more than bisection's worst case for the bracket,
-    and on a smooth f its steps converge superlinearly. The bracket, the
-    contract and the worst case are bisection's, hence the name.
+    about 2100 over the whole float range, and needs no step cap; on a
+    smooth f its steps converge superlinearly. The bracket, the contract and
+    the worst case are bisection's, hence the name.
     """
     if flo is None:
         flo = f(lo)
-    if fhi is None:
-        fhi = f(hi)
     if flo == 0.0:
         return lo
+    if fhi is None:
+        fhi = f(hi)
     if fhi == 0.0:
         return hi
     # signs are compared, not products, which underflow for tiny values
@@ -100,7 +104,7 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
     lo_negative = flo < 0  # f(lo) keeps its sign as lo moves
     neg_ftol = -ftol
     c = None  # the end the last step replaced, and fc = f(c)
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo
@@ -158,9 +162,45 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float, max_iter: int = 200,
             c, fc, hi, fhi = hi, fhi, x, fx
         else:
             c, fc, lo, flo = lo, flo, x, fx
-    raise ConvergenceError(
-        f"root refinement still at [{lo}, {hi}] after {max_iter} steps, ftol={ftol:.1e}"
-    )
+
+
+def refine_from(f, x, dx_df, lo, hi, flo, fhi, ftol):
+    """Root of f on the sign-change bracket [lo, hi], where f(lo) = flo and
+    f(hi) = fhi, to |f| <= ftol, starting from a model's estimate x of it;
+    dx_df is the model's inverse slope at x.
+
+    x is returned when |f(x)| <= ftol. Otherwise one more point is taken on
+    the root's side of x: past the model's Newton step by as much again,
+    2 |f(x) dx_df| away, and at least four float spacings, so that where the
+    model is nearly right the two points bracket the root tightly. The part
+    of the bracket that holds the root then goes to `bisect_root` with its
+    end values, as the whole bracket does when x is not strictly inside it
+    (NaN included). Only comparisons, products and sums of Python floats:
+    nothing here divides.
+    """
+    if not lo < x < hi:
+        return bisect_root(f, lo, hi, ftol=ftol, flo=flo, fhi=fhi)
+    fx = f(x)
+    if -ftol <= fx <= ftol:
+        return x
+    step = 2.0 * fx * dx_df
+    step = step if step >= 0.0 else -step
+    spacing = 4.0 * math.ulp(x)
+    if not step >= spacing:
+        step = spacing
+    if (fx < 0) == (flo < 0):
+        lo, flo, y = x, fx, x + step
+    else:
+        hi, fhi, y = x, fx, x - step
+    if lo < y < hi:
+        fy = f(y)
+        if -ftol <= fy <= ftol:
+            return y
+        if (fy < 0) == (flo < 0):
+            lo, flo = y, fy
+        else:
+            hi, fhi = y, fy
+    return bisect_root(f, lo, hi, ftol=ftol, flo=flo, fhi=fhi)
 
 
 def scan_sign_changes(values: np.ndarray, grid: np.ndarray, zero_tol: float):

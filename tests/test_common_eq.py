@@ -12,7 +12,7 @@ from test_vectorized import games, make_game
 
 import reference
 import trustpd as tp
-from trustpd import common_eq
+from trustpd import common_eq, numerics
 from trustpd.common_eq import psi, psi_dl
 from trustpd.numerics import bisect_root
 
@@ -254,13 +254,13 @@ class TestSolveCommonEquilibria:
         params, dist = tp.validate_params(2.0, 4.0), tp.uniform_loss(5.0)
         crit = tp.critical_pair(params, dist)
         assert (crit.ell_prime, crit.pi_prime) == (3.0, 0.375)
-        refine, ftols = common_eq._refine_from, []
+        refine, ftols = common_eq.refine_from, []
 
         def recorded(*args):
             ftols.append(args[-1])
             return refine(*args)
 
-        monkeypatch.setattr(common_eq, "_refine_from", recorded)
+        monkeypatch.setattr(common_eq, "refine_from", recorded)
         eqs = tp.solve_common_equilibria(crit.pi_prime, params, dist)
         assert ftols == [common_eq.TANGENCY_TOL]
         assert eqs.roots == (tp.EquilibriumRoot(3.0, "interior-low"),
@@ -578,7 +578,7 @@ def test_uniform_roots_seldom_reach_root_refinement(monkeypatch):
         calls.append(args)
         return bisect_root(*args, **kwargs)
 
-    monkeypatch.setattr(common_eq, "bisect_root", counting)
+    monkeypatch.setattr(numerics, "bisect_root", counting)
     rng = random.Random(2)
     roots = 0
     for j in range(2400):
