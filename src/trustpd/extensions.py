@@ -176,11 +176,14 @@ def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
     return float_or_array(a + slope * t)
 
 
-def _check_group(n: int, variant: str) -> None:
-    if n < 1:
-        raise ParameterError(f"group size n must be >= 1, got {n}")
+def _check_group(n: int, variant: str) -> int:
+    """The group size n as an int, after checking n and variant."""
+    # bool is an int, but no group size
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"group size n must be an integer >= 1, got {n!r}")
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return int(n)
 
 
 def _group_loss(n: int, pi: float, F: LossDistribution) -> LossDistribution:
@@ -236,7 +239,7 @@ def solve_group_common(
     a root pair inside one cell goes unseen. With none, `corner` is set and
     the threshold is ell_bar when the gap at 0 is positive, 0 otherwise.
     """
-    _check_group(n, variant)
+    n = _check_group(n, variant)
     if not 0.0 <= pi < 1.0:
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
 
@@ -365,7 +368,7 @@ def solve_group_diverse(
     fixed Gauss-Legendre rule on every piece between them. The curve holds
     the thresholds at GROUP_KNOTS equally spaced beliefs.
     """
-    _check_group(n, variant)
+    n = _check_group(n, variant)
     q = _group_fixed_point(n, params, variant, F, G)
     pis = np.linspace(0.0, 1.0, GROUP_KNOTS)
     t = _group_threshold_given_q(n, pis, q, params, variant, F.ell_bar)

@@ -11,16 +11,17 @@ refined roots as one sorted list. Two solvers still scan, where a function
 may have several roots: `extensions.solve_asymmetric` with both beliefs on
 one side of (b-1)/m, and `extensions.solve_group_common` under `as_printed`.
 
-`bisect_root` refines by ITP (interpolate, truncate, project; Oliveira and
-Takahashi, ACM TOMS 47(1), 2020), interpolating inverse-quadratically
-(Chandrupatla, Adv. Eng. Software 28(3), 1997) where three points allow it:
-bisection's bracket, contract and worst case within one step, and
-superlinear convergence on the smooth functions the solvers bracket. A step
-calls nothing but f and `math.copysign`: |x| and the projection's clamp are
-comparisons, which give what abs, min and max give, NaN and signed zeros
-included, and the sign of f(lo), which never changes, is read once. The
-solvers' closures are built the same way, with their checks and constants
-settled once per solve, so that a step pays only for its arithmetic.
+`bisect_root` steps from Chandrupatla's inverse-quadratic estimate where
+his test passes, and from the midpoint otherwise (Adv. Eng. Software 28(3),
+1997), projected into ITP's window about the midpoint (Oliveira and
+Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst
+case within ITP_N0 steps, and superlinear convergence on the smooth
+functions the solvers bracket. A step calls nothing but f: |x| and the
+projection's clamp are comparisons, which give what abs, min and max give,
+NaN and signed zeros included, and the sign of f(lo), which never changes,
+is read once. The solvers' closures are built the same way, with their
+checks and constants settled once per solve, so that a step pays only for
+its arithmetic.
 `refine_from` starts from a model's estimate of the root and hands only a
 miss to `bisect_root`, on a sub-bracket about it.
 
@@ -37,11 +38,8 @@ import numpy as np
 from .core import ConvergenceError, check_tol
 
 
-# ITP constants: the truncation is ITP_K1/w0 times the squared bracket width,
-# w0 the starting width, and the projection leaves ITP_N0 steps of slack over
-# bisection.
-ITP_K1 = 0.2
-ITP_N0 = 1
+# ITP's projection leaves ITP_N0 steps of slack over bisection
+ITP_N0 = 2
 SIMPSON_MAX_DEPTH = 50  # halvings `adaptive_simpson` allows below the whole interval
 
 
@@ -68,16 +66,15 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
     monotone between a and b. t is in Chandrupatla's divided form, ratios of
     differences, never divided by their product, which underflows to 0 among
     subnormals. On the first step, where the test fails, or where that
-    estimate is NaN or not inside the bracket, the estimate is ITP's: the
-    regula falsi point, moved k1 w^2 towards the midpoint (w the bracket
-    width, k1 = ITP_K1/w0). Either is then projected into a window about the
-    midpoint that shrinks so that, n_half being the halvings bisection needs
-    to bring the bracket to one float spacing of its larger end,
-    n_half + ITP_N0 steps do that; further steps are midpoints. So it takes
-    at most ITP_N0 steps more than bisection's worst case for the bracket,
-    about 2100 over the whole float range, and needs no step cap; on a
-    smooth f its steps converge superlinearly. The bracket, the contract and
-    the worst case are bisection's, hence the name.
+    estimate is NaN or not inside the bracket, the estimate is the midpoint,
+    as in Chandrupatla's method. Either is then projected into ITP's window
+    about the midpoint, which shrinks so that, n_half being the halvings
+    bisection needs to bring the bracket to one float spacing of its larger
+    end, n_half + ITP_N0 steps do that; further steps are midpoints. So it
+    takes at most ITP_N0 steps more than bisection's worst case for the
+    bracket, about 2100 over the whole float range, and needs no step cap;
+    on a smooth f its steps converge superlinearly. The bracket, the
+    contract and the worst case are bisection's, hence the name.
     """
     if flo is None:
         flo = f(lo)
@@ -90,8 +87,6 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
     # signs are compared, not products, which underflow for tiny values
     if (flo < 0) == (fhi < 0):
         raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    width = hi - lo
-    k1 = ITP_K1 / width
     # eps: half the float spacing at the larger end. `reach` bounds the width
     # of the bracket a step leaves, halving from eps 2^(n_half + ITP_N0), so
     # that it is 2 eps after n_half + ITP_N0 steps (an inf or nan width gives
@@ -99,7 +94,7 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
     # smallest float, and half of it would round to zero, so eps is floored
     # there: subnormal sums are exact and need no rounding margin
     eps = max(0.5 * math.ulp(max(abs(lo), abs(hi))), math.ulp(0.0))
-    mant, n_half = math.frexp(width / (2.0 * eps))
+    mant, n_half = math.frexp((hi - lo) / (2.0 * eps))
     reach = eps * 2.0 ** (max(n_half - (mant == 0.5), 0) + ITP_N0)
     lo_negative = flo < 0  # f(lo) keeps its sign as lo moves
     neg_ftol = -ftol
@@ -108,7 +103,7 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo
-        x = None
+        x = mid
         if c is not None:
             # interpolate, inverse-quadratically through the ends and c:
             # a is the end that replaced c, and has f's sign there, b the
@@ -130,18 +125,7 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
                          + (c - a) * (fa / (fc - fa) * (fb / (fc - fb))) / across)
                     x = a + t * across
                     if not lo < x < hi:
-                        x = None
-        if x is None:
-            w = hi - lo
-            # interpolate: the regula falsi point
-            x = lo + w * (flo / (flo - fhi))
-            # truncate: k1 w^2 towards the midpoint
-            toward = mid - x
-            delta = k1 * w * w
-            if delta <= (toward if toward >= 0 else -toward):
-                x = x + math.copysign(delta, toward)
-            else:
-                x = mid
+                        x = mid
         # project: keep both parts of the bracket within reach. The window
         # ends are pulled in by eps, which absorbs their rounding: a sum
         # rounds by at most eps at magnitudes up to the larger end

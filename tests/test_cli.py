@@ -472,7 +472,7 @@ class TestWritersMatchTheStandardLibrary:
 # of a manifest, shows here, on every machine the pinned reruns cover.
 PINNED_REPRODUCE_ALL = {
     "asymmetric_sweep.csv":
-        "5a83779fe0def1b7513d3d44c9f891c8fcd2118b02ff70d540ff32729cd07293",
+        "42ea9538cdf7a33aca2905da24046c3dd9fa74e15cc98c426a5c9b1938ef4676",
     "asymmetric_sweep.csv.manifest.json":
         "d6be84499b8f4ff0f04b5be96ec5ed58370011627d4cedd27e715856ded7f8e5",
     "crossing_belief_sensitivity.json":
@@ -498,7 +498,7 @@ PINNED_REPRODUCE_ALL = {
     "exante_single_pair.csv.manifest.json":
         "4b2753b5fc2b85e1acf206fd66932633685394438c34b30af135688b295ce03b",
     "group_thresholds.csv":
-        "056f09b92c7ee29ffae34cec5ae7ff56d40480abd57b93f0b920689b3e5f0008",
+        "0677ec6c7e6dcfae5546a7ff611117c6affd04e081c0317e344adebf46845ed1",
     "group_thresholds.csv.manifest.json":
         "3f0066aa41af7be386f941915b19b2e47a455989b705b92f6c8155197ad0d3fc",
     "regimes_shared_belief.csv":

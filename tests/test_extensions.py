@@ -176,9 +176,10 @@ def test_same_side_root_pair_inside_one_scan_cell():
 # straddling beliefs both ways round, a belief at (b-1)/m = 0.04, beliefs of 0
 # and 1, and same-side beliefs, which the scan solves. Recorded before the
 # per-solve best responses, whose steps must keep these bits, and again when
-# root refinement took inverse-quadratic steps (at most 7.4e-13 apart).
+# root refinement took inverse-quadratic steps (at most 7.4e-13 apart) and
+# the midpoint in place of the truncated regula falsi point (1.4e-13).
 PINNED_ASYMMETRIC = {
-    (0.03, 0.1): ("0x1.6e22ee01233fap-2", "0x1.5f507125dcd57p+2", True),
+    (0.03, 0.1): ("0x1.6e22ee012309dp-2", "0x1.5f507125dcd3fp+2", True),
     (0.1, 0.03): ("0x1.5f507125dcd58p+2", "0x1.6e22ee0123434p-2", True),
     (0.03, 0.04): ("0x1.500e135a9c975p+0", "0x1.0000000000000p+1", True),
     (0.04, 0.03): ("0x1.0000000000000p+1", "0x1.500e135a9c975p+0", True),
@@ -325,13 +326,24 @@ class TestGroupCommon:
             rhs = p28.b - p28.m * pi**n
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
-    def test_rejects_bad_arguments(self, p28, unit_loss):
+    def test_rejects_bad_arguments(self, p28, unit_loss, unit_belief):
         with pytest.raises(tp.ParameterError):
             tp.solve_group_common(0, 0.5, p28, unit_loss)
         with pytest.raises(tp.ParameterError):
             tp.solve_group_common(2, 1.0, p28, unit_loss)
         with pytest.raises(tp.ParameterError):
             tp.solve_group_common(2, 0.5, p28, unit_loss, variant="bogus")
+        # a group size is an integer of at least 1, and a bool is none
+        for n in (math.nan, 2.5, math.inf, True):
+            with pytest.raises(tp.ParameterError, match="group size"):
+                tp.solve_group_common(n, 0.5, p28, unit_loss)
+            with pytest.raises(tp.ParameterError, match="group size"):
+                tp.solve_group_diverse(n, p28, unit_loss, unit_belief)
+        # a numpy integer is solved as the int it equals
+        assert (tp.solve_group_common(np.int64(2), 0.3, p28, unit_loss)
+                == tp.solve_group_common(2, 0.3, p28, unit_loss))
+        assert (tp.solve_group_diverse(np.int64(2), p28, unit_loss, unit_belief).values.tobytes()
+                == tp.solve_group_diverse(2, p28, unit_loss, unit_belief).values.tobytes())
 
 
 def group_losses():
@@ -476,6 +488,29 @@ class TestGroupDiverse:
         for variant in ("consistent", "as_printed"):
             t = _group_threshold_given_q(2, pis, 0.0, p28, variant, 1.0)
             assert np.all(np.diff(t) >= -1e-12)
+
+    def test_root_solves_take_few_evaluations(self, monkeypatch, unit_loss, unit_belief):
+        # the kink gap in pi is a hockey stick, near -1 and then steep: a
+        # regula falsi fallback crept in from the flat side, and took 94
+        # evaluations at (4, 40), n = 8, q = 0.3 and 20652 over the 64 games
+        points = []
+
+        def counted_bisect_root(f, lo, hi, **kwargs):
+            def g(x):
+                points.append(x)
+                return f(x)
+            return bisect_root(g, lo, hi, **kwargs)
+
+        monkeypatch.setattr(extensions, "bisect_root", counted_bisect_root)
+        _kink_beliefs(8, 0.3, tp.validate_params(4, 40), "consistent", unit_loss, unit_belief)
+        assert len(points) <= 30
+        points.clear()
+        for b, m in ((1.5, 6), (2, 8), (3, 20), (4, 40)):
+            for n in range(1, 9):
+                for variant in VARIANTS:
+                    tp.solve_group_diverse(n, tp.validate_params(b, m), unit_loss, unit_belief,
+                                           variant=variant)
+        assert len(points) <= 8000
 
     def test_converged_curve_monotone(self, p28, unit_loss, unit_belief):
         curve = tp.solve_group_diverse(2, p28, unit_loss, unit_belief)
@@ -690,16 +725,17 @@ def test_group_fixed_point_under_concentrated_beliefs(b, log_gap, n, variant, st
 # benchmark centre, n from 1 to 8, both variants. The q update sums with
 # np.add.reduce: with np.dot, OpenBLAS's SkylakeX, Haswell and Prescott
 # kernels gave three different sets of curves. Re-recorded when root
-# refinement took inverse-quadratic steps (values at most 8e-13 apart).
+# refinement took inverse-quadratic steps (values at most 8e-13 apart), and
+# the midpoint in place of the truncated regula falsi point (2.7e-11).
 PINNED_GROUP = {
-    (1.5, 6.0, 1, "consistent"): "76ff19855f774d354bac238f029e6be69ee685d32db57a0e7fb70325fc72ace8",
+    (1.5, 6.0, 1, "consistent"): "1a3d8ff45b9530caede0da3ceb40d5a092634674b6a727d88037fb161e29a089",
     (1.5, 6.0, 1, "as_printed"): "d783b7b9a50cd4d5fe71719e5ae13f381d7daf0ccbbd392e16a5af1dd76f3a53",
     (2.0, 8.0, 4, "consistent"): "33f3800fa9b8d47c38bab233507d3269f3b38aa279016946390890c9d74741fa",
-    (2.0, 8.0, 4, "as_printed"): "644c488536b2e9061dc80aae36e6e95b41ec53dcd675757e1265071cca447639",
-    (3.0, 20.0, 2, "consistent"): "f99edbf45df2042afbdf47b1332f12511f3c11747e27a47152ea738ef67dce08",
-    (3.0, 20.0, 2, "as_printed"): "5106426d52f89d34d25d60d2aed3cc4cb55fbfa80f41c77492bcae43e95ec51d",
-    (4.0, 40.0, 8, "consistent"): "412cb9065459da5bd3d709394f97d64711f145413d5e8bd40a3d104703201747",
-    (4.0, 40.0, 8, "as_printed"): "d32f40b13d8dea303e33ebba1b83c492b3a2e2a92d9e6bc84f6e5add69e2fe42",
+    (2.0, 8.0, 4, "as_printed"): "2cca84b7cb00445cd730d2c9b964d69ca770f5241e3e49ca60fafeca28631885",
+    (3.0, 20.0, 2, "consistent"): "3737a3ce7b31054fd41b7562aff7e38a67b66306d0885f62ea5c1f91b97c4e40",
+    (3.0, 20.0, 2, "as_printed"): "1af2a81aa6050811a6d73f01eaa6d7752c745f8ae0bbb85024c791ba3324ebed",
+    (4.0, 40.0, 8, "consistent"): "3d0b098649c8a9b87cdb94429f3f4b67c01a51696a167f4542895300cab7db08",
+    (4.0, 40.0, 8, "as_printed"): "8187ca8bb5ec577f6484925dec743734a7f5edd49764d04ec1773bc472e0ba94",
 }
 
 

@@ -243,7 +243,9 @@ class TestDeviationCheckMatchesLoops:
 # steps, and of the common cases (-> 0x1.67dfaba2857e1p-2) when the shared
 # solver started each root from its uniform-loss model; the CD mean of the
 # diverse case (-0x1.f6fadc69d83dfp-2 -> ...e1p-2) re-recorded when each
-# block kept one sum of its CD losses in place of the losses
+# block kept one sum of its CD losses in place of the losses, and the
+# asymmetric prediction (back to 0x1.57b055c1247b3p-2) when root refinement
+# took the midpoint in place of the truncated regula falsi point
 PINNED_SIM = {
     "common": {
         "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
@@ -267,7 +269,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 9, "n_samples": 50000, "n_strategic": 94597,
         "coop_rate_strategic": "0x1.5789ba3d38547p-2",
         "half_width_95": "0x1.8a61b329a21d3p-9",
-        "analytic_prediction": "0x1.57b055c1247c2p-2",
+        "analytic_prediction": "0x1.57b055c1247b3p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.0863c3e37b264p+1",
                          "DC": "-0x1.21d87861bd4cap+1", "DD": "0x0.0p+0"},
@@ -322,7 +324,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 9, "n_samples": 50001, "n_strategic": 94599,
         "coop_rate_strategic": "0x1.57cfeabd8b7a7p-2",
         "half_width_95": "0x1.8a749010885ecp-9",
-        "analytic_prediction": "0x1.57b055c1247c2p-2",
+        "analytic_prediction": "0x1.57b055c1247b3p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.08a6156b979ebp+1",
                          "DC": "-0x1.398c5ec56b08ap+1", "DD": "0x0.0p+0"},
@@ -331,7 +333,7 @@ PINNED_SIM = {
         "scenario": "asymmetric", "seed": 3, "n_samples": 37, "n_strategic": 67,
         "coop_rate_strategic": "0x1.31abf0b7672a0p-2",
         "half_width_95": "0x1.c0d0bd801445cp-4",
-        "analytic_prediction": "0x1.57b055c1247c2p-2",
+        "analytic_prediction": "0x1.57b055c1247b3p-2",
         "max_deviation_gain": "0x0.0p+0",
         "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.40b25b9a67c52p+1",
                          "DC": "0x1.e1e1e1e1e1e1ep-5", "DD": "0x0.0p+0"},
