@@ -11,10 +11,15 @@ which is a contraction on bounded curves for most games, but not all. T(s)
 depends on s only through the scalar I[s], so the solver keeps the curve's
 values on a uniform knot grid as plain arrays and takes each step as one
 pass over them: iterating T while it contracts, otherwise solving the scalar
-equation I[s_I] = I, s_I the cutoff at I, with `bisect_root`. For uniform F
-and G on [0, 1] the fixed point is 1 - (1+m-b)/(a + c*l) with coefficients
-(a, c) tied together by a scalar system, solved exactly or by the large-m
-closed forms.
+equation I[s_I] = I, s_I the cutoff at I, with `bisect_root`. A step's
+residual max|T(s) - s| is the gap between two cutoffs, at I and at the J of
+the current curve, (m - (b-1)) x (I-J)/((m + x I)(m + x J)) with
+x = l - (b-1): it has one sign on each side of l = b-1 and grows toward
+both ends of the loss support while no cutoff is clipped and its peak
+x = m/sqrt(I J) lies past the last knot, and there the solver reads it at
+the two end knots. For uniform F and G on [0, 1] the fixed point is
+1 - (1+m-b)/(a + c*l) with coefficients (a, c) tied together by a scalar
+system, solved exactly or by the large-m closed forms.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ class DiverseSolution:
 
     `residual_history` holds each solver step's max|T(s) - s|, a step being
     one Simpson-and-cutoff pass; `iterations` is their count and `residual`
-    the last, that of the returned curve. `contraction_gamma` is the bound
+    the last, that of the returned curve. An entry is read at the two end
+    knots when both cutoffs' I, J are at most 1 and x_N^2 I J <= m^2, x_N =
+    ell_bar - (b-1), and over all knots otherwise, so it may differ from the
+    all-knot max by the rounding of the cutoff values (see
+    `solve_diverse_threshold`). `contraction_gamma` is the bound
     (1+m-b) sup g / m^2, with the exact sup of the belief density. It bounds
     T's Lipschitz constant only where |l - (b-1)| <= 1 and
     m + (l-(b-1)) I >= m; elsewhere T need not contract though it reads
@@ -105,18 +114,23 @@ def _check_unit_curve(curve: ThresholdCurve, dist: LossDistribution):
 
 def _cutoff(big_i: float, shift: np.ndarray, params: GameParams) -> np.ndarray:
     """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I), clipped to [0, 1], on
-    knots l given as shift = l - (b-1). The denominator is affine in l, so its
-    sign on the grid is decided at the two end knots. The cutoff is computed
-    as ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
+    knots l given as shift = l - (b-1). The cutoff is computed as
+    ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
     1 - (1+m-b)/den when it is small, about (b-1)/m at large m. The product
-    (l-(b-1)) I is formed once, and the cutoff built in its array."""
+    (l-(b-1)) I is formed once, and the cutoff built in its array.
+
+    A player cooperates when belief * den >= the numerator. m > b - 1 keeps
+    den positive up to I = m/(b-1) > 1, which only a Simpson mass of F above
+    1 exceeds. Where den <= 0, the numerator, den less m - (b-1), is negative
+    as well, so every belief cooperates and the cutoff is 0. den is affine
+    in l, so whether it is positive on the grid is decided at the two end
+    knots."""
     out = shift * big_i
     den = out + params.m
-    if den[0] <= 0.0 or den[-1] <= 0.0:
-        raise InvariantViolation(
-            "best-response denominator vanished; parameters inconsistent with m > b - 1"
-        )
     out += params.b - 1.0
+    if den[0] <= 0.0 or den[-1] <= 0.0:
+        # a unit denominator leaves the negative numerator, clipped to 0 below
+        den[den <= 0.0] = 1.0
     out /= den
     # b - 1 < m, so each numerator rounds to at most its denominator and the
     # quotient to at most 1: only the lower end needs clipping. The numerator
@@ -191,16 +205,29 @@ def solve_diverse_threshold(
     T(s) depends on s only through the scalar I[s], so the state of the
     solver is the curve's values on the knots, and each step is one pass over
     plain arrays: I as the sum of G(s) times the weights w, the cutoff at I
-    built in one array, and the residual as one max. w is the composite
-    Simpson weights times F's density at the knots; the knots and the
-    weights are built once per (ell_bar, n_knots) and cached read-only, and
-    `coop_prob` and the damped path's M come from the same w. The returned
-    curve is validated once, knots and values, when it is built. The sum is
-    one multiply and one `np.add.reduce`, not `np.dot`: BLAS picks its
-    summation order by CPU, so `np.dot` gives other bits on other machines.
+    built in one array, and the residual, read at the two end knots where
+    the gap peaks at one of them (below). w is the composite Simpson weights times
+    F's density at the knots; the knots and the weights are built once per
+    (ell_bar, n_knots) and cached read-only, and `coop_prob` and the damped
+    path's M come from the same w. The returned curve is validated once,
+    knots and values, when it is built. The sum is one multiply and one
+    `np.add.reduce`, not `np.dot`: BLAS picks its summation order by CPU, so
+    `np.dot` gives other bits on other machines.
     The steps are Picard's, stopped by the rule below: a secant step on I
     would take fewer, but `reproduce-all` writes the count, and its recorded
     outputs pin it.
+
+    A step maps the cutoff at J (the start (b-1)/m is the cutoff at J = 0)
+    to the cutoff at I. The two differ by a x (I-J)/((m + x I)(m + x J)),
+    a = m - (b-1), x = l - (b-1), whose derivative in x has the sign of
+    m^2 - x^2 I J. So while I, J <= 1, where neither cutoff is clipped, and
+    x_N^2 I J <= m^2 at the last knot, x_N = ell_bar - (b-1), the residual
+    max|T(s) - s| lies at knot 0 or knot N, and it is read there. Otherwise
+    (a cutoff clipped at I > 1, or a loss support reaching past the peak
+    x = m/sqrt(I J)) it is the max over all knots. An entry read at the end
+    knots may differ from the all-knot max by the rounding of the cutoff
+    values, of order eps (|x I| + |(b-1) + x I|)/(m + x I) each, which can
+    decide a stop only for a tol at that level.
 
     The contraction bound is gamma = (1+m-b) |G| |F| / m^2, where
     the G factor must be the Lipschitz constant of the belief cdf (the sup of
@@ -243,14 +270,20 @@ def solve_diverse_threshold(
     shift = knots - (params.b - 1.0)
     gamma = params.coop_premium * _density_sup(G) * 1.0 / params.m ** 2
 
+    # when the residual is read at the two end knots: see the docstring
+    end_sq, m_sq = shift.item(-1) ** 2, params.m ** 2
+    work = np.empty(n_knots)
     history: list[float] = []
 
-    def image(vals):
-        """(I[s], T(s)) for cutoff values s, recording max|T(s) - s|."""
-        big_i = float(np.add.reduce(G.cdf(vals) * w))
+    def image(vals, cur_i):
+        """(I[s], T(s)) for the cutoff values s at cur_i, recording max|T(s) - s|."""
+        big_i = float(np.add.reduce(np.multiply(G.cdf(vals), w, out=work)))
         out = _cutoff(big_i, shift, params)
-        gap = out - vals
-        history.append(float(np.abs(gap, out=gap).max()))
+        if cur_i <= 1.0 and big_i <= 1.0 and end_sq * cur_i * big_i <= m_sq:
+            history.append(float(max(abs(out[0] - vals[0]), abs(out[-1] - vals[-1]))))
+        else:
+            np.subtract(out, vals, out=work)
+            history.append(float(np.abs(work, out=work).max()))
         if history[-1] > tol and len(history) >= max_iter:
             raise ConvergenceError(
                 f"no fixed point after {max_iter} iterations (last residual {history[-1]:.3e})"
@@ -258,10 +291,11 @@ def solve_diverse_threshold(
         return big_i, out
 
     damped = gamma >= 1.0
-    # the constant starting curve, as one number: G's cdf and the residual broadcast it
-    vals = params.pi_low
+    # the constant starting curve, the cutoff at I = 0, as one value: G's cdf
+    # and the residual broadcast it
+    vals, cur_i = np.full(1, params.pi_low), 0.0
     while not damped:
-        vals = image(vals)[1]
+        cur_i, vals = image(vals, cur_i)
         if history[-1] <= tol:
             break
         # a step that shrinks the residual by less than a tenth: T contracts
@@ -271,7 +305,7 @@ def solve_diverse_threshold(
         def excess(big_i):
             nonlocal vals
             vals = _cutoff(big_i, shift, params)
-            phi = image(vals)[0]
+            phi = image(vals, big_i)[0]
             return 0.0 if history[-1] <= tol else phi - big_i
 
         # the root is the last evaluation, where the excess is 0, unless the

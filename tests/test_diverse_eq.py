@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,7 +197,9 @@ def steep_belief(lo, width, mass):
 # root solve starts from the bracket [0, M] whatever step hands over, so its
 # 12 steps and the curve do not depend on the handover step. Re-recorded when
 # root refinement took the midpoint in place of the truncated regula falsi
-# point (curves at most 3.3e-11 apart).
+# point (curves at most 3.3e-11 apart), and the two-cycle's last residual
+# when residuals were read at the two end knots: 0x1.6p-48 was the rounding
+# of an interior knot's cutoff, beyond that at the ends.
 DAMPED_GAMES = {
     "steep-G": ((3.0, 20.0), tp.tabulated_belief([0.0, 0.075, 0.085, 1.0],
                                                  [0.0, 1e-6, 1 - 1e-6, 1.0])),
@@ -219,7 +222,7 @@ PINNED_DAMPED = {
          "0x1.909ef59015cb6p-1", "0x1.a1eacd32ac0d2p-1", "0x1.a463ab1ff5859p-2",
          "0x1.e5aee2572ff30p-3", "0x1.ef7da6eb43208p-4", "0x1.bb60abab6018cp-4",
          "0x1.5529ac19e35a0p-7", "0x1.dd2c602bfbe00p-11", "0x1.560bb8da20000p-19",
-         "0x1.08870b8000000p-29", "0x1.6000000000000p-48"],
+         "0x1.08870b8000000p-29", "0x1.1400000000000p-48"],
         "0x1.3c5c26add6c41p-6",
         ["0x1.ec8f0bc518662p-2", "0x1.a878fef711dc4p-1", "0x1.cb9b7b520fbd8p-1",
          "0x1.da9d4be15a539p-1", "0x1.e2f04a30a0f72p-1"],
@@ -239,6 +242,24 @@ def assert_fixed_point(sol, params, F, G):
     s = sol.threshold
     assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= 1e-9
     assert np.all(np.diff(s.values) > 0)
+
+
+def solve_with_steps(params, F, G):
+    """A solve and its steps, each as ((J, s_J), (I, s_I)): the cutoff it
+    starts from and its image, read from the cutoffs the solver builds."""
+    cutoff, calls = diverse_eq._cutoff, []
+
+    def recorded(big_i, shift, params):
+        calls.append((big_i, cutoff(big_i, shift, params)))
+        return calls[-1][1]
+
+    with mock.patch.object(diverse_eq, "_cutoff", recorded):
+        sol = tp.solve_diverse_threshold(params, F, G)
+    # a Picard step builds one cutoff; a damped step two, at its abscissa
+    # and at its image
+    picard = 2 * sol.iterations - len(calls)
+    steps = list(zip([(0.0, params.pi_low)] + calls[:picard - 1], calls[:picard]))
+    return sol, steps + list(zip(calls[picard::2], calls[picard + 1::2]))
 
 
 class TestDampedBisection:
@@ -275,6 +296,48 @@ class TestDampedBisection:
         sol = tp.solve_diverse_threshold(params, F, G)
         assert sol.damped and sol.contraction_gamma >= 1.0
         assert [c for _, c in clipped] == [0.0] and clipped[0][0] > 1.0
+        assert_fixed_point(sol, params, F, G)
+
+    def test_loss_mass_above_m_over_b_minus_one_cooperates_at_every_belief(self, unit_belief):
+        # F's Simpson mass M = 1.00044 exceeds m/(b-1) = 1.00025, so at I = M,
+        # the upper end of the bracket on I, the cutoff's denominator
+        # m + (l-(b-1)) I is negative at l = 0. The numerator is negative
+        # there too: every belief cooperates, and the cutoff is 0
+        F = tp.tabulated_loss([0.0, 0.5007, 1.0], [0.0, 0.2, 1.0])
+        params = tp.validate_params(21.0, 20.005)
+        knots, simpson = diverse_eq._simpson_grid(F.ell_bar, diverse_eq.DEFAULT_GRID_SIZE)
+        big_m = float((simpson * F.pdf(knots)).sum())
+        shift = knots - 20.0
+        assert params.m + shift[0] * big_m < 0.0
+        at_m = diverse_eq._cutoff(big_m, shift, params)
+        assert at_m[0] == 0.0 and np.all((at_m >= 0.0) & (at_m < 1.0))
+        sol = tp.solve_diverse_threshold(params, F, unit_belief)
+        assert sol.damped
+        assert_fixed_point(sol, params, F, unit_belief)
+
+    @pytest.mark.parametrize("b, m, F, G", [
+        (1.5, 0.55, tp.tabulated_loss([0.0, 0.375, 0.5], [0.0, 0.14, 1.0]),
+         tp.tabulated_belief([0.0, 0.5, 0.6, 1.0], [0.0, 0.1, 0.9, 1.0])),
+        (5.0, 4.01, tp.tabulated_loss([0.0, 0.92, 2.3], [0.0, 0.85, 1.0]),
+         steep_belief(0.07, 1e-4, 0.999)),
+    ], ids=["clipped-abscissa", "clipped-image"])
+    def test_residual_next_to_a_clipped_cutoff_is_the_all_knot_max(self, b, m, F, G):
+        # F's density jumps at a knot, so its Simpson mass M exceeds 1, and a
+        # cutoff at I > 1 is clipped to 0 at the knots below
+        # l = (b-1)(1 - 1/I). Where that is two knots or more, the gap between
+        # a step's two cutoffs peaks where the clipping ends, not at an end
+        # knot: at I = M, the upper end of the bracket on I, in the first
+        # game, and at the image of an I just below 1 in the second
+        params = tp.validate_params(b, m)
+        sol, steps = solve_with_steps(params, F, G)
+        assert sol.damped
+        peaks = []
+        for ((cur_i, vals), (big_i, out)), got in zip(steps, sol.residual_history, strict=True):
+            gap = np.abs(out - vals)
+            if max(cur_i, big_i) > 1.0:
+                assert got == gap.max()
+                peaks.append(int(gap.argmax()))
+        assert any(0 < k < sol.threshold.knots.size - 1 for k in peaks)
         assert_fixed_point(sol, params, F, G)
 
     def test_steep_belief_with_steep_fixed_point_map(self, unit_loss):
@@ -352,6 +415,13 @@ class TestDampedBisection:
 
 
 @st.composite
+def steep_beliefs(draw):
+    width = draw(st.floats(1e-4, 1e-2))
+    lo = draw(st.floats(0.01, 0.99 - width))
+    return steep_belief(lo, width, draw(st.floats(0.5, 0.999)))
+
+
+@st.composite
 def belief_distributions(draw):
     kind = draw(st.sampled_from(["uniform", "tabulated", "steep"]))
     if kind == "uniform":
@@ -361,9 +431,7 @@ def belief_distributions(draw):
         masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(cuts) + 1,
                                max_size=len(cuts) + 1))
         return tp.tabulated_belief([0.0, *cuts, 1.0], np.cumsum([0.0, *masses]) / sum(masses))
-    width = draw(st.floats(1e-4, 1e-2))
-    lo = draw(st.floats(0.01, 0.99 - width))
-    return steep_belief(lo, width, draw(st.floats(0.5, 0.999)))
+    return draw(steep_beliefs())
 
 
 @given(b=st.floats(1.05, 6.0), excess_m=st.floats(0.05, 80.0), G=belief_distributions(),
@@ -385,6 +453,81 @@ def test_every_game_reaches_the_fixed_point(b, excess_m, G, ell_bar):
     defect_mass = composite_simpson(np.asarray(G.cdf(s.values)) * np.asarray(F.pdf(s.knots)),
                                     s.knots)
     assert abs(sol.coop_prob + defect_mass - 1.0) <= 1e-12
+
+
+def cutoff_rounding(big_i, shift, params):
+    """A bound on the rounding of each cutoff value ((b-1) + x I)/(m + x I)
+    from its terms: x I, the numerator and the denominator each round once,
+    and so does the quotient. eps is twice the unit roundoff, a margin for
+    the second-order terms."""
+    xi = shift * big_i
+    eps = np.finfo(float).eps
+    return eps * (2.0 * np.abs(xi) + 3.0 * np.abs((params.b - 1.0) + xi)) / (params.m + xi)
+
+
+@st.composite
+def loss_tables(draw, ell_bar):
+    """A tabulated loss cdf on [0, ell_bar] with 1 to 3 interior knots at
+    least a fiftieth of the support apart."""
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4)))
+    masses = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=gaps.size,
+                                    max_size=gaps.size)))
+    knots = np.cumsum([0.0, *gaps]) / gaps.sum() * ell_bar
+    knots[-1] = ell_bar
+    return tp.tabulated_loss(knots, np.cumsum([0.0, *masses]) / masses.sum())
+
+
+@given(log_b1=st.floats(-2.0, math.log10(20.0)), log_a=st.floats(-2.0, 4.0),
+       side=st.sampled_from(["below b-1", "between", "above m+(b-1)"]),
+       frac=st.floats(0.05, 0.95), tabulated_F=st.booleans(),
+       G=st.one_of(st.just(tp.uniform_belief()), steep_beliefs()), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_end_knot_residual_matches_the_all_knot_max(log_b1, log_a, side, frac, tabulated_F, G,
+                                                    data):
+    # a loss support below b - 1, between b - 1 and m + (b-1), and past it,
+    # where the gap between two cutoffs may peak inside the knots; a uniform
+    # or a steep G, so that gamma falls on both sides of 1, and a
+    # tabulated F whose Simpson mass may exceed 1, so that the damped path
+    # may clip a cutoff. Each recorded residual is at most the all-knot max
+    # between the step's two cutoffs and below it by no more than their
+    # rounding at an end knot and at the max's knot
+    b = 1.0 + 10.0**log_b1
+    params = tp.validate_params(b, b - 1.0 + 10.0**log_a)
+    b1 = params.b - 1.0
+    ell_bar = {"below b-1": frac * b1, "between": b1 + frac * params.m,
+               "above m+(b-1)": (params.m + b1) / frac}[side]
+    F = data.draw(loss_tables(ell_bar)) if tabulated_F else tp.uniform_loss(ell_bar)
+    sol, steps = solve_with_steps(params, F, G)
+    eps = np.finfo(float).eps
+    knots, simpson = diverse_eq._simpson_grid(F.ell_bar, diverse_eq.DEFAULT_GRID_SIZE)
+    shift = knots - b1
+    for ((cur_i, vals), (big_i, out)), got in zip(steps, sol.residual_history, strict=True):
+        full = float(np.abs(out - vals).max())
+        bound = 2.0 * (cutoff_rounding(big_i, shift, params)
+                       + cutoff_rounding(cur_i, shift, params)).max()
+        assert got <= full <= got + bound + eps * full
+    if sol.damped:
+        # the root on I may stop at its first evaluation, I = 0, a constant
+        # curve within tol of a fixed point whose slope is near rounding
+        # (b - 1 = 0.01, m = 1000, ell_bar = 0.005, a steep G), so the curve
+        # is checked nondecreasing where assert_fixed_point asks for increasing
+        s = sol.threshold
+        assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= 1e-9
+        assert s.monotone
+        return
+
+    # an undamped solve replayed with the all-knot max as the residual keeps
+    # its steps, its curve's bits and coop_prob's bits
+    w = simpson * F.pdf(knots)
+    vals, history = params.pi_low, []
+    while not history or history[-1] > 1e-10:
+        assert len(history) < 2 or history[-1] < 0.9 * history[-2]
+        out = diverse_eq._cutoff(float(np.add.reduce(G.cdf(vals) * w)), shift, params)
+        history.append(float(np.abs(out - vals).max()))
+        vals = out
+    assert sol.iterations == len(history)
+    assert sol.threshold.values.tobytes() == vals.tobytes()
+    assert sol.coop_prob == float(np.add.reduce((1.0 - np.asarray(G.cdf(vals))) * w))
 
 
 @given(b=st.floats(2.0, 8.0), log_gap=st.floats(-1.0, 15.0))
