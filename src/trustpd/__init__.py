@@ -15,6 +15,7 @@ from .core import (
     GameParams,
     InvariantViolation,
     LossDistribution,
+    NoThresholdEquilibrium,
     ParameterError,
     RegimeError,
     ThresholdCurve,

@@ -242,6 +242,9 @@ def solve_common_equilibria(
       reported as refined);
     - from (b-1)/m on with ell_bar <= b - 1, phi <= b - 1 <= K: no root;
     - at pi = (b-1)/m exactly, g = (l - (b-1))(1 - F) vanishes at l = b - 1;
+    - above it with K >= ell_bar, phi <= max(b-1, l) < ell_bar <= K on
+      [0, ell_bar): no root, decided before the tangency loss is sought, as
+      g(l') > 0 would decide it;
     - otherwise g falls to its minimum at the tangency loss l' of
       `critical_pair`: none when g(l') > 0, one at l' when g(l') = 0, and two
       when g(l') < 0, `interior-low` in [0, l'] and `interior-high` in
@@ -324,6 +327,8 @@ def solve_common_equilibria(
         roots = []
     elif k_excess == 0.0:
         roots = [b1]
+    elif k >= big_l:
+        roots = []
     else:
         ell_prime = _tangency_loss(params, dist)
         f_prime = float(dist.cdf(ell_prime))

@@ -37,6 +37,11 @@ class ConvergenceError(RuntimeError):
     """Iterative solver failed to reach its tolerance."""
 
 
+class NoThresholdEquilibrium(ConvergenceError):
+    """The game has no threshold equilibrium within the tolerance: the
+    solver's scalar map jumps over the diagonal between two adjacent floats."""
+
+
 class InvariantViolation(RuntimeError):
     """A quantity left the range guaranteed by the model assumptions."""
 

@@ -37,6 +37,7 @@ from .core import (
     GameParams,
     InvariantViolation,
     LossDistribution,
+    NoThresholdEquilibrium,
     ParameterError,
     ThresholdCurve,
     all_within,
@@ -255,7 +256,13 @@ def solve_diverse_threshold(
     Raises ParameterError unless n_knots - 1 is an even count of at least 2
     (Simpson's rule), tol is positive and finite and max_iter at least 1, and
     ConvergenceError when max_iter steps in all do not reach tol, when the
-    bracket on I collapses above tol, or when the curve decreases. It may be
+    bracket on I collapses above tol, or when the curve decreases. A
+    collapse raises NoThresholdEquilibrium, a ConvergenceError, where Phi
+    jumps over the diagonal between the bracket's two adjacent floats by
+    more than tol and more than 2 n_knots eps M, the rounding bound of two
+    weighted sums of mass M: an atom of G, as at (2, 50), uniform F on
+    [0, 0.5] and G with knots [0, 0.01, 0.01 + 1 ulp, 1] and cdf
+    [0, 1/3, 2/3, 1], where Phi jumps by 4.4e-4 at I = 0.5775. It may be
     flat: from m - (b-1) of about 1e13 on, neighbouring knots round to one
     cutoff, as do a few near ell_bar at m - (b-1) = 1e-13, where the cutoff
     is within 1e-13 of 1.
@@ -302,16 +309,30 @@ def solve_diverse_threshold(
         # too slowly here, or not at all
         damped = len(history) > 1 and history[-1] >= 0.9 * history[-2]
     if damped:
+        # the last (I, Phi(I)) on each side of the diagonal: the bracket's ends
+        ends = {}
+
         def excess(big_i):
             nonlocal vals
             vals = _cutoff(big_i, shift, params)
             phi = image(vals, big_i)[0]
-            return 0.0 if history[-1] <= tol else phi - big_i
+            if history[-1] <= tol:
+                return 0.0
+            ends[phi > big_i] = (big_i, phi)
+            return phi - big_i
 
         # the root is the last evaluation, where the excess is 0, unless the
         # bracket collapsed onto two floats first; image() enforces the budget
-        root = bisect_root(excess, 0.0, float(w.sum()), ftol=0.0)
+        mass = float(w.sum())
+        root = bisect_root(excess, 0.0, mass, ftol=0.0)
         if history[-1] > tol:
+            (lo, phi_lo), (hi, phi_hi) = ends[True], ends[False]
+            jump = phi_lo - phi_hi
+            if jump > max(tol, 2.0 * n_knots * np.finfo(float).eps * mass):
+                raise NoThresholdEquilibrium(
+                    f"no threshold equilibrium: Phi(I) jumps by {jump:.3e} between the "
+                    f"adjacent floats I = {lo!r} and {hi!r} (last residual "
+                    f"{history[-1]:.3e})")
             raise ConvergenceError(f"bisection on I collapsed at {root!r} "
                                    f"(last residual {history[-1]:.3e})")
 

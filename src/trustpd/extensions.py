@@ -28,12 +28,19 @@ such belief, which one `bisect_root` on [0, 1] finds (`_kink_beliefs`).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .common_eq import _best_response, psi_dl, solve_common_equilibria
+from .common_eq import (
+    _best_response,
+    _clamp_belief,
+    _psi_of_cdf,
+    psi_dl,
+    solve_common_equilibria,
+)
 from .core import (
     BeliefDistribution,
     ConvergenceError,
@@ -45,7 +52,7 @@ from .core import (
     _is_array,
     float_or_array,
 )
-from .numerics import bisect_root, bracket_roots
+from .numerics import bisect_root, bracket_roots, refine_from
 
 VARIANTS = ("consistent", "as_printed")
 SOLVE_TOL = 1e-12  # the residual every root and fixed point here is refined to
@@ -58,6 +65,52 @@ class AsymmetricEquilibrium:
     ell1_hat: float
     ell2_hat: float
     unique: bool
+
+
+def _straddling_start(pi1: float, pi2: float, params: GameParams, big_l: float) -> float:
+    """l1 of the solution under losses uniform on [0, ell_bar], for beliefs
+    on opposite sides of (b-1)/m: the model start of a straddling solve.
+
+    Uniform psi is (b-1) + e ell_bar/(ell_bar - l), e = K - (b-1) taken at
+    the belief clamped as `_psi_of_cdf` clamps it. So with W_i = ell_bar - l_i
+    and d = ell_bar - (b-1), an interior solution solves
+    (d - W_i) W_j = e_i ell_bar. Eliminating the above player's W leaves,
+    for the below player's, d W^2 - s W + d e_a ell_bar = 0,
+    s = d^2 + (e_a - e_b) ell_bar, which is negative at W = d, while
+    l_b < b - 1 puts W_b above d: W_b is the larger root,
+    (s + sqrt(disc))/(2d), disc = (d^2 - (e_a + e_b) ell_bar)^2
+    - 4 e_a e_b ell_bar^2. As e_a >= 0 > e_b, s and disc are sums of
+    nonnegative terms, and nothing cancels in W_b, nor in
+    l_a = (b-1) + e_a ell_bar/W_b. l_b is then psi_b at F = l_a/ell_bar, in
+    psi's own arithmetic, which cancels only as l_b nears 0, where
+    ell_bar - W_b would lose spacings of ell_bar. With a belief at (b-1)/m,
+    e_a = 0, so l_a is b - 1 exactly and l_b is psi_b(b - 1).
+
+    Where l_b <= 0 the below player defects at every loss, and the above
+    one's threshold is psi_a(0) = K_a. Where l_a is not below ell_bar, or
+    d <= 0, the above player cooperates at every loss, and the result is
+    NaN; with player 1 below, l_b <= 0 is returned as it stands. A start
+    outside (0, ell_bar) leaves the whole bracket to `bisect_root`.
+    """
+    b1 = params.b - 1.0
+    d = big_l - b1
+    if not d > 0.0:
+        return math.nan
+    below_first = pi1 < params.pi_low
+    pi_a, pi_b = (pi2, pi1) if below_first else (pi1, pi2)
+    pi_low = params.pi_low
+    p_a, p_b = _clamp_belief(pi_a), _clamp_belief(pi_b)
+    e_a = params.m * (p_a - pi_low) / (1.0 - p_a)
+    e_b = params.m * (p_b - pi_low) / (1.0 - p_b)
+    s = d * d + (e_a - e_b) * big_l
+    disc = (d * d - (e_a + e_b) * big_l) ** 2 - 4.0 * e_a * e_b * big_l * big_l
+    ell_a = b1 + e_a * big_l * (d + d) / (s + math.sqrt(disc))
+    if not 0.0 < ell_a < big_l:
+        return math.nan
+    ell_b = _psi_of_cdf(pi_b, params)(ell_a / big_l)
+    if below_first:
+        return ell_b
+    return ell_a if ell_b > 0.0 else _psi_of_cdf(pi_a, params)(0.0)
 
 
 def solve_asymmetric(
@@ -75,9 +128,18 @@ def solve_asymmetric(
     responses' 1/(1 - F) pole leaves no float that meets the bound. With
     the beliefs on opposite sides of (b-1)/m (a belief at it counts as
     above), one best response is nonincreasing and the other
-    nondecreasing, so the composed one is nonincreasing, the gap strictly
-    decreasing, and [0, ell_bar] brackets its one root, which `bisect_root`
-    refines. With both on one side, as at (3, 50) on [0, 1] with
+    nondecreasing, so the composed one is nonincreasing, gap' <= -1, and
+    [0, ell_bar] brackets the gap's one root. gap(0) is settled first, so
+    an l1 = 0 corner returns after one evaluation. The root then starts
+    from the uniform-loss model `_straddling_start` through `refine_from`,
+    as the shared solver's roots do, with dx_df = -1: since gap' <= -1, the
+    root lies within |gap(x)| of the start x, and the miss step 2|gap(x)|
+    brackets it. Under uniform losses the model is exact to rounding, and
+    a solve takes two evaluations of the gap, gap(0) and gap(x), unless the
+    gap's rounding at x exceeds SOLVE_TOL, as next to the pole. Under other
+    losses it is approximate, and a miss goes to `bisect_root` on the
+    sub-bracket; gap(ell_bar) is evaluated only there, where needed. With
+    both on one side, as at (3, 50) on [0, 1] with
     pi1 = pi2 = 0.03, there can be three intersections: `bracket_roots` scans
     a 2001-point grid for them, the lowest is returned, and `unique` says
     whether the scan found only one. A root pair inside one cell goes
@@ -97,7 +159,12 @@ def solve_asymmetric(
         return br1(br2(l1)) - l1
 
     if (pi1 < params.pi_low) != (pi2 < params.pi_low):
-        roots = [bisect_root(gap, 0.0, big_l, ftol=SOLVE_TOL)]
+        gap_lo = gap(0.0)
+        if gap_lo == 0.0:
+            roots = [0.0]
+        else:
+            roots = [refine_from(gap, _straddling_start(pi1, pi2, params, big_l), -1.0,
+                                 0.0, big_l, gap_lo, None, SOLVE_TOL)]
     else:
         roots = bracket_roots(gap, np.linspace(0.0, big_l, 2001), tol=SOLVE_TOL)
     if not roots:

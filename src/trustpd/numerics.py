@@ -23,7 +23,10 @@ is read once. The solvers' closures are built the same way, with their
 checks and constants settled once per solve, so that a step pays only for
 its arithmetic.
 `refine_from` starts from a model's estimate of the root and hands only a
-miss to `bisect_root`, on a sub-bracket about it.
+miss to `bisect_root`, on a sub-bracket about it. Its callers are the
+shared-belief roots of `common_eq.solve_common_equilibria`, the tangency
+loss of `common_eq._tangency_loss`, and `extensions.solve_asymmetric` with
+the beliefs on opposite sides of (b-1)/m, each from a uniform-loss model.
 
 Quadrature and curve interpolation deliberately share grids elsewhere in the
 package, so the composite rule here works directly on a supplied knot vector.
@@ -151,7 +154,8 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
 def refine_from(f, x, dx_df, lo, hi, flo, fhi, ftol):
     """Root of f on the sign-change bracket [lo, hi], where f(lo) = flo and
     f(hi) = fhi, to |f| <= ftol, starting from a model's estimate x of it;
-    dx_df is the model's inverse slope at x.
+    dx_df is the model's inverse slope at x. fhi may be None, and f(hi) is
+    then evaluated only if `bisect_root` needs it.
 
     x is returned when |f(x)| <= ftol. Otherwise one more point is taken on
     the root's side of x: past the model's Newton step by as much again,

@@ -472,7 +472,7 @@ class TestWritersMatchTheStandardLibrary:
 # of a manifest, shows here, on every machine the pinned reruns cover.
 PINNED_REPRODUCE_ALL = {
     "asymmetric_sweep.csv":
-        "42ea9538cdf7a33aca2905da24046c3dd9fa74e15cc98c426a5c9b1938ef4676",
+        "76b41f0527b437642f4a0d34acbf5942acb231442b42be7fcb903a11926e9379",
     "asymmetric_sweep.csv.manifest.json":
         "d6be84499b8f4ff0f04b5be96ec5ed58370011627d4cedd27e715856ded7f8e5",
     "crossing_belief_sensitivity.json":

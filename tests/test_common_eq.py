@@ -483,6 +483,33 @@ def test_brackets_from_the_shape_of_phi(game, belief):
             assert min(abs(root - w) for w in want) <= bound
 
 
+@given(game=shared_games, excess=st.one_of(st.just(0.0), st.floats(1e-15, 1e-12),
+                                           st.floats(1e-6, 3.0)))
+@settings(max_examples=200, deadline=None)
+def test_belief_with_k_at_or_above_ell_bar_skips_the_tangency(game, excess):
+    # above (b-1)/m with K >= ell_bar, phi <= max(b-1, l) < ell_bar <= K on
+    # [0, ell_bar): no interior root, decided without seeking l', and the
+    # answer the tangency's g(l') > 0 gives
+    params, dist = make_shared_game(*game)
+    big_l = dist.ell_bar
+    assume(big_l > params.b - 1.0)
+    k_target = big_l * (1.0 + excess)
+    pi = k_target / (params.coop_premium + k_target)
+    assume(pi < 1.0 - tp.BELIEF_EPS)
+    # K as the solver forms it, which may round below ell_bar
+    assume(params.coop_premium * pi / (1.0 - pi) >= big_l)
+
+    def no_tangency(*args):
+        raise AssertionError("_tangency_loss called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(common_eq, "_tangency_loss", no_tangency)
+        eqs = tp.solve_common_equilibria(pi, params, dist)
+    assert eqs.roots == (tp.EquilibriumRoot(big_l, "corner-upper"),)
+    assert eqs.regime == "unique-corner"
+    assert g_oracle(tp.critical_pair(params, dist).ell_prime, pi, params, dist) > 0.0
+
+
 @given(game=shared_games, belief=st.one_of(st.just(0.0), st.floats(-16.0, -8.0)),
        tol=st.sampled_from([1e-10, 1e-12]))
 @settings(max_examples=300, deadline=None)

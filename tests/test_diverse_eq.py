@@ -399,10 +399,21 @@ class TestDampedBisection:
 
     def test_collapsed_bracket_above_tol_raises(self, unit_loss):
         # no double reaches a residual of 1e-300: the bracket on I shrinks to
-        # adjacent floats, and that is reported, not returned as converged
+        # adjacent floats, and that is reported, not returned as converged.
+        # Phi is continuous here, and the game has an equilibrium
         G = tp.tabulated_belief([0.0, 0.12021, 0.12031, 1.0], [0.0, 0.25, 0.75, 1.0])
-        with pytest.raises(tp.ConvergenceError, match="collapsed"):
+        with pytest.raises(tp.ConvergenceError, match="collapsed") as info:
             tp.solve_diverse_threshold(tp.validate_params(2, 8), unit_loss, G, tol=1e-300)
+        assert not isinstance(info.value, tp.NoThresholdEquilibrium)
+
+    def test_atom_of_G_has_no_threshold_equilibrium(self):
+        # G puts a third of its mass on one float spacing at 0.01: Phi jumps
+        # over the diagonal between two adjacent floats, by 4.4e-4
+        G = tp.tabulated_belief([0.0, 0.01, math.nextafter(0.01, 1.0), 1.0],
+                                [0.0, 1 / 3, 2 / 3, 1.0])
+        with pytest.raises(tp.NoThresholdEquilibrium,
+                           match=r"jumps by 4\.44\de-04 between the adjacent floats I = 0\.57753"):
+            tp.solve_diverse_threshold(tp.validate_params(2, 50), tp.uniform_loss(0.5), G)
 
     def test_spike_positions_all_converge(self, unit_loss):
         # spikes across the range of the (2, 8) cutoff curve, most of them
@@ -445,7 +456,14 @@ def test_every_game_reaches_the_fixed_point(b, excess_m, G, ell_bar):
     params = tp.validate_params(b, b - 1.0 + excess_m)
     F = tp.uniform_loss(ell_bar)
     tol = 1e-10
-    sol = tp.solve_diverse_threshold(params, F, G, tol=tol)
+    try:
+        sol = tp.solve_diverse_threshold(params, F, G, tol=tol)
+    except tp.NoThresholdEquilibrium:
+        # only an atom of G lets Phi jump over the diagonal between two
+        # adjacent floats: two cuts of a tabulated G within 1e-6, where its
+        # density exceeds 1e4
+        assert np.diff(G.knots).min() <= 1e-6
+        return
     s = sol.threshold
     assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= tol
     assert np.all(np.diff(s.values) > 0)
