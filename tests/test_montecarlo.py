@@ -539,8 +539,12 @@ def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
 def test_simulate_memory_is_flat_in_n(fig_params, fig_dist):
     # common (3, 50) on [0, 8] at pi 0.03: keeping each block's CD losses
     # and DC partners' honesty took about 4.4 B a match, a traced peak of
-    # 3.6 MB at 2.5 * 10^5 matches and 20.0 MB at 4 * 10^6. With counts and
-    # one sum per block the two peaks lie 0.1 MB apart; the bound is 1 MB
+    # 3.6 MB at 2.5 * 10^5 matches and 20.0 MB at 4 * 10^6. Each size's
+    # peak is held to a bound that does not depend on n: per thread, its
+    # workspace (32 B a match of a block), the two players' losses (8 B
+    # each) and one CD gather (8 B at most), for both threads whether or not
+    # their blocks overlap in time, plus what a 1000-match call holds (the
+    # streams, the pool, the solve and the report)
     def traced_peak(n):
         cfg = tp.SimConfig(n_samples=n, seed=3, scenario="common", pi=0.03)
         tracemalloc.start()
@@ -552,7 +556,9 @@ def test_simulate_memory_is_flat_in_n(fig_params, fig_dist):
 
     tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="common", pi=0.03),
                 fig_params, fig_dist)  # warm: the thread pool is imported untraced
-    assert abs(traced_peak(4 * 10 ** 6) - traced_peak(250_000)) <= 1e6
+    bound = 2 * (32 + 2 * 8 + 8) * montecarlo.BLOCK + traced_peak(1000)
+    for n in (250_000, 4 * 10 ** 6):
+        assert traced_peak(n) <= bound, n
 
 
 def test_diverse_simulate_interpolates_only_beliefs_near_the_cutoff(monkeypatch, p28, unit_loss,
