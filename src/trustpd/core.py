@@ -80,6 +80,14 @@ def check_tol(tol: float) -> None:
         raise ParameterError(f"tolerance must be positive and finite, got {tol}")
 
 
+def check_count(name: str, value, least: int) -> int:
+    """value as an int, after raising ParameterError unless it is an integer
+    of at least `least`: a bool is an int, but no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def validate_params(b: float, m: float) -> GameParams:
     """Construct GameParams, rejecting b <= 1 or m <= b - 1 with diagnostics."""
     return GameParams(float(b), float(m))

@@ -41,6 +41,7 @@ from .core import (
     ParameterError,
     ThresholdCurve,
     all_within,
+    check_count,
     check_tol,
     float_or_array,
 )
@@ -113,31 +114,42 @@ def _check_unit_curve(curve: ThresholdCurve, dist: LossDistribution):
         raise ParameterError("curve values must lie in [0, 1]")
 
 
-def _cutoff(big_i: float, shift: np.ndarray, params: GameParams) -> np.ndarray:
+def _cutoff(big_i: float, shift, params: GameParams, ends=None, den=None):
     """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I), clipped to [0, 1], on
     knots l given as shift = l - (b-1). The cutoff is computed as
     ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
     1 - (1+m-b)/den when it is small, about (b-1)/m at large m. The product
-    (l-(b-1)) I is formed once, and the cutoff built in its array.
+    (l-(b-1)) I is formed once, and the cutoff built in its array; den, when
+    given, is an array of shift's size that receives the denominators.
 
     A player cooperates when belief * den >= the numerator. m > b - 1 keeps
     den positive up to I = m/(b-1) > 1, which only a Simpson mass of F above
     1 exceeds. Where den <= 0, the numerator, den less m - (b-1), is negative
-    as well, so every belief cooperates and the cutoff is 0. den is affine
-    in l, so whether it is positive on the grid is decided at the two end
-    knots."""
+    as well, so every belief cooperates and the cutoff is 0. Both den and the
+    numerator are affine in l, so their signs on the grid are decided at the
+    two end knots. Those two cutoffs come first, on Python floats, with the
+    array's bits: the end shifts are `ends`, read from shift when not given.
+    With shift None they are all that is computed, and they are returned,
+    clipped, as a pair of floats."""
+    lo_x, hi_x = (shift.item(0), shift.item(-1)) if ends is None else ends
+    b1, m = params.b - 1.0, params.m
+    lo_den, hi_den = lo_x * big_i + m, hi_x * big_i + m
+    lo = (lo_x * big_i + b1) / (lo_den if lo_den > 0.0 else 1.0)
+    hi = (hi_x * big_i + b1) / (hi_den if hi_den > 0.0 else 1.0)
+    if shift is None:
+        return max(lo, 0.0), max(hi, 0.0)
     out = shift * big_i
-    den = out + params.m
-    out += params.b - 1.0
-    if den[0] <= 0.0 or den[-1] <= 0.0:
+    den = np.add(out, m, out=den)
+    out += b1
+    if lo_den <= 0.0 or hi_den <= 0.0:
         # a unit denominator leaves the negative numerator, clipped to 0 below
         den[den <= 0.0] = 1.0
     out /= den
     # b - 1 < m, so each numerator rounds to at most its denominator and the
-    # quotient to at most 1: only the lower end needs clipping. The numerator
-    # is monotone in l, so it is negative somewhere only if at an end knot
-    # (where I > 1). None is -0.0, so np.maximum gives the two-sided clip's bits
-    if out[0] < 0.0 or out[-1] < 0.0:
+    # quotient to at most 1: only the lower end needs clipping, and only if
+    # an end knot's cutoff is negative (where I > 1). None is -0.0, so
+    # np.maximum gives the two-sided clip's bits
+    if lo < 0.0 or hi < 0.0:
         np.maximum(out, 0.0, out=out)
     return out
 
@@ -165,17 +177,21 @@ def cooperation_prob_given_strategy(
     return composite_simpson((1.0 - np.asarray(G.cdf(curve.values))) * np.asarray(F.pdf(k)), k)
 
 
-_DENSITY_PROBES = np.linspace(0.0, 1.0, 2001)
-_DENSITY_PROBES.setflags(write=False)
+@functools.lru_cache(maxsize=8)
+def _density_probes(knots: tuple[float, ...]) -> np.ndarray:
+    """The beliefs where `_density_sup` reads G's density: a 2001-point grid
+    on [0, 1] and the midpoint of every segment between G's knots, read-only,
+    shared by every G with those knots."""
+    mids = [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])]
+    probes = np.concatenate((np.linspace(0.0, 1.0, 2001), mids))
+    probes.setflags(write=False)
+    return probes
 
 
 def _density_sup(G: BeliefDistribution) -> float:
-    """sup of G's density: its largest value on a 2001-point grid and at the
-    midpoint of every segment between G's knots, which is exact for a
-    piecewise-constant density however narrow its segments."""
-    knots = G.knots
-    mids = [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])]
-    return float(np.asarray(G.pdf(np.concatenate((_DENSITY_PROBES, mids)))).max())
+    """sup of G's density: its largest value at `_density_probes`, which is
+    exact for a piecewise-constant density however narrow its segments."""
+    return float(np.asarray(G.pdf(_density_probes(G.knots))).max())
 
 
 @functools.lru_cache(maxsize=8)
@@ -204,16 +220,25 @@ def solve_diverse_threshold(
     """Fixed point of T on a uniform grid of n_knots losses.
 
     T(s) depends on s only through the scalar I[s], so the state of the
-    solver is the curve's values on the knots, and each step is one pass over
-    plain arrays: I as the sum of G(s) times the weights w, the cutoff at I
-    built in one array, and the residual, read at the two end knots where
-    the gap peaks at one of them (below). w is the composite Simpson weights times
-    F's density at the knots; the knots and the weights are built once per
-    (ell_bar, n_knots) and cached read-only, and `coop_prob` and the damped
-    path's M come from the same w. The returned curve is validated once,
-    knots and values, when it is built. The sum is one multiply and one
-    `np.add.reduce`, not `np.dot`: BLAS picks its summation order by CPU, so
-    `np.dot` gives other bits on other machines.
+    solver is the curve's values on the knots, and a step is one pass over
+    plain arrays: G's cdf at s, I as its sum times the weights w, the cutoff
+    at I, and the residual max|T(s) - s|, read at the two end knots where the
+    gap peaks at one of them (below). A Picard step builds the cutoff at I
+    as an array, its next s; a damped step reads the cutoff's two end values
+    as floats and builds the array only where the residual needs every knot.
+    The sum is one multiply and one `np.add.reduce`, not `np.dot`: BLAS picks
+    its summation order by CPU, so `np.dot` gives other bits on other
+    machines. The end-knot tests, the cutoff's and the residual's, are taken
+    on Python floats, with IEEE's bits.
+
+    Built once per solve: w, the composite Simpson weights times F's density
+    at the knots, from which `coop_prob` and the damped path's M come too;
+    the knots' shifts l - (b-1) and their two end values; one work array,
+    which holds a step's weighted cdf, then its cutoff's denominators, then
+    T(s) - s, and at the end the terms of `coop_prob`. Cached read-only: the
+    knots and the Simpson weights per (ell_bar, n_knots), and the beliefs
+    where G's density is probed for gamma per tuple of G's knots. The
+    returned curve is validated once, knots and values, when it is built.
     The steps are Picard's, stopped by the rule below: a secant step on I
     would take fewer, but `reproduce-all` writes the count, and its recorded
     outputs pin it.
@@ -253,8 +278,9 @@ def solve_diverse_threshold(
       Its excess is 0 once that is at most tol and Phi(I) - I otherwise, so
       every bracket holds a zero, and s_I is returned there.
 
-    Raises ParameterError unless n_knots - 1 is an even count of at least 2
-    (Simpson's rule), tol is positive and finite and max_iter at least 1, and
+    Raises ParameterError unless n_knots is an odd integer of at least 3
+    (Simpson's rule), tol is positive and finite and max_iter an integer of
+    at least 1 (a bool is neither), and
     ConvergenceError when max_iter steps in all do not reach tol, when the
     bracket on I collapses above tol, or when the curve decreases. A
     collapse raises NoThresholdEquilibrium, a ConvergenceError, where Phi
@@ -268,27 +294,37 @@ def solve_diverse_threshold(
     is within 1e-13 of 1.
     """
     check_tol(tol)
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    if n_knots < 3 or n_knots % 2 == 0:
-        raise ParameterError(f"n_knots must be odd and at least 3, got {n_knots}")
+    max_iter = check_count("max_iter", max_iter, 1)
+    n_knots = check_count("n_knots", n_knots, 3)
+    if n_knots % 2 == 0:
+        raise ParameterError(f"n_knots must be odd, got {n_knots}")
     knots, simpson = _simpson_grid(F.ell_bar, n_knots)
     w = simpson * F.pdf(knots)
     shift = knots - (params.b - 1.0)
     gamma = params.coop_premium * _density_sup(G) * 1.0 / params.m ** 2
 
     # when the residual is read at the two end knots: see the docstring
-    end_sq, m_sq = shift.item(-1) ** 2, params.m ** 2
+    ends = shift.item(0), shift.item(-1)
+    end_sq, m_sq = ends[1] ** 2, params.m ** 2
+    # a step's weighted cdf, then its cutoff's denominators, then T(s) - s;
+    # at the end the terms of coop_prob
     work = np.empty(n_knots)
     history: list[float] = []
 
-    def image(vals, cur_i):
-        """(I[s], T(s)) for the cutoff values s at cur_i, recording max|T(s) - s|."""
+    def image(vals, cur_i, build=True):
+        """(I[s], T(s)) for the cutoff values s at cur_i, recording max|T(s) - s|.
+        Unless `build`, T(s) is built only where the residual needs all knots,
+        and None is returned in its place."""
         big_i = float(np.add.reduce(np.multiply(G.cdf(vals), w, out=work)))
-        out = _cutoff(big_i, shift, params)
         if cur_i <= 1.0 and big_i <= 1.0 and end_sq * cur_i * big_i <= m_sq:
-            history.append(float(max(abs(out[0] - vals[0]), abs(out[-1] - vals[-1]))))
+            if build:
+                out = _cutoff(big_i, shift, params, ends, work)
+                lo, hi = out.item(0), out.item(-1)
+            else:
+                out, (lo, hi) = None, _cutoff(big_i, None, params, ends)
+            history.append(max(abs(lo - vals.item(0)), abs(hi - vals.item(-1))))
         else:
+            out = _cutoff(big_i, shift, params, ends, work)
             np.subtract(out, vals, out=work)
             history.append(float(np.abs(work, out=work).max()))
         if history[-1] > tol and len(history) >= max_iter:
@@ -310,15 +346,15 @@ def solve_diverse_threshold(
         damped = len(history) > 1 and history[-1] >= 0.9 * history[-2]
     if damped:
         # the last (I, Phi(I)) on each side of the diagonal: the bracket's ends
-        ends = {}
+        bracket = {}
 
         def excess(big_i):
             nonlocal vals
-            vals = _cutoff(big_i, shift, params)
-            phi = image(vals, big_i)[0]
+            vals = _cutoff(big_i, shift, params, ends, work)
+            phi = image(vals, big_i, build=False)[0]
             if history[-1] <= tol:
                 return 0.0
-            ends[phi > big_i] = (big_i, phi)
+            bracket[phi > big_i] = (big_i, phi)
             return phi - big_i
 
         # the root is the last evaluation, where the excess is 0, unless the
@@ -326,7 +362,7 @@ def solve_diverse_threshold(
         mass = float(w.sum())
         root = bisect_root(excess, 0.0, mass, ftol=0.0)
         if history[-1] > tol:
-            (lo, phi_lo), (hi, phi_hi) = ends[True], ends[False]
+            (lo, phi_lo), (hi, phi_hi) = bracket[True], bracket[False]
             jump = phi_lo - phi_hi
             if jump > max(tol, 2.0 * n_knots * np.finfo(float).eps * mass):
                 raise NoThresholdEquilibrium(
@@ -344,7 +380,8 @@ def solve_diverse_threshold(
         raise ConvergenceError("converged cutoff curve is no threshold: its values decrease")
     return DiverseSolution(
         threshold=threshold,
-        coop_prob=float(np.add.reduce((1.0 - np.asarray(G.cdf(vals))) * w)),
+        coop_prob=float(np.add.reduce(np.multiply(np.subtract(1.0, G.cdf(vals), out=work), w,
+                                                  out=work))),
         contraction_gamma=gamma,
         residual_history=tuple(history),
         damped=damped,

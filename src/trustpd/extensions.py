@@ -50,6 +50,7 @@ from .core import (
     RegimeError,
     ThresholdCurve,
     _is_array,
+    check_count,
     float_or_array,
 )
 from .numerics import bisect_root, bracket_roots, refine_from
@@ -245,12 +246,10 @@ def _payoff_gap(n: int, pi, t, coop_prob, params: GameParams, variant: str):
 
 def _check_group(n: int, variant: str) -> int:
     """The group size n as an int, after checking n and variant."""
-    # bool is an int, but no group size
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"group size n must be an integer >= 1, got {n!r}")
+    n = check_count("group size n", n, 1)
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return int(n)
+    return n
 
 
 def _group_loss(n: int, pi: float, F: LossDistribution) -> LossDistribution:

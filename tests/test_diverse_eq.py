@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -238,6 +240,67 @@ def test_damped_pinned_bits(game, unit_loss):
     assert pinned_digest(sol) == PINNED_DAMPED[game]
 
 
+def solve_digest(sol):
+    """The first 16 hex digits of the sha256 of a solve's residual_history,
+    coop_prob, contraction_gamma and damped flag, as float.hex text, and its
+    curve's value bytes."""
+    text = " ".join([*(r.hex() for r in sol.residual_history), sol.coop_prob.hex(),
+                     sol.contraction_gamma.hex(), str(sol.damped)])
+    return hashlib.sha256(text.encode() + sol.threshold.values.tobytes()).hexdigest()[:16]
+
+
+# solve_digest of 64 games drawn as perfbench's dispersed_group draws its
+# diverse solves (b uniform on [1.5, 4], m on [b + 3, 40], uniform F and G on
+# [0, 1], a fresh G each time) from random.Random(38), and of two steep-G and
+# two tabulated-G games, one of each on either side of gamma = 1; the last is
+# damped with cutoffs clipped below l = (b-1)(1 - 1/I), where residuals are
+# read over all knots
+PINNED_BENCHMARK_DRAWS = [
+    "d09fe4b02cda58ea", "1b4e2aca080e91a1", "1ac751c9d1bb30d4", "7003ab17ef7821af",
+    "4f33da8f504ed47e", "4167d66d3907f096", "c3851071d7198291", "5cec69621e09ba46",
+    "6881be486e7d286e", "6c802952a5f53ac7", "358829df80d56ff0", "8a080d8f90ccffbe",
+    "97dae9c931511aca", "30410724e0bea5e3", "66e8cac2ca3add82", "5972fc842ae89cc9",
+    "71244b43f9aef927", "695c539c3b022521", "36f708f17347955f", "3c5c311d3eb466fa",
+    "5ff06899659481f8", "2ae9ca8ddbc93efa", "350eec1ed32fa1cb", "e78ef4f249501c61",
+    "8623bae2e88a9ca4", "4afd1c66d30a5af1", "61f2900f2579142a", "121baeebfa7abc6a",
+    "57f033dd678229ef", "685a2c42bcaaafdd", "93f4d38a8f3c2f9b", "2e793bc0f03649d9",
+    "ee9363851c38da57", "f7b3bb43c38707e2", "dee0218452a9580d", "473d8f215105346e",
+    "5c05f39860c5cc3f", "27faee42a3d25b5b", "21b088cd31363ae6", "2ca81f726aa227db",
+    "8126244b97b9f841", "8f10810a4a8ffb97", "0575448318674aea", "edb826b9848a57cd",
+    "1115e54a7b367494", "b754e3f7eefba3b4", "c34f3351076e05b0", "dca887d1fcd86826",
+    "dc2d82301cacc749", "1fdec622dde94588", "a956104022af10a8", "fa904b0028398edf",
+    "2061a65057092c2a", "b35b62e8acae7a81", "c05e16c335c7e3d6", "5945360ea8594a86",
+    "6eb3559e7e2dbc1b", "81a4f9307ebcb413", "a8548cfa28427eee", "0814d32127248988",
+    "1abf6e0fae5b5766", "251d3304d90ef2a6", "6623dbc781d24e5c", "7a191ca8a075ba2e",
+]
+PINNED_BELIEF_GAMES = {
+    "steep-G, gamma < 1": ((2.0, 40.0, tp.uniform_loss(1.0), steep_belief(0.05, 0.05, 0.9)),
+                           "67146e4c381d7860"),
+    "steep-G, gamma > 1": ((3.0, 20.0, tp.uniform_loss(1.0), steep_belief(0.08, 0.01, 0.99)),
+                           "437f9912ebc931db"),
+    "tabulated-G, gamma < 1": ((2.0, 8.0, tp.uniform_loss(2.5),
+                                tp.tabulated_belief(*TABULATED_G)),
+                               "3dc571645a86bf65"),
+    "tabulated-G, gamma > 1": ((1.5, 0.55, tp.tabulated_loss([0.0, 0.375, 0.5], [0.0, 0.14, 1.0]),
+                                tp.tabulated_belief([0.0, 0.5, 0.6, 1.0], [0.0, 0.1, 0.9, 1.0])),
+                               "f9f57d38c1a08333"),
+}
+
+
+def test_benchmark_draws_pinned_bits(unit_loss):
+    rng, got = random.Random(38), []
+    for _ in PINNED_BENCHMARK_DRAWS:
+        b = rng.uniform(1.5, 4.0)
+        params = tp.validate_params(b, rng.uniform(b + 3.0, 40.0))
+        sol = tp.solve_diverse_threshold(params, unit_loss, tp.uniform_belief())
+        got.append(solve_digest(sol))
+    assert got == PINNED_BENCHMARK_DRAWS
+    for name, ((b, m, F, G), want) in PINNED_BELIEF_GAMES.items():
+        sol = tp.solve_diverse_threshold(tp.validate_params(b, m), F, G)
+        assert (sol.contraction_gamma > 1.0) == name.endswith("> 1") == sol.damped
+        assert solve_digest(sol) == want, name
+
+
 def assert_fixed_point(sol, params, F, G):
     s = sol.threshold
     assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= 1e-9
@@ -246,20 +309,40 @@ def assert_fixed_point(sol, params, F, G):
 
 def solve_with_steps(params, F, G):
     """A solve and its steps, each as ((J, s_J), (I, s_I)): the cutoff it
-    starts from and its image, read from the cutoffs the solver builds."""
-    cutoff, calls = diverse_eq._cutoff, []
+    starts from and its image. The starts are the curves the solver passes
+    to G's cdf, and J is the I that `_cutoff` built each at (0 for the
+    constant start (b-1)/m). The image is rebuilt at I = the sum of G(s_J)
+    times the solver's weights, as the solver sums it: a damped step that
+    reads its residual at the end knots builds no array there."""
+    cutoff, built, starts = diverse_eq._cutoff, {}, []
 
-    def recorded(big_i, shift, params):
-        calls.append((big_i, cutoff(big_i, shift, params)))
-        return calls[-1][1]
+    def recorded(big_i, shift, *args):
+        out = cutoff(big_i, shift, *args)
+        if shift is not None:
+            built[id(out)] = big_i, out
+        return out
 
+    def cdf(x):
+        starts.append(x)
+        return G.cdf(x)
+
+    traced = tp.BeliefDistribution(cdf=cdf, pdf=G.pdf, ppf=G.ppf, knots=G.knots)
     with mock.patch.object(diverse_eq, "_cutoff", recorded):
-        sol = tp.solve_diverse_threshold(params, F, G)
-    # a Picard step builds one cutoff; a damped step two, at its abscissa
-    # and at its image
-    picard = 2 * sol.iterations - len(calls)
-    steps = list(zip([(0.0, params.pi_low)] + calls[:picard - 1], calls[:picard]))
-    return sol, steps + list(zip(calls[picard::2], calls[picard + 1::2]))
+        sol = tp.solve_diverse_threshold(params, F, traced)
+    # one cdf call a step, and one more for coop_prob
+    assert len(starts) == sol.iterations + 1
+    knots, simpson = diverse_eq._simpson_grid(F.ell_bar, diverse_eq.DEFAULT_GRID_SIZE)
+    w, shift = simpson * F.pdf(knots), knots - (params.b - 1.0)
+    steps = []
+    for vals in starts[:-1]:
+        if id(vals) in built:
+            cur_i = built[id(vals)][0]
+        else:  # the constant start, the cutoff at I = 0
+            assert not steps and vals.size == 1
+            cur_i = 0.0
+        big_i = float(np.add.reduce(np.asarray(G.cdf(vals)) * w))
+        steps.append(((cur_i, vals), (big_i, cutoff(big_i, shift, params))))
+    return sol, steps
 
 
 class TestDampedBisection:
@@ -286,9 +369,11 @@ class TestDampedBisection:
         params = tp.validate_params(2, 2)
         cutoff, clipped = diverse_eq._cutoff, []
 
-        def recorded(big_i, shift, params):
-            out = cutoff(big_i, shift, params)
-            if (params.b - 1.0) + shift[0] * big_i < 0.0:
+        def recorded(big_i, shift, params, *args):
+            # a cutoff at I <= 1, the only kind built as end values alone,
+            # is never clipped
+            out = cutoff(big_i, shift, params, *args)
+            if shift is not None and (params.b - 1.0) + shift[0] * big_i < 0.0:
                 clipped.append((big_i, out[0]))
             return out
 
@@ -611,6 +696,52 @@ def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
     assert sol.iterations == 8
     assert counts["cdf"] == sol.iterations + 1
     assert counts["curve"] == 1 and counts["grid"] == 0
+
+
+def uncached_density_sup(G):
+    """The sup of G's density on a 2001-point grid and the midpoints of its
+    knots' segments, with the probes built afresh."""
+    knots = G.knots
+    mids = [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])]
+    return float(np.asarray(G.pdf(np.concatenate((np.linspace(0.0, 1.0, 2001), mids)))).max())
+
+
+def test_density_probes_are_built_once_per_belief_knots(p28, unit_loss):
+    # a 1-ulp segment at 0.01 holds a third of G's mass: no grid point falls
+    # inside it, and its midpoint rounds to one of its ends
+    one_ulp = tp.tabulated_belief([0.0, 0.01, math.nextafter(0.01, 1.0), 1.0],
+                                  [0.0, 1 / 3, 2 / 3, 1.0])
+    beliefs = [tp.uniform_belief(), steep_belief(0.12021, 1e-4, 0.5), one_ulp]
+    diverse_eq._density_probes.cache_clear()
+    for G in beliefs:
+        assert diverse_eq._density_sup(G) == uncached_density_sup(G)
+    assert uncached_density_sup(one_ulp) > 1e16
+    assert diverse_eq._density_probes.cache_info().misses == 3
+    # every solve draws a fresh G, as perfbench's dispersed_group does; equal
+    # knots tuples share one read-only probe array
+    for G in [tp.uniform_belief(), tp.uniform_belief(), steep_belief(0.12021, 1e-4, 0.5)]:
+        tp.solve_diverse_threshold(p28, unit_loss, G)
+    assert diverse_eq._density_probes.cache_info().misses == 3
+    probes = diverse_eq._density_probes(tp.uniform_belief().knots)
+    assert not probes.flags.writeable and probes.size == 2002
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_knots", 1001.0), ("n_knots", True), ("n_knots", math.nan),
+    ("max_iter", None), ("max_iter", math.nan), ("max_iter", True), ("max_iter", 2.5),
+])
+def test_counts_that_are_no_integers_rejected(name, value, p28, unit_loss, unit_belief):
+    # a count is an integer: a float, even an integral one, NaN and None are
+    # none, and a bool is an int but no count
+    with pytest.raises(tp.ParameterError, match=f"{name} must be an integer >= "):
+        tp.solve_diverse_threshold(p28, unit_loss, unit_belief, **{name: value})
+
+
+def test_numpy_integer_counts_solve_as_their_ints(p28, unit_loss, unit_belief):
+    want = tp.solve_diverse_threshold(p28, unit_loss, unit_belief, max_iter=50, n_knots=501)
+    got = tp.solve_diverse_threshold(p28, unit_loss, unit_belief, max_iter=np.int64(50),
+                                     n_knots=np.int32(501))
+    assert solve_digest(got) == solve_digest(want)
 
 
 def test_solver_curves_share_the_grid_and_check_knots_and_values(p28, unit_loss, unit_belief):
