@@ -7,7 +7,10 @@ equilibrium cutoff is the unique fixed point of
     T(s)(l) = 1 - (1 + m - b) / (m + (l - (b - 1)) * I[s]),
     I[s] = integral of G(s(l)) dF(l) over the loss support,
 
-which is a contraction on bounded curves for most games, but not all. T(s)
+which is a contraction on bounded curves for most games, but not all.
+I[s] is the probability that a strategic partner defects, so it lies in
+[0, 1], and so does the cutoff; the kernel takes a quadrature's I as at
+most 1, where a density that jumps between knots can sum above it. T(s)
 depends on s only through the scalar I[s], so the solver keeps the curve's
 values on a uniform knot grid as plain arrays and takes each step as one
 pass over them: iterating T while it contracts, otherwise solving the scalar
@@ -15,9 +18,9 @@ equation I[s_I] = I, s_I the cutoff at I, with `bisect_root`. A step's
 residual max|T(s) - s| is the gap between two cutoffs, at I and at the J of
 the current curve, (m - (b-1)) x (I-J)/((m + x I)(m + x J)) with
 x = l - (b-1): it has one sign on each side of l = b-1 and grows toward
-both ends of the loss support while no cutoff is clipped and its peak
-x = m/sqrt(I J) lies past the last knot, and there the solver reads it at
-the two end knots. For uniform F and G on [0, 1] the fixed point is
+both ends of the loss support while its peak x = m/sqrt(I J) lies past the
+last knot, and there the solver reads it at the two end knots. For uniform
+F and G on [0, 1] the fixed point is
 1 - (1+m-b)/(a + c*l) with coefficients (a, c) tied together by a scalar
 system, solved exactly or by the large-m closed forms.
 """
@@ -55,10 +58,10 @@ class DiverseSolution:
     `residual_history` holds each solver step's max|T(s) - s|, a step being
     one Simpson-and-cutoff pass; `iterations` is their count and `residual`
     the last, that of the returned curve. An entry is read at the two end
-    knots when both cutoffs' I, J are at most 1 and x_N^2 I J <= m^2, x_N =
-    ell_bar - (b-1), and over all knots otherwise, so it may differ from the
-    all-knot max by the rounding of the cutoff values (see
-    `solve_diverse_threshold`). `contraction_gamma` is the bound
+    knots when x_N^2 I J <= m^2, x_N = ell_bar - (b-1), I and J the weighted
+    sums the step's two cutoffs are built at, and over all knots otherwise,
+    so it may differ from the all-knot max by the rounding of the cutoff
+    values (see `solve_diverse_threshold`). `contraction_gamma` is the bound
     (1+m-b) sup g / m^2, with the exact sup of the belief density. It bounds
     T's Lipschitz constant only where |l - (b-1)| <= 1 and
     m + (l-(b-1)) I >= m; elsewhere T need not contract though it reads
@@ -114,43 +117,30 @@ def _check_unit_curve(curve: ThresholdCurve, dist: LossDistribution):
         raise ParameterError("curve values must lie in [0, 1]")
 
 
-def _cutoff(big_i: float, shift, params: GameParams, ends=None, den=None):
-    """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I), clipped to [0, 1], on
-    knots l given as shift = l - (b-1). The cutoff is computed as
+def _cutoff(big_i: float, shift, params: GameParams, den=None):
+    """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I) on knots l given as
+    shift = l - (b-1), an array, or a pair of floats whose cutoffs are
+    returned as a pair. I is a probability, the chance that a strategic
+    partner defects, and is taken as min(I, 1): a Simpson sum over a density
+    that jumps between knots may exceed 1. The cutoff is computed as
     ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
     1 - (1+m-b)/den when it is small, about (b-1)/m at large m. The product
     (l-(b-1)) I is formed once, and the cutoff built in its array; den, when
-    given, is an array of shift's size that receives the denominators.
+    given, is an array of shift's size that receives the denominators. The
+    pair is computed in the same arithmetic, with the array's bits.
 
-    A player cooperates when belief * den >= the numerator. m > b - 1 keeps
-    den positive up to I = m/(b-1) > 1, which only a Simpson mass of F above
-    1 exceeds. Where den <= 0, the numerator, den less m - (b-1), is negative
-    as well, so every belief cooperates and the cutoff is 0. Both den and the
-    numerator are affine in l, so their signs on the grid are decided at the
-    two end knots. Those two cutoffs come first, on Python floats, with the
-    array's bits: the end shifts are `ends`, read from shift when not given.
-    With shift None they are all that is computed, and they are returned,
-    clipped, as a pair of floats."""
-    lo_x, hi_x = (shift.item(0), shift.item(-1)) if ends is None else ends
-    b1, m = params.b - 1.0, params.m
-    lo_den, hi_den = lo_x * big_i + m, hi_x * big_i + m
-    lo = (lo_x * big_i + b1) / (lo_den if lo_den > 0.0 else 1.0)
-    hi = (hi_x * big_i + b1) / (hi_den if hi_den > 0.0 else 1.0)
-    if shift is None:
-        return max(lo, 0.0), max(hi, 0.0)
+    For I in [0, 1], l >= 0 and m > b - 1, IEEE rounding is monotone, so
+    every numerator rounds to at least 0 and every denominator to at least
+    m - (b-1) > 0, and b - 1 < m keeps each quotient at most 1: the cutoff
+    lies in [0, 1] with no clipping."""
+    big_i, b1, m = min(big_i, 1.0), params.b - 1.0, params.m
+    if isinstance(shift, tuple):
+        lo, hi = shift
+        return (lo * big_i + b1) / (lo * big_i + m), (hi * big_i + b1) / (hi * big_i + m)
     out = shift * big_i
     den = np.add(out, m, out=den)
     out += b1
-    if lo_den <= 0.0 or hi_den <= 0.0:
-        # a unit denominator leaves the negative numerator, clipped to 0 below
-        den[den <= 0.0] = 1.0
     out /= den
-    # b - 1 < m, so each numerator rounds to at most its denominator and the
-    # quotient to at most 1: only the lower end needs clipping, and only if
-    # an end knot's cutoff is negative (where I > 1). None is -0.0, so
-    # np.maximum gives the two-sided clip's bits
-    if lo < 0.0 or hi < 0.0:
-        np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -160,7 +150,8 @@ def apply_T(
     """One application of the best-response operator on the curve's own grid.
 
     The integral I is computed by composite Simpson on the knots so that
-    quadrature and interpolation never disagree about the curve.
+    quadrature and interpolation never disagree about the curve, and taken
+    as at most 1, as the solver takes it (`_cutoff`).
     """
     _check_unit_curve(curve, F)
     k = curve.knots
@@ -228,11 +219,11 @@ def solve_diverse_threshold(
     as floats and builds the array only where the residual needs every knot.
     The sum is one multiply and one `np.add.reduce`, not `np.dot`: BLAS picks
     its summation order by CPU, so `np.dot` gives other bits on other
-    machines. The end-knot tests, the cutoff's and the residual's, are taken
-    on Python floats, with IEEE's bits.
+    machines. The end-knot residual is taken on Python floats, with IEEE's
+    bits.
 
     Built once per solve: w, the composite Simpson weights times F's density
-    at the knots, from which `coop_prob` and the damped path's M come too;
+    at the knots, from which `coop_prob` and the rounding bound's M come;
     the knots' shifts l - (b-1) and their two end values; one work array,
     which holds a step's weighted cdf, then its cutoff's denominators, then
     T(s) - s, and at the end the terms of `coop_prob`. Cached read-only: the
@@ -246,12 +237,14 @@ def solve_diverse_threshold(
     A step maps the cutoff at J (the start (b-1)/m is the cutoff at J = 0)
     to the cutoff at I. The two differ by a x (I-J)/((m + x I)(m + x J)),
     a = m - (b-1), x = l - (b-1), whose derivative in x has the sign of
-    m^2 - x^2 I J. So while I, J <= 1, where neither cutoff is clipped, and
+    m^2 - x^2 I J. The cutoffs take I and J at most 1, so on the knots
+    below b - 1, where |x| <= b - 1 < m, that sign is positive. So while
     x_N^2 I J <= m^2 at the last knot, x_N = ell_bar - (b-1), the residual
-    max|T(s) - s| lies at knot 0 or knot N, and it is read there. Otherwise
-    (a cutoff clipped at I > 1, or a loss support reaching past the peak
-    x = m/sqrt(I J)) it is the max over all knots. An entry read at the end
-    knots may differ from the all-knot max by the rounding of the cutoff
+    max|T(s) - s| lies at knot 0 or knot N, and it is read there; the test
+    takes the sums I and J before they are bounded by 1, which can only send
+    more steps to all knots. Otherwise (a loss support reaching past the
+    peak x = m/sqrt(I J)) it is the max over all knots. An entry read at the
+    end knots may differ from the all-knot max by the rounding of the cutoff
     values, of order eps (|x I| + |(b-1) + x I|)/(m + x I) each, which can
     decide a stop only for a tol at that level.
 
@@ -272,26 +265,32 @@ def solve_diverse_threshold(
       (a ratio of 0.9 or more) hands over to the root solve below. Where T
       does contract, the ratio is far below that.
     - gamma >= 1, or after such a step (`damped`): one `bisect_root` call
-      on [0, M], M the Simpson mass of F's density, solves Phi(I) = I, where
-      Phi(I) = I[s_I] and s_I is the cutoff at I; Phi(0) >= 0 and
-      Phi(M) <= M. Each evaluation is a step that records max|T(s_I) - s_I|.
-      Its excess is 0 once that is at most tol and Phi(I) - I otherwise, so
-      every bracket holds a zero, and s_I is returned there.
+      on [0, 1] solves Phi(I) = I, where Phi(I) = I[s_I] and s_I is the
+      cutoff at I; Phi(0) >= 0, and Phi(1) <= 1 unless the cutoff at
+      min(Phi(1), 1) is s_1 itself. Each evaluation is a step that records
+      max|T(s_I) - s_I|. Its excess is 0 once that is at most tol and
+      Phi(I) - I otherwise, so every bracket holds a zero, and s_I is
+      returned there.
 
     Raises ParameterError unless n_knots is an odd integer of at least 3
     (Simpson's rule), tol is positive and finite and max_iter an integer of
     at least 1 (a bool is neither), and
-    ConvergenceError when max_iter steps in all do not reach tol, when the
-    bracket on I collapses above tol, or when the curve decreases. A
-    collapse raises NoThresholdEquilibrium, a ConvergenceError, where Phi
-    jumps over the diagonal between the bracket's two adjacent floats by
-    more than tol and more than 2 n_knots eps M, the rounding bound of two
-    weighted sums of mass M: an atom of G, as at (2, 50), uniform F on
-    [0, 0.5] and G with knots [0, 0.01, 0.01 + 1 ulp, 1] and cdf
-    [0, 1/3, 2/3, 1], where Phi jumps by 4.4e-4 at I = 0.5775. It may be
-    flat: from m - (b-1) of about 1e13 on, neighbouring knots round to one
-    cutoff, as do a few near ell_bar at m - (b-1) = 1e-13, where the cutoff
-    is within 1e-13 of 1.
+    ConvergenceError when max_iter steps in all do not reach tol, or when
+    the bracket on I collapses above tol. A collapse raises
+    NoThresholdEquilibrium, a ConvergenceError, where Phi jumps over the
+    diagonal between the bracket's two adjacent floats by more than tol and
+    more than 2 n_knots eps M, the rounding bound of two weighted sums of M,
+    the Simpson mass of F's density: an atom of G, as at (2, 50), uniform F
+    on [0, 0.5] and G with knots [0, 0.01, 0.01 + 1 ulp, 1] and cdf
+    [0, 1/3, 2/3, 1], where Phi jumps by 4.4e-4 at I = 0.5775.
+
+    The returned curve is nondecreasing, and may be flat: from m - (b-1) of
+    about 1e13 on, neighbouring knots round to one cutoff, as do a few near
+    ell_bar at m - (b-1) = 1e-13, where the cutoff is within 1e-13 of 1.
+    The cutoff increases in l, so where rounding makes the converged values
+    dip, as they do by 2^-52 next to 1 at (1.82942081724959,
+    0.8294208172497276) on [0, 2.2715243992822787], they are lifted to their
+    running max; a curve that does not dip keeps its bits.
     """
     check_tol(tol)
     max_iter = check_count("max_iter", max_iter, 1)
@@ -316,15 +315,15 @@ def solve_diverse_threshold(
         Unless `build`, T(s) is built only where the residual needs all knots,
         and None is returned in its place."""
         big_i = float(np.add.reduce(np.multiply(G.cdf(vals), w, out=work)))
-        if cur_i <= 1.0 and big_i <= 1.0 and end_sq * cur_i * big_i <= m_sq:
+        if end_sq * cur_i * big_i <= m_sq:
             if build:
-                out = _cutoff(big_i, shift, params, ends, work)
+                out = _cutoff(big_i, shift, params, work)
                 lo, hi = out.item(0), out.item(-1)
             else:
-                out, (lo, hi) = None, _cutoff(big_i, None, params, ends)
+                out, (lo, hi) = None, _cutoff(big_i, ends, params)
             history.append(max(abs(lo - vals.item(0)), abs(hi - vals.item(-1))))
         else:
-            out = _cutoff(big_i, shift, params, ends, work)
+            out = _cutoff(big_i, shift, params, work)
             np.subtract(out, vals, out=work)
             history.append(float(np.abs(work, out=work).max()))
         if history[-1] > tol and len(history) >= max_iter:
@@ -350,7 +349,7 @@ def solve_diverse_threshold(
 
         def excess(big_i):
             nonlocal vals
-            vals = _cutoff(big_i, shift, params, ends, work)
+            vals = _cutoff(big_i, shift, params, work)
             phi = image(vals, big_i, build=False)[0]
             if history[-1] <= tol:
                 return 0.0
@@ -359,12 +358,11 @@ def solve_diverse_threshold(
 
         # the root is the last evaluation, where the excess is 0, unless the
         # bracket collapsed onto two floats first; image() enforces the budget
-        mass = float(w.sum())
-        root = bisect_root(excess, 0.0, mass, ftol=0.0)
+        root = bisect_root(excess, 0.0, 1.0, ftol=0.0)
         if history[-1] > tol:
             (lo, phi_lo), (hi, phi_hi) = bracket[True], bracket[False]
             jump = phi_lo - phi_hi
-            if jump > max(tol, 2.0 * n_knots * np.finfo(float).eps * mass):
+            if jump > max(tol, 2.0 * n_knots * np.finfo(float).eps * float(w.sum())):
                 raise NoThresholdEquilibrium(
                     f"no threshold equilibrium: Phi(I) jumps by {jump:.3e} between the "
                     f"adjacent floats I = {lo!r} and {hi!r} (last residual "
@@ -377,7 +375,10 @@ def solve_diverse_threshold(
     except ParameterError as exc:
         raise ConvergenceError(f"converged cutoff curve is no threshold: {exc}") from None
     if not threshold.monotone:
-        raise ConvergenceError("converged cutoff curve is no threshold: its values decrease")
+        # the cutoff increases in l, so a dip is rounding, where the curve is
+        # flat next to 1: lift it to its running max
+        vals = np.maximum.accumulate(vals)
+        threshold = ThresholdCurve(knots, vals, codomain=(0.0, 1.0))
     return DiverseSolution(
         threshold=threshold,
         coop_prob=float(np.add.reduce(np.multiply(np.subtract(1.0, G.cdf(vals), out=work), w,

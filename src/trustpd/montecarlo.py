@@ -41,6 +41,7 @@ from .core import (
     GameParams,
     LossDistribution,
     ParameterError,
+    check_count,
     payoff_cooperate,
     payoff_defect,
 )
@@ -81,13 +82,10 @@ class SimConfig:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or not 0 <= self.seed < 2 ** 128):
             raise ParameterError(f"seed must be an integer in [0, 2^128), got {self.seed!r}")
-        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, (int, np.integer))
-                or self.n_samples < 1):
-            raise ParameterError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         # stored as int, so that the stream offsets cannot wrap and the
         # report serialises to JSON
+        object.__setattr__(self, "n_samples", check_count("n_samples", self.n_samples, 1))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_samples", int(self.n_samples))
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.equilibrium not in EQUILIBRIA:

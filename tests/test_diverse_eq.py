@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -252,9 +252,11 @@ def solve_digest(sol):
 # solve_digest of 64 games drawn as perfbench's dispersed_group draws its
 # diverse solves (b uniform on [1.5, 4], m on [b + 3, 40], uniform F and G on
 # [0, 1], a fresh G each time) from random.Random(38), and of two steep-G and
-# two tabulated-G games, one of each on either side of gamma = 1; the last is
-# damped with cutoffs clipped below l = (b-1)(1 - 1/I), where residuals are
-# read over all knots
+# two tabulated-G games, one of each on either side of gamma = 1. The last is
+# damped, and F's Simpson mass is 1.00108: re-recorded when the cutoff came
+# to take I at most 1 and the root on I to be bracketed on [0, 1], not
+# [0, M]. Its cutoffs at I > 1 had been clipped to 0 below
+# l = (b-1)(1 - 1/I); the 7 steps are kept, and coop_prob moved by 4.7e-15
 PINNED_BENCHMARK_DRAWS = [
     "d09fe4b02cda58ea", "1b4e2aca080e91a1", "1ac751c9d1bb30d4", "7003ab17ef7821af",
     "4f33da8f504ed47e", "4167d66d3907f096", "c3851071d7198291", "5cec69621e09ba46",
@@ -283,7 +285,7 @@ PINNED_BELIEF_GAMES = {
                                "3dc571645a86bf65"),
     "tabulated-G, gamma > 1": ((1.5, 0.55, tp.tabulated_loss([0.0, 0.375, 0.5], [0.0, 0.14, 1.0]),
                                 tp.tabulated_belief([0.0, 0.5, 0.6, 1.0], [0.0, 0.1, 0.9, 1.0])),
-                               "f9f57d38c1a08333"),
+                               "ff10815604fa2d17"),
 }
 
 
@@ -318,7 +320,7 @@ def solve_with_steps(params, F, G):
 
     def recorded(big_i, shift, *args):
         out = cutoff(big_i, shift, *args)
-        if shift is not None:
+        if isinstance(shift, np.ndarray):
             built[id(out)] = big_i, out
         return out
 
@@ -359,35 +361,30 @@ class TestDampedBisection:
         s = sol.threshold
         assert np.max(np.abs(tp.apply_T(s, params, unit_loss, G).values - s.values)) <= 1e-15
 
-    def test_loss_mass_above_one_clips_the_cutoff(self, monkeypatch):
+    def test_loss_mass_above_one_takes_the_cutoff_at_one(self):
         # F's density jumps at 0.5007, between two knots, so its Simpson mass
-        # M is 1.00044: at I = M, the upper end of the bracket on I, the
-        # cutoff's numerator (b-1)(1 - I) at l = 0 is negative, and the
-        # cutoff is clipped to 0 there
+        # M is 1.00044. I is a probability: the cutoff at I = M is the one at
+        # I = 1, whose numerator (b-1)(1 - I) at l = 0 is 0, and no value is
+        # below 0
         F = tp.tabulated_loss([0.0, 0.5007, 1.0], [0.0, 0.2, 1.0])
         G = tp.tabulated_belief([0.0, 0.5, 0.6, 1.0], [0.0, 0.1, 0.9, 1.0])
         params = tp.validate_params(2, 2)
-        cutoff, clipped = diverse_eq._cutoff, []
-
-        def recorded(big_i, shift, params, *args):
-            # a cutoff at I <= 1, the only kind built as end values alone,
-            # is never clipped
-            out = cutoff(big_i, shift, params, *args)
-            if shift is not None and (params.b - 1.0) + shift[0] * big_i < 0.0:
-                clipped.append((big_i, out[0]))
-            return out
-
-        monkeypatch.setattr(diverse_eq, "_cutoff", recorded)
+        knots, simpson = diverse_eq._simpson_grid(F.ell_bar, diverse_eq.DEFAULT_GRID_SIZE)
+        big_m = float((simpson * F.pdf(knots)).sum())
+        shift = knots - 1.0
+        at_m = diverse_eq._cutoff(big_m, shift, params)
+        assert big_m > 1.0
+        assert at_m.tobytes() == diverse_eq._cutoff(1.0, shift, params).tobytes()
+        assert at_m[0] == 0.0 and at_m.min() >= 0.0
         sol = tp.solve_diverse_threshold(params, F, G)
         assert sol.damped and sol.contraction_gamma >= 1.0
-        assert [c for _, c in clipped] == [0.0] and clipped[0][0] > 1.0
         assert_fixed_point(sol, params, F, G)
 
     def test_loss_mass_above_m_over_b_minus_one_cooperates_at_every_belief(self, unit_belief):
-        # F's Simpson mass M = 1.00044 exceeds m/(b-1) = 1.00025, so at I = M,
-        # the upper end of the bracket on I, the cutoff's denominator
-        # m + (l-(b-1)) I is negative at l = 0. The numerator is negative
-        # there too: every belief cooperates, and the cutoff is 0
+        # F's Simpson mass M = 1.00044 exceeds m/(b-1) = 1.00025, so at I = M
+        # the cutoff's denominator m + (l-(b-1)) I would be negative at
+        # l = 0. The cutoff takes I at most 1, where the numerator at l = 0,
+        # (b-1)(1 - I), is 0: every belief cooperates, and the cutoff is 0
         F = tp.tabulated_loss([0.0, 0.5007, 1.0], [0.0, 0.2, 1.0])
         params = tp.validate_params(21.0, 20.005)
         knots, simpson = diverse_eq._simpson_grid(F.ell_bar, diverse_eq.DEFAULT_GRID_SIZE)
@@ -400,30 +397,22 @@ class TestDampedBisection:
         assert sol.damped
         assert_fixed_point(sol, params, F, unit_belief)
 
-    @pytest.mark.parametrize("b, m, F, G", [
-        (1.5, 0.55, tp.tabulated_loss([0.0, 0.375, 0.5], [0.0, 0.14, 1.0]),
-         tp.tabulated_belief([0.0, 0.5, 0.6, 1.0], [0.0, 0.1, 0.9, 1.0])),
-        (5.0, 4.01, tp.tabulated_loss([0.0, 0.92, 2.3], [0.0, 0.85, 1.0]),
-         steep_belief(0.07, 1e-4, 0.999)),
-    ], ids=["clipped-abscissa", "clipped-image"])
-    def test_residual_next_to_a_clipped_cutoff_is_the_all_knot_max(self, b, m, F, G):
-        # F's density jumps at a knot, so its Simpson mass M exceeds 1, and a
-        # cutoff at I > 1 is clipped to 0 at the knots below
-        # l = (b-1)(1 - 1/I). Where that is two knots or more, the gap between
-        # a step's two cutoffs peaks where the clipping ends, not at an end
-        # knot: at I = M, the upper end of the bracket on I, in the first
-        # game, and at the image of an I just below 1 in the second
-        params = tp.validate_params(b, m)
-        sol, steps = solve_with_steps(params, F, G)
-        assert sol.damped
-        peaks = []
-        for ((cur_i, vals), (big_i, out)), got in zip(steps, sol.residual_history, strict=True):
-            gap = np.abs(out - vals)
-            if max(cur_i, big_i) > 1.0:
-                assert got == gap.max()
-                peaks.append(int(gap.argmax()))
-        assert any(0 < k < sol.threshold.knots.size - 1 for k in peaks)
-        assert_fixed_point(sol, params, F, G)
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-8])
+    def test_loss_mass_above_one_next_to_a_vanishing_denominator_solves(self, tol):
+        # m - (b-1) is about 1e-11 and F's Simpson mass exceeds 1: where the
+        # cutoff took I > 1, its value at l = 0 moved by about
+        # (b-1)/(m - (b-1)) per unit of I, and the root on I reported a jump
+        # of 1.5e-7 between two adjacent floats above 1, for a G without
+        # atoms. With I at most 1 both steps build the cutoff at 1
+        params = tp.validate_params(11.664361441486951, 10.664361441492975)
+        F = tp.tabulated_loss([0.0, 0.44033198618309916, 0.7209397065187164],
+                              [0.0, 0.2809321357353736, 1.0])
+        G = tp.uniform_belief()
+        sol = tp.solve_diverse_threshold(params, F, G, tol=tol)
+        s = sol.threshold
+        assert sol.iterations == 2 and sol.residual == 0.0
+        assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) == 0.0
+        assert s.monotone
 
     def test_steep_belief_with_steep_fixed_point_map(self, unit_loss):
         # the belief cdf of test_point_mass_beliefs_reduce_to_common_solver at
@@ -559,11 +548,11 @@ def test_every_game_reaches_the_fixed_point(b, excess_m, G, ell_bar):
 
 
 def cutoff_rounding(big_i, shift, params):
-    """A bound on the rounding of each cutoff value ((b-1) + x I)/(m + x I)
-    from its terms: x I, the numerator and the denominator each round once,
-    and so does the quotient. eps is twice the unit roundoff, a margin for
-    the second-order terms."""
-    xi = shift * big_i
+    """A bound on the rounding of each cutoff value ((b-1) + x I)/(m + x I),
+    I taken at most 1 as `_cutoff` takes it, from its terms: x I, the
+    numerator and the denominator each round once, and so does the quotient.
+    eps is twice the unit roundoff, a margin for the second-order terms."""
+    xi = shift * min(big_i, 1.0)
     eps = np.finfo(float).eps
     return eps * (2.0 * np.abs(xi) + 3.0 * np.abs((params.b - 1.0) + xi)) / (params.m + xi)
 
@@ -590,8 +579,8 @@ def test_end_knot_residual_matches_the_all_knot_max(log_b1, log_a, side, frac, t
     # a loss support below b - 1, between b - 1 and m + (b-1), and past it,
     # where the gap between two cutoffs may peak inside the knots; a uniform
     # or a steep G, so that gamma falls on both sides of 1, and a
-    # tabulated F whose Simpson mass may exceed 1, so that the damped path
-    # may clip a cutoff. Each recorded residual is at most the all-knot max
+    # tabulated F whose Simpson mass may exceed 1, so that a step's sum I
+    # may too. Each recorded residual is at most the all-knot max
     # between the step's two cutoffs and below it by no more than their
     # rounding at an end knot and at the max's knot
     b = 1.0 + 10.0**log_b1
@@ -633,6 +622,34 @@ def test_end_knot_residual_matches_the_all_knot_max(log_b1, log_a, side, frac, t
     assert sol.coop_prob == float(np.add.reduce((1.0 - np.asarray(G.cdf(vals))) * w))
 
 
+@given(log_b1=st.floats(-3.0, 3.0), log_a=st.floats(-13.0, 14.0),
+       log_ell=st.floats(-3.0, 16.0), frac_i=st.floats(0.0, 1.0),
+       n_knots=st.sampled_from([3, 5, 101]))
+@example(log_b1=0.0, log_a=-12.0, log_ell=0.5, frac_i=0.75, n_knots=5)
+@settings(max_examples=300, deadline=None)
+def test_cutoff_takes_I_at_most_one(log_b1, log_a, log_ell, frac_i, n_knots):
+    # I over [0, 2m/(b-1)], past m/(b-1), where m + (l-(b-1)) I changes sign
+    # at l = 0; a loss support from far below b - 1 to far past m + (b-1).
+    # Every value lies in [0, 1], every I >= 1 gives the cutoff at 1, bit
+    # for bit, and the two end values taken as floats are the array's
+    b = 1.0 + 10.0**log_b1
+    m = (b - 1.0) + 10.0**log_a
+    assume(m > b - 1.0)
+    params = tp.validate_params(b, m)
+    b1 = params.b - 1.0
+    big_i = frac_i * 2.0 * params.m / b1
+    knots, _ = diverse_eq._simpson_grid(10.0**log_ell, n_knots)
+    shift = knots - b1
+    den = np.empty(n_knots)
+    out = diverse_eq._cutoff(big_i, shift, params, den=den)
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    assert np.all(den >= params.m - b1) and np.all(den > 0.0)
+    if big_i >= 1.0:
+        assert out.tobytes() == diverse_eq._cutoff(1.0, shift, params).tobytes()
+    ends = diverse_eq._cutoff(big_i, (shift.item(0), shift.item(-1)), params)
+    assert [v.hex() for v in ends] == [out.item(0).hex(), out.item(-1).hex()]
+
+
 @given(b=st.floats(2.0, 8.0), log_gap=st.floats(-1.0, 15.0))
 @settings(max_examples=40, deadline=None)
 def test_large_m_matches_the_exact_uniform_closed_form(b, log_gap):
@@ -667,6 +684,20 @@ def test_small_excess_m_hands_over_to_the_root_on_I(b, excess_m):
     assert sol.iterations == len(sol.residual_history) <= 100
     assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= 1e-10
     assert s.monotone
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-8])
+def test_curve_that_dips_by_rounding_is_lifted(tol):
+    # m - (b-1) is about 1e-13, so from knot 670 to ell_bar the cutoff is
+    # within 1e-13 of 1, and the converged values dip by 2^-52 at 33 to 38
+    # knots there. The cutoff increases in l, so the curve is lifted to its
+    # running max, not refused
+    params = tp.validate_params(1.82942081724959, 0.8294208172497276)
+    F, G = tp.uniform_loss(2.2715243992822787), tp.uniform_belief()
+    sol = tp.solve_diverse_threshold(params, F, G, tol=tol)
+    s = sol.threshold
+    assert s.monotone and sol.residual <= tol
+    assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= tol
 
 
 def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):
