@@ -13,8 +13,9 @@ I[s] is the probability that a strategic partner defects, so it lies in
 most 1, where a density that jumps between knots can sum above it. T(s)
 depends on s only through the scalar I[s], so the solver keeps the curve's
 values on a uniform knot grid as plain arrays and takes each step as one
-pass over them: iterating T while it contracts, otherwise solving the scalar
-equation I[s_I] = I, s_I the cutoff at I, with `bisect_root`. A step's
+pass over them that builds the cutoff at I as an array: iterating T while
+it contracts, otherwise solving the scalar equation I[s_I] = I, s_I the
+cutoff at I, with `bisect_root`. A step's
 residual max|T(s) - s| is the gap between two cutoffs, at I and at the J of
 the current curve, (m - (b-1)) x (I-J)/((m + x I)(m + x J)) with
 x = l - (b-1): it has one sign on each side of l = b-1 and grows toward
@@ -56,12 +57,15 @@ class DiverseSolution:
     """Converged belief-cutoff curve with solver diagnostics.
 
     `residual_history` holds each solver step's max|T(s) - s|, a step being
-    one Simpson-and-cutoff pass; `iterations` is their count and `residual`
-    the last, that of the returned curve. An entry is read at the two end
-    knots when x_N^2 I J <= m^2, x_N = ell_bar - (b-1), I and J the weighted
-    sums the step's two cutoffs are built at, and over all knots otherwise,
-    so it may differ from the all-knot max by the rounding of the cutoff
-    values (see `solve_diverse_threshold`). `contraction_gamma` is the bound
+    one Simpson-and-cutoff pass that builds T(s) as an array; `iterations`
+    is their count and `residual` the last, that of the returned curve. An
+    entry is read at the two end knots when x_N^2 I J <= m^2,
+    x_N = ell_bar - (b-1), I and J the weighted sums the step's two cutoffs
+    are built at, and over all knots otherwise, so it may differ from the
+    all-knot max by the rounding of the cutoff values (see
+    `solve_diverse_threshold`). A converged curve that dips by rounding is
+    returned lifted to its running max, and one more pass records the
+    lifted curve's residual over all knots. `contraction_gamma` is the bound
     (1+m-b) sup g / m^2, with the exact sup of the belief density. It bounds
     T's Lipschitz constant only where |l - (b-1)| <= 1 and
     m + (l-(b-1)) I >= m; elsewhere T need not contract though it reads
@@ -117,26 +121,21 @@ def _check_unit_curve(curve: ThresholdCurve, dist: LossDistribution):
         raise ParameterError("curve values must lie in [0, 1]")
 
 
-def _cutoff(big_i: float, shift, params: GameParams, den=None):
+def _cutoff(big_i: float, shift: np.ndarray, params: GameParams, den=None):
     """The cutoff values 1 - (1+m-b)/(m + (l-(b-1)) I) on knots l given as
-    shift = l - (b-1), an array, or a pair of floats whose cutoffs are
-    returned as a pair. I is a probability, the chance that a strategic
-    partner defects, and is taken as min(I, 1): a Simpson sum over a density
-    that jumps between knots may exceed 1. The cutoff is computed as
-    ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
+    the array shift = l - (b-1). I is a probability, the chance that a
+    strategic partner defects, and is taken as min(I, 1): a Simpson sum over
+    a density that jumps between knots may exceed 1. The cutoff is computed
+    as ((b-1) + (l-(b-1)) I)/den, the same value without the cancellation of
     1 - (1+m-b)/den when it is small, about (b-1)/m at large m. The product
     (l-(b-1)) I is formed once, and the cutoff built in its array; den, when
-    given, is an array of shift's size that receives the denominators. The
-    pair is computed in the same arithmetic, with the array's bits.
+    given, is an array of shift's size that receives the denominators.
 
     For I in [0, 1], l >= 0 and m > b - 1, IEEE rounding is monotone, so
     every numerator rounds to at least 0 and every denominator to at least
     m - (b-1) > 0, and b - 1 < m keeps each quotient at most 1: the cutoff
     lies in [0, 1] with no clipping."""
     big_i, b1, m = min(big_i, 1.0), params.b - 1.0, params.m
-    if isinstance(shift, tuple):
-        lo, hi = shift
-        return (lo * big_i + b1) / (lo * big_i + m), (hi * big_i + b1) / (hi * big_i + m)
     out = shift * big_i
     den = np.add(out, m, out=den)
     out += b1
@@ -214,22 +213,20 @@ def solve_diverse_threshold(
     solver is the curve's values on the knots, and a step is one pass over
     plain arrays: G's cdf at s, I as its sum times the weights w, the cutoff
     at I, and the residual max|T(s) - s|, read at the two end knots where the
-    gap peaks at one of them (below). A Picard step builds the cutoff at I
-    as an array, its next s; a damped step reads the cutoff's two end values
-    as floats and builds the array only where the residual needs every knot.
-    The sum is one multiply and one `np.add.reduce`, not `np.dot`: BLAS picks
-    its summation order by CPU, so `np.dot` gives other bits on other
-    machines. The end-knot residual is taken on Python floats, with IEEE's
-    bits.
+    gap peaks at one of them (below). Every step, Picard's or the root
+    solve's, builds the cutoff at I as an array, T(s). The sum is one
+    multiply and one `np.add.reduce`, not `np.dot`: BLAS picks its summation
+    order by CPU, so `np.dot` gives other bits on other machines. The
+    end-knot residual is taken on Python floats, with IEEE's bits.
 
     Built once per solve: w, the composite Simpson weights times F's density
     at the knots, from which `coop_prob` and the rounding bound's M come;
-    the knots' shifts l - (b-1) and their two end values; one work array,
-    which holds a step's weighted cdf, then its cutoff's denominators, then
-    T(s) - s, and at the end the terms of `coop_prob`. Cached read-only: the
-    knots and the Simpson weights per (ell_bar, n_knots), and the beliefs
-    where G's density is probed for gamma per tuple of G's knots. The
-    returned curve is validated once, knots and values, when it is built.
+    the knots' shifts l - (b-1); one work array, which holds a step's
+    weighted cdf, then its cutoff's denominators, then T(s) - s, and at the
+    end the terms of `coop_prob`. Cached read-only: the knots and the
+    Simpson weights per (ell_bar, n_knots), and the beliefs where G's
+    density is probed for gamma per tuple of G's knots. The returned curve
+    is validated once, knots and values, when it is built.
     The steps are Picard's, stopped by the rule below: a secant step on I
     would take fewer, but `reproduce-all` writes the count, and its recorded
     outputs pin it.
@@ -290,7 +287,9 @@ def solve_diverse_threshold(
     The cutoff increases in l, so where rounding makes the converged values
     dip, as they do by 2^-52 next to 1 at (1.82942081724959,
     0.8294208172497276) on [0, 2.2715243992822787], they are lifted to their
-    running max; a curve that does not dip keeps its bits.
+    running max, and one more pass records the lifted curve's max|T(s) - s|
+    over all knots, so that `residual` is the returned curve's; a curve that
+    does not dip keeps its bits and its history.
     """
     check_tol(tol)
     max_iter = check_count("max_iter", max_iter, 1)
@@ -303,27 +302,20 @@ def solve_diverse_threshold(
     gamma = params.coop_premium * _density_sup(G) * 1.0 / params.m ** 2
 
     # when the residual is read at the two end knots: see the docstring
-    ends = shift.item(0), shift.item(-1)
-    end_sq, m_sq = ends[1] ** 2, params.m ** 2
+    end_sq, m_sq = shift.item(-1) ** 2, params.m ** 2
     # a step's weighted cdf, then its cutoff's denominators, then T(s) - s;
     # at the end the terms of coop_prob
     work = np.empty(n_knots)
     history: list[float] = []
 
-    def image(vals, cur_i, build=True):
-        """(I[s], T(s)) for the cutoff values s at cur_i, recording max|T(s) - s|.
-        Unless `build`, T(s) is built only where the residual needs all knots,
-        and None is returned in its place."""
+    def image(vals, cur_i):
+        """(I[s], T(s)) for the cutoff values s at cur_i, recording max|T(s) - s|."""
         big_i = float(np.add.reduce(np.multiply(G.cdf(vals), w, out=work)))
+        out = _cutoff(big_i, shift, params, work)
         if end_sq * cur_i * big_i <= m_sq:
-            if build:
-                out = _cutoff(big_i, shift, params, work)
-                lo, hi = out.item(0), out.item(-1)
-            else:
-                out, (lo, hi) = None, _cutoff(big_i, ends, params)
-            history.append(max(abs(lo - vals.item(0)), abs(hi - vals.item(-1))))
+            history.append(max(abs(out.item(0) - vals.item(0)),
+                               abs(out.item(-1) - vals.item(-1))))
         else:
-            out = _cutoff(big_i, shift, params, work)
             np.subtract(out, vals, out=work)
             history.append(float(np.abs(work, out=work).max()))
         if history[-1] > tol and len(history) >= max_iter:
@@ -350,7 +342,7 @@ def solve_diverse_threshold(
         def excess(big_i):
             nonlocal vals
             vals = _cutoff(big_i, shift, params, work)
-            phi = image(vals, big_i, build=False)[0]
+            phi = image(vals, big_i)[0]
             if history[-1] <= tol:
                 return 0.0
             bracket[phi > big_i] = (big_i, phi)
@@ -376,9 +368,12 @@ def solve_diverse_threshold(
         raise ConvergenceError(f"converged cutoff curve is no threshold: {exc}") from None
     if not threshold.monotone:
         # the cutoff increases in l, so a dip is rounding, where the curve is
-        # flat next to 1: lift it to its running max
+        # flat next to 1: lift it to its running max, and record the lifted
+        # curve's residual over all knots
         vals = np.maximum.accumulate(vals)
         threshold = ThresholdCurve(knots, vals, codomain=(0.0, 1.0))
+        big_i = float(np.add.reduce(np.multiply(G.cdf(vals), w, out=work)))
+        history.append(float(np.abs(_cutoff(big_i, shift, params) - vals).max()))
     return DiverseSolution(
         threshold=threshold,
         coop_prob=float(np.add.reduce(np.multiply(np.subtract(1.0, G.cdf(vals), out=work), w,
