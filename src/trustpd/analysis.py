@@ -140,7 +140,9 @@ def cooperation_report(params: GameParams, mode: str = "approximate") -> Coopera
     pi_dagger and the upper bound are the cutoffs at l = 1 - beta and l = 1.
     The cutoff increases in l and 0 < beta < 1, so pi_dagger <= upper by
     construction; at large m the two round to one float (at b = 3 from m of
-    about 3e8 on), so the check allows the tie.
+    about 3e8 on), so the check allows the tie. The regime bounds' lower
+    end, the cutoff at l = 0, ties with upper likewise (at b = 3 from m of
+    about 1e17 on, and at (2, 1e200)), and the check allows that tie too.
     """
     ab = solve_alpha_beta(params, mode=mode)
     # the dispersed threshold is 0 below the cutoff at l = 0 and 1 from the one at l = 1
@@ -153,7 +155,7 @@ def cooperation_report(params: GameParams, mode: str = "approximate") -> Coopera
         gamma_aux=float(_gamma_aux(params.b, params.coop_premium)),
         regime_bounds=(lower, upper, params.pi_low),
     )
-    if not lower < upper <= params.pi_low + 1e-12:
+    if not lower <= upper <= params.pi_low + 1e-12:
         raise InvariantViolation(f"regime bounds out of order: {report.regime_bounds}")
     if not 0.0 < report.pi_dagger <= upper:
         raise InvariantViolation(f"crossing belief {report.pi_dagger} outside (0, {upper}]")

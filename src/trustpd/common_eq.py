@@ -52,7 +52,7 @@ from .core import (
     float_or_array,
     hazard,
 )
-from .numerics import refine_from
+from .numerics import refine_from, square
 
 
 def _clamp_belief(pi: float) -> float:
@@ -129,6 +129,11 @@ def _best_response(pi: float, params: GameParams, dist: LossDistribution):
     threshold alone, a float or an array in [0, ell_bar], which it does not
     check. The belief's check and clamp, K and the corner are settled here,
     once, so that a root solver's step pays only for F and psi's arithmetic.
+
+    psi's pole is where F reaches 1, at ell_bar or, where F rounds to 1
+    short of it, before: the corner is returned there. Elsewhere psi's
+    denominator 1 - F is positive and K finite, so for F's values in [0, 1]
+    no result is NaN.
     """
     psi_at = _psi_of_cdf(pi, params)
     big_l, cdf = dist.ell_bar, dist.cdf
@@ -138,14 +143,14 @@ def _best_response(pi: float, params: GameParams, dist: LossDistribution):
 
     def best_response(opp):
         if isinstance(opp, np.ndarray) and opp.ndim:
-            use_psi = opp < big_l
-            best = psi_at(cdf(np.where(use_psi, opp, 0.0)))
+            big_f = cdf(opp)
+            use_psi = big_f < 1.0
+            best = psi_at(np.where(use_psi, big_f, 0.0))
             best = np.where(0.0 > best, 0.0, best)
             best = np.where(big_l < best, big_l, best)
             return np.where(use_psi, best, corner)
-        if not opp < big_l:
-            return corner
-        best = psi_at(float(cdf(opp)))
+        big_f = float(cdf(opp))
+        best = psi_at(big_f) if big_f < 1.0 else corner
         return 0.0 if best < 0.0 else big_l if best > big_l else best
 
     return best_response
@@ -362,15 +367,18 @@ def closed_form_common_uniform(pi, params: GameParams):
 
         b/2 - sqrt(b^2/4 - (1+m-b) pi/(1-pi))   for pi < (b-1)/m, else 1.
 
-    pi may be a scalar (returns a float) or an array of beliefs.
+    pi may be a scalar (returns a float) or an array of beliefs. Raises
+    ParameterError for b < 2, and for a b whose square b**2 overflows (b of
+    about 1.34e154 or more), where the expression has no float value.
     """
-    if params.b < 2.0:
-        raise ParameterError(f"closed form requires b >= 2, got b={params.b}")
+    b_sq = square(params.b)
+    if params.b < 2.0 or b_sq == math.inf:
+        raise ParameterError(f"closed form requires b >= 2 with a finite b**2, got b={params.b}")
     if not all_within(pi, 0.0, 1.0, include_hi=False):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
     pi = np.where(1.0 - BELIEF_EPS < pi, 1.0 - BELIEF_EPS, float_or_array(pi))
     below = pi < params.pi_low
-    disc = params.b ** 2 / 4.0 - params.coop_premium * pi / (1.0 - pi)
+    disc = b_sq / 4.0 - params.coop_premium * pi / (1.0 - pi)
     negative = below & (disc < 0.0)
     if np.any(negative):
         raise ParameterError(

@@ -144,10 +144,12 @@ def _set_knots(dist, lo: float, hi: float) -> None:
 
 
 def uniform_loss(ell_bar: float) -> LossDistribution:
-    """Uniform loss distribution on [0, ell_bar]; hazard 1/(ell_bar - l)."""
+    """Uniform loss distribution on [0, ell_bar]; hazard 1/(ell_bar - l).
+    Raises ParameterError unless ell_bar is positive and finite, with a
+    finite density 1/ell_bar: below about 5.6e-309 the density overflows."""
     ell_bar = float(ell_bar)
-    if not np.isfinite(ell_bar) or ell_bar <= 0:
-        raise ParameterError(f"upper support must be positive, got {ell_bar}")
+    if not 0.0 < ell_bar < math.inf or math.isinf(1.0 / ell_bar):  # NaN fails too
+        raise ParameterError(f"upper support must be positive with a finite density, got {ell_bar}")
     density = 1.0 / ell_bar
 
     def cdf(x):

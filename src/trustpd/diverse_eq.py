@@ -49,7 +49,7 @@ from .core import (
     check_tol,
     float_or_array,
 )
-from .numerics import bisect_root, composite_simpson
+from .numerics import bisect_root, composite_simpson, square
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class DiverseSolution:
     `residual_history` holds each solver step's max|T(s) - s|, a step being
     one Simpson-and-cutoff pass that builds T(s) as an array; `iterations`
     is their count and `residual` the last, that of the returned curve. An
-    entry is read at the two end knots when x_N^2 I J <= m^2,
+    entry is read at the two end knots when x_N^2 I J < m^2,
     x_N = ell_bar - (b-1), I and J the weighted sums the step's two cutoffs
     are built at, and over all knots otherwise, so it may differ from the
     all-knot max by the rounding of the cutoff values (see
@@ -226,7 +226,11 @@ def solve_diverse_threshold(
     end the terms of `coop_prob`. Cached read-only: the knots and the
     Simpson weights per (ell_bar, n_knots), and the beliefs where G's
     density is probed for gamma per tuple of G's knots. The returned curve
-    is validated once, knots and values, when it is built.
+    is validated once, when it is built. Its values are the cutoff at an I
+    that is no NaN, as the residual at or below tol shows, and at least 0
+    for a cdf in [0, 1], so they lie in [0, 1] (`_cutoff`); only knots that
+    repeat, on a support too narrow for n_knots floats, raise there, a
+    ParameterError.
     The steps are Picard's, stopped by the rule below: a secant step on I
     would take fewer, but `reproduce-all` writes the count, and its recorded
     outputs pin it.
@@ -236,11 +240,15 @@ def solve_diverse_threshold(
     a = m - (b-1), x = l - (b-1), whose derivative in x has the sign of
     m^2 - x^2 I J. The cutoffs take I and J at most 1, so on the knots
     below b - 1, where |x| <= b - 1 < m, that sign is positive. So while
-    x_N^2 I J <= m^2 at the last knot, x_N = ell_bar - (b-1), the residual
+    x_N^2 I J < m^2 at the last knot, x_N = ell_bar - (b-1), the residual
     max|T(s) - s| lies at knot 0 or knot N, and it is read there; the test
     takes the sums I and J before they are bounded by 1, which can only send
-    more steps to all knots. Otherwise (a loss support reaching past the
-    peak x = m/sqrt(I J)) it is the max over all knots. An entry read at the
+    more steps to all knots. x_N^2 and m^2 are the float power's squares,
+    inf where they overflow (`numerics.square`, from about 1.34e154 on): the
+    strict test then sends a step to all knots unless only m^2 overflows,
+    where x_N^2 I J, a float, lies below the exact m^2. Otherwise (a loss
+    support reaching past the peak x = m/sqrt(I J)) it is the max over all
+    knots. An entry read at the
     end knots may differ from the all-knot max by the rounding of the cutoff
     values, of order eps (|x I| + |(b-1) + x I|)/(m + x I) each, which can
     decide a stop only for a tol at that level.
@@ -249,7 +257,7 @@ def solve_diverse_threshold(
     the G factor must be the Lipschitz constant of the belief cdf (the sup of
     its density, exact for a piecewise-constant one; 1 for the uniform case)
     for the bound to control |G(s1)-G(s2)|, and the F factor is the unit
-    total mass.
+    total mass. Where m^2 overflows it is divided by m twice instead.
 
     - gamma < 1: iterate T from the constant curve (b-1)/m, the T-image of the
       all-cooperate curve. Uniqueness makes the start immaterial, so the
@@ -273,7 +281,9 @@ def solve_diverse_threshold(
     (Simpson's rule), tol is positive and finite and max_iter an integer of
     at least 1 (a bool is neither), and
     ConvergenceError when max_iter steps in all do not reach tol, or when
-    the bracket on I collapses above tol. A collapse raises
+    the bracket on I collapses above tol. A NaN residual, as from a belief
+    cdf that returns NaN or a density that overflows, does not reach tol, so
+    max_iter bounds every solve. A collapse raises
     NoThresholdEquilibrium, a ConvergenceError, where Phi jumps over the
     diagonal between the bracket's two adjacent floats by more than tol and
     more than 2 n_knots eps M, the rounding bound of two weighted sums of M,
@@ -299,10 +309,10 @@ def solve_diverse_threshold(
     knots, simpson = _simpson_grid(F.ell_bar, n_knots)
     w = simpson * F.pdf(knots)
     shift = knots - (params.b - 1.0)
-    gamma = params.coop_premium * _density_sup(G) * 1.0 / params.m ** 2
-
     # when the residual is read at the two end knots: see the docstring
-    end_sq, m_sq = shift.item(-1) ** 2, params.m ** 2
+    end_sq, m_sq = square(shift.item(-1)), square(params.m)
+    gamma = (params.coop_premium * _density_sup(G) * 1.0 / m_sq if m_sq < math.inf
+             else params.coop_premium / params.m * _density_sup(G) / params.m)
     # a step's weighted cdf, then its cutoff's denominators, then T(s) - s;
     # at the end the terms of coop_prob
     work = np.empty(n_knots)
@@ -312,13 +322,13 @@ def solve_diverse_threshold(
         """(I[s], T(s)) for the cutoff values s at cur_i, recording max|T(s) - s|."""
         big_i = float(np.add.reduce(np.multiply(G.cdf(vals), w, out=work)))
         out = _cutoff(big_i, shift, params, work)
-        if end_sq * cur_i * big_i <= m_sq:
+        if end_sq * cur_i * big_i < m_sq:
             history.append(max(abs(out.item(0) - vals.item(0)),
                                abs(out.item(-1) - vals.item(-1))))
         else:
             np.subtract(out, vals, out=work)
             history.append(float(np.abs(work, out=work).max()))
-        if history[-1] > tol and len(history) >= max_iter:
+        if not history[-1] <= tol and len(history) >= max_iter:
             raise ConvergenceError(
                 f"no fixed point after {max_iter} iterations (last residual {history[-1]:.3e})"
             )
@@ -351,7 +361,7 @@ def solve_diverse_threshold(
         # the root is the last evaluation, where the excess is 0, unless the
         # bracket collapsed onto two floats first; image() enforces the budget
         root = bisect_root(excess, 0.0, 1.0, ftol=0.0)
-        if history[-1] > tol:
+        if not history[-1] <= tol:
             (lo, phi_lo), (hi, phi_hi) = bracket[True], bracket[False]
             jump = phi_lo - phi_hi
             if jump > max(tol, 2.0 * n_knots * np.finfo(float).eps * float(w.sum())):
@@ -362,10 +372,7 @@ def solve_diverse_threshold(
             raise ConvergenceError(f"bisection on I collapsed at {root!r} "
                                    f"(last residual {history[-1]:.3e})")
 
-    try:
-        threshold = ThresholdCurve(knots, vals, codomain=(0.0, 1.0))
-    except ParameterError as exc:
-        raise ConvergenceError(f"converged cutoff curve is no threshold: {exc}") from None
+    threshold = ThresholdCurve(knots, vals, codomain=(0.0, 1.0))
     if not threshold.monotone:
         # the cutoff increases in l, so a dip is rounding, where the curve is
         # flat next to 1: lift it to its running max, and record the lifted

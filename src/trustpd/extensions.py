@@ -43,7 +43,6 @@ from .common_eq import (
 )
 from .core import (
     BeliefDistribution,
-    ConvergenceError,
     GameParams,
     LossDistribution,
     ParameterError,
@@ -53,7 +52,7 @@ from .core import (
     check_count,
     float_or_array,
 )
-from .numerics import bisect_root, bracket_roots, refine_from
+from .numerics import bisect_root, bracket_roots, refine_from, square
 
 VARIANTS = ("consistent", "as_printed")
 SOLVE_TOL = 1e-12  # the residual every root and fixed point here is refined to
@@ -90,8 +89,14 @@ def _straddling_start(pi1: float, pi2: float, params: GameParams, big_l: float) 
     Where l_b <= 0 the below player defects at every loss, and the above
     one's threshold is psi_a(0) = K_a. Where l_a is not below ell_bar, or
     d <= 0, the above player cooperates at every loss, and the result is
-    NaN; with player 1 below, l_b <= 0 is returned as it stands. A start
-    outside (0, ell_bar) leaves the whole bracket to `bisect_root`.
+    NaN; with player 1 below, l_b <= 0 is returned as it stands. l_a lies
+    below ell_bar exactly, but rounds onto it where e_b is within rounding
+    of 0 and e_a ell_bar > d^2: at (3, 50) on [0, 8], pi1 = 0.5 and pi2 one
+    float below (b-1)/m. The square in disc is inf where it overflows
+    (`numerics.square`): l_a is then b - 1, as at ell_bar = 1e100 with
+    pi = (0.01, 0.1), where that moves l_b by rounding only, or NaN, as from
+    ell_bar = 1e154 on, where e_a ell_bar 2d overflows too. A start outside
+    (0, ell_bar), NaN included, leaves the whole bracket to `bisect_root`.
     """
     b1 = params.b - 1.0
     d = big_l - b1
@@ -104,7 +109,7 @@ def _straddling_start(pi1: float, pi2: float, params: GameParams, big_l: float) 
     e_a = params.m * (p_a - pi_low) / (1.0 - p_a)
     e_b = params.m * (p_b - pi_low) / (1.0 - p_b)
     s = d * d + (e_a - e_b) * big_l
-    disc = (d * d - (e_a + e_b) * big_l) ** 2 - 4.0 * e_a * e_b * big_l * big_l
+    disc = square(d * d - (e_a + e_b) * big_l) - 4.0 * e_a * e_b * big_l * big_l
     ell_a = b1 + e_a * big_l * (d + d) / (s + math.sqrt(disc))
     if not 0.0 < ell_a < big_l:
         return math.nan
@@ -126,8 +131,11 @@ def solve_asymmetric(
     the returned l1 meets |gap| <= SOLVE_TOL, or is the lower end of a
     sign-change bracket of two adjacent floats, within one ulp of a root of
     the gap. The second case comes next to ell_bar, where the best
-    responses' 1/(1 - F) pole leaves no float that meets the bound. With
-    the beliefs on opposite sides of (b-1)/m (a belief at it counts as
+    responses' 1/(1 - F) pole leaves no float that meets the bound. There is
+    always a root: the best responses lie in [0, ell_bar] and are never NaN
+    (`common_eq._best_response`), so gap(0) >= 0 >= gap(ell_bar), and a
+    scan of the gap from 0 to ell_bar meets a grid zero or a sign change.
+    With the beliefs on opposite sides of (b-1)/m (a belief at it counts as
     above), one best response is nonincreasing and the other
     nondecreasing, so the composed one is nonincreasing, gap' <= -1, and
     [0, ell_bar] brackets the gap's one root. gap(0) is settled first, so
@@ -168,8 +176,6 @@ def solve_asymmetric(
                                  0.0, big_l, gap_lo, None, SOLVE_TOL)]
     else:
         roots = bracket_roots(gap, np.linspace(0.0, big_l, 2001), tol=SOLVE_TOL)
-    if not roots:
-        raise ConvergenceError("no intersection of the reaction curves found")
     ell1 = roots[0]
     ell2 = br2(ell1)
     return AsymmetricEquilibrium(

@@ -1,6 +1,7 @@
 """Small numerical kernels used across the solvers: bracketed root
 refinement, from a bracket or from a model's estimate, sign-change
-scanning, grid root bracketing, and composite/adaptive Simpson quadrature.
+scanning, grid root bracketing, composite/adaptive Simpson quadrature, and
+a float square that gives inf where the float power raises on overflow.
 
 A solver that sweeps a function for its roots evaluates it once on the
 whole scan grid as a numpy array; `scan_sign_changes` splits the samples into
@@ -13,15 +14,15 @@ one side of (b-1)/m, and `extensions.solve_group_common` under `as_printed`.
 
 `bisect_root` steps from Chandrupatla's inverse-quadratic estimate where
 his test passes, and from the midpoint otherwise (Adv. Eng. Software 28(3),
-1997), projected into ITP's window about the midpoint (Oliveira and
-Takahashi, ACM TOMS 47(1), 2020): bisection's bracket, contract and worst
-case within ITP_N0 steps, and superlinear convergence on the smooth
-functions the solvers bracket. A step calls nothing but f: |x| and the
-projection's clamp are comparisons, which give what abs, min and max give,
-NaN and signed zeros included, and the sign of f(lo), which never changes,
-is read once. The solvers' closures are built the same way, with their
-checks and constants settled once per solve, so that a step pays only for
-its arithmetic.
+1997), projected into ITP's window about the midpoint, which keeps it
+inside the bracket (Oliveira and Takahashi, ACM TOMS 47(1), 2020):
+bisection's bracket, contract and worst case within ITP_N0 steps, and
+superlinear convergence on the smooth functions the solvers bracket. A
+step calls nothing but f: |x| and the projection's clamp are comparisons,
+which give what abs, min and max give, NaN and signed zeros included, and
+the sign of f(lo), which never changes, is read once. The solvers'
+closures are built the same way, with their checks and constants settled
+once per solve, so that a step pays only for its arithmetic.
 `refine_from` starts from a model's estimate of the root and hands only a
 miss to `bisect_root`, on a sub-bracket about it. Its callers are the
 shared-belief roots of `common_eq.solve_common_equilibria`, the tangency
@@ -131,7 +132,11 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
                         x = mid
         # project: keep both parts of the bracket within reach. The window
         # ends are pulled in by eps, which absorbs their rounding: a sum
-        # rounds by at most eps at magnitudes up to the larger end
+        # rounds by at most eps at magnitudes up to the larger end. x stays
+        # inside (lo, hi): x = lower can only replace an x above lo, and
+        # lower rounds to hi only for a pull r = reach - eps of at most half
+        # the spacing below hi, when upper = lo + r rounds below hi (a float
+        # lies between lo and hi), so lower > upper; x = upper likewise
         lower, upper = hi - (reach - eps), lo + (reach - eps)
         if lower > upper:
             x = mid
@@ -140,8 +145,6 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
         elif upper < x:
             x = upper
         reach *= 0.5
-        if not lo < x < hi:
-            x = mid
         fx = f(x)
         if neg_ftol <= fx <= ftol:
             return x
@@ -149,6 +152,15 @@ def bisect_root(f, lo: float, hi: float, *, ftol: float,
             c, fc, hi, fhi = hi, fhi, x, fx
         else:
             c, fc, lo, flo = lo, flo, x, fx
+
+
+def square(x: float) -> float:
+    """x ** 2 as the float power gives it, whose last bit differs from
+    x * x's for some x, and inf where that power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def refine_from(f, x, dx_df, lo, hi, flo, fhi, ftol):

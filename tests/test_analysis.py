@@ -363,6 +363,21 @@ class TestCooperationReport:
             want = crossing_oracle(b, m, mode, tp.solve_alpha_beta(params, mode).beta)
             assert abs(Decimal(report.pi_dagger) - want) <= Decimal(1e-12) * want
 
+    @pytest.mark.parametrize("b, m", [(3.0, 1e17), (2.0, 1e200)])
+    def test_regime_bounds_may_tie_at_large_m(self, b, m):
+        # the cutoffs at l = 0 and l = 1 round to one float here, 2e-17 at
+        # (3, 1e17), and the strict check raised InvariantViolation. At
+        # (3, 1e17) the oracle is the 50-digit crossing
+        params = tp.validate_params(b, m)
+        for mode in ("exact", "approximate"):
+            report = tp.cooperation_report(params, mode=mode)
+            lower, upper, pi_low = report.regime_bounds
+            assert lower == upper == pytest.approx((b - 1.0) / m, rel=1e-15)
+            assert 0.0 < report.pi_dagger <= upper <= pi_low + 1e-12
+            if m < 1e20:
+                want = crossing_oracle(b, m, mode, tp.solve_alpha_beta(params, mode).beta)
+                assert abs(Decimal(report.pi_dagger) - want) <= Decimal(1e-12) * want
+
     def test_derivative_ordering_on_scan_interval(self):
         # shared-belief threshold rises more slowly than the dispersed one
         # wherever the dispersed middle branch is interior (b away from 2)

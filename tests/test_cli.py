@@ -134,6 +134,15 @@ class TestDiverseCommand:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert any(b == a for a, b in zip(vals, vals[1:]))
 
+    def test_m_whose_square_overflows(self, tmp_path):
+        # m ** 2 raised OverflowError, a traceback with exit code 1: the
+        # solve now answers, with the cutoff (b-1)/m = 1e-200 at every knot
+        out = tmp_path / "diverse.csv"
+        assert main(["diverse", "--b", "2", "--m", "1e200", "--out", str(out)]) == 0
+        assert {float(r["pi_star_d"]) for r in read_csv(out)} == {1e-200}
+        summary = json.loads((tmp_path / "diverse.summary.json").read_text())
+        assert summary["contraction_gamma"] == 1e-200 and summary["residual"] == 0.0
+
 
 class TestCompareCommand:
     def test_crossing_summary(self, tmp_path):
@@ -261,6 +270,27 @@ class TestAsymmetricCommand:
         assert all(b < a for a, b in zip(ell1, ell1[1:]))
         assert all(float(r["d_ell1_d_pi2"]) < 0 for r in rows)
 
+    def test_sensitivity_at_a_corner_is_an_empty_cell(self, tmp_path):
+        # pi1 and pi2 = 0.035 both lie below (b-1)/m = 0.04, and the
+        # sensitivity asks for pi1 < (b-1)/m < pi2: its cell is written empty
+        out = tmp_path / "asym.csv"
+        assert main(["asymmetric", "--b", "3", "--m", "50", "--ell-bar", "8",
+                     "--pi1", "0.03", "--pi2", "0.035", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert row["d_ell1_d_pi2"] == "" and float(row["ell1_hat"]) > 0.0
+
+    @pytest.mark.parametrize("ell_bar", ["1e100", "1e154"])
+    def test_straddling_start_whose_square_overflows(self, tmp_path, ell_bar):
+        # the uniform model's discriminant raised OverflowError, a traceback
+        # with exit code 1: the solve now answers, l1 = K_1 = 48/99 and
+        # l2 = (b-1) + e_2 = 16/3 to the solver's tolerance
+        out = tmp_path / "asym.csv"
+        assert main(["asymmetric", "--b", "3", "--m", "50", "--ell-bar", ell_bar,
+                     "--pi1", "0.01", "--pi2", "0.1", "--out", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert float(row["ell1_hat"]) == pytest.approx(48 / 99, rel=1e-9)
+        assert float(row["ell2_hat"]) == pytest.approx(16 / 3, rel=1e-9)
+
 
 class TestGroupCommand:
     def test_columns_and_values(self, tmp_path):
@@ -321,6 +351,15 @@ class TestSimulateCommand:
 
         report = json.loads(out.read_text(), parse_constant=reject)
         assert report["payoff_means"] == {"CC": None, "CD": None, "DC": None, "DD": 0.0}
+
+    def test_loss_support_whose_density_overflows(self, tmp_path, capsys):
+        # the density 1/1e-310 is inf, and the dispersed solve ran without
+        # end: the support is rejected as a parameter error
+        out = tmp_path / "sd.json"
+        assert main(["simulate", "--scenario", "diverse", "--b", "2", "--m", "8",
+                     "--ell-bar", "1e-310", "--n-samples", "1000", "--out", str(out)]) == 2
+        assert "finite density" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -419,6 +458,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("trustpd:") == 1 and "trustpd: I/O error:" in err
         assert "common" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["common", "--b", "3", "--m", "50", "--pi", "0.05"], 0),
+        (["common", "--b", "0.5", "--m", "10", "--pi", "0.05"], 2),
+    ])
+    def test_console_script_exits_with_mains_code(self, tmp_path, monkeypatch, argv, code):
+        # `run` is the installed `trustpd` script's entry point
+        monkeypatch.setattr(sys, "argv", ["trustpd", *argv, "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert info.value.code == code
+
+    def test_closed_form_where_b_squared_overflows(self, tmp_path, capsys):
+        # b ** 2 raised OverflowError in the shared closed form
+        assert main(["compare", "--b", "2e154", "--m", "1e155",
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert "finite b**2" in capsys.readouterr().err
 
 
 class TestCachedParser:

@@ -130,6 +130,21 @@ class TestBestResponse:
         assert near == pytest.approx(0.0, abs=1e-6)
 
 
+    def test_partner_where_the_cdf_rounds_to_one_short_of_ell_bar(self):
+        # F(x) rounds to 1 one float below ell_bar = 1: psi's pole, where its
+        # 1/(1 - F) divided by zero. The corner is returned there, 0 below
+        # (b-1)/m = 1/3 and ell_bar from it, for a float and in an array
+        dist = tp.tabulated_loss([0.0, 0.5, 1.0], [0.0, 1.0 - 2.0 ** -53, 1.0])
+        x = math.nextafter(1.0, 0.0)
+        assert float(dist.cdf(x)) == 1.0
+        params = tp.validate_params(2.0, 3.0)
+        for pi, corner in ((0.2, 0.0), (0.5, 1.0)):
+            assert tp.best_response_threshold(pi, x, params, dist) == corner
+            both = tp.best_response_threshold(pi, np.array([0.25, x]), params, dist)
+            assert both[1] == corner
+            assert both[0] == tp.best_response_threshold(pi, 0.25, params, dist)
+
+
 @given(game=games, pi_frac=st.floats(0.0, 1.0 - 1e-9), vector=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_best_response_is_clamped_psi_below_pi_low(game, pi_frac, vector):
@@ -146,6 +161,13 @@ def test_best_response_is_clamped_psi_below_pi_low(game, pi_frac, vector):
     assert np.all(br[beyond] == 0.0)
     inside = opponents[~beyond]
     np.testing.assert_array_equal(br[~beyond], np.clip(psi(inside, pi, params, dist), 0.0, big_l))
+
+
+def test_closed_form_where_b_squared_overflows():
+    # b ** 2 raised OverflowError from about b = 1.34e154 on
+    assert tp.closed_form_common_uniform(0.0, tp.validate_params(1.34e154, 1e155)) == 0.0
+    with pytest.raises(tp.ParameterError, match=r"finite b\*\*2"):
+        tp.closed_form_common_uniform(0.0, tp.validate_params(1.35e154, 1e155))
 
 
 class TestSolveCommonEquilibria:

@@ -53,6 +53,15 @@ class TestHazard:
         with pytest.raises(tp.ParameterError):
             tp.hazard(dist, 8.0)
 
+    def test_uniform_support_whose_density_overflows_is_rejected(self):
+        # the density 1/1e-310 is inf, which made a dispersed solve's weights
+        # inf or NaN and its loop run without end; below about 5.6e-309 the
+        # density overflows
+        for ell_bar in (1e-310, 5e-324):
+            with pytest.raises(tp.ParameterError, match="finite density"):
+                tp.uniform_loss(ell_bar)
+        assert tp.uniform_loss(6e-309).pdf(0.0) < math.inf
+
     def test_monotone_flag_means_nondecreasing_hazard(self):
         grid = np.linspace(0.0, 8.0 * (1 - 1e-6), 1000)
         for dist in (tp.uniform_loss(8.0), _convex_tabulated_loss()):

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -699,6 +703,84 @@ def test_curve_that_dips_by_rounding_is_lifted(tol):
     big_i = float(np.add.reduce(np.asarray(G.cdf(s.values)) * (simpson * F.pdf(knots))))
     image = diverse_eq._cutoff(big_i, knots - (params.b - 1.0), params)
     assert sol.residual == float(np.abs(image - s.values).max())
+
+
+def test_nan_residual_counts_as_unmet():
+    """A belief cdf that returns NaN makes every residual NaN, which compares
+    above no tol: max_iter must still end the solve, with ConvergenceError.
+    The solve runs in a child process with a timeout, so that a loop that
+    never ends fails the test instead of hanging the suite."""
+    src = Path(tp.__file__).resolve().parents[1]
+    code = (
+        "import numpy as np, trustpd as tp\n"
+        "G = tp.BeliefDistribution(cdf=lambda x: np.full(np.shape(x), np.nan),\n"
+        "                          pdf=lambda x: np.ones(np.shape(x)), ppf=lambda u: u)\n"
+        "try:\n"
+        "    tp.solve_diverse_threshold(tp.validate_params(2, 8), tp.uniform_loss(1.0), G,\n"
+        "                               max_iter=50)\n"
+        "except tp.ConvergenceError as exc:\n"
+        "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "no fixed point after 50 iterations (last residual nan)"
+
+
+@pytest.mark.parametrize("b, m, ell_bar", [(2.0, 1e200, 1.0), (2.0, 8.0, 1e160),
+                                           (2.0, 1e300, 1e160)])
+def test_squares_that_overflow(b, m, ell_bar):
+    """m^2 or x_N^2, x_N = ell_bar - (b-1), past the float maximum, where the
+    float power raises OverflowError: the solve reaches tol, and its curve
+    is a fixed point of `apply_T`. gamma is (1+m-b)/m^2 divided by m twice
+    where m^2 overflows, 1e-200 and 1e-300 and not 0, and the cutoff is then
+    (b-1)/m at every knot, to rounding."""
+    params, F, G = tp.validate_params(b, m), tp.uniform_loss(ell_bar), tp.uniform_belief()
+    sol = tp.solve_diverse_threshold(params, F, G)
+    s = sol.threshold
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values)) <= 1e-10
+    assert sol.contraction_gamma == pytest.approx((1.0 + m - b) / m / m, rel=1e-15)
+    if m > 1e154:
+        assert np.allclose(s.values, (b - 1.0) / m, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 3 and 4: the discrete map on I cannot "
+                                       "reach tol, and the solver names the game as having no "
+                                       "threshold equilibrium")
+def test_tabulated_F_game_with_a_group_fixed_point_solves():
+    """At (4.245527995564236, 3.245527995569218), tabulated F with knots
+    [0, 0.6958320947429358, 1] and cdf [0, 0.6251002868195458, 1] and uniform
+    G, the n = 1 `consistent` group solver finds q = 3.85e-11 with
+    |Phi(q) - q| = 9.1e-16, so the game has an equilibrium. The dispersed
+    solver raises NoThresholdEquilibrium: its Phi(I) jumps by 9.1e-10 between
+    two adjacent floats next to I = 1."""
+    from trustpd.extensions import _group_fixed_point, _q_update
+
+    params = tp.validate_params(4.245527995564236, 3.245527995569218)
+    F = tp.tabulated_loss([0.0, 0.6958320947429358, 1.0], [0.0, 0.6251002868195458, 1.0])
+    G = tp.uniform_belief()
+    q = _group_fixed_point(1, params, "consistent", F, G)
+    assert abs(_q_update(1, q, params, "consistent", F, G) - q) <= 1e-15
+    try:
+        tp.solve_diverse_threshold(params, F, G)
+    except tp.NoThresholdEquilibrium as exc:
+        pytest.fail(f"NoThresholdEquilibrium raised for a game with an equilibrium: {exc}")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the absolute stop rule accepts a flat "
+                                       "curve 5e-6 relative off the fixed point")
+def test_flat_curve_meets_a_tol_relative_to_its_values():
+    """At (1.01, 1000.01), uniform F on [0, 0.005] and G with half its mass on
+    [0.49995, 0.49995 + 1e-4], the cutoff is about 1e-5 at every knot. The
+    solver stops after one image, at a residual of 5.0e-11 under the absolute
+    tol of 1e-10, 5e-6 relative to the curve: a stop rule never looser than
+    the absolute one, tol * min(1, max s), would not."""
+    params, F = tp.validate_params(1.01, 1000.01), tp.uniform_loss(0.005)
+    G = tp.tabulated_belief([0.0, 0.49995, 0.49995 + 1e-4, 1.0], [0.0, 0.25, 0.75, 1.0])
+    tol = 1e-10
+    s = tp.solve_diverse_threshold(params, F, G, tol=tol).threshold
+    gap = np.max(np.abs(tp.apply_T(s, params, F, G).values - s.values))
+    assert gap <= tol * min(1.0, float(s.values.max()))
 
 
 def test_solve_validates_once(monkeypatch, p28, unit_loss, unit_belief):

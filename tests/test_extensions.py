@@ -27,6 +27,7 @@ from trustpd.extensions import (
     _kink_beliefs,
     _payoff_gap,
     _q_update,
+    _straddling_start,
 )
 from trustpd.numerics import adaptive_simpson, bisect_root, bracket_roots
 
@@ -177,6 +178,41 @@ def test_straddling_uniform_solve_takes_two_gap_evaluations(b, m_frac, excess, b
         sol = tp.solve_asymmetric(pi1, pi2, params, tp.uniform_loss(ell_bar))
     assert counts[pi1] == (1 if sol.ell1_hat == 0.0 else 2)
     assert sol.ell2_hat == clamp_br(pi2, sol.ell1_hat, params, tp.uniform_loss(ell_bar))
+
+
+@pytest.mark.parametrize("ell_bar", [1e100, 1e154, 1e160])
+def test_straddling_start_whose_squares_overflow(ell_bar, fig_params):
+    """At (3, 50) with pi = (0.01, 0.1), the uniform model's discriminant
+    squares a number past the float maximum's square root from
+    ell_bar = 1e100 on, where the float power raised OverflowError. The
+    square is inf: the start is then l_b at l_a = b - 1, or, from 1e154 on,
+    where the product e_a ell_bar 2d overflows too, NaN, which leaves the
+    whole bracket to `bisect_root`.
+    The solve meets the root contract, with l1 = K_1 = 48/99 and
+    l2 = (b-1) + e_2 = 16/3 to the tolerance."""
+    dist = tp.uniform_loss(ell_bar)
+    start = _straddling_start(0.01, 0.1, fig_params, ell_bar)
+    assert math.isnan(start) if ell_bar >= 1e154 else start == pytest.approx(48 / 99)
+    sol = tp.solve_asymmetric(0.01, 0.1, fig_params, dist)
+
+    def gap(l1):
+        return (clamp_br(0.01, clamp_br(0.1, l1, fig_params, dist), fig_params, dist)
+                - l1)
+
+    assert_root_contract(gap, sol.ell1_hat)
+    assert sol.ell1_hat == pytest.approx(48 / 99, rel=1e-9)
+    assert sol.ell2_hat == pytest.approx(16 / 3, rel=1e-9)
+
+
+def test_straddling_start_that_rounds_onto_ell_bar(fig_params, fig_dist):
+    """The model's l_a lies below ell_bar exactly, but rounds onto it where
+    e_b is within rounding of 0 and e_a ell_bar > d^2: at (3, 50) on [0, 8],
+    pi1 = 0.5 and pi2 one float below (b-1)/m. The start is NaN, and the
+    solve bisects [0, ell_bar] to the corner (ell_bar, 0)."""
+    below = math.nextafter(fig_params.pi_low, 0.0)
+    assert math.isnan(_straddling_start(0.5, below, fig_params, 8.0))
+    sol = tp.solve_asymmetric(0.5, below, fig_params, fig_dist)
+    assert (sol.ell1_hat, sol.ell2_hat, sol.unique) == (8.0, 0.0, True)
 
 
 @given(b=st.floats(1.05, 8.0), log_gap=st.floats(-2.0, 3.0), excess=st.floats(1.0, 10.0),

@@ -82,6 +82,16 @@ class TestSimulate:
         assert rep.analytic_prediction == pytest.approx(1.3773336697666752 / 8, abs=1e-8)
         assert abs(rep.coop_rate_strategic - rep.analytic_prediction) <= 3 * rep.half_width_95
 
+    def test_common_strategy_given(self, fig_params, fig_dist):
+        # a given threshold replaces the equilibrium: the prediction is its
+        # mass F(t), and t = 4 at pi = 0.03, where the equilibrium is 1.377,
+        # leaves a profitable deviation
+        cfg = tp.SimConfig(n_samples=20_000, seed=7, scenario="common", pi=0.03, strategy=4.0)
+        rep = tp.simulate(cfg, fig_params, fig_dist)
+        assert rep.analytic_prediction == float(fig_dist.cdf(4.0)) == 0.5
+        assert abs(rep.coop_rate_strategic - 0.5) <= 3 * rep.half_width_95
+        assert rep.max_deviation_gain > 1e-3
+
     def test_zero_belief_never_cooperates(self, fig_params, fig_dist):
         cfg = tp.SimConfig(n_samples=50_000, seed=11, scenario="common", pi=0.0)
         rep = tp.simulate(cfg, fig_params, fig_dist)
