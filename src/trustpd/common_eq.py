@@ -76,13 +76,17 @@ def psi(ell, pi: float, params: GameParams, dist: LossDistribution):
     """Reduced-form best-response threshold to a partner playing threshold ell.
 
     ell may be a scalar (returns a float) or an array of thresholds (returns
-    an array); every element must lie in [0, ell_bar).
+    an array); every element must lie in [0, ell_bar), short of psi's pole,
+    where F reaches 1.
     """
     if not all_within(ell, 0.0, dist.ell_bar, include_hi=False):
         raise ParameterError(
             f"psi is defined on [0, ell_bar); got l={ell}, ell_bar={dist.ell_bar}"
         )
-    return _psi_of_cdf(pi, params)(float_or_array(dist.cdf(ell)))
+    big_f = float_or_array(dist.cdf(ell))
+    if (big_f >= 1.0) if isinstance(big_f, float) else (big_f >= 1.0).any():
+        raise ParameterError(f"psi's pole: F(l) = 1 at l={ell}, short of ell_bar={dist.ell_bar}")
+    return _psi_of_cdf(pi, params)(big_f)
 
 
 def psi_dl(ell: float, pi: float, params: GameParams, dist: LossDistribution) -> float:
@@ -365,9 +369,10 @@ def solve_common_equilibria(
 def closed_form_common_uniform(pi, params: GameParams):
     """Threshold for losses uniform on [0, 1] and b >= 2 (unique equilibrium):
 
-        b/2 - sqrt(b^2/4 - (1+m-b) pi/(1-pi))   for pi < (b-1)/m, else 1.
+        b/2 - sqrt(b^2/4 - K)   for pi < (b-1)/m, else 1,  K = (1+m-b) pi/(1-pi),
 
-    pi may be a scalar (returns a float) or an array of beliefs. Raises
+    taken as K/(b/2 + sqrt(b^2/4 - K)), whose digits hold at large b. pi
+    may be a scalar (returns a float) or an array of beliefs. Raises
     ParameterError for b < 2, and for a b whose square b**2 overflows (b of
     about 1.34e154 or more), where the expression has no float value.
     """
@@ -378,12 +383,13 @@ def closed_form_common_uniform(pi, params: GameParams):
         raise ParameterError(f"belief must lie in [0, 1), got {pi}")
     pi = np.where(1.0 - BELIEF_EPS < pi, 1.0 - BELIEF_EPS, float_or_array(pi))
     below = pi < params.pi_low
-    disc = b_sq / 4.0 - params.coop_premium * pi / (1.0 - pi)
+    k = params.coop_premium * pi / (1.0 - pi)
+    disc = b_sq / 4.0 - k
     negative = below & (disc < 0.0)
     if np.any(negative):
         raise ParameterError(
             f"negative discriminant {np.min(disc, where=negative, initial=0.0)} "
             "below (b-1)/m: parameters violate b >= 2"
         )
-    threshold = np.where(below, params.b / 2.0 - np.sqrt(np.where(below, disc, 0.0)), 1.0)
+    threshold = np.where(below, k / (params.b / 2.0 + np.sqrt(np.where(below, disc, 0.0))), 1.0)
     return float_or_array(threshold)

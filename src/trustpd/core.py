@@ -248,13 +248,17 @@ def tabulated_belief(knots, cdf_values) -> BeliefDistribution:
 
 
 def hazard(dist: LossDistribution, ell: float) -> float:
-    """Hazard rate f(l)/(1 - F(l)); undefined at the upper support."""
+    """Hazard rate f(l)/(1 - F(l)); undefined at the upper support and
+    wherever F reaches 1 short of it, psi's pole."""
     ell = float(ell)
     if not 0.0 <= ell < dist.ell_bar:
         raise ParameterError(
             f"hazard is defined on [0, ell_bar); got l={ell}, ell_bar={dist.ell_bar}"
         )
-    return float(dist.pdf(ell)) / (1.0 - float(dist.cdf(ell)))
+    big_f = float(dist.cdf(ell))
+    if big_f >= 1.0:
+        raise ParameterError(f"psi's pole: F(l) = 1 at l={ell}, short of ell_bar={dist.ell_bar}")
+    return float(dist.pdf(ell)) / (1.0 - big_f)
 
 
 # Scalar helpers. Some kernels that accept a scalar or an array are called

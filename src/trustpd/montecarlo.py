@@ -51,9 +51,9 @@ from .extensions import solve_asymmetric
 SCENARIOS = ("common", "diverse", "asymmetric")
 EQUILIBRIA = ("lowest", "highest", "corner")
 
-# Matches per block in `_play_matches`: no temporary grows with n, and a
-# thread's workspace, 1.0 MB, stays in a core's 2 MB L2 cache.
-BLOCK = 1 << 15
+# Matches per block in `_play_matches`: no temporary grows with n, and the
+# two threads' workspaces, 0.5 MB each, take 1.0 MB together.
+BLOCK = 1 << 14
 # Losses (and beliefs, under dispersed beliefs) at which `deviation_check` looks.
 DEVIATION_GRID = 200
 

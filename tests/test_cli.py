@@ -597,7 +597,7 @@ PINNED_REPRODUCE_ALL = {
     "simulation_common.json.manifest.json":
         "7b4e9af1a8d10d1261a2d27db5ba12118c63f616e686a56b687ec49d55eec567",
     "threshold_comparison.csv":
-        "3ef22fc72f840b232df2136dd621168d071e5b5c4a975f00f3d8b50b17923b46",
+        "5a6224556cff4d8215815783d2a34a36a5ad16b5a2d95a4bf372fcc0bc8b7b50",
     "threshold_comparison.csv.manifest.json":
         "c1514dda008696e28e3e6ac155a8ebec63661f05d0e1c2de8768e2cdaf7aac50",
     "threshold_comparison.summary.json":

@@ -145,6 +145,22 @@ class TestBestResponse:
             assert both[0] == tp.best_response_threshold(pi, 0.25, params, dist)
 
 
+@pytest.mark.parametrize("at_pole", [
+    lambda x, params, dist: psi(x, 0.2, params, dist),
+    lambda x, params, dist: psi(np.array([0.25, x]), 0.2, params, dist),
+    lambda x, params, dist: psi_dl(x, 0.2, params, dist),
+    lambda x, params, dist: tp.hazard(dist, x),
+], ids=["psi", "psi-array", "psi_dl", "hazard"])
+def test_psi_and_hazard_name_the_pole_where_the_cdf_rounds_to_one(at_pole):
+    # one float below ell_bar = 1, F(x) rounds to 1 and 1 - F(x) is 0: the
+    # scalar forms divided by it and raised ZeroDivisionError, and psi on an
+    # array returned -inf there with a RuntimeWarning
+    dist = tp.tabulated_loss([0.0, 0.5, 1.0], [0.0, 1.0 - 2.0 ** -53, 1.0])
+    x = math.nextafter(1.0, 0.0)
+    with pytest.raises(tp.ParameterError, match="psi's pole"):
+        at_pole(x, tp.validate_params(2.0, 3.0), dist)
+
+
 @given(game=games, pi_frac=st.floats(0.0, 1.0 - 1e-9), vector=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_best_response_is_clamped_psi_below_pi_low(game, pi_frac, vector):
@@ -754,3 +770,12 @@ class TestClosedFormCommonUniform:
     def test_rejects_b_below_two(self):
         with pytest.raises(tp.ParameterError):
             tp.closed_form_common_uniform(0.1, tp.validate_params(1.5, 9))
+
+    @pytest.mark.parametrize("b", [1e12, 1e14, 1e150])
+    def test_agrees_with_solver_at_large_b(self, b):
+        # b/2 - sqrt(b^2/4 - K) lost about eps b/2 of a threshold about K/b:
+        # 0.47369384765625 at b = 1e12, 0.4765625 at 1e14 and 0.0 at 1e150
+        params = tp.validate_params(b, 10 * b)
+        eqs = tp.solve_common_equilibria(0.05, params, tp.uniform_loss(1.0))
+        assert eqs.regime == "unique-interior"
+        assert tp.closed_form_common_uniform(0.05, params) == pytest.approx(eqs.lowest, abs=1e-12)

@@ -255,7 +255,9 @@ class TestDeviationCheckMatchesLoops:
 # diverse case (-0x1.f6fadc69d83dfp-2 -> ...e1p-2) re-recorded when each
 # block kept one sum of its CD losses in place of the losses, and the
 # asymmetric prediction (back to 0x1.57b055c1247b3p-2) when root refinement
-# took the midpoint in place of the truncated regula falsi point
+# took the midpoint in place of the truncated regula falsi point; the CD
+# mean of asymmetric@50001 (-0x1.08a6156b979ebp+1 -> ...ecp+1, 1 ulp) when
+# BLOCK was halved, so that each thread's 25000 matches take two blocks
 PINNED_SIM = {
     "common": {
         "scenario": "common", "seed": 17, "n_samples": 50000, "n_strategic": 94899,
@@ -336,7 +338,7 @@ PINNED_SIM = {
         "half_width_95": "0x1.8a749010885ecp-9",
         "analytic_prediction": "0x1.57b055c1247b3p-2",
         "max_deviation_gain": "0x0.0p+0",
-        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.08a6156b979ebp+1",
+        "payoff_means": {"CC": "0x1.0000000000000p+0", "CD": "-0x1.08a6156b979ecp+1",
                          "DC": "-0x1.398c5ec56b08ap+1", "DD": "0x0.0p+0"},
     },
     "asymmetric@37": {
@@ -526,9 +528,9 @@ def test_simulate_at_the_support_end_has_no_spread(equilibrium, pi):
 
 def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
     # per-match arrays took 29.6 MB at 10^6 matches and 118 MB at 4 * 10^6;
-    # each thread's workspace takes 1.0 MB, and a block keeps only counts and
-    # one sum: 3.2 MB at both sizes. An untraced call first, so that neither
-    # traced one imports the thread pool
+    # each thread's workspace takes 0.5 MB, and a block keeps only counts and
+    # one sum: 1.6 MB at both sizes (3.2 MB at twice the block). An untraced
+    # call first, so that neither traced one imports the thread pool
     params = tp.validate_params(2.5, 20.0)
     curve = tp.solve_diverse_threshold(params, unit_loss, unit_belief).threshold
     tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="diverse", strategy=curve),
@@ -554,7 +556,8 @@ def test_simulate_memory_is_flat_in_n(fig_params, fig_dist):
     # workspace (32 B a match of a block), the two players' losses (8 B
     # each) and one CD gather (8 B at most), for both threads whether or not
     # their blocks overlap in time, plus what a 1000-match call holds (the
-    # streams, the pool, the solve and the report)
+    # streams, the pool, the solve and the report): 1.9 MB, against peaks of
+    # 1.4-1.7 MB, where twice the block peaked at 2.7-3.3 MB
     def traced_peak(n):
         cfg = tp.SimConfig(n_samples=n, seed=3, scenario="common", pi=0.03)
         tracemalloc.start()
