@@ -368,7 +368,7 @@ def _kink_beliefs(n, q, params, variant, F: LossDistribution, G: BeliefDistribut
         top = gap(1.0)
         if top >= 0.0:
             splits.append(bisect_root(gap, 0.0, 1.0, ftol=1e-14, fhi=top))
-    return np.unique(splits)
+    return np.array(sorted(set(splits)))  # np.unique would load numpy.ma on numpy 2
 
 
 # Gauss-Legendre nodes per smooth piece of the q_update integrand.
@@ -378,14 +378,38 @@ GROUP_KNOTS = 2001  # beliefs, equally spaced on [0, 1], on solve_group_diverse'
 
 @functools.cache
 def _gauss_legendre():
-    """GAUSS_NODES-point Gauss-Legendre nodes and weights on [-1, 1].
+    """GAUSS_NODES-point Gauss-Legendre nodes, ascending, and weights on
+    [-1, 1], read-only.
 
-    Imported on first use: only the group solver needs numpy.polynomial, and
-    no other command pays for loading it.
+    Newton's method on P_n, the Legendre polynomial of degree n = GAUSS_NODES,
+    from x_i = cos(pi (i - 1/4) / (n + 1/2)) for the n/2 positive nodes,
+    mirrored to the negative ones, so the rule is symmetric. P_n and
+    P_n' = n (x P_n - P_(n-1)) / (x^2 - 1) come from the three-term
+    recurrence (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1), and each weight is
+    2 / ((1 - x^2) P_n'(x)^2). Three steps reach rounding; after five the
+    nodes equal numpy.polynomial.legendre.leggauss's bit for bit, and the
+    weights lie within 3.7e-16 of its weights and within 1.3e-16 of the
+    rule to 50 digits (leggauss's within 4.1e-16). Plain ufuncs, so the
+    group solver calls no LAPACK routine (leggauss calls `eigvalsh`) and,
+    on numpy 2 and later, does not load numpy.polynomial: leggauss's import
+    and call add about 1.75 MB of resident memory, this rule about 0.4 MB.
+    numpy 1.x loads numpy.polynomial at `import numpy`.
     """
-    from numpy.polynomial.legendre import leggauss
+    n = GAUSS_NODES
 
-    nodes, weights = leggauss(GAUSS_NODES)
+    def legendre(x):  # P_n(x) and P_n'(x)
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.array([math.cos(math.pi * (i - 0.25) / (n + 0.5)) for i in range(1, n // 2 + 1)])
+    for _ in range(5):
+        p, dp = legendre(x)
+        x = x - p / dp
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes, weights = np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -9,9 +9,12 @@ by the seed, in a fixed serial order per scenario, so identical
 configurations reproduce bit-identical reports.
 
 Each thread plays a range of the n matches, both players of each match:
-the caller matches [0, n//2) and a worker thread [n//2, n), each replaying
-its range of every slot of that serial stream, BLOCK matches at a time;
-numpy releases the GIL in the draws, the ufuncs and the gathers. Each
+the caller matches [0, n//2) and one `threading.Thread` [n//2, n), each
+replaying its range of every slot of that serial stream, BLOCK matches at
+a time; numpy releases the GIL in the draws, the ufuncs and the gathers.
+The worker hands back its tally or its exception, and the caller joins it
+in a `finally`. Of numpy's subpackages only numpy.random, about 6 MB, loads
+beyond `import numpy`'s (on numpy 2 and later), for the Philox draws. Each
 thread allocates one workspace per call, 32 bytes a match of a block: the
 draws fill it through `Generator.random(out=...)`, and the cooperation rule
 and the tallies write into it, so a block allocates only what the loss
@@ -29,6 +32,7 @@ on an equilibrium cutoff curve, are compared with the interpolated curve.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -171,17 +175,29 @@ def simulate(
         raise ParameterError("diverse scenario requires a belief distribution")
     strategy, prediction = _resolve_strategy(config, params, F, G)
 
-    # imported here, so that importing trustpd does not load the thread pool
-    from concurrent.futures import ThreadPoolExecutor
-
     n = config.n_samples
     players = _players(config, strategy, G)
     # the worker plays matches [n//2, n) while this thread plays [0, n//2);
-    # numpy releases the GIL in the draws, the ufuncs and the gathers
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="trustpd-simulate") as pool:
-        second = pool.submit(_play_matches, config.seed, n, n // 2, n, players, F)
+    # numpy releases the GIL in the draws, the ufuncs and the gathers. The
+    # worker hands back its tally or its exception, and is joined whether or
+    # not this thread's matches raise
+    handed_back = []
+
+    def worker():
+        try:
+            handed_back.append(_play_matches(config.seed, n, n // 2, n, players, F))
+        except BaseException as exc:
+            handed_back.append(exc)
+
+    thread = threading.Thread(target=worker, name="trustpd-simulate")
+    thread.start()
+    try:
         first = _play_matches(config.seed, n, 0, n // 2, players, F)
-        second = second.result()
+    finally:
+        thread.join()
+    second, = handed_back
+    if isinstance(second, BaseException):
+        raise second
 
     *counts, cd_loss = (a + b for a, b in zip(first, second))
     n_strat, n_coop, n_cc, n_dd, n_cd, n_dc, n_dc_honest = map(int, counts)

@@ -585,7 +585,7 @@ PINNED_REPRODUCE_ALL = {
     "exante_single_pair.csv.manifest.json":
         "4b2753b5fc2b85e1acf206fd66932633685394438c34b30af135688b295ce03b",
     "group_thresholds.csv":
-        "0677ec6c7e6dcfae5546a7ff611117c6affd04e081c0317e344adebf46845ed1",
+        "000fd314cf97ac796327d681f5e4009c30461ae9042d8ee00e124b08495b372f",
     "group_thresholds.csv.manifest.json":
         "3f0066aa41af7be386f941915b19b2e47a455989b705b92f6c8155197ad0d3fc",
     "regimes_shared_belief.csv":

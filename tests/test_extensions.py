@@ -21,6 +21,7 @@ from trustpd.common_eq import _best_response, psi
 from trustpd.extensions import (
     SOLVE_TOL,
     VARIANTS,
+    _gauss_legendre,
     _group_fixed_point,
     _group_loss,
     _group_threshold_given_q,
@@ -657,14 +658,49 @@ class TestGroupDiverse:
         t = _group_threshold_given_q(2, np.array(mid), q, p28, "consistent", 1.0)
         assert t[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_import_leaves_numpy_polynomial_unloaded(self):
-        # the quadrature nodes load on first use, not at import
+    def test_import_leaves_numpy_polynomial_unloaded(self, tmp_path):
+        # neither importing trustpd nor a whole reproduce-all run loads
+        # numpy.ma (np.unique's), numpy.polynomial (leggauss's) or
+        # concurrent.futures (the thread pool's); numpy.random stays loaded,
+        # for simulate's Philox draws. numpy 1.x loads the first two at
+        # `import numpy`, so this test needs numpy 2 or later
         src = Path(tp.__file__).resolve().parents[1]
-        code = "import sys, trustpd; print('numpy.polynomial' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        code = """import sys, trustpd
+from trustpd.cli import main
+unused = ("numpy.ma", "numpy.polynomial", "concurrent.futures")
+print([name for name in unused if name in sys.modules])
+assert main(["reproduce-all", "--outdir", sys.argv[1]]) == 0
+print([name for name in unused if name in sys.modules], "numpy.random" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                              capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split("\n")[-3:] == ["[]", "[] True", ""]
+
+    def test_gauss_legendre_rule_is_symmetric_and_exact_to_degree_63(self):
+        nodes, weights = _gauss_legendre()
+        assert nodes.size == weights.size == extensions.GAUSS_NODES
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        # x^k for k <= 2n - 1, summed as `_q_update` sums; k = 0 is the
+        # weights' sum, 2. leggauss's rule misses x^2 to x^20 by up to 1.3e-15
+        for k in range(2 * extensions.GAUSS_NODES):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.add.reduce(weights * nodes**k)) - exact) <= 1e-15, k
+
+    def test_gauss_legendre_rule_matches_leggauss(self):
+        # numpy.polynomial is imported here only, as the reference. Against
+        # the rule to 50 digits, leggauss's weights are off by up to 4.1e-16
+        # (472 ulps of the smallest) and these by up to 1.3e-16, so the
+        # weights are compared in ulps of 1, the scale of their sum
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = _gauss_legendre()
+        want_nodes, want_weights = leggauss(extensions.GAUSS_NODES)
+        assert np.all(np.abs(nodes - want_nodes) <= 4 * np.spacing(np.abs(want_nodes)))
+        assert np.all(np.abs(weights - want_weights) <= 4 * np.spacing(1.0))
 
 
 @given(b=st.floats(1.05, 8.0), log_gap=st.floats(-2.0, 2.0), n=st.integers(1, 8),
@@ -677,7 +713,8 @@ def test_kink_beliefs_find_every_knot_crossing(b, log_gap, n, variant, q, ell_ba
     many crossings (grid zeros and sign changes of the gap at t = k) as a
     scan of a grid of 128 * 512 + 1 beliefs, and each one it returns is a
     root of that gap to the 1e-14 it refines to. Its docstring gives the
-    shape of the gap that leaves at most one crossing per knot.
+    shape of the gap that leaves at most one crossing per knot. Given all of
+    F's knots and G's, it returns each split once, in increasing order.
     """
     params = tp.validate_params(b, b - 1.0 + 10.0**log_gap)
     if inner is None:
@@ -686,6 +723,7 @@ def test_kink_beliefs_find_every_knot_crossing(b, log_gap, n, variant, q, ell_ba
         knots = ell_bar * np.r_[0.0, np.sort(inner), 1.0]
         F = tp.tabulated_loss(knots, np.linspace(0.0, 1.0, knots.size))
     fine = np.linspace(0.0, 1.0, 128 * 512 + 1)
+    crossings = set()
     for k in F.knots:
         gap = _payoff_gap(n, fine, k, q, params, variant)
         signs = np.sign(gap)
@@ -702,6 +740,11 @@ def test_kink_beliefs_find_every_knot_crossing(b, log_gap, n, variant, q, ell_ba
             at = _payoff_gap(n, pi, k, q, params, variant)
             above = _payoff_gap(n, math.nextafter(pi, 2.0), k, q, params, variant)
             assert abs(at) <= 1e-14 or (at < 0.0) != (above < 0.0), (k, pi, at)
+        crossings.update(got.tolist())
+    # with every knot of F and uniform G's 0 and 1: each split once, ascending
+    splits = _kink_beliefs(n, q, params, variant, F, tp.uniform_belief())
+    assert np.all(np.diff(splits) > 0.0)
+    assert set(splits.tolist()) == crossings | {0.0, 1.0}
 
 
 def simpson_q_update(n, q, params, variant, F, G):
@@ -813,17 +856,18 @@ def test_group_fixed_point_under_concentrated_beliefs(b, log_gap, n, variant, st
 # benchmark centre, n from 1 to 8, both variants. The q update sums with
 # np.add.reduce: with np.dot, OpenBLAS's SkylakeX, Haswell and Prescott
 # kernels gave three different sets of curves. Re-recorded when root
-# refinement took inverse-quadratic steps (values at most 8e-13 apart), and
-# the midpoint in place of the truncated regula falsi point (2.7e-11).
+# refinement took inverse-quadratic steps (values at most 8e-13 apart), the
+# midpoint in place of the truncated regula falsi point (2.7e-11), and the
+# Gauss-Legendre weights by Newton's method in place of leggauss's (4.3e-15).
 PINNED_GROUP = {
-    (1.5, 6.0, 1, "consistent"): "1a3d8ff45b9530caede0da3ceb40d5a092634674b6a727d88037fb161e29a089",
-    (1.5, 6.0, 1, "as_printed"): "d783b7b9a50cd4d5fe71719e5ae13f381d7daf0ccbbd392e16a5af1dd76f3a53",
-    (2.0, 8.0, 4, "consistent"): "33f3800fa9b8d47c38bab233507d3269f3b38aa279016946390890c9d74741fa",
-    (2.0, 8.0, 4, "as_printed"): "2cca84b7cb00445cd730d2c9b964d69ca770f5241e3e49ca60fafeca28631885",
-    (3.0, 20.0, 2, "consistent"): "3737a3ce7b31054fd41b7562aff7e38a67b66306d0885f62ea5c1f91b97c4e40",
-    (3.0, 20.0, 2, "as_printed"): "1af2a81aa6050811a6d73f01eaa6d7752c745f8ae0bbb85024c791ba3324ebed",
-    (4.0, 40.0, 8, "consistent"): "3d0b098649c8a9b87cdb94429f3f4b67c01a51696a167f4542895300cab7db08",
-    (4.0, 40.0, 8, "as_printed"): "8187ca8bb5ec577f6484925dec743734a7f5edd49764d04ec1773bc472e0ba94",
+    (1.5, 6.0, 1, "consistent"): "dae0e16483f3563f75b58c8df1b718cdfe2c7d721205896b93eb921a5070c6bc",
+    (1.5, 6.0, 1, "as_printed"): "90ae3edd26dd0b57b2b6c60b8d0a5e607eb4abfb5f48bee294b2c7e21d9071a6",
+    (2.0, 8.0, 4, "consistent"): "fa835b61b650594a734970912550e6e49741b7360cd4935c6ae0dd2cf303cdae",
+    (2.0, 8.0, 4, "as_printed"): "86b44bb3d05921a9b8744c3d59444bb1b39a16a79673b62d47f63cf937f60a38",
+    (3.0, 20.0, 2, "consistent"): "59691b959fa92a79ad2b11a8a36aca7aa5b6e0f63a14e8cc625fd0eb159165d6",
+    (3.0, 20.0, 2, "as_printed"): "eb91099b1d84725e505689802949a7910d20a2bc0a40e51c4aaa48a5d3a0241b",
+    (4.0, 40.0, 8, "consistent"): "f1b5f9eea5579714f6d363e33e865373b6659c3ed995b7ac118112b6f048f3b7",
+    (4.0, 40.0, 8, "as_printed"): "e4fc3e32268c73942fa28ffb0fff07eb9d8c867c10c427472c71f2b625a87969",
 }
 
 

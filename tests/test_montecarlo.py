@@ -530,7 +530,7 @@ def test_simulate_memory_does_not_grow_with_n(unit_loss, unit_belief):
     # per-match arrays took 29.6 MB at 10^6 matches and 118 MB at 4 * 10^6;
     # each thread's workspace takes 0.5 MB, and a block keeps only counts and
     # one sum: 1.6 MB at both sizes (3.2 MB at twice the block). An untraced
-    # call first, so that neither traced one imports the thread pool
+    # call first, so that neither traced one loads numpy.random
     params = tp.validate_params(2.5, 20.0)
     curve = tp.solve_diverse_threshold(params, unit_loss, unit_belief).threshold
     tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="diverse", strategy=curve),
@@ -556,7 +556,7 @@ def test_simulate_memory_is_flat_in_n(fig_params, fig_dist):
     # workspace (32 B a match of a block), the two players' losses (8 B
     # each) and one CD gather (8 B at most), for both threads whether or not
     # their blocks overlap in time, plus what a 1000-match call holds (the
-    # streams, the pool, the solve and the report): 1.9 MB, against peaks of
+    # streams, the thread, the solve and the report): 1.9 MB, against peaks of
     # 1.4-1.7 MB, where twice the block peaked at 2.7-3.3 MB
     def traced_peak(n):
         cfg = tp.SimConfig(n_samples=n, seed=3, scenario="common", pi=0.03)
@@ -568,7 +568,7 @@ def test_simulate_memory_is_flat_in_n(fig_params, fig_dist):
             tracemalloc.stop()
 
     tp.simulate(tp.SimConfig(n_samples=1000, seed=3, scenario="common", pi=0.03),
-                fig_params, fig_dist)  # warm: the thread pool is imported untraced
+                fig_params, fig_dist)  # warm: numpy.random is loaded untraced
     bound = 2 * (32 + 2 * 8 + 8) * montecarlo.BLOCK + traced_peak(1000)
     for n in (250_000, 4 * 10 ** 6):
         assert traced_peak(n) <= bound, n
